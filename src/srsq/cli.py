@@ -251,16 +251,14 @@ def cmd_check(args) -> int:
         _emit(jsonio.condition3_to_dict(condition3_check(delta, args.condition3_bound)),
               args.format)
     elif op == "depth":
-        ideal = stanley_reisner(delta)
-        if args.of == "square":
-            ideal = ideal.power(2)
-        elif args.of == "symbolic-square":
-            ideal = symbolic_power(delta, 2)
-        _emit(
-            {f.name: jsonio.depth_report_to_dict(depth_via_takayama(ideal, f, budget))
-             for f in fields},
-            args.format,
-        )
+        if args.of == "symbolic-square":
+            reports = {f: symbolic_square_depth_report(delta, f, budget) for f in fields}
+        else:
+            ideal = stanley_reisner(delta)
+            if args.of == "square":
+                ideal = ideal.power(2)
+            reports = {f: depth_via_takayama(ideal, f, budget) for f in fields}
+        _emit({f.name: jsonio.depth_report_to_dict(r) for f, r in reports.items()}, args.format)
     elif op == "cm-square":
         _emit(
             {f.name: jsonio.depth_report_to_dict(square_depth_report(delta, f, budget))

@@ -23,6 +23,7 @@ from .homology import (
     FieldSpec,
     GorensteinReport,
     LocallyGorensteinReport,
+    _sorted_faces,
     is_gorenstein,
     is_locally_gorenstein,
 )
@@ -66,7 +67,7 @@ def s2_criterion(delta: SimplicialComplex) -> S2Result:
     >= 1, the link's 1-skeleton must have diameter <= 2."""
     if not delta.is_pure():
         raise ValueError("the (S2) criterion is stated for pure complexes")
-    for f in sorted(delta.face_masks, key=lambda m: (m.bit_count(), unpack(m))):
+    for f in _sorted_faces(delta):
         link = delta.link(unpack(f))
         if link.dim < 1:
             continue

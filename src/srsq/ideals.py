@@ -272,6 +272,8 @@ def in_symbolic_power(source: SimplicialComplex | MonomialIdeal, m: Monomial, el
     if ell < 1:
         raise ValueError("symbolic powers need ell >= 1")
     delta = _as_complex(source)
+    if m.n != delta.n:
+        raise ValueError(f"monomial {m} has {m.n} variables, expected {delta.n}")
     for f in delta.facets:
         if sum(e for i, e in enumerate(m.exps) if not f >> i & 1) < ell:
             return False

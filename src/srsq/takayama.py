@@ -20,18 +20,26 @@ where a piece can be nonzero, so
 
 with depth = dim S/I when nothing fires below the dimension (the top
 cohomology never vanishes identically and is not scanned).
+
+For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
+2011): Delta_a(I) is generated by the sets F - G_a over the facets F of
+Delta that contain G_a and satisfy sum_{i not in F} a_i <= l - 1, and
+rho_j = l off the cone vertices (those in every facet) and 0 on them.  The
+symbolic-square scan runs in this facet form over the same points in the
+same order as the generator form, through the same loop; the generator
+form applied to symbolic_power(Delta, 2) is kept as the test suite's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
-from .bits import maximal_elements, unpack
+from .bits import maximal_elements, submasks, unpack
 from .complexes import SimplicialComplex, void_complex
-from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces
-from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner, symbolic_power
+from .homology import QQ, FieldSpec, HomologyProfile, _sorted_faces, profile_from_faces
+from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner
 
 DEFAULT_BUDGET = 10**6
 
@@ -109,8 +117,41 @@ def _delta_a_faces(
     return [f for f in faces if not f & g_mask and all(mb & ~f for mb in masks)]
 
 
-def _sorted_faces(delta: SimplicialComplex) -> list[int]:
-    return sorted(delta.face_masks, key=lambda m: (m.bit_count(), unpack(m)))
+def _facet_selection(
+    facets: Sequence[int], g_mask: int, a: Sequence[int], ell: int
+) -> tuple[int, ...]:
+    """Generators F - G_a of Delta_a(I_Delta^(ell)), in facet order: one per
+    facet F containing G_a with sum_{i not in F} a_i <= ell - 1.
+
+    The outside sum is counted layerwise, |{i not in F : a_i >= k}| summed
+    over k = 1..ell; capping the layers at ell leaves the comparison intact.
+    An empty result is the void complex.  Plain loops: this runs per scan
+    point.
+    """
+    layers = []
+    for k in range(1, ell + 1):
+        layer = 0
+        for i, e in enumerate(a):
+            if e >= k:
+                layer |= 1 << i
+        if not layer:
+            break
+        layers.append(layer)
+    selected = []
+    for f in facets:
+        if g_mask & ~f:
+            continue
+        outside = 0
+        for layer in layers:
+            outside += (layer & ~f).bit_count()
+        if outside < ell:
+            selected.append(f & ~g_mask)
+    return tuple(selected)
+
+
+def _generated_faces(generators: Iterable[int]) -> set[int]:
+    """Every face of the complex generated by the given masks."""
+    return set().union(*map(submasks, generators))
 
 
 def delta_a(ideal: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
@@ -139,10 +180,7 @@ def delta_a_symbolic(delta: SimplicialComplex, a: Sequence[int], ell: int) -> Si
         raise ValueError("delta_a_symbolic needs a nonnegative degree (use delta_a)")
     if len(a) != delta.n:
         raise ValueError("degree vector length must match the vertex count")
-    chosen = tuple(
-        f for f in delta.facets if sum(e for i, e in enumerate(a) if not f >> i & 1) <= ell - 1
-    )
-    return SimplicialComplex(delta.n, chosen)
+    return SimplicialComplex(delta.n, _facet_selection(delta.facets, 0, a, ell))
 
 
 # -- graded pieces -------------------------------------------------------------
@@ -202,57 +240,91 @@ def _scan_points(faces: Sequence[int], rho: Sequence[int], n: int):
             yield g, tuple(a)
 
 
-def depth_via_takayama(
-    ideal: MonomialIdeal, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
+def _scan_report(
+    delta: SimplicialComplex,
+    faces: Sequence[int],
+    rho: Sequence[int],
+    field: FieldSpec,
+    budget: int,
+    select: Callable[[int, tuple[int, ...]], Hashable],
+    expand: Callable[[Hashable], Iterable[int]],
 ) -> DepthReport:
-    """Depth of S/I by scanning graded pieces of local cohomology.
+    """The depth scan shared by the generator and facet forms.
 
-    The search space (see module docstring) is sized upfront; exceeding the
-    budget raises BudgetExceeded rather than truncating.  The witness is the
-    first nonvanishing piece in the fixed (i, a) order, so reports are
-    deterministic regardless of evaluation strategy.
+    ``select(g_mask, a)`` names Delta_a by a hashable key, falsy when Delta_a
+    has no faces or is void; ``expand(key)`` lists its faces and runs only on
+    a cache miss.  The search space (see module docstring) is sized upfront;
+    exceeding the budget raises BudgetExceeded rather than truncating.  The
+    witness is the first nonvanishing piece in the fixed (i, a) order, so
+    reports are deterministic regardless of evaluation strategy.
     """
-    if ideal.is_unit():
-        raise ValueError("depth of the zero ring is rejected")
-    delta = complex_of_ideal(ideal)
-    dim_ring = delta.dim + 1
-    faces = _sorted_faces(delta)
-    rho = ideal.rho()
     size = _scan_size(faces, rho)
     if size > budget:
         raise BudgetExceeded(size, budget)
+    dim_ring = delta.dim + 1
     if dim_ring == 0:
         return DepthReport(field, 0, 0, True, None, size)
-    gens = tuple(g.exps for g in ideal.gens)
-    cache: dict[tuple[int, ...], HomologyProfile] = {}
-    zero_profile = HomologyProfile(field, ())
-    first_hit: dict[int, tuple[int, CohomologyWitness]] = {}
-    for idx, (g_mask, a) in enumerate(_scan_points(faces, rho, ideal.n)):
-        selected = _delta_a_faces(faces, gens, g_mask, a)
-        if selected is None:
+    cache: dict[Hashable, HomologyProfile] = {}
+    first_hit: dict[int, CohomologyWitness] = {}
+    for g_mask, a in _scan_points(faces, rho, delta.n):
+        key = select(g_mask, a)
+        if not key:
             continue
-        key = tuple(selected)
         profile = cache.get(key)
         if profile is None:
-            profile = profile_from_faces(selected, field)
-            cache[key] = profile
+            profile = cache[key] = profile_from_faces(expand(key), field)
         if profile.is_zero():
             continue
         shift = g_mask.bit_count() + 1
         for hom_degree in profile.degrees():
-            if not profile.betti_number(hom_degree):
-                continue
+            betti = profile.betti_number(hom_degree)
             i = hom_degree + shift
-            if 0 <= i < dim_ring and i not in first_hit:
-                first_hit[i] = (
-                    idx,
-                    CohomologyWitness(i, a, hom_degree, profile.betti_number(hom_degree)),
-                )
+            if betti and i < dim_ring and i not in first_hit:
+                first_hit[i] = CohomologyWitness(i, a, hom_degree, betti)
     if first_hit:
         depth = min(first_hit)
-        witness = first_hit[depth][1]
-        return DepthReport(field, depth, dim_ring, depth == dim_ring, witness, size)
+        return DepthReport(field, depth, dim_ring, False, first_hit[depth], size)
     return DepthReport(field, dim_ring, dim_ring, True, None, size)
+
+
+def depth_via_takayama(
+    ideal: MonomialIdeal, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
+) -> DepthReport:
+    """Depth of S/I by scanning graded pieces of local cohomology, with
+    Delta_a selected from the minimal generators of I."""
+    if ideal.is_unit():
+        raise ValueError("depth of the zero ring is rejected")
+    delta = complex_of_ideal(ideal)
+    faces = _sorted_faces(delta)
+    gens = tuple(g.exps for g in ideal.gens)
+    return _scan_report(
+        delta, faces, ideal.rho(), field, budget,
+        select=lambda g_mask, a: tuple(_delta_a_faces(faces, gens, g_mask, a) or ()),
+        expand=lambda selected: selected,
+    )
+
+
+def _symbolic_rho(delta: SimplicialComplex, ell: int) -> tuple[int, ...]:
+    """rho of I_Delta^(ell) without its generators: ell off the cone vertices
+    (those in every facet) and 0 on them."""
+    cone = (1 << delta.n) - 1
+    for f in delta.facets:
+        cone &= f
+    return tuple(0 if cone >> j & 1 else ell for j in range(delta.n))
+
+
+def _symbolic_depth_report(
+    delta: SimplicialComplex, ell: int, field: FieldSpec, budget: int
+) -> DepthReport:
+    """Depth of S/I_Delta^(ell) by the facet-form scan (module docstring)."""
+    if delta.n < 1 or delta.is_void():
+        raise ValueError("symbolic powers need a nonvoid complex on at least one vertex")
+    facets = delta.facets
+    return _scan_report(
+        delta, _sorted_faces(delta), _symbolic_rho(delta, ell), field, budget,
+        select=lambda g_mask, a: _facet_selection(facets, g_mask, a, ell),
+        expand=_generated_faces,
+    )
 
 
 # -- squares and symbolic squares ----------------------------------------------
@@ -267,7 +339,9 @@ def square_depth_report(
 def symbolic_square_depth_report(
     delta: SimplicialComplex, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
 ) -> DepthReport:
-    return depth_via_takayama(symbolic_power(delta, 2), field, budget)
+    """Depth of S/I_Delta^(2), scanned in facet form; no generator of the
+    symbolic square is built."""
+    return _symbolic_depth_report(delta, 2, field, budget)
 
 
 def is_cm_square_by_factors(

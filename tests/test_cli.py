@@ -187,6 +187,22 @@ def test_check_depth_targets(monkeypatch, capsys):
         assert json.loads(out)["Q"]["cohen_macaulay"] == cm
 
 
+def test_depth_of_symbolic_square_matches_cm_symbolic_square(monkeypatch, capsys):
+    for generate in (["rp2"], ["cycle", "--n", "5"]):
+        _, doc, _ = run(["generate", *generate], monkeypatch=monkeypatch, capsys=capsys)
+        outputs = []
+        for check in (["depth", "--of", "symbolic-square"], ["cm-symbolic-square"]):
+            code, out, _ = run(
+                ["check", *check, "--fields", "Q,F2"],
+                stdin_text=doc,
+                monkeypatch=monkeypatch,
+                capsys=capsys,
+            )
+            assert code == EXIT_OK
+            outputs.append(json.loads(out))
+        assert outputs[0] == outputs[1]
+
+
 def test_ideal_power_and_intersect(monkeypatch, capsys, tmp_path):
     triangle = {"n": 3, "gens": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]}
     code, out, _ = run(

@@ -192,6 +192,14 @@ def test_symbolic_membership_rp2():
     assert symbolic_power(d, 2).contains(m)
 
 
+def test_symbolic_membership_rejects_wrong_variable_count():
+    for source in (rp2(), stanley_reisner(rp2())):
+        with pytest.raises(ValueError):
+            in_symbolic_power(source, Monomial((0, 0, 0, 0, 0, 0, 2)), 2)
+        with pytest.raises(ValueError):
+            in_symbolic_power(source, Monomial((1, 1, 1, 1, 1)), 2)
+
+
 def test_symbolic_membership_agrees_with_generators():
     rng = random.Random(9)
     for _ in range(25):

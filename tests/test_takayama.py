@@ -6,9 +6,12 @@ from srsq import (
     GF2,
     QQ,
     BudgetExceeded,
+    DEFAULT_BUDGET,
     DegreeVector,
     MonomialIdeal,
+    SimplicialComplex,
     complex_of_ideal,
+    conjecture_complex,
     cross_polytope,
     cross_polytope_stellar,
     cycle_complex,
@@ -26,12 +29,15 @@ from srsq import (
     phantom_pentagon,
     reduced_homology,
     rp2,
+    simplex_complex,
     square_depth_report,
     stanley_reisner,
     symbolic_power,
     symbolic_square_depth_report,
+    void_complex,
 )
 from srsq.criteria import random_pure_complex
+from srsq.takayama import _facet_selection, _symbolic_depth_report, _symbolic_rho
 
 
 def triangle_ideal():
@@ -118,14 +124,13 @@ def test_delta_a_mixed_sign_matches_facet_formula():
             if g >> j & 1:
                 a[j] = -1
         lhs = delta_a(symbolic_power(d, ell), tuple(a))
+        assert SimplicialComplex(d.n, _facet_selection(d.facets, g, a, ell)) == lhs
         good = [
             f & ~g
             for f in d.facets
             if g & ~f == 0
             and sum(e for i, e in enumerate(a) if not f >> i & 1) <= ell - 1
         ]
-        from srsq import SimplicialComplex
-
         rhs = SimplicialComplex(d.n, tuple(good))
         assert lhs == rhs
 
@@ -224,6 +229,79 @@ def test_depth_witness_deterministic():
     a = symbolic_square_depth_report(rp2(), GF2)
     b = symbolic_square_depth_report(rp2(), GF2)
     assert a == b
+
+
+# -- the facet-form symbolic scan against the generator-form oracle ------------------
+
+def random_complex(rng, n):
+    """Random facets, so cone vertices, unused vertices and mixed facet sizes occur."""
+    return SimplicialComplex(n, tuple(rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))))
+
+
+def oracle_battery():
+    pentagon = cycle_complex(5)
+    rng = random.Random(67)
+    battery = [
+        rp2(),
+        conjecture_complex(2),
+        SimplicialComplex(6, tuple(f | 1 << 5 for f in pentagon.facets)),  # cone over C5
+        SimplicialComplex(6, pentagon.facets),  # vertex 6 in no face
+        simplex_complex(3),
+    ]
+    for n in range(3, 8):
+        battery.extend(random_pure_complex(rng, n) for _ in range(4))
+        battery.extend(random_complex(rng, n) for _ in range(2))
+    return battery
+
+
+def test_symbolic_square_report_matches_generator_form():
+    # witness and scan_size included: the two forms scan the same points in
+    # the same order
+    for d in oracle_battery():
+        oracle_ideal = symbolic_power(d, 2)
+        for field in (QQ, GF2):
+            expected = depth_via_takayama(oracle_ideal, field)
+            assert symbolic_square_depth_report(d, field) == expected
+
+
+def test_symbolic_square_budget_refusal_matches_generator_form():
+    for d in oracle_battery():
+        size = symbolic_square_depth_report(d, GF2).scan_size
+        with pytest.raises(BudgetExceeded) as facet_form:
+            symbolic_square_depth_report(d, QQ, budget=size - 1)
+        with pytest.raises(BudgetExceeded) as generator_form:
+            depth_via_takayama(symbolic_power(d, 2), QQ, budget=size - 1)
+        assert facet_form.value.required == generator_form.value.required == size
+
+
+def test_facet_form_scan_matches_generator_form_for_other_powers():
+    rng = random.Random(71)
+    for _ in range(12):
+        d = random_complex(rng, rng.randint(3, 6))
+        for ell in (1, 3):
+            expected = depth_via_takayama(symbolic_power(d, ell), GF2)
+            assert _symbolic_depth_report(d, ell, GF2, DEFAULT_BUDGET) == expected
+
+
+def test_symbolic_rho_closed_form():
+    for d in oracle_battery():
+        for ell in (1, 2, 3) if d.n <= 6 else (1, 2):
+            assert _symbolic_rho(d, ell) == symbolic_power(d, ell).rho()
+
+
+def test_symbolic_square_scan_builds_no_ideal(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the facet-form scan must not build I^(2)")
+
+    monkeypatch.setattr(MonomialIdeal, "intersect", refuse)
+    monkeypatch.setattr(MonomialIdeal, "rho", refuse)
+    report = symbolic_square_depth_report(rp2(), GF2)
+    assert (report.depth, report.dim) == (2, 3)
+
+
+def test_symbolic_square_of_void_complex_rejected():
+    with pytest.raises(ValueError):
+        symbolic_square_depth_report(void_complex(3), QQ)
 
 
 # -- square / symbolic square verdicts ----------------------------------------------------
