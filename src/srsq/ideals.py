@@ -6,11 +6,35 @@ equality is ideal equality.  The special-triangle test decides
 I^(2) = I^2 for squarefree ideals without computing either power; both
 powers are still computable directly, which the test suite uses as the
 independent oracle.
+
+Packed layout.  ``Monomial`` (an exponent tuple) is the value type at the
+boundary: constructors, ``gens``, certificates and JSON rows.  Every bulk
+operation of an ideal (minimalisation, powers, intersections and through
+them symbolic powers, membership, rho) runs instead on exponent vectors
+packed into one Python int by ``_Layout``, the only place that packs or
+unpacks exponents.  Each variable gets a field of w bits, w - 1 value bits
+under one guard bit, with w worked out per operation from the largest
+exponent it can produce (k times the largest generator exponent for a k-th
+power), so there is no limit on exponents or on n.  Variable 1 sits in the
+most significant field.  No value reaches its field's guard bit, so
+comparing two packed ints compares their exponent tuples lexicographically
+and the canonical generator order is int order.  With G the mask of guard
+bits and V the mask of value bits:
+
+  a | b      iff ((b | G) - a) & G == G   (no field borrows)
+  lcm(a, b)  = (a & M) | (b & ~M & V), where d = ((a | G) - b) & G marks
+               the fields with a_i >= b_i and M = d - (d >> (w - 1)) is
+               their value bits (b has no guard bits, so & V is implied)
+  a * b      = a + b                      (no field carries)
+
+Minimalisation sorts by (degree, int) and keeps the antichain.  The scalar
+``Monomial`` arithmetic stays as the tests' independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
@@ -25,8 +49,11 @@ class Monomial:
     exps: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(e < 0 for e in self.exps):
-            raise ValueError(f"exponents must be nonnegative: {self.exps}")
+        for e in self.exps:
+            if type(e) is not int:
+                raise TypeError(f"exponents must be integers: {self.exps}")
+            if e < 0:
+                raise ValueError(f"exponents must be nonnegative: {self.exps}")
 
     @classmethod
     def unit(cls, n: int) -> "Monomial":
@@ -35,6 +62,8 @@ class Monomial:
     @classmethod
     def squarefree(cls, n: int, support: Iterable[int]) -> "Monomial":
         mask = pack(support)
+        if mask >> n:
+            raise ValueError(f"support {unpack(mask)} has a vertex outside 1..{n}")
         return cls(tuple(1 if mask >> i & 1 else 0 for i in range(n)))
 
     @property
@@ -96,13 +125,87 @@ class Monomial:
         return "*".join(parts)
 
 
-def _minimalize(monomials: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    ordered = sorted(set(monomials), key=lambda m: (m.degree(), m.exps))
-    kept: list[Monomial] = []
-    for m in ordered:
-        if not any(k.divides(m) for k in kept):
-            kept.append(m)
-    return tuple(sorted(kept))
+class _Layout:
+    """Exponent vectors in n variables packed into w-bit fields (see the module
+    docstring), with w fitting every exponent up to ``top``."""
+
+    __slots__ = ("n", "w", "guard", "_field", "_shifts", "_planes")
+
+    def __init__(self, n: int, top: int) -> None:
+        w = top.bit_length() + 1
+        low = ((1 << n * w) - 1) // ((1 << w) - 1)  # the lowest bit of every field
+        self.n, self.w = n, w
+        self.guard = low << (w - 1)
+        self._field = (1 << (w - 1)) - 1
+        self._shifts = tuple(range((n - 1) * w, -1, -w))  # variable 1 first
+        self._planes = tuple(low << j for j in range(w - 1))
+
+    @classmethod
+    def fitting(cls, n: int, monomials: Iterable[Monomial], factor: int = 1) -> "_Layout":
+        """The layout for products of ``factor`` of the given monomials."""
+        return cls(n, factor * max((max(m.exps) for m in monomials), default=0))
+
+    def pack(self, m: Monomial) -> int:
+        p, w = 0, self.w
+        for e in m.exps:
+            p = p << w | e
+        return p
+
+    def unpack(self, p: int) -> Monomial:
+        field = self._field
+        return Monomial(tuple(p >> s & field for s in self._shifts))
+
+    def graded(self, p: int) -> tuple[int, int]:
+        """(degree, p): the degree sums the fields one bit plane at a time."""
+        degree = 0
+        for j, plane in enumerate(self._planes):
+            degree += (p & plane).bit_count() << j
+        return degree, p
+
+    def divides_any(self, packed: Iterable[int], m: int) -> bool:
+        """Whether some packed monomial divides m."""
+        guard = self.guard
+        mg = m | guard
+        for k in packed:
+            if (mg - k) & guard == guard:
+                return True
+        return False
+
+    def lcm(self, a: int, b: int) -> int:
+        d = ((a | self.guard) - b) & self.guard
+        keep_a = d - (d >> (self.w - 1))
+        return a & keep_a | b & ~keep_a
+
+    def minimal(self, packed: Iterable[int]) -> list[int]:
+        """The minimal elements under divisibility, in int order.
+
+        Candidates go by (degree, int); a monomial is kept unless a kept one of
+        smaller degree divides it (distinct monomials of equal degree never do).
+        """
+        lower: list[int] = []
+        same: list[int] = []
+        degree = -1
+        for d, m in sorted(map(self.graded, set(packed))):
+            if d != degree:
+                lower += same
+                same = []
+                degree = d
+            if not self.divides_any(lower, m):
+                same.append(m)
+        lower += same
+        lower.sort()
+        return lower
+
+    def intersection(self, left: Sequence[int], right: Sequence[int]) -> list[int]:
+        """Minimal generators of the intersection: the minimal pairwise lcms."""
+        lcm = self.lcm
+        return self.minimal([lcm(a, b) for a in left for b in right])
+
+    def prime_power(self, facet_mask: int, ell: int) -> list[int]:
+        """Minimal generators of P_F^ell: the degree-ell monomials in the
+        variables outside the facet, in int order."""
+        outside = [1 << s for i, s in enumerate(self._shifts) if not facet_mask >> i & 1]
+        return sorted(map(sum, combinations_with_replacement(outside, ell)))
 
 
 @dataclass(frozen=True)
@@ -123,7 +226,20 @@ class MonomialIdeal:
         for g in self.gens:
             if g.n != self.n:
                 raise ValueError(f"generator {g} has {g.n} variables, expected {self.n}")
-        object.__setattr__(self, "gens", _minimalize(self.gens))
+        layout = _Layout.fitting(self.n, self.gens)
+        by_packed = {layout.pack(g): g for g in self.gens}
+        object.__setattr__(self, "gens", tuple(map(by_packed.get, layout.minimal(by_packed))))
+
+    @classmethod
+    def _from_minimal(cls, layout: _Layout, minimal: Iterable[int]) -> "MonomialIdeal":
+        """The ideal of packed generators that are already minimal and in int
+        order, built without minimalising again."""
+        if layout.n < 1:
+            raise ValueError("need at least one variable")
+        ideal = object.__new__(cls)
+        object.__setattr__(ideal, "n", layout.n)
+        object.__setattr__(ideal, "gens", tuple(map(layout.unpack, minimal)))
+        return ideal
 
     @classmethod
     def from_exponents(cls, n: int, rows: Iterable[Sequence[int]]) -> "MonomialIdeal":
@@ -151,16 +267,15 @@ class MonomialIdeal:
         return all(g.is_squarefree() for g in self.gens)
 
     def contains(self, m: Monomial) -> bool:
-        return any(g.divides(m) for g in self.gens)
+        if m.n != self.n:
+            raise ValueError(f"monomial {m} has {m.n} variables, expected {self.n}")
+        layout = _Layout.fitting(self.n, (*self.gens, m))
+        return layout.divides_any(map(layout.pack, self.gens), layout.pack(m))
 
     def rho(self) -> tuple[int, ...]:
         """Per-variable maximum exponent over the minimal generators."""
-        out = [0] * self.n
-        for g in self.gens:
-            for i, e in enumerate(g.exps):
-                if e > out[i]:
-                    out[i] = e
-        return tuple(out)
+        layout = _Layout.fitting(self.n, self.gens)
+        return layout.unpack(reduce(layout.lcm, map(layout.pack, self.gens), 0)).exps
 
     def radical(self) -> "MonomialIdeal":
         return MonomialIdeal(self.n, tuple(g.radical() for g in self.gens))
@@ -171,18 +286,18 @@ class MonomialIdeal:
             raise ValueError("negative powers are undefined")
         if k == 0:
             return MonomialIdeal.unit(self.n)
-        prods = []
-        for combo in combinations_with_replacement(self.gens, k):
-            m = combo[0]
-            for g in combo[1:]:
-                m = m * g
-            prods.append(m)
-        return MonomialIdeal(self.n, tuple(prods))
+        layout = _Layout.fitting(self.n, self.gens, k)
+        packed = [layout.pack(g) for g in self.gens]
+        products = map(sum, combinations_with_replacement(packed, k))
+        return MonomialIdeal._from_minimal(layout, layout.minimal(products))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
             raise ValueError("ideals live in different variable counts")
-        return MonomialIdeal(self.n, tuple(g.lcm(h) for g in self.gens for h in other.gens))
+        layout = _Layout.fitting(self.n, self.gens + other.gens)
+        left = [layout.pack(g) for g in self.gens]
+        right = [layout.pack(g) for g in other.gens]
+        return MonomialIdeal._from_minimal(layout, layout.intersection(left, right))
 
     def __add__(self, other: "MonomialIdeal") -> "MonomialIdeal":
         if self.n != other.n:
@@ -225,14 +340,8 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 
 def facet_prime_power(n: int, facet_mask: int, ell: int) -> MonomialIdeal:
     """P_F^ell where P_F = (x_i : i outside the facet)."""
-    outside = [i + 1 for i in range(n) if not facet_mask >> i & 1]
-    gens = []
-    for combo in combinations_with_replacement(outside, ell):
-        exps = [0] * n
-        for v in combo:
-            exps[v - 1] += 1
-        gens.append(Monomial(tuple(exps)))
-    return MonomialIdeal(n, tuple(gens))
+    layout = _Layout(n, ell)
+    return MonomialIdeal._from_minimal(layout, layout.prime_power(facet_mask, ell))
 
 
 def _as_complex(source: SimplicialComplex | MonomialIdeal) -> SimplicialComplex:
@@ -248,19 +357,21 @@ def symbolic_power(source: SimplicialComplex | MonomialIdeal, ell: int) -> Monom
 
     ``source`` is either a complex or its (squarefree) Stanley-Reisner ideal.
     Computed by a left fold of pairwise intersections with intermediate
-    minimalisation; fine at desk scale.
+    minimalisation, all in one packed layout (no lcm of the facet-prime
+    generators has an exponent above ell); fine at desk scale.
     """
     if ell < 1:
         raise ValueError("symbolic powers need ell >= 1")
     delta = _as_complex(source)
     if delta.is_void():
         raise ValueError("the void complex has no facet primes")
-    acc: MonomialIdeal | None = None
+    layout = _Layout(delta.n, ell)
+    acc: list[int] | None = None
     for f in delta.facets:
-        pf = facet_prime_power(delta.n, f, ell)
-        acc = pf if acc is None else acc.intersect(pf)
+        pf = layout.prime_power(f, ell)
+        acc = pf if acc is None else layout.intersection(acc, pf)
     assert acc is not None
-    return acc
+    return MonomialIdeal._from_minimal(layout, acc)
 
 
 def in_symbolic_power(source: SimplicialComplex | MonomialIdeal, m: Monomial, ell: int) -> bool:
@@ -375,15 +486,18 @@ def symbolic2_equals_square(ideal: MonomialIdeal) -> Sym2Result:
     """
     if not ideal.is_squarefree():
         raise ValueError("the criterion applies to squarefree ideals")
-    square: MonomialIdeal | None = None
+    # Squares of squarefree monomials and the obstruction monomials have
+    # exponents at most 2, so one layout serves every membership test.
+    layout = _Layout(ideal.n, 2)
+    square: list[int] | None = None
     checked = 0
     # Lazy enumeration: stop at the first failing triangle.  The generator
     # order is deterministic, so the certificate is reproducible.
     for tri in _iter_special_triangles(ideal.supports()):
         if square is None:
-            square = ideal.power(2)
+            square = [layout.pack(g) for g in ideal.power(2).gens]
         checked += 1
         mono = triangle_obstruction_monomial(ideal.n, tri)
-        if not square.contains(mono):
+        if not layout.divides_any(square, layout.pack(mono)):
             return Sym2Result(False, tri, mono, checked)
     return Sym2Result(True, None, None, checked)

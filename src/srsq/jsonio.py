@@ -61,9 +61,18 @@ def ideal_to_dict(ideal: MonomialIdeal) -> dict:
     return {"n": ideal.n, "gens": [list(g.exps) for g in ideal.gens]}
 
 
+def _integer(value: Any, what: str) -> int:
+    """A JSON integer as is; floats, strings and booleans are rejected, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def ideal_from_dict(doc: Mapping[str, Any]) -> MonomialIdeal:
     try:
-        return MonomialIdeal.from_exponents(int(doc["n"]), [list(map(int, g)) for g in doc["gens"]])
+        n = _integer(doc["n"], "n")
+        rows = [[_integer(e, "an exponent") for e in g] for g in doc["gens"]]
+        return MonomialIdeal.from_exponents(n, rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not an ideal document: {exc}") from exc
 

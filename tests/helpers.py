@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from srsq import Graph, MonomialIdeal, SimplicialComplex
 from srsq.bits import pack, unpack
@@ -52,6 +52,36 @@ def random_squarefree_ideal(rng: random.Random, n: int, max_gens: int = 6) -> Mo
         ideal = MonomialIdeal.squarefree_from_supports(n, supports)
         if ideal.gens:
             return ideal
+
+
+def tuple_minimal(rows) -> list[tuple[int, ...]]:
+    """Exponent tuples that no other one divides componentwise, sorted."""
+    rows = set(rows)
+    return sorted(
+        r for r in rows if not any(o != r and all(x <= y for x, y in zip(o, r)) for o in rows)
+    )
+
+
+def tuple_power(rows, k: int, n: int) -> list[tuple[int, ...]]:
+    """Minimal generators of the k-th power: all k-fold products, minimalised."""
+    if k == 0:
+        return [(0,) * n]
+    return tuple_minimal(tuple(map(sum, zip(*combo)))
+                         for combo in combinations_with_replacement(rows, k))
+
+
+def tuple_intersection(left, right) -> list[tuple[int, ...]]:
+    """Minimal generators of the intersection: all pairwise lcms, minimalised."""
+    return tuple_minimal(tuple(map(max, a, b)) for a in left for b in right)
+
+
+def tuple_prime_power(n: int, facet: tuple[int, ...], ell: int) -> list[tuple[int, ...]]:
+    """Generators of P_F^ell: the degree-ell exponent tuples supported off the facet."""
+    outside = [v for v in range(1, n + 1) if v not in facet]
+    return sorted(
+        tuple(combo.count(v) for v in range(1, n + 1))
+        for combo in combinations_with_replacement(outside, ell)
+    )
 
 
 def brute_nonfaces(delta: SimplicialComplex) -> list[int]:

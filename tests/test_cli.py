@@ -225,6 +225,22 @@ def test_ideal_power_and_intersect(monkeypatch, capsys, tmp_path):
     assert json.loads(out)["gens"] == [[1, 1, 0]]
 
 
+@pytest.mark.parametrize("doc", [
+    {"n": 2, "gens": [[1.7, 0], [0, 1]]},
+    {"n": 2, "gens": [[1.0, 0]]},
+    {"n": 2, "gens": [[True, 0]]},
+    {"n": 2, "gens": [["1", 0]]},
+    {"n": 2.0, "gens": [[1, 0]]},
+    {"n": "2", "gens": [[1, 0]]},
+    {"n": True, "gens": [[1]]},
+])
+def test_ideal_loader_rejects_non_integers(doc, monkeypatch, capsys):
+    code, out, err = run(["ideal", "power", "--k", "1"], stdin_text=json.dumps(doc),
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "must be an integer" in err
+
+
 def test_ideal_symbolic_accepts_complex_or_ideal(monkeypatch, capsys):
     _, doc, _ = run(["generate", "cycle", "--n", "5"], monkeypatch=monkeypatch, capsys=capsys)
     code, from_complex, _ = run(

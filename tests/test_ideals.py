@@ -2,7 +2,7 @@ import random
 from itertools import combinations, combinations_with_replacement
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from srsq import (
     Monomial,
@@ -30,6 +30,10 @@ from helpers import (
     graph_has_triangle,
     random_graph,
     random_squarefree_ideal,
+    tuple_intersection,
+    tuple_minimal,
+    tuple_power,
+    tuple_prime_power,
 )
 
 
@@ -53,6 +57,24 @@ def test_monomial_examples():
         a.lcm(Monomial((1, 1)))
 
 
+def test_monomial_rejects_non_integer_exponents():
+    for bad in ((1.5, 0), (1.0, 0), (True, 0), ("1", 0)):
+        with pytest.raises(TypeError):
+            Monomial(bad)
+    with pytest.raises(TypeError):
+        MonomialIdeal.from_exponents(2, [(0.5, 1)])
+
+
+def test_squarefree_rejects_vertices_outside_range():
+    with pytest.raises(ValueError):
+        Monomial.squarefree(3, [4])
+    with pytest.raises(ValueError):
+        MonomialIdeal.squarefree_from_supports(3, [[1, 4]])
+    with pytest.raises(ValueError):
+        Monomial.squarefree(3, [0])
+    assert Monomial.squarefree(3, [1, 3]) == Monomial((1, 0, 1))
+
+
 exps = st.tuples(*(st.integers(min_value=0, max_value=4) for _ in range(4)))
 
 
@@ -72,6 +94,75 @@ def test_ideal_minimality_invariant(rows):
     # every input generator remains inside the ideal
     for r in rows:
         assert ideal.contains(Monomial(r))
+
+
+# -- packed kernels against the plain-tuple oracle ---------------------------------
+
+# Exponents at the field-width boundaries of the packed layout: a field holds
+# values below 2^(w-1), so 1, 3, 7, 15 and 255 fill one and 2, 4, 8, 16 and
+# 256 need one more bit.
+BOUNDARY = (0, 1, 2, 3, 4, 7, 8, 15, 16, 255, 256)
+
+
+@st.composite
+def exponent_rows(draw, n):
+    exponent = st.one_of(st.just(0), st.sampled_from(BOUNDARY))
+    return draw(st.lists(st.tuples(*(exponent for _ in range(n))), max_size=5))
+
+
+@st.composite
+def ideal_cases(draw):
+    n = draw(st.sampled_from((1, 2, 3, 4, 64)))
+    return n, draw(exponent_rows(n)), draw(exponent_rows(n)), draw(exponent_rows(n))
+
+
+def _exps(ideal):
+    return [g.exps for g in ideal.gens]
+
+
+def _divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+@given(ideal_cases())
+@settings(max_examples=80, deadline=None)
+@example((3, [], [(1, 0, 0)], [(0, 0, 0)]))  # zero ideal
+@example((3, [(0, 0, 0), (2, 1, 0)], [(0, 1, 0)], [(0, 0, 0), (1, 1, 1)]))  # unit ideal
+@example((64, [(0,) * 64], [], [(256,) * 64]))
+@example((64, [(1,) * 32 + (0,) * 32, (0,) * 32 + (1,) * 32], [(255,) + (0,) * 63],
+          [(1,) * 64, (255,) * 64]))
+def test_packed_kernels_match_tuple_oracle(case):
+    n, rows, other_rows, probes = case
+    ideal = MonomialIdeal.from_exponents(n, rows)
+    gens = tuple_minimal(rows)
+    assert _exps(ideal) == gens
+    for k in range(4):
+        assert _exps(ideal.power(k)) == tuple_power(rows, k, n)
+    other = MonomialIdeal.from_exponents(n, other_rows)
+    assert _exps(ideal.intersect(other)) == tuple_intersection(rows, other_rows)
+    for p in probes + rows + other_rows:
+        assert ideal.contains(Monomial(p)) == any(_divides(g, p) for g in gens)
+    assert ideal.rho() == tuple(max((g[i] for g in gens), default=0) for i in range(n))
+
+
+def test_symbolic_power_matches_tuple_fold():
+    rng = random.Random(23)
+    battery = [rp2(), cycle_complex(5), simplex_complex(3)]
+    battery += [complex_of_ideal(random_squarefree_ideal(rng, rng.randint(3, 7)))
+                for _ in range(15)]
+    for d in battery:
+        for ell in (1, 2, 3):
+            facets = d.facet_tuples()
+            expected = tuple_prime_power(d.n, facets[0], ell)
+            for f in facets[1:]:
+                expected = tuple_intersection(expected, tuple_prime_power(d.n, f, ell))
+            assert _exps(symbolic_power(d, ell)) == expected
+
+
+def test_contains_rejects_wrong_variable_count():
+    for ideal in (triangle_ideal(), MonomialIdeal.zero(3)):
+        with pytest.raises(ValueError):
+            ideal.contains(Monomial((1, 1)))
 
 
 # -- Stanley-Reisner correspondence --------------------------------------------------
