@@ -78,13 +78,15 @@ from .takayama import (
     DepthReport,
     delta_a,
     delta_a_symbolic,
+    depth_reports,
     depth_via_takayama,
     is_cm_square,
     is_cm_square_by_factors,
-    is_cm_symbolic_square,
     local_cohomology_dim,
     square_depth_report,
+    square_depth_reports,
     symbolic_square_depth_report,
+    symbolic_square_depth_reports,
 )
 
 __version__ = "0.1.0"

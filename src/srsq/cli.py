@@ -45,9 +45,8 @@ from .ideals import (
 from .takayama import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    depth_via_takayama,
-    square_depth_report,
-    symbolic_square_depth_report,
+    depth_reports,
+    symbolic_square_depth_reports,
 )
 from .reproduce import run_all
 
@@ -113,7 +112,7 @@ def _read_ideal(path: str | None):
 
 def _read_complex_or_ideal(path: str | None):
     doc = _read_json(path)
-    if "facets" in doc:
+    if isinstance(doc, dict) and "facets" in doc:
         return jsonio.complex_from_dict(doc, allow_unused=True)
     return jsonio.ideal_from_dict(doc)
 
@@ -250,27 +249,14 @@ def cmd_check(args) -> int:
     elif op == "condition3":
         _emit(jsonio.condition3_to_dict(condition3_check(delta, args.condition3_bound)),
               args.format)
-    elif op == "depth":
-        if args.of == "symbolic-square":
-            reports = {f: symbolic_square_depth_report(delta, f, budget) for f in fields}
+    elif op in ("depth", "cm-square", "cm-symbolic-square"):
+        of = args.of if op == "depth" else op[len("cm-"):]
+        if of == "symbolic-square":
+            reports = symbolic_square_depth_reports(delta, fields, budget)
         else:
             ideal = stanley_reisner(delta)
-            if args.of == "square":
-                ideal = ideal.power(2)
-            reports = {f: depth_via_takayama(ideal, f, budget) for f in fields}
+            reports = depth_reports(ideal.power(2) if of == "square" else ideal, fields, budget)
         _emit({f.name: jsonio.depth_report_to_dict(r) for f, r in reports.items()}, args.format)
-    elif op == "cm-square":
-        _emit(
-            {f.name: jsonio.depth_report_to_dict(square_depth_report(delta, f, budget))
-             for f in fields},
-            args.format,
-        )
-    elif op == "cm-symbolic-square":
-        _emit(
-            {f.name: jsonio.depth_report_to_dict(symbolic_square_depth_report(delta, f, budget))
-             for f in fields},
-            args.format,
-        )
     elif op == "audit":
         report = paper_audit(delta, fields, budget, args.condition3_bound)
         _emit(jsonio.audit_to_dict(report), args.format)

@@ -20,6 +20,7 @@ from .bits import pack, unpack
 from .complexes import SimplicialComplex, new_complex
 from .homology import (
     DEFAULT_FIELDS,
+    QQ,
     FieldSpec,
     GorensteinReport,
     LocallyGorensteinReport,
@@ -206,6 +207,22 @@ def _audit_violations(report: AuditReport) -> tuple[str, ...]:
                     f"over {f.name}: diameter criterion = {report.depth2.holds} but "
                     f"depth S/I^(2) >= 2 is {sym_depth_ok}"
                 )
+    # Betti numbers over F_p are at least those over Q for an integer chain
+    # complex: local cohomology only grows, so depths only drop, and a
+    # Gorenstein verdict over F_p carries over to Q.
+    if QQ in report.fields:
+        for f in report.fields:
+            if f == QQ:
+                continue
+            for name, reports in (("I^2", report.cm_square),
+                                  ("I^(2)", report.cm_symbolic_square)):
+                if reports[f].depth > reports[QQ].depth:
+                    out.append(
+                        f"depth S/{name} is {reports[f].depth} over {f.name} "
+                        f"but {reports[QQ].depth} over Q"
+                    )
+            if report.gorenstein[f].is_gorenstein and not report.gorenstein[QQ].is_gorenstein:
+                out.append(f"Gorenstein over {f.name} but not over Q")
     if report.condition3 is not None and report.condition3.holds != report.sym2.equal:
         out.append(
             "non-face triple brute force disagrees with the special-triangle criterion"

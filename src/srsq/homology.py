@@ -66,10 +66,12 @@ DEFAULT_FIELDS: tuple[FieldSpec, ...] = (QQ, GF2)
 
 
 def parse_field_battery(text: str) -> tuple[FieldSpec, ...]:
-    """Comma-separated battery, e.g. "Q,F2,F3"."""
+    """Comma-separated battery of distinct fields, e.g. "Q,F2,F3"."""
     specs = tuple(FieldSpec.parse(part) for part in text.split(",") if part.strip())
     if not specs:
         raise ValueError("empty field battery")
+    if len(set(specs)) != len(specs):
+        raise ValueError(f"field battery {text!r} names a field twice")
     return specs
 
 

@@ -37,8 +37,8 @@ def complex_to_dict(delta: SimplicialComplex, vertex_map: Mapping[int, int] | No
 
 def complex_from_dict(doc: Mapping[str, Any], allow_unused: bool = False) -> SimplicialComplex:
     try:
-        n = int(doc["n"])
-        facets = [list(map(int, f)) for f in doc["facets"]]
+        n = _integer(doc["n"], "n")
+        facets = [[_integer(v, "a vertex") for v in f] for f in doc["facets"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a complex document: {exc}") from exc
     if n == 0 and facets == [[]]:
@@ -52,7 +52,9 @@ def graph_to_dict(g: Graph) -> dict:
 
 def graph_from_dict(doc: Mapping[str, Any]) -> Graph:
     try:
-        return Graph.from_edges(int(doc["n"]), [tuple(map(int, e)) for e in doc["edges"]])
+        n = _integer(doc["n"], "n")
+        edges = [[_integer(v, "an edge endpoint") for v in e] for e in doc["edges"]]
+        return Graph.from_edges(n, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"not a graph document: {exc}") from exc
 

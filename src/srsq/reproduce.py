@@ -42,11 +42,11 @@ from .ideals import (
 from .takayama import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    depth_via_takayama,
+    depth_reports,
     is_cm_square,
-    is_cm_symbolic_square,
-    square_depth_report,
+    square_depth_reports,
     symbolic_square_depth_report,
+    symbolic_square_depth_reports,
 )
 
 
@@ -157,6 +157,7 @@ def criterion_3_projective_plane(budget: int = DEFAULT_BUDGET) -> CriterionResul
     fv = d.f_vector()
     sym = symbolic2_equals_square(I)
     all_vertices = Monomial((1,) * 6)
+    sym_sq = symbolic_square_depth_reports(d, (QQ, GF2), budget)
     checks = {
         "f_vector": fv.counts == (6, 15, 10),
         "euler_reduced_zero": fv.euler_reduced == 0,
@@ -168,8 +169,8 @@ def criterion_3_projective_plane(budget: int = DEFAULT_BUDGET) -> CriterionResul
             _pentagon_relabeling(d.link([v])) is not None for v in range(1, 7)
         ),
         "s2_criterion_holds": s2_criterion(d).holds,
-        "not_cm_symbolic_square_Q": not is_cm_symbolic_square(d, QQ, budget),
-        "not_cm_symbolic_square_F2": not is_cm_symbolic_square(d, GF2, budget),
+        "not_cm_symbolic_square_Q": not sym_sq[QQ].is_cm,
+        "not_cm_symbolic_square_F2": not sym_sq[GF2].is_cm,
         "x1__x6_in_symbolic_square": in_symbolic_power(d, all_vertices, 2),
         "x1__x6_not_in_square": not I.power(2).contains(all_vertices),
         "triangle_criterion_fails": not sym.equal,
@@ -186,11 +187,14 @@ def criterion_3_projective_plane(budget: int = DEFAULT_BUDGET) -> CriterionResul
 def criterion_4_phantom_pentagon(budget: int = DEFAULT_BUDGET) -> CriterionResult:
     start = time.perf_counter()
     d = phantom_pentagon(2)
+    sym_sq = symbolic_square_depth_reports(d, (QQ, GF2), budget)
+    # d is join-irreducible, so is_cm_square would scan it directly as well
+    sq = square_depth_reports(d, (QQ, GF2), budget)
     checks = {
-        "cm_symbolic_square_Q": is_cm_symbolic_square(d, QQ, budget),
-        "cm_symbolic_square_F2": is_cm_symbolic_square(d, GF2, budget),
-        "not_cm_square_Q": not is_cm_square(d, QQ, budget),
-        "not_cm_square_F2": not is_cm_square(d, GF2, budget),
+        "cm_symbolic_square_Q": sym_sq[QQ].is_cm,
+        "cm_symbolic_square_F2": sym_sq[GF2].is_cm,
+        "not_cm_square_Q": not sq[QQ].is_cm,
+        "not_cm_square_F2": not sq[GF2].is_cm,
         "not_gorenstein_Q": not is_gorenstein(d, QQ),
         "not_gorenstein_F2": not is_gorenstein(d, GF2),
     }
@@ -245,12 +249,10 @@ def criterion_7_disjoint_pentagons(budget: int = DEFAULT_BUDGET) -> CriterionRes
     d = disjoint_pentagons(2)
     I = stanley_reisner(d)
     sym = symbolic2_equals_square(I)
-    direct: dict[str, bool | str] = {}
-    for f in (QQ, GF2):
-        try:
-            direct[f.name] = is_cm_square(d, f, budget, join_fallback=False)
-        except BudgetExceeded:
-            direct[f.name] = "budget-exceeded"
+    try:
+        direct = {f.name: r.is_cm for f, r in square_depth_reports(d, (QQ, GF2), budget).items()}
+    except BudgetExceeded:
+        direct = {"Q": "budget-exceeded", "F2": "budget-exceeded"}
     # The fallback route must work on this very case: factor-wise verdicts
     # combined by the join rule, and the budget-triggered path end to end.
     factors = d.join_factors()
@@ -319,10 +321,10 @@ def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool
         "triangle_criterion": symbolic2_equals_square(I).equal == eq_direct,
         "condition3": condition3_check(delta).holds == eq_direct,
     }
+    takayama = None if I.is_zero() else depth_reports(I, DEFAULT_FIELDS, budget)
     for f in DEFAULT_FIELDS:
         reisner = bool(is_cohen_macaulay(delta, f))
-        takayama = True if I.is_zero() else depth_via_takayama(I, f, budget).is_cm
-        out[f"reisner_vs_takayama_{f.name}"] = reisner == takayama
+        out[f"reisner_vs_takayama_{f.name}"] = reisner == (takayama is None or takayama[f].is_cm)
     if delta.dim >= 1:
         # depth >= 2 of the symbolic square only involves connectivity data,
         # which is characteristic-free, so one field decides it.
@@ -415,14 +417,14 @@ def criterion_9_implication_audits(
 
 def criterion_10_conjecture(budget: int = DEFAULT_BUDGET) -> CriterionResult:
     start = time.perf_counter()
-    pentagon_case = conjecture_complex(1)
-    recorded = {}
-    for f in (QQ, GF2):
-        r2 = square_depth_report(conjecture_complex(2), f, budget)
-        recorded[f.name] = {"cm": r2.is_cm, "depth": r2.depth, "dim": r2.dim}
+    recorded = {
+        f.name: {"cm": r2.is_cm, "depth": r2.depth, "dim": r2.dim}
+        for f, r2 in square_depth_reports(conjecture_complex(2), (QQ, GF2), budget).items()
+    }
+    pentagon_case = square_depth_reports(conjecture_complex(1), (QQ, GF2), budget)
     checks = {
-        "n1_pentagon_cm_square_Q": is_cm_square(pentagon_case, QQ, budget),
-        "n1_pentagon_cm_square_F2": is_cm_square(pentagon_case, GF2, budget),
+        "n1_pentagon_cm_square_Q": pentagon_case[QQ].is_cm,
+        "n1_pentagon_cm_square_F2": pentagon_case[GF2].is_cm,
     }
     details = {"n2_recorded_verdicts": recorded}
     notes = ("the n = 2 verdict is recorded, not asserted (conjectured case)",)

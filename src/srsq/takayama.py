@@ -19,7 +19,8 @@ where a piece can be nonzero, so
     depth S/I = min { i : some scanned piece at i is nonzero },
 
 with depth = dim S/I when nothing fires below the dimension (the top
-cohomology never vanishes identically and is not scanned).
+cohomology never vanishes identically and is not scanned).  Only the ranks
+depend on the field, so one scan per ideal serves a whole field battery.
 
 For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
 2011): Delta_a(I) is generated by the sets F - G_a over the facets F of
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Iterable, Sequence
 
 from .bits import maximal_elements, submasks, unpack
 from .complexes import SimplicialComplex, void_complex
@@ -240,68 +241,70 @@ def _scan_points(faces: Sequence[int], rho: Sequence[int], n: int):
             yield g, tuple(a)
 
 
-def _scan_report(
+def _scan_reports(
     delta: SimplicialComplex,
     faces: Sequence[int],
     rho: Sequence[int],
-    field: FieldSpec,
+    fields: Sequence[FieldSpec],
     budget: int,
     select: Callable[[int, tuple[int, ...]], Hashable],
-    expand: Callable[[Hashable], Iterable[int]],
-) -> DepthReport:
-    """The depth scan shared by the generator and facet forms.
+    expand: Callable[[Hashable], Collection[int]],
+) -> dict[FieldSpec, DepthReport]:
+    """The depth scan shared by the generator and facet forms, per field.
 
     ``select(g_mask, a)`` names Delta_a by a hashable key, falsy when Delta_a
     has no faces or is void; ``expand(key)`` lists its faces and runs only on
     a cache miss.  The search space (see module docstring) is sized upfront;
-    exceeding the budget raises BudgetExceeded rather than truncating.  The
-    witness is the first nonvanishing piece in the fixed (i, a) order, so
-    reports are deterministic regardless of evaluation strategy.
+    exceeding the budget raises BudgetExceeded rather than truncating.  Each
+    field's witness is its first nonvanishing piece in the fixed (i, a) order,
+    so reports are deterministic regardless of evaluation strategy.
     """
     size = _scan_size(faces, rho)
     if size > budget:
         raise BudgetExceeded(size, budget)
     dim_ring = delta.dim + 1
-    if dim_ring == 0:
-        return DepthReport(field, 0, 0, True, None, size)
-    cache: dict[Hashable, HomologyProfile] = {}
-    first_hit: dict[int, CohomologyWitness] = {}
+    cache: dict[Hashable, tuple[HomologyProfile, ...]] = {}
+    first_hits: list[dict[int, CohomologyWitness]] = [{} for _ in fields]
     for g_mask, a in _scan_points(faces, rho, delta.n):
         key = select(g_mask, a)
         if not key:
             continue
-        profile = cache.get(key)
-        if profile is None:
-            profile = cache[key] = profile_from_faces(expand(key), field)
-        if profile.is_zero():
-            continue
+        profiles = cache.get(key)
+        if profiles is None:
+            selected = expand(key)
+            profiles = cache[key] = tuple(profile_from_faces(selected, f) for f in fields)
         shift = g_mask.bit_count() + 1
-        for hom_degree in profile.degrees():
-            betti = profile.betti_number(hom_degree)
-            i = hom_degree + shift
-            if betti and i < dim_ring and i not in first_hit:
-                first_hit[i] = CohomologyWitness(i, a, hom_degree, betti)
-    if first_hit:
-        depth = min(first_hit)
-        return DepthReport(field, depth, dim_ring, False, first_hit[depth], size)
-    return DepthReport(field, dim_ring, dim_ring, True, None, size)
+        for profile, first_hit in zip(profiles, first_hits):
+            for i, betti in enumerate(profile.betti, shift - 1):
+                if betti and i < dim_ring and i not in first_hit:
+                    first_hit[i] = CohomologyWitness(i, a, i - shift, betti)
+    depths = [min(first_hit, default=dim_ring) for first_hit in first_hits]
+    return {f: DepthReport(f, d, dim_ring, d == dim_ring, first_hit.get(d), size)
+            for f, d, first_hit in zip(fields, depths, first_hits)}
 
 
-def depth_via_takayama(
-    ideal: MonomialIdeal, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
-) -> DepthReport:
-    """Depth of S/I by scanning graded pieces of local cohomology, with
-    Delta_a selected from the minimal generators of I."""
+def depth_reports(
+    ideal: MonomialIdeal, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
+) -> dict[FieldSpec, DepthReport]:
+    """Depth of S/I over each field of the battery by one scan of graded
+    pieces of local cohomology, Delta_a selected by the generators of I."""
     if ideal.is_unit():
         raise ValueError("depth of the zero ring is rejected")
     delta = complex_of_ideal(ideal)
     faces = _sorted_faces(delta)
     gens = tuple(g.exps for g in ideal.gens)
-    return _scan_report(
-        delta, faces, ideal.rho(), field, budget,
+    return _scan_reports(
+        delta, faces, ideal.rho(), fields, budget,
         select=lambda g_mask, a: tuple(_delta_a_faces(faces, gens, g_mask, a) or ()),
         expand=lambda selected: selected,
     )
+
+
+def depth_via_takayama(
+    ideal: MonomialIdeal, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
+) -> DepthReport:
+    """One field's report of depth_reports."""
+    return depth_reports(ideal, (field,), budget)[field]
 
 
 def _symbolic_rho(delta: SimplicialComplex, ell: int) -> tuple[int, ...]:
@@ -313,15 +316,15 @@ def _symbolic_rho(delta: SimplicialComplex, ell: int) -> tuple[int, ...]:
     return tuple(0 if cone >> j & 1 else ell for j in range(delta.n))
 
 
-def _symbolic_depth_report(
-    delta: SimplicialComplex, ell: int, field: FieldSpec, budget: int
-) -> DepthReport:
+def _symbolic_depth_reports(
+    delta: SimplicialComplex, ell: int, fields: Sequence[FieldSpec], budget: int
+) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^(ell) by the facet-form scan (module docstring)."""
     if delta.n < 1 or delta.is_void():
         raise ValueError("symbolic powers need a nonvoid complex on at least one vertex")
     facets = delta.facets
-    return _scan_report(
-        delta, _sorted_faces(delta), _symbolic_rho(delta, ell), field, budget,
+    return _scan_reports(
+        delta, _sorted_faces(delta), _symbolic_rho(delta, ell), fields, budget,
         select=lambda g_mask, a: _facet_selection(facets, g_mask, a, ell),
         expand=_generated_faces,
     )
@@ -330,18 +333,32 @@ def _symbolic_depth_report(
 # -- squares and symbolic squares ----------------------------------------------
 
 
+def square_depth_reports(
+    delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
+) -> dict[FieldSpec, DepthReport]:
+    return depth_reports(stanley_reisner(delta).power(2), fields, budget)
+
+
+def symbolic_square_depth_reports(
+    delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
+) -> dict[FieldSpec, DepthReport]:
+    """Depth of S/I_Delta^(2), scanned in facet form; no generator of the
+    symbolic square is built."""
+    return _symbolic_depth_reports(delta, 2, fields, budget)
+
+
 def square_depth_report(
     delta: SimplicialComplex, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
 ) -> DepthReport:
+    """One field's report of square_depth_reports."""
     return depth_via_takayama(stanley_reisner(delta).power(2), field, budget)
 
 
 def symbolic_square_depth_report(
     delta: SimplicialComplex, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
 ) -> DepthReport:
-    """Depth of S/I_Delta^(2), scanned in facet form; no generator of the
-    symbolic square is built."""
-    return _symbolic_depth_report(delta, 2, field, budget)
+    """One field's report of symbolic_square_depth_reports."""
+    return symbolic_square_depth_reports(delta, (field,), budget)[field]
 
 
 def is_cm_square_by_factors(
@@ -382,10 +399,3 @@ def is_cm_square(
         if not join_fallback or len(delta.join_factors()) == 1:
             raise
         return is_cm_square_by_factors(delta, field, budget)
-
-
-def is_cm_symbolic_square(
-    delta: SimplicialComplex, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Is S/I_Delta^(2) Cohen-Macaulay over the field?"""
-    return symbolic_square_depth_report(delta, field, budget).is_cm

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from srsq import cli
+from srsq import cli, takayama
 from srsq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -188,19 +188,34 @@ def test_check_depth_targets(monkeypatch, capsys):
 
 
 def test_depth_of_symbolic_square_matches_cm_symbolic_square(monkeypatch, capsys):
+    # cm-square likewise prints the document of depth --of square, and every
+    # one of these commands starts one scan for the whole battery
+    scans = []
+    scan_points = takayama._scan_points
+
+    def counted(*args):
+        scans.append(args)
+        return scan_points(*args)
+
+    monkeypatch.setattr(takayama, "_scan_points", counted)
     for generate in (["rp2"], ["cycle", "--n", "5"]):
         _, doc, _ = run(["generate", *generate], monkeypatch=monkeypatch, capsys=capsys)
-        outputs = []
-        for check in (["depth", "--of", "symbolic-square"], ["cm-symbolic-square"]):
-            code, out, _ = run(
-                ["check", *check, "--fields", "Q,F2"],
-                stdin_text=doc,
-                monkeypatch=monkeypatch,
-                capsys=capsys,
-            )
-            assert code == EXIT_OK
-            outputs.append(json.loads(out))
-        assert outputs[0] == outputs[1]
+        for of in ("symbolic-square", "square", "radical"):
+            outputs = []
+            checks = [["depth", "--of", of]] + ([[f"cm-{of}"]] if of != "radical" else [])
+            for check in checks:
+                scans.clear()
+                code, out, _ = run(
+                    ["check", *check, "--fields", "Q,F2,F3"],
+                    stdin_text=doc,
+                    monkeypatch=monkeypatch,
+                    capsys=capsys,
+                )
+                assert code == EXIT_OK
+                assert len(scans) == 1
+                outputs.append(out)
+            assert outputs[0] == outputs[-1]
+            assert list(json.loads(outputs[0])) == ["F2", "F3", "Q"]
 
 
 def test_ideal_power_and_intersect(monkeypatch, capsys, tmp_path):
@@ -239,6 +254,40 @@ def test_ideal_loader_rejects_non_integers(doc, monkeypatch, capsys):
                          monkeypatch=monkeypatch, capsys=capsys)
     assert code == EXIT_USAGE and out == ""
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["complex", "f-vector"], {"n": 3, "facets": [[1.7, 2], [True, 3]]}),
+    (["complex", "f-vector"], {"n": 3.0, "facets": [[1, 2], [3]]}),
+    (["ideal", "sr"], {"n": 3, "facets": [[1, "2"], [3]]}),
+    (["generate", "complementary", "--graph", "-"], {"n": "3", "edges": [[1.9, 2]]}),
+    (["generate", "complementary", "--graph", "-"], {"n": 3, "edges": [[True, 2]]}),
+])
+def test_complex_and_graph_loaders_reject_non_integers(argv, doc, monkeypatch, capsys):
+    code, out, err = run(argv, stdin_text=json.dumps(doc), monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("doc", ["5", "null", "[1, 2]", '"facets"'])
+@pytest.mark.parametrize("argv", [
+    ["complex", "f-vector"],
+    ["ideal", "power"],
+    ["ideal", "symbolic"],
+    ["generate", "complementary", "--graph", "-"],
+])
+def test_documents_that_are_not_objects_are_usage_errors(argv, doc, monkeypatch, capsys):
+    code, out, err = run(argv, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fields", ["Q,Q", "F2,2", "Q,Q,F2", "F3,Q,F3"])
+def test_field_battery_naming_a_field_twice_is_a_usage_error(fields, monkeypatch, capsys):
+    _, doc, _ = run(["generate", "cycle", "--n", "5"], monkeypatch=monkeypatch, capsys=capsys)
+    code, out, err = run(["check", "audit", "--fields", fields], stdin_text=doc,
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert "names a field twice" in err
 
 
 def test_ideal_symbolic_accepts_complex_or_ideal(monkeypatch, capsys):
@@ -444,6 +493,9 @@ def test_star_output_pipes_back_in(monkeypatch, capsys):
 
 def test_irrelevant_complex_round_trip(monkeypatch, capsys):
     doc = json.dumps({"n": 0, "facets": [[]]})
+    code, out, _ = run(["complex", "f-vector"], stdin_text=doc, monkeypatch=monkeypatch,
+                       capsys=capsys)
+    assert code == EXIT_OK and json.loads(out) == {"euler_reduced": -1, "f": []}
     code, out, _ = run(
         ["ideal", "symbolic", "--ell", "2"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
     )

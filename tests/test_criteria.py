@@ -4,6 +4,11 @@ import pytest
 
 from srsq import (
     GF2,
+    QQ,
+    AuditReport,
+    DepthReport,
+    FieldSpec,
+    Sym2Result,
     complex_of_ideal,
     condition3_check,
     cycle_complex,
@@ -25,6 +30,9 @@ from srsq import (
     symbolic_power,
     symbolic_square_depth_report,
 )
+from srsq.criteria import _audit_violations
+from srsq.homology import GorensteinReport
+
 from helpers import brute_nonfaces
 
 
@@ -163,6 +171,50 @@ def test_nonpure_audit_skips_s2():
     report = paper_audit(d)
     assert report.s2 is None
     assert report.violations == ()
+
+
+def hand_audit(square_depths, symbolic_depths, gorenstein):
+    """An audit over the battery of the given per-field dicts, none CM, so
+    only the comparisons between fields can fire."""
+    fields = tuple(square_depths)
+
+    def depth_reports(depths):
+        return {f: DepthReport(f, depths[f], 3, False, None, 0) for f in fields}
+
+    return AuditReport(
+        delta=rp2(),
+        fields=fields,
+        dim_ring=3,
+        pure=True,
+        gorenstein={f: GorensteinReport(gorenstein[f], f, 0, 1) for f in fields},
+        locally_gorenstein={},
+        depth2=None,
+        s2=None,
+        sym2=Sym2Result(False, None, None, 0),
+        condition3=None,
+        cm_square=depth_reports(square_depths),
+        cm_symbolic_square=depth_reports(symbolic_depths),
+    )
+
+
+def test_audit_flags_a_deeper_square_over_a_prime_field():
+    report = hand_audit({QQ: 1, GF2: 2}, {QQ: 2, GF2: 2}, {QQ: False, GF2: False})
+    assert _audit_violations(report) == ("depth S/I^2 is 2 over F2 but 1 over Q",)
+    report = hand_audit({QQ: 2, GF2: 2}, {QQ: 1, GF2: 2}, {QQ: False, GF2: False})
+    assert _audit_violations(report) == ("depth S/I^(2) is 2 over F2 but 1 over Q",)
+
+
+def test_audit_flags_gorenstein_over_a_prime_field_only():
+    report = hand_audit({QQ: 2, GF2: 2}, {QQ: 2, GF2: 2}, {QQ: False, GF2: True})
+    assert _audit_violations(report) == ("Gorenstein over F2 but not over Q",)
+
+
+def test_field_comparisons_need_q_in_the_battery():
+    F3 = FieldSpec(3)
+    clean = hand_audit({QQ: 2, GF2: 1}, {QQ: 2, GF2: 1}, {QQ: True, GF2: False})
+    assert _audit_violations(clean) == ()
+    no_q = hand_audit({GF2: 1, F3: 2}, {GF2: 1, F3: 2}, {GF2: False, F3: True})
+    assert _audit_violations(no_q) == ()
 
 
 def test_explore_deterministic_and_clean():

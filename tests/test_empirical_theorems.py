@@ -11,7 +11,6 @@ import pytest
 from srsq import (
     GF2,
     QQ,
-    is_cm_symbolic_square,
     MonomialIdeal,
     complex_of_ideal,
     cross_polytope,
@@ -208,6 +207,6 @@ def test_phantom_pentagon_family_beyond_k2():
     for k in (3, 4):
         d = phantom_pentagon(k)
         assert depth2_criterion(d).holds
-        assert is_cm_symbolic_square(d, GF2)
+        assert symbolic_square_depth_report(d, GF2).is_cm
         assert not is_cm_square(d, GF2)
         assert not is_gorenstein(d, GF2)

@@ -8,6 +8,7 @@ from srsq import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     DegreeVector,
+    FieldSpec,
     MonomialIdeal,
     SimplicialComplex,
     complex_of_ideal,
@@ -17,12 +18,13 @@ from srsq import (
     cycle_complex,
     delta_a,
     delta_a_symbolic,
+    depth_reports,
     depth_via_takayama,
     disjoint_pentagons,
     four_path,
+    irrelevant_complex,
     is_cm_square,
     is_cm_square_by_factors,
-    is_cm_symbolic_square,
     is_cohen_macaulay,
     local_cohomology_dim,
     path_complex,
@@ -31,13 +33,16 @@ from srsq import (
     rp2,
     simplex_complex,
     square_depth_report,
+    square_depth_reports,
     stanley_reisner,
     symbolic_power,
     symbolic_square_depth_report,
+    symbolic_square_depth_reports,
     void_complex,
 )
+from srsq import takayama
 from srsq.criteria import random_pure_complex
-from srsq.takayama import _facet_selection, _symbolic_depth_report, _symbolic_rho
+from srsq.takayama import _facet_selection, _symbolic_depth_reports, _symbolic_rho
 
 
 def triangle_ideal():
@@ -280,7 +285,7 @@ def test_facet_form_scan_matches_generator_form_for_other_powers():
         d = random_complex(rng, rng.randint(3, 6))
         for ell in (1, 3):
             expected = depth_via_takayama(symbolic_power(d, ell), GF2)
-            assert _symbolic_depth_report(d, ell, GF2, DEFAULT_BUDGET) == expected
+            assert _symbolic_depth_reports(d, ell, (GF2,), DEFAULT_BUDGET)[GF2] == expected
 
 
 def test_symbolic_rho_closed_form():
@@ -304,11 +309,97 @@ def test_symbolic_square_of_void_complex_rejected():
         symbolic_square_depth_report(void_complex(3), QQ)
 
 
+# -- one scan per ideal serves the field battery ----------------------------------------
+
+F3 = FieldSpec(3)
+BATTERY = (QQ, GF2, F3)
+
+# form name -> (battery scan, single-field view)
+FORMS = {
+    "generator": (
+        lambda d, fields, budget=DEFAULT_BUDGET: depth_reports(stanley_reisner(d), fields, budget),
+        lambda d, field, budget=DEFAULT_BUDGET: depth_via_takayama(stanley_reisner(d), field, budget),
+    ),
+    "square": (square_depth_reports, square_depth_report),
+    "symbolic square": (symbolic_square_depth_reports, symbolic_square_depth_report),
+}
+
+
+def battery_scan_cases():
+    pentagon = cycle_complex(5)
+    rng = random.Random(83)
+    cases = [
+        rp2(),
+        cross_polytope_stellar(3),
+        SimplicialComplex(6, tuple(f | 1 << 5 for f in pentagon.facets)),  # cone over C5
+        simplex_complex(4),
+        irrelevant_complex(),
+        SimplicialComplex(3, (0,)),  # the irrelevant complex on three ambient vertices
+    ]
+    for n in range(3, 8):
+        cases.append(random_pure_complex(rng, n))
+        cases.append(random_complex(rng, n))
+    return cases
+
+
+def outcome(scan, *args):
+    """The reports of a scan, or the type and text of the error it raised."""
+    try:
+        return scan(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_battery_reports_equal_single_field_reports(form):
+    battery_scan, single = FORMS[form]
+    for d in battery_scan_cases():
+        reports = outcome(battery_scan, d, BATTERY)
+        if isinstance(reports, tuple):  # rejected input: every field view rejects it alike
+            assert all(outcome(single, d, f) == reports for f in BATTERY)
+            continue
+        assert list(reports) == list(BATTERY)
+        for f in BATTERY:
+            assert reports[f] == single(d, f)
+        assert battery_scan(d, (GF2, QQ)) == battery_scan(d, (QQ, GF2)) == {
+            QQ: reports[QQ], GF2: reports[GF2]
+        }
+
+
+def test_symbolic_square_battery_matches_generator_form_oracle():
+    for d in battery_scan_cases():
+        if d.n < 1:
+            continue
+        reports = symbolic_square_depth_reports(d, BATTERY)
+        oracle_ideal = symbolic_power(d, 2)
+        for f in BATTERY:
+            assert reports[f] == depth_via_takayama(oracle_ideal, f)
+
+
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_battery_over_budget_raises_once_before_any_rank(form, monkeypatch):
+    battery_scan, single = FORMS[form]
+    d = disjoint_pentagons(2)
+    with pytest.raises(BudgetExceeded) as single_err:
+        single(d, QQ, 0)
+    budget = single_err.value.required - 1
+
+    def refuse(*args):
+        raise AssertionError("an over-budget scan must not compute homology")
+
+    monkeypatch.setattr(takayama, "profile_from_faces", refuse)
+    with pytest.raises(BudgetExceeded) as battery_err:
+        battery_scan(d, BATTERY, budget)
+    assert battery_err.value.required == single_err.value.required
+    if form == "square":
+        assert battery_err.value.required == 23104
+
+
 # -- square / symbolic square verdicts ----------------------------------------------------
 
 def test_worked_example_verdicts():
     for field in (QQ, GF2):
-        assert is_cm_symbolic_square(phantom_pentagon(2), field)
+        assert symbolic_square_depth_report(phantom_pentagon(2), field).is_cm
         assert not is_cm_square(phantom_pentagon(2), field)
         assert is_cm_square(cross_polytope_stellar(2), field)
         assert not is_cm_square(four_path(), field)
@@ -321,7 +412,7 @@ def test_monotone_consistency():
     for d in named_battery():
         for field in (QQ, GF2):
             if is_cm_square(d, field):
-                assert is_cm_symbolic_square(d, field)
+                assert symbolic_square_depth_report(d, field).is_cm
                 I = stanley_reisner(d)
                 assert symbolic2_equals_square(I).equal
 
