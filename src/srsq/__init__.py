@@ -21,7 +21,6 @@ from .complexes import (
     disjoint_pentagons,
     disjoint_union,
     four_path,
-    graph_diameter,
     irrelevant_complex,
     named_complex,
     new_complex,
@@ -81,7 +80,6 @@ from .takayama import (
     depth_reports,
     depth_via_takayama,
     is_cm_square,
-    is_cm_square_by_factors,
     local_cohomology_dim,
     square_depth_report,
     square_depth_reports,

@@ -129,7 +129,7 @@ def _budget(args) -> int:
 
 
 def _fields(args) -> tuple[FieldSpec, ...]:
-    return parse_field_battery(args.fields) if args.fields else DEFAULT_FIELDS
+    return parse_field_battery(args.fields) if args.fields is not None else DEFAULT_FIELDS
 
 
 # -- generate ---------------------------------------------------------------
@@ -153,6 +153,9 @@ def cmd_generate(args) -> int:
 
 def cmd_complex(args) -> int:
     op = args.op
+    needed = {"new": "n", "skeleton": "k"}.get(op)
+    if needed and getattr(args, needed) is None:
+        raise ValueError(f"'complex {op}' needs --{needed}")
     if op == "new":
         delta = new_complex(args.n, [_parse_face(f) for f in args.face or []])
         _emit(jsonio.complex_to_dict(delta), args.format)

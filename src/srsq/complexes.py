@@ -59,9 +59,6 @@ class SimplicialComplex:
     def is_void(self) -> bool:
         return not self.facets
 
-    def is_irrelevant(self) -> bool:
-        return self.facets == (0,)
-
     @property
     def dim(self) -> int:
         """Dimension; -1 for the irrelevant complex, -2 for the void complex."""
@@ -362,10 +359,6 @@ class Graph:
         return best
 
 
-def graph_diameter(g: Graph) -> float:
-    return g.diameter()
-
-
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:
     return Graph(g1.n + g2.n, g1.edges + tuple(e << g1.n for e in g2.edges))
 
@@ -436,8 +429,8 @@ def cross_polytope(d: int) -> SimplicialComplex:
     Vertices: x_i = i and y_i = d + i.  Facets pick exactly one of {x_i, y_i}
     per coordinate, so the Stanley-Reisner ideal is (x_1 y_1, ..., x_d y_d).
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not 1 <= d <= MAX_VERTICES // 2:
+        raise ValueError(f"d must be in 1..{MAX_VERTICES // 2}")
     facets = []
     for choice in range(1 << d):
         facets.append([i if choice >> (i - 1) & 1 else d + i for i in range(1, d + 1)])
@@ -450,8 +443,9 @@ def cross_polytope_stellar(d: int) -> SimplicialComplex:
     The new vertex is v = 2d + 1 and the Stanley-Reisner ideal becomes
     (x_1 y_1, ..., x_d y_d, v y_1, ..., v y_d, x_1 x_2 ... x_d).
     """
-    if d < 2:
-        raise ValueError("d must be >= 2 (the subdivided face needs dimension >= 1)")
+    if not 2 <= d <= (MAX_VERTICES - 1) // 2:
+        raise ValueError(f"d must be in 2..{(MAX_VERTICES - 1) // 2} (the subdivided face"
+                         " needs dimension >= 1, and 2d + 1 vertices must fit)")
     return cross_polytope(d).stellar_subdivision(range(1, d + 1))
 
 

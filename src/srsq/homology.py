@@ -196,22 +196,15 @@ def _boundary_from_groups(groups: list[list[int]], i: int) -> list[list[int]]:
     return matrix
 
 
-def boundary_matrix(
-    delta: SimplicialComplex, i: int, field: FieldSpec | None = None
-) -> list[list[int]]:
-    """Boundary matrix d_i with signs from ascending vertex order.
+def boundary_matrix(delta: SimplicialComplex, i: int) -> list[list[int]]:
+    """Boundary matrix d_i over Z with signs from ascending vertex order.
 
     Rows are the (i-1)-faces, columns the i-faces, both sorted by vertex
-    tuple; i = 0 yields the augmentation row, i = -1 an empty matrix.  Over a
-    prime field the entries are reduced; over Q they stay signed integers.
+    tuple; i = 0 yields the augmentation row, i = -1 an empty matrix.
     """
     if delta.is_void() or not -1 <= i <= delta.dim:
         raise ValueError(f"boundary index {i} out of range")
-    matrix = _boundary_from_groups(_faces_by_dim(delta.face_masks), i)
-    if field is not None and field.char:
-        p = field.char
-        matrix = [[e % p for e in row] for row in matrix]
-    return matrix
+    return _boundary_from_groups(_faces_by_dim(delta.face_masks), i)
 
 
 @dataclass(frozen=True)

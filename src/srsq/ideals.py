@@ -338,12 +338,6 @@ def edge_ideal(g: Graph) -> MonomialIdeal:
 # -- symbolic powers ----------------------------------------------------------
 
 
-def facet_prime_power(n: int, facet_mask: int, ell: int) -> MonomialIdeal:
-    """P_F^ell where P_F = (x_i : i outside the facet)."""
-    layout = _Layout(n, ell)
-    return MonomialIdeal._from_minimal(layout, layout.prime_power(facet_mask, ell))
-
-
 def _as_complex(source: SimplicialComplex | MonomialIdeal) -> SimplicialComplex:
     if isinstance(source, SimplicialComplex):
         return source

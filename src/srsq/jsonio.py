@@ -46,10 +46,6 @@ def complex_from_dict(doc: Mapping[str, Any], allow_unused: bool = False) -> Sim
     return new_complex(n, facets, allow_unused=allow_unused)
 
 
-def graph_to_dict(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in g.edge_tuples()]}
-
-
 def graph_from_dict(doc: Mapping[str, Any]) -> Graph:
     try:
         n = _integer(doc["n"], "n")

@@ -116,11 +116,12 @@ def criterion_2_pentagon(budget: int = DEFAULT_BUDGET) -> CriterionResult:
     start = time.perf_counter()
     d = cycle_complex(5)
     I = stanley_reisner(d)
+    cm_square = is_cm_square(d, (QQ, GF2), budget)
     checks = {
         "no_special_triangles": special_triangles(I) == (),
         "symbolic_square_equals_square": I.power(2) == symbolic_power(d, 2),
-        "cm_square_Q": is_cm_square(d, QQ, budget),
-        "cm_square_F2": is_cm_square(d, GF2, budget),
+        "cm_square_Q": cm_square[QQ],
+        "cm_square_F2": cm_square[GF2],
         "gorenstein_Q": bool(is_gorenstein(d, QQ)),
         "gorenstein_F2": bool(is_gorenstein(d, GF2)),
     }
@@ -188,7 +189,6 @@ def criterion_4_phantom_pentagon(budget: int = DEFAULT_BUDGET) -> CriterionResul
     start = time.perf_counter()
     d = phantom_pentagon(2)
     sym_sq = symbolic_square_depth_reports(d, (QQ, GF2), budget)
-    # d is join-irreducible, so is_cm_square would scan it directly as well
     sq = square_depth_reports(d, (QQ, GF2), budget)
     checks = {
         "cm_symbolic_square_Q": sym_sq[QQ].is_cm,
@@ -206,13 +206,14 @@ def criterion_4_phantom_pentagon(budget: int = DEFAULT_BUDGET) -> CriterionResul
 def criterion_5_four_path(budget: int = DEFAULT_BUDGET) -> CriterionResult:
     start = time.perf_counter()
     d = four_path()
+    cm_square = is_cm_square(d, (QQ, GF2), budget)
     checks = {
         "cm_Q": bool(is_cohen_macaulay(d, QQ)),
         "cm_F2": bool(is_cohen_macaulay(d, GF2)),
         "not_gorenstein_Q": not is_gorenstein(d, QQ),
         "not_gorenstein_F2": not is_gorenstein(d, GF2),
-        "not_cm_square_Q": not is_cm_square(d, QQ, budget),
-        "not_cm_square_F2": not is_cm_square(d, GF2, budget),
+        "not_cm_square_Q": not cm_square[QQ],
+        "not_cm_square_F2": not cm_square[GF2],
         "dim_ring_2": d.dim + 1 == 2,
     }
     return _result("criterion-05", "4-pointed path", 10.0, start, checks, {})
@@ -228,12 +229,12 @@ def criterion_6_cross_stellar(budget: int = DEFAULT_BUDGET) -> CriterionResult:
     ideal_matches = mapping is not None and stanley_reisner(
         cs2.relabel(mapping)
     ) == stanley_reisner(cycle_complex(5))
-    cs3 = cross_polytope_stellar(3)
+    cm_square = is_cm_square(cross_polytope_stellar(3), (QQ, GF2), budget)
     checks = {
         "stellar_2_is_pentagon_up_to_relabeling": mapping is not None,
         "stellar_2_ideal_matches_after_relabeling": ideal_matches,
-        "stellar_3_cm_square_Q": is_cm_square(cs3, QQ, budget),
-        "stellar_3_cm_square_F2": is_cm_square(cs3, GF2, budget),
+        "stellar_3_cm_square_Q": cm_square[QQ],
+        "stellar_3_cm_square_F2": cm_square[GF2],
     }
     details = {"pentagon_relabeling": mapping}
     return _result(
@@ -253,18 +254,15 @@ def criterion_7_disjoint_pentagons(budget: int = DEFAULT_BUDGET) -> CriterionRes
         direct = {f.name: r.is_cm for f, r in square_depth_reports(d, (QQ, GF2), budget).items()}
     except BudgetExceeded:
         direct = {"Q": "budget-exceeded", "F2": "budget-exceeded"}
-    # The fallback route must work on this very case: factor-wise verdicts
-    # combined by the join rule, and the budget-triggered path end to end.
+    # The join rule must work on this very case: factor-wise verdicts, and
+    # is_cm_square end to end under a budget only the factor scans fit.
     factors = d.join_factors()
-    factor_verdicts = {
-        f.name: [is_cm_square(x, f, budget) for x in factors] for f in (QQ, GF2)
-    }
+    per_factor = [is_cm_square(x, (QQ, GF2), budget) for x in factors]
+    factor_verdicts = {f.name: [v[f] for v in per_factor] for f in (QQ, GF2)}
     fallback = {f.name: all(factor_verdicts[f.name]) for f in (QQ, GF2)}
     # 1000 sits between the factor scans (152 points each) and the direct
-    # n = 10 scan (23104 points), so this exercises the budget-triggered path.
-    tiny_budget_route = {
-        f.name: is_cm_square(d, f, budget=1000, join_fallback=True) for f in (QQ, GF2)
-    }
+    # n = 10 scan (23104 points).
+    tiny_budget_route = {f.name: v for f, v in is_cm_square(d, (QQ, GF2), 1000).items()}
     checks = {
         "symbolic2_equals_square": sym.equal,
         "two_join_factors": len(factors) == 2,

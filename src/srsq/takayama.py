@@ -29,6 +29,11 @@ rho_j = l off the cone vertices (those in every facet) and 0 on them.  The
 symbolic-square scan runs in this facet form over the same points in the
 same order as the generator form, through the same loop; the generator
 form applied to symbolic_power(Delta, 2) is kept as the test suite's oracle.
+
+is_cm_square decides Cohen-Macaulayness of S/I_Delta^2 by the join rule:
+one battery scan per join factor of Delta, whose scan sizes add where a scan
+of the whole join would multiply them.  The direct scan of a join is kept as
+the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -361,41 +366,20 @@ def symbolic_square_depth_report(
     return symbolic_square_depth_reports(delta, (field,), budget)[field]
 
 
-def is_cm_square_by_factors(
-    delta: SimplicialComplex, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
-) -> bool:
-    """Cohen-Macaulayness of S/I^2 via the finest join factorisation.
-
-    The square of a Stanley-Reisner ideal of a join is Cohen-Macaulay iff the
-    squares of all factors are; factors here are the join-irreducible blocks,
-    each scanned directly.  Simplex factors contribute zero ideals (always
-    Cohen-Macaulay).
-    """
-    verdict = True
-    for factor in delta.join_factors():
-        ideal = stanley_reisner(factor)
-        if ideal.is_zero():
-            continue
-        verdict = verdict and depth_via_takayama(ideal.power(2), field, budget).is_cm
-        if not verdict:
-            break
-    return verdict
-
-
 def is_cm_square(
-    delta: SimplicialComplex,
-    field: FieldSpec = QQ,
-    budget: int = DEFAULT_BUDGET,
-    join_fallback: bool = True,
-) -> bool:
-    """Is S/I_Delta^2 Cohen-Macaulay over the field?
+    delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
+) -> dict[FieldSpec, bool]:
+    """Is S/I_Delta^2 Cohen-Macaulay over each field of the battery?
 
-    Falls back to the join factorisation only when the direct scan exceeds
-    the budget and the complex actually factors.
+    By the join rule the square of a join is Cohen-Macaulay iff the squares
+    of all its join factors are, so each factor gets its own battery scan; a
+    scan of the whole join would cover the product of the factors' points.
+    Stops as soon as every field is False.
     """
-    try:
-        return square_depth_report(delta, field, budget).is_cm
-    except BudgetExceeded:
-        if not join_fallback or len(delta.join_factors()) == 1:
-            raise
-        return is_cm_square_by_factors(delta, field, budget)
+    verdicts = dict.fromkeys(fields, True)
+    for factor in delta.join_factors():
+        if not any(verdicts.values()):
+            break
+        for f, report in square_depth_reports(factor, fields, budget).items():
+            verdicts[f] = verdicts[f] and report.is_cm
+    return verdicts

@@ -8,6 +8,8 @@ independent oracles behind the derived ones live in the unit test modules.
 
 import json
 
+import pytest
+
 from srsq.reproduce import (
     criterion_1_triangle,
     criterion_2_pentagon,
@@ -69,6 +71,18 @@ def test_criterion_07_disjoint_pentagons_with_fallback_path():
     assert r.details["checks"]["fallback_route_Q"]
     assert r.details["checks"]["fallback_route_F2"]
     assert r.passed
+
+
+@pytest.mark.parametrize("criterion, count", [
+    (criterion_2_pentagon, 1),
+    (criterion_5_four_path, 1),
+    (criterion_6_cross_stellar, 1),
+    # the direct scan, one per factor, and one per factor under budget 1000
+    (criterion_7_disjoint_pentagons, 5),
+])
+def test_cm_square_criteria_scan_each_join_factor_once(criterion, count, scans):
+    assert criterion().passed
+    assert len(scans) == count
 
 
 def test_criterion_08_oracle_equivalences_under_30min():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from srsq import cli, takayama
+from srsq import cli
 from srsq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
 
 
@@ -187,17 +187,9 @@ def test_check_depth_targets(monkeypatch, capsys):
         assert json.loads(out)["Q"]["cohen_macaulay"] == cm
 
 
-def test_depth_of_symbolic_square_matches_cm_symbolic_square(monkeypatch, capsys):
+def test_depth_of_symbolic_square_matches_cm_symbolic_square(monkeypatch, capsys, scans):
     # cm-square likewise prints the document of depth --of square, and every
     # one of these commands starts one scan for the whole battery
-    scans = []
-    scan_points = takayama._scan_points
-
-    def counted(*args):
-        scans.append(args)
-        return scan_points(*args)
-
-    monkeypatch.setattr(takayama, "_scan_points", counted)
     for generate in (["rp2"], ["cycle", "--n", "5"]):
         _, doc, _ = run(["generate", *generate], monkeypatch=monkeypatch, capsys=capsys)
         for of in ("symbolic-square", "square", "radical"):
@@ -288,6 +280,19 @@ def test_field_battery_naming_a_field_twice_is_a_usage_error(fields, monkeypatch
                          monkeypatch=monkeypatch, capsys=capsys)
     assert code == EXIT_USAGE and out == ""
     assert "names a field twice" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["complex", "skeleton"], "needs --k"),
+    (["complex", "new", "--face", "1,2"], "needs --n"),
+    (["check", "depth", "--fields", ""], "empty field battery"),
+    (["explore", "--count", "1", "--fields", ""], "empty field battery"),
+])
+def test_missing_or_empty_options_are_usage_errors(argv, message, monkeypatch, capsys):
+    _, doc, _ = run(["generate", "cycle", "--n", "5"], monkeypatch=monkeypatch, capsys=capsys)
+    code, out, err = run(argv, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert message in err
 
 
 def test_ideal_symbolic_accepts_complex_or_ideal(monkeypatch, capsys):

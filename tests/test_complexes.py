@@ -190,6 +190,17 @@ def test_stellar_cross_polytope_2_is_pentagon():
     assert g.diameter() == 2
 
 
+def test_cross_polytope_checks_vertex_limit_before_building_facets():
+    # 2 * 33 vertices exceed the limit; the 2^33 facets must never be listed
+    for d in (0, 33):
+        with pytest.raises(ValueError, match="d must be in 1..32"):
+            cross_polytope(d)
+    # the subdivision adds vertex 2d + 1, so d = 32 (2^32 facets) is too big
+    for d in (1, 32):
+        with pytest.raises(ValueError, match="d must be in 2..31"):
+            cross_polytope_stellar(d)
+
+
 def test_stellar_matches_face_level_definition():
     cases = [
         (pentagon(), (1, 2)),

@@ -24,7 +24,6 @@ from srsq import (
     four_path,
     irrelevant_complex,
     is_cm_square,
-    is_cm_square_by_factors,
     is_cohen_macaulay,
     local_cohomology_dim,
     path_complex,
@@ -400,9 +399,9 @@ def test_battery_over_budget_raises_once_before_any_rank(form, monkeypatch):
 def test_worked_example_verdicts():
     for field in (QQ, GF2):
         assert symbolic_square_depth_report(phantom_pentagon(2), field).is_cm
-        assert not is_cm_square(phantom_pentagon(2), field)
-        assert is_cm_square(cross_polytope_stellar(2), field)
-        assert not is_cm_square(four_path(), field)
+    assert is_cm_square(phantom_pentagon(2), (QQ, GF2)) == {QQ: False, GF2: False}
+    assert is_cm_square(cross_polytope_stellar(2), (QQ, GF2)) == {QQ: True, GF2: True}
+    assert is_cm_square(four_path(), (QQ, GF2)) == {QQ: False, GF2: False}
 
 
 def test_monotone_consistency():
@@ -410,8 +409,8 @@ def test_monotone_consistency():
     from srsq import symbolic2_equals_square
 
     for d in named_battery():
-        for field in (QQ, GF2):
-            if is_cm_square(d, field):
+        for field, cm in is_cm_square(d, (QQ, GF2)).items():
+            if cm:
                 assert symbolic_square_depth_report(d, field).is_cm
                 I = stanley_reisner(d)
                 assert symbolic2_equals_square(I).equal
@@ -420,14 +419,61 @@ def test_monotone_consistency():
 def test_budget_guard_and_join_fallback():
     d = disjoint_pentagons(2)
     with pytest.raises(BudgetExceeded) as err:
-        is_cm_square(d, QQ, budget=1000, join_fallback=False)
+        square_depth_report(d, QQ, budget=1000)
     assert err.value.required == 23104
-    # the fallback factors through the two pentagons
-    assert is_cm_square(d, QQ, budget=1000, join_fallback=True)
-    assert is_cm_square_by_factors(d, GF2)
-    # a complex with no join structure re-raises
+    # the join rule factors through the two pentagons
+    assert is_cm_square(d, (QQ, GF2), budget=1000) == {QQ: True, GF2: True}
+    # a complex with no join structure raises
     with pytest.raises(BudgetExceeded):
-        is_cm_square(rp2(), QQ, budget=10)
+        is_cm_square(rp2(), (QQ, GF2), budget=10)
+
+
+def test_join_rule_scans_each_factor_once_and_stops_early(scans):
+    # 152 points per pentagon, against 23104 for the whole join
+    assert is_cm_square(disjoint_pentagons(2), (QQ, GF2), budget=1000) == {QQ: True, GF2: True}
+    assert len(scans) == 2
+    # the 4-path factor (60 points) is False over both fields, so the
+    # pentagon factor (152 points, over the budget) is never scanned
+    j = four_path().join(cycle_complex(5))
+    assert is_cm_square(j, (QQ, GF2), budget=100) == {QQ: False, GF2: False}
+    assert len(scans) == 3
+
+
+def random_joins(count=60):
+    """Joins of two or three complexes on at most 8 vertices in all: random
+    factors on 2..4 vertices without cone vertices (non-pure, with unused
+    vertices at times), and in about a third of the joins a cone factor."""
+    rng = random.Random(89)
+    joins = []
+    while len(joins) < count:
+        factors = []
+        for n in [rng.randint(2, 4) for _ in range(rng.choice((1, 2, 3)))]:
+            factor = random_complex(rng, n)
+            while factor.cone_vertices():
+                factor = random_complex(rng, n)
+            factors.append(factor)
+        if len(factors) == 1 or rng.random() < 1 / 3:
+            factors.insert(rng.randint(0, len(factors)), simplex_complex(1))
+        if len(factors) > 3 or sum(f.n for f in factors) > 8:
+            continue
+        j = factors[0]
+        for factor in factors[1:]:
+            j = j.join(factor)
+        joins.append(j)
+    return joins
+
+
+def test_join_rule_matches_direct_scan_on_random_joins():
+    fields = (QQ, GF2)
+    joins = random_joins()
+    assert any(not j.is_pure() for j in joins)
+    assert any(j.cone_vertices() for j in joins)
+    seen = set()
+    for j in joins:
+        direct = {f: r.is_cm for f, r in square_depth_reports(j, fields).items()}
+        assert is_cm_square(j, fields) == direct
+        seen.update(direct.values())
+    assert seen == {True, False}
 
 
 def test_hypersurface_with_unused_variable():
