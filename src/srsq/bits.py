@@ -1,14 +1,21 @@
-"""Bitmask kernels for vertex subsets.
+"""Bitmask kernels for vertex subsets, and the set operations built on them.
 
 Vertices are 1-based; vertex ``i`` occupies bit ``i - 1``.  Everything in the
 package that touches faces, generator supports or vertex covers goes through
 these helpers, which keeps the inner loops allocation-light.  The supported
 envelope is n <= 64 (plenty for desk scale; Python ints do not actually care).
+
+Facets, minimal non-faces, minimal transversals and minimal monomial
+generators are all antichains, and one routine, :func:`antichain`, keeps them.
+It takes the items in order of size and tests each only against the kept
+items of strictly smaller size, by the layered rule: distinct items of equal
+size never cover each other.  A family of one size thus needs no pairwise
+test at all.  Faces are generated from facets by :func:`generated_faces`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 
@@ -76,26 +83,44 @@ def compress(mask: int, support: int) -> int:
     return out
 
 
+def generated_faces(generators: Iterable[int]) -> set[int]:
+    """Every face of the complex generated by the given masks (none if none)."""
+    return set().union(*map(submasks, generators))
+
+
+def antichain(
+    items: Iterable[int], size: Callable[[int], int], covers: Callable[[list[int], int], bool]
+) -> list[int]:
+    """The items that no other item covers, in (size, item) order.
+
+    ``covers(smaller, m)`` says whether some item of ``smaller`` covers m; it
+    is only ever handed the kept items of strictly smaller size, so the cover
+    relation must make items of equal size incomparable.  Duplicates collapse.
+    """
+    lower: list[int] = []
+    same: list[int] = []
+    current = None
+    for s, m in sorted((size(m), m) for m in set(items)):
+        if s != current:
+            lower += same
+            same, current = [], s
+        if not covers(lower, m):
+            same.append(m)
+    return lower + same
+
+
 def minimal_elements(masks: Iterable[int]) -> list[int]:
     """Antichain of inclusion-minimal masks, sorted ascending."""
-    uniq = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    kept: list[int] = []
-    for m in uniq:
-        if not any(k & ~m == 0 for k in kept):
-            kept.append(m)
-    kept.sort()
-    return kept
+    return sorted(antichain(masks, int.bit_count,
+                            lambda lower, m: any(k & ~m == 0 for k in lower)))
 
 
 def maximal_elements(masks: Iterable[int]) -> list[int]:
-    """Antichain of inclusion-maximal masks, sorted ascending."""
-    uniq = sorted(set(masks), key=lambda m: (-m.bit_count(), m))
-    kept: list[int] = []
-    for m in uniq:
-        if not any(m & ~k == 0 for k in kept):
-            kept.append(m)
-    kept.sort()
-    return kept
+    """Antichain of inclusion-maximal masks, sorted ascending: the complements
+    of the minimal complements."""
+    masks = list(masks)
+    full = (1 << max(masks, default=0).bit_length()) - 1
+    return sorted(full & ~c for c in minimal_elements(full & ~m for m in masks))
 
 
 def minimal_transversals(sets: Sequence[int]) -> list[int]:

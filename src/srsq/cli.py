@@ -225,26 +225,23 @@ def cmd_ideal(args) -> int:
 # -- checks ---------------------------------------------------------------------
 
 
+# check op -> (the check on one field, its JSON form), run once per field
+_PER_FIELD_CHECKS = {
+    "cm": (is_cohen_macaulay, jsonio.reisner_to_dict),
+    "gorenstein": (is_gorenstein, jsonio.gorenstein_to_dict),
+    "locally-gorenstein": (is_locally_gorenstein, jsonio.locally_gorenstein_to_dict),
+    "homology": (reduced_homology, jsonio.profile_to_dict),
+}
+
+
 def cmd_check(args) -> int:
     op = args.op
     fields = _fields(args)
     budget = _budget(args)
     delta = _read_complex(args.infile)
-    if op == "cm":
-        _emit({f.name: jsonio.reisner_to_dict(is_cohen_macaulay(delta, f)) for f in fields},
-              args.format)
-    elif op == "gorenstein":
-        _emit({f.name: jsonio.gorenstein_to_dict(is_gorenstein(delta, f)) for f in fields},
-              args.format)
-    elif op == "locally-gorenstein":
-        _emit(
-            {f.name: jsonio.locally_gorenstein_to_dict(is_locally_gorenstein(delta, f))
-             for f in fields},
-            args.format,
-        )
-    elif op == "homology":
-        _emit({f.name: jsonio.profile_to_dict(reduced_homology(delta, f)) for f in fields},
-              args.format)
+    if op in _PER_FIELD_CHECKS:
+        check, to_dict = _PER_FIELD_CHECKS[op]
+        _emit({f.name: to_dict(check(delta, f)) for f in fields}, args.format)
     elif op == "s2":
         _emit(jsonio.s2_to_dict(s2_criterion(delta)), args.format)
     elif op == "depth2":

@@ -21,11 +21,11 @@ from .bits import (
     bit_index,
     bits,
     compress,
+    generated_faces,
     is_subset,
     maximal_elements,
     minimal_transversals,
     pack,
-    submasks,
     unpack,
 )
 
@@ -77,12 +77,12 @@ class SimplicialComplex:
     @cached_property
     def face_masks(self) -> frozenset[int]:
         """All faces as masks (the empty face included unless void)."""
-        seen: set[int] = set()
-        for f in self.facets:
-            if f in seen:
-                continue
-            seen.update(submasks(f))
-        return frozenset(seen)
+        return frozenset(generated_faces(self.facets))
+
+    def sorted_faces(self) -> list[int]:
+        """All face masks in the canonical face order: by size, then by
+        vertex tuple.  Scans, link loops and witnesses all follow it."""
+        return sorted(self.face_masks, key=lambda m: (m.bit_count(), unpack(m)))
 
     def contains_mask(self, mask: int) -> bool:
         return any(is_subset(mask, f) for f in self.facets)
@@ -96,7 +96,7 @@ class SimplicialComplex:
     def faces_of_dim(self, i: int) -> list[tuple[int, ...]]:
         """All i-dimensional faces as sorted vertex tuples."""
         want = i + 1
-        return sorted(unpack(m) for m in self.face_masks if m.bit_count() == want)
+        return [unpack(m) for m in self.sorted_faces() if m.bit_count() == want]
 
     def facet_tuples(self) -> list[tuple[int, ...]]:
         return [unpack(f) for f in self.facets]
@@ -120,13 +120,7 @@ class SimplicialComplex:
 
     def euler_characteristic_reduced(self) -> int:
         """chi~ = -1 + f_0 - f_1 + ... (0 by convention for the void complex)."""
-        if self.is_void():
-            return 0
-        chi = -1
-        for m in self.face_masks:
-            if m:
-                chi += -1 if m.bit_count() % 2 == 0 else 1
-        return chi
+        return 0 if self.is_void() else self.f_vector().euler_reduced
 
     # -- subcomplex constructions -----------------------------------------
 
@@ -138,7 +132,7 @@ class SimplicialComplex:
         f = pack(face)
         if not self.contains_mask(f):
             raise ValueError(f"{unpack(f)} is not a face")
-        raw = maximal_elements(g & ~f for g in self.facets if is_subset(f, g))
+        raw = [g & ~f for g in self.facets if is_subset(f, g)]
         survivors = 0
         for m in raw:
             survivors |= m
@@ -172,7 +166,7 @@ class SimplicialComplex:
         w = pack(vertices)
         if w & ~((1 << self.n) - 1):
             raise ValueError("restriction set out of range")
-        raw = maximal_elements(g & w for g in self.facets)
+        raw = {g & w for g in self.facets}
         vmap = {bit_index(b): i + 1 for i, b in enumerate(bits(w))}
         facets = tuple(compress(m, w) for m in raw)
         return SimplicialComplex(w.bit_count(), facets), vmap
@@ -279,7 +273,7 @@ class SimplicialComplex:
             for v in unpack(nf):
                 r = find(v)
                 blocks[r] = blocks.get(r, 0) | (1 << (v - 1))
-        cone = self.support & ~pack(v for m in nonfaces for v in unpack(m))
+        cone = pack(self.cone_vertices())
         parts = sorted(blocks.values())
         if cone:
             parts.append(cone)

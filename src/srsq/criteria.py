@@ -24,7 +24,6 @@ from .homology import (
     FieldSpec,
     GorensteinReport,
     LocallyGorensteinReport,
-    _sorted_faces,
     is_gorenstein,
     is_locally_gorenstein,
 )
@@ -68,7 +67,7 @@ def s2_criterion(delta: SimplicialComplex) -> S2Result:
     >= 1, the link's 1-skeleton must have diameter <= 2."""
     if not delta.is_pure():
         raise ValueError("the (S2) criterion is stated for pure complexes")
-    for f in _sorted_faces(delta):
+    for f in delta.sorted_faces():
         link = delta.link(unpack(f))
         if link.dim < 1:
             continue

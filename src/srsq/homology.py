@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bits import submasks, unpack
+from .bits import bits, generated_faces, unpack
 from .complexes import SimplicialComplex
 
 
@@ -167,20 +167,20 @@ def matrix_rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
 
 
 def _faces_by_dim(faces: Iterable[int]) -> list[list[int]]:
-    """Group face masks by cardinality; index k holds the k-vertex faces,
-    each sorted by vertex tuple.  Index 0 is [0] when the empty face exists."""
+    """Group face masks by cardinality, keeping their order; index k holds
+    the k-vertex faces.  Index 0 is [0] when the empty face exists.  Exact
+    ranks do not depend on row or column order, so no group is sorted."""
     grouped: dict[int, list[int]] = {}
     for m in faces:
         grouped.setdefault(m.bit_count(), []).append(m)
     if not grouped:
         return []
-    top = max(grouped)
-    out = [sorted(grouped.get(k, []), key=unpack) for k in range(top + 1)]
-    return out
+    return [grouped.get(k, []) for k in range(max(grouped) + 1)]
 
 
 def _boundary_from_groups(groups: list[list[int]], i: int) -> list[list[int]]:
-    """Matrix of d_i: (i-faces) -> (i-1 faces); i is the simplex dimension."""
+    """Matrix of d_i: (i-faces) -> (i-1 faces); i is the simplex dimension.
+    Rows and columns keep the group order; the j-th lowest bit has sign (-1)^j."""
     if i == -1:
         return []
     cols = groups[i + 1] if i + 1 < len(groups) else []
@@ -189,10 +189,8 @@ def _boundary_from_groups(groups: list[list[int]], i: int) -> list[list[int]]:
     rows_index = {m: r for r, m in enumerate(groups[i])}
     matrix = [[0] * len(cols) for _ in groups[i]]
     for c, m in enumerate(cols):
-        vs = unpack(m)
-        for j, v in enumerate(vs):
-            sub = m & ~(1 << (v - 1))
-            matrix[rows_index[sub]][c] = -1 if j % 2 else 1
+        for j, b in enumerate(bits(m)):
+            matrix[rows_index[m ^ b]][c] = -1 if j % 2 else 1
     return matrix
 
 
@@ -204,7 +202,7 @@ def boundary_matrix(delta: SimplicialComplex, i: int) -> list[list[int]]:
     """
     if delta.is_void() or not -1 <= i <= delta.dim:
         raise ValueError(f"boundary index {i} out of range")
-    return _boundary_from_groups(_faces_by_dim(delta.face_masks), i)
+    return _boundary_from_groups(_faces_by_dim(delta.sorted_faces()), i)
 
 
 @dataclass(frozen=True)
@@ -264,18 +262,10 @@ def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProf
 # -- Reisner and Stanley criteria ----------------------------------------------
 
 
-def _sorted_faces(delta: SimplicialComplex) -> list[int]:
-    return sorted(delta.face_masks, key=lambda m: (m.bit_count(), unpack(m)))
-
-
-def _link_faces(delta: SimplicialComplex, f: int) -> list[int]:
+def _link_faces(delta: SimplicialComplex, f: int) -> set[int]:
     """Faces of the link of f, in ambient labels (homology only cares about
     the face poset, so no re-indexing is needed here)."""
-    facets = [g & ~f for g in delta.facets if f & ~g == 0]
-    seen: set[int] = set()
-    for g in facets:
-        seen.update(submasks(g))
-    return sorted(seen)
+    return generated_faces(g & ~f for g in delta.facets if f & ~g == 0)
 
 
 @dataclass(frozen=True)
@@ -296,7 +286,7 @@ def is_cohen_macaulay(delta: SimplicialComplex, field: FieldSpec) -> ReisnerRepo
     reduced homology below its dimension."""
     if delta.is_void():
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
-    for f in _sorted_faces(delta):
+    for f in delta.sorted_faces():
         faces = _link_faces(delta, f)
         link_dim = max(m.bit_count() for m in faces) - 1
         profile = profile_from_faces(faces, field)
@@ -332,7 +322,7 @@ def is_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> GorensteinRepor
     chi = core.euler_characteristic_reduced()
     expected = 1 if core.dim % 2 == 0 else -1
     verdict = GorensteinReport(True, field, chi, expected)
-    for f in _sorted_faces(core):
+    for f in core.sorted_faces():
         faces = _link_faces(core, f)
         link_dim = max(m.bit_count() for m in faces) - 1
         profile = profile_from_faces(faces, field)

@@ -27,8 +27,9 @@ bits and V the mask of value bits:
                their value bits (b has no guard bits, so & V is implied)
   a * b      = a + b                      (no field carries)
 
-Minimalisation sorts by (degree, int) and keeps the antichain.  The scalar
-``Monomial`` arithmetic stays as the tests' independent oracle.
+Minimalisation is ``bits.antichain`` with the degree as the size and
+``divides_any`` as the cover test.  The scalar ``Monomial`` arithmetic stays
+as the tests' independent oracle.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from functools import reduce
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Iterator, Sequence
 
-from .bits import bits, minimal_transversals, pack, unpack
+from .bits import antichain, bits, minimal_transversals, pack, unpack
 from .complexes import Graph, SimplicialComplex
 
 
@@ -155,12 +156,12 @@ class _Layout:
         field = self._field
         return Monomial(tuple(p >> s & field for s in self._shifts))
 
-    def graded(self, p: int) -> tuple[int, int]:
-        """(degree, p): the degree sums the fields one bit plane at a time."""
+    def degree(self, p: int) -> int:
+        """Total degree: the fields summed one bit plane at a time."""
         degree = 0
         for j, plane in enumerate(self._planes):
             degree += (p & plane).bit_count() << j
-        return degree, p
+        return degree
 
     def divides_any(self, packed: Iterable[int], m: int) -> bool:
         """Whether some packed monomial divides m."""
@@ -177,24 +178,9 @@ class _Layout:
         return a & keep_a | b & ~keep_a
 
     def minimal(self, packed: Iterable[int]) -> list[int]:
-        """The minimal elements under divisibility, in int order.
-
-        Candidates go by (degree, int); a monomial is kept unless a kept one of
-        smaller degree divides it (distinct monomials of equal degree never do).
-        """
-        lower: list[int] = []
-        same: list[int] = []
-        degree = -1
-        for d, m in sorted(map(self.graded, set(packed))):
-            if d != degree:
-                lower += same
-                same = []
-                degree = d
-            if not self.divides_any(lower, m):
-                same.append(m)
-        lower += same
-        lower.sort()
-        return lower
+        """The minimal elements under divisibility, in int order: the antichain
+        by degree (distinct monomials of equal degree never divide each other)."""
+        return sorted(antichain(packed, self.degree, self.divides_any))
 
     def intersection(self, left: Sequence[int], right: Sequence[int]) -> list[int]:
         """Minimal generators of the intersection: the minimal pairwise lcms."""

@@ -40,11 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Collection, Hashable, Iterable, Sequence
+from typing import Callable, Collection, Hashable, Sequence
 
-from .bits import maximal_elements, submasks, unpack
+from .bits import generated_faces, unpack
 from .complexes import SimplicialComplex, void_complex
-from .homology import QQ, FieldSpec, HomologyProfile, _sorted_faces, profile_from_faces
+from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces
 from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner
 
 DEFAULT_BUDGET = 10**6
@@ -155,11 +155,6 @@ def _facet_selection(
     return tuple(selected)
 
 
-def _generated_faces(generators: Iterable[int]) -> set[int]:
-    """Every face of the complex generated by the given masks."""
-    return set().union(*map(submasks, generators))
-
-
 def delta_a(ideal: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
     """The subcomplex Delta_a(I) of Delta(I), by its facets (ambient labels).
 
@@ -171,10 +166,10 @@ def delta_a(ideal: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
     delta = complex_of_ideal(ideal)
     g_mask = DegreeVector(tuple(a)).neg_support_mask
     gens = tuple(g.exps for g in ideal.gens)
-    faces = _delta_a_faces(_sorted_faces(delta), gens, g_mask, tuple(a))
+    faces = _delta_a_faces(delta.sorted_faces(), gens, g_mask, tuple(a))
     if faces is None:
         return void_complex(ideal.n)
-    return SimplicialComplex(ideal.n, tuple(maximal_elements(faces)))
+    return SimplicialComplex(ideal.n, tuple(faces))
 
 
 def delta_a_symbolic(delta: SimplicialComplex, a: Sequence[int], ell: int) -> SimplicialComplex:
@@ -210,7 +205,7 @@ def local_cohomology_dim(
     if any(e > rho[j] - 1 for j, e in enumerate(a)):
         return 0
     gens = tuple(g.exps for g in ideal.gens)
-    faces = _delta_a_faces(_sorted_faces(delta), gens, g_mask, tuple(a))
+    faces = _delta_a_faces(delta.sorted_faces(), gens, g_mask, tuple(a))
     if faces is None:
         return 0
     profile = profile_from_faces(faces, field)
@@ -296,7 +291,7 @@ def depth_reports(
     if ideal.is_unit():
         raise ValueError("depth of the zero ring is rejected")
     delta = complex_of_ideal(ideal)
-    faces = _sorted_faces(delta)
+    faces = delta.sorted_faces()
     gens = tuple(g.exps for g in ideal.gens)
     return _scan_reports(
         delta, faces, ideal.rho(), fields, budget,
@@ -315,10 +310,8 @@ def depth_via_takayama(
 def _symbolic_rho(delta: SimplicialComplex, ell: int) -> tuple[int, ...]:
     """rho of I_Delta^(ell) without its generators: ell off the cone vertices
     (those in every facet) and 0 on them."""
-    cone = (1 << delta.n) - 1
-    for f in delta.facets:
-        cone &= f
-    return tuple(0 if cone >> j & 1 else ell for j in range(delta.n))
+    cone = delta.cone_vertices()
+    return tuple(0 if v in cone else ell for v in range(1, delta.n + 1))
 
 
 def _symbolic_depth_reports(
@@ -329,9 +322,9 @@ def _symbolic_depth_reports(
         raise ValueError("symbolic powers need a nonvoid complex on at least one vertex")
     facets = delta.facets
     return _scan_reports(
-        delta, _sorted_faces(delta), _symbolic_rho(delta, ell), fields, budget,
+        delta, delta.sorted_faces(), _symbolic_rho(delta, ell), fields, budget,
         select=lambda g_mask, a: _facet_selection(facets, g_mask, a, ell),
-        expand=_generated_faces,
+        expand=generated_faces,
     )
 
 

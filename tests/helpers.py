@@ -21,6 +21,24 @@ def brute_minimal_transversals(sets: list[int], n: int) -> list[int]:
     return sorted(minimal)
 
 
+def quadratic_minimal_elements(masks) -> list[int]:
+    """Inclusion-minimal masks, each candidate checked against every kept one."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    return sorted(kept)
+
+
+def quadratic_maximal_elements(masks) -> list[int]:
+    """Inclusion-maximal masks, each candidate checked against every kept one."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=lambda m: (-m.bit_count(), m)):
+        if not any(m & ~k == 0 for k in kept):
+            kept.append(m)
+    return sorted(kept)
+
+
 def floyd_warshall_diameter(g: Graph) -> float:
     inf = float("inf")
     dist = [[0 if i == j else inf for j in range(g.n)] for i in range(g.n)]

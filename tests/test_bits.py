@@ -1,7 +1,9 @@
 import random
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from srsq import cross_polytope, ideals, stanley_reisner
+from srsq import bits as bitsmod
 from srsq.bits import (
     bits,
     compress,
@@ -12,7 +14,11 @@ from srsq.bits import (
     submasks,
     unpack,
 )
-from helpers import brute_minimal_transversals
+from helpers import (
+    brute_minimal_transversals,
+    quadratic_maximal_elements,
+    quadratic_minimal_elements,
+)
 
 
 def test_pack_unpack_roundtrip():
@@ -48,6 +54,62 @@ def test_minimal_maximal_elements():
     masks = [0b111, 0b011, 0b100, 0b011]
     assert minimal_elements(masks) == [0b011, 0b100]
     assert maximal_elements(masks) == [0b111]
+
+
+@st.composite
+def mask_families(draw):
+    """Masks up to bit 63, of mixed sizes, with duplicates, the empty mask, and
+    subsets and supersets of one another."""
+    width = draw(st.sampled_from((4, 10, 64)))
+    masks = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=14))
+    if masks:
+        picks = st.sampled_from(masks)
+        derived = draw(st.lists(st.tuples(picks, picks, st.booleans()), max_size=10))
+        masks += [a & b if meet else a | b for a, b, meet in derived]
+        masks += draw(st.lists(picks, max_size=4))
+    return draw(st.permutations(masks))
+
+
+@given(mask_families())
+@settings(max_examples=300, deadline=None)
+@example([])
+@example([0])
+@example([0, 0, 1 << 63])
+@example([1 << 63, (1 << 64) - 1, (1 << 63) | 1, 1, 0, (1 << 64) - 1])
+def test_antichains_match_quadratic_loops(masks):
+    assert minimal_elements(masks) == quadratic_minimal_elements(masks)
+    assert maximal_elements(masks) == quadratic_maximal_elements(masks)
+    assert maximal_elements(iter(masks)) == quadratic_maximal_elements(masks)
+
+
+def test_single_size_family_makes_no_pairwise_check(monkeypatch):
+    """Items of one size are never tested against each other: the cover test
+    only ever sees the (empty) list of smaller kept items."""
+    checked = []
+
+    def counting(antichain):
+        def counted(items, size, covers):
+            def cover_test(lower, m):
+                if lower:
+                    checked.append(m)
+                return covers(lower, m)
+            return antichain(items, size, cover_test)
+        return counted
+
+    monkeypatch.setattr(bitsmod, "antichain", counting(bitsmod.antichain))
+    monkeypatch.setattr(ideals, "antichain", counting(ideals.antichain))
+    delta = cross_polytope(14)
+    assert len(delta.facets) == 16384
+    assert maximal_elements(delta.facets) == sorted(delta.facets)
+    assert len(delta.link([1]).facets) == 8192
+    assert checked == []
+    ideal = stanley_reisner(delta)  # Berge's loop mixes sizes, so it does check
+    checked.clear()
+    assert len(ideal.power(2).gens) == 105  # every product has degree 4
+    assert checked == []
+    # two sizes: the larger item is tested against the kept smaller one
+    assert minimal_elements([0b11, 0b1]) == [0b1]
+    assert checked == [0b11]
 
 
 def test_transversals_triangle():

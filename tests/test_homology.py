@@ -23,7 +23,8 @@ from srsq import (
     rp2,
     simplex_complex,
 )
-from srsq.homology import parse_field_battery
+from srsq.criteria import random_pure_complex
+from srsq.homology import parse_field_battery, profile_from_faces
 from helpers import fraction_rank, modp_rank_naive
 
 F3 = FieldSpec(3)
@@ -111,6 +112,13 @@ def test_pentagon_boundary():
     assert boundary_matrix(p, -1) == []
 
 
+def test_boundary_layout_and_signs():
+    # rows and columns by vertex tuple; dropping the j-th vertex has sign (-1)^j
+    triangle = simplex_complex(3)
+    assert boundary_matrix(triangle, 1) == [[-1, -1, 0], [1, 0, -1], [0, 1, 1]]
+    assert boundary_matrix(triangle, 2) == [[1], [-1], [1]]
+
+
 def test_single_edge_boundary_rank():
     e = new_complex(2, [(1, 2)])
     assert matrix_rank(boundary_matrix(e, 1), QQ) == 1
@@ -159,6 +167,19 @@ def test_edge_cases():
     assert reduced_homology(point, QQ).as_mapping() == {-1: 0, 0: 0}
     two_points = new_complex(2, [(1,), (2,)])
     assert reduced_homology(two_points, GF2).as_mapping() == {-1: 0, 0: 1}
+
+
+def test_profile_does_not_depend_on_face_order():
+    rng = random.Random(17)
+    pool = named_battery() + [random_pure_complex(rng, rng.randint(3, 7)) for _ in range(12)]
+    for d in pool:
+        faces = d.sorted_faces()
+        for field in (QQ, GF2, F3):
+            expected = profile_from_faces(faces, field)
+            for _ in range(3):
+                shuffled = faces[:]
+                rng.shuffle(shuffled)
+                assert profile_from_faces(shuffled, field) == expected
 
 
 def test_euler_identity():
