@@ -234,29 +234,30 @@ class HomologyProfile:
         return {i: self.betti_number(i) for i in self.degrees()}
 
 
-def profile_from_faces(faces: Iterable[int], field: FieldSpec) -> HomologyProfile:
-    """Reduced homology of the complex whose full face list is given.
+def profile_from_faces(
+    faces: Iterable[int], fields: Sequence[FieldSpec]
+) -> tuple[HomologyProfile, ...]:
+    """Reduced homology over each field, in battery order, of a full face list.
 
     The face list must be closed under taking subsets and include 0 unless it
     is empty (void complex).  This is the scan-friendly entry point: callers
     that already hold a filtered face list skip complex construction.
+    Each boundary matrix is built once; only its rank depends on the field.
     """
     groups = _faces_by_dim(faces)
-    if not groups:
-        return HomologyProfile(field, ())
-    top = len(groups) - 1  # top simplex cardinality
-    ranks = [0] * (top + 2)
-    for i in range(top):  # d_i for i = 0 .. top-1 (dimension index)
-        ranks[i + 1] = matrix_rank(_boundary_from_groups(groups, i), field)
-    betti = []
-    for i in range(-1, top):  # homology degree
-        f_i = len(groups[i + 1]) if i + 1 <= top else 0
-        betti.append(f_i - ranks[i + 1] - (ranks[i + 2] if i + 2 < len(ranks) else 0))
-    return HomologyProfile(field, tuple(betti))
+    ranks = [[0] * (len(groups) + 1) for _ in fields]  # entry i + 1 is rank d_i
+    for i in range(len(groups) - 1):  # d_i for i = 0 .. top-1 (dimension index)
+        boundary = _boundary_from_groups(groups, i)
+        for field_ranks, field in zip(ranks, fields):
+            field_ranks[i + 1] = matrix_rank(boundary, field)
+    return tuple(
+        HomologyProfile(field, tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups)))
+        for field, r in zip(fields, ranks)
+    )
 
 
 def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
-    return profile_from_faces(delta.face_masks, field)
+    return profile_from_faces(delta.face_masks, (field,))[0]
 
 
 # -- Reisner and Stanley criteria ----------------------------------------------
@@ -266,6 +267,22 @@ def _link_faces(delta: SimplicialComplex, f: int) -> set[int]:
     """Faces of the link of f, in ambient labels (homology only cares about
     the face poset, so no re-indexing is needed here)."""
     return generated_faces(g & ~f for g in delta.facets if f & ~g == 0)
+
+
+def _first_bad_link(delta: SimplicialComplex, field: FieldSpec, sphere: bool) -> tuple | None:
+    """(face, degree) for the first face in sorted_faces() order whose link has
+    reduced homology below its dimension or, with ``sphere``, a top homology
+    other than K; None when every link passes (Reisner; Stanley on the core)."""
+    for f in delta.sorted_faces():
+        faces = _link_faces(delta, f)
+        link_dim = max(m.bit_count() for m in faces) - 1
+        (profile,) = profile_from_faces(faces, (field,))
+        bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
+        if bad is None and sphere and profile.betti_number(link_dim) != 1:
+            bad = link_dim
+        if bad is not None:
+            return unpack(f), bad
+    return None
 
 
 @dataclass(frozen=True)
@@ -286,14 +303,8 @@ def is_cohen_macaulay(delta: SimplicialComplex, field: FieldSpec) -> ReisnerRepo
     reduced homology below its dimension."""
     if delta.is_void():
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
-    for f in delta.sorted_faces():
-        faces = _link_faces(delta, f)
-        link_dim = max(m.bit_count() for m in faces) - 1
-        profile = profile_from_faces(faces, field)
-        for i in range(-1, link_dim):
-            if profile.betti_number(i):
-                return ReisnerReport(False, field, unpack(f), i)
-    return ReisnerReport(True, field)
+    bad = _first_bad_link(delta, field, sphere=False)
+    return ReisnerReport(bad is None, field, *(bad or ()))
 
 
 @dataclass(frozen=True)
@@ -321,20 +332,8 @@ def is_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> GorensteinRepor
     core = delta.core()
     chi = core.euler_characteristic_reduced()
     expected = 1 if core.dim % 2 == 0 else -1
-    verdict = GorensteinReport(True, field, chi, expected)
-    for f in core.sorted_faces():
-        faces = _link_faces(core, f)
-        link_dim = max(m.bit_count() for m in faces) - 1
-        profile = profile_from_faces(faces, field)
-        ok = profile.betti_number(link_dim) == 1 and not any(
-            profile.betti_number(i) for i in range(-1, link_dim)
-        )
-        if not ok:
-            bad = next(
-                (i for i in range(-1, link_dim) if profile.betti_number(i)), link_dim
-            )
-            return GorensteinReport(False, field, chi, expected, unpack(f), bad)
-    return verdict
+    bad = _first_bad_link(core, field, sphere=True)
+    return GorensteinReport(bad is None, field, chi, expected, *(bad or ()))
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from typing import Callable, Collection, Hashable, Sequence
 
 from .bits import generated_faces, unpack
 from .complexes import SimplicialComplex, void_complex
-from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces
+from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces, reduced_homology
 from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner
 
 DEFAULT_BUDGET = 10**6
@@ -193,6 +193,8 @@ def local_cohomology_dim(
     """dim_K H_m^i(S/I)_a per the formula in the module docstring."""
     if ideal.is_unit():
         raise ValueError("local cohomology of the zero ring is rejected")
+    if len(a) != ideal.n:
+        raise ValueError("degree vector length must match the variable count")
     delta = complex_of_ideal(ideal)
     dim_ring = delta.dim + 1
     if not 0 <= i <= dim_ring:
@@ -204,12 +206,7 @@ def local_cohomology_dim(
     rho = ideal.rho()
     if any(e > rho[j] - 1 for j, e in enumerate(a)):
         return 0
-    gens = tuple(g.exps for g in ideal.gens)
-    faces = _delta_a_faces(delta.sorted_faces(), gens, g_mask, tuple(a))
-    if faces is None:
-        return 0
-    profile = profile_from_faces(faces, field)
-    return profile.betti_number(i - g_mask.bit_count() - 1)
+    return reduced_homology(delta_a(ideal, a), field).betti_number(i - g_mask.bit_count() - 1)
 
 
 # -- the depth scan ------------------------------------------------------------
@@ -272,7 +269,7 @@ def _scan_reports(
         profiles = cache.get(key)
         if profiles is None:
             selected = expand(key)
-            profiles = cache[key] = tuple(profile_from_faces(selected, f) for f in fields)
+            profiles = cache[key] = profile_from_faces(selected, fields)
         shift = g_mask.bit_count() + 1
         for profile, first_hit in zip(profiles, first_hits):
             for i, betti in enumerate(profile.betti, shift - 1):

@@ -387,6 +387,16 @@ def test_reproduce_single_criterion(monkeypatch, capsys, tmp_path):
     assert "PASS criterion-01" in (tmp_path / "report.md").read_text()
 
 
+@pytest.mark.parametrize("only", [["criterion-1"], ["criterion-11"], ["criterion-01", "nope"]])
+def test_reproduce_unknown_criterion_is_a_usage_error(only, monkeypatch, capsys):
+    argv = ["reproduce-paper"]
+    for key in only:
+        argv += ["--only", key]
+    code, out, err = run(argv, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert only[-1] in err and "criterion-01" in err and "criterion-10" in err
+
+
 def test_audit_pipeline_matches_projective_plane_verdicts(monkeypatch, capsys):
     # generate rp2 | check audit --fields Q,F2: the published verdict table
     _, doc, _ = run(["generate", "rp2"], monkeypatch=monkeypatch, capsys=capsys)

@@ -23,6 +23,8 @@ from srsq import (
     rp2,
     simplex_complex,
 )
+from srsq import SimplicialComplex, homology
+from srsq.bits import generated_faces, pack, unpack
 from srsq.criteria import random_pure_complex
 from srsq.homology import parse_field_battery, profile_from_faces
 from helpers import fraction_rank, modp_rank_naive
@@ -175,11 +177,49 @@ def test_profile_does_not_depend_on_face_order():
     for d in pool:
         faces = d.sorted_faces()
         for field in (QQ, GF2, F3):
-            expected = profile_from_faces(faces, field)
+            (expected,) = profile_from_faces(faces, (field,))
             for _ in range(3):
                 shuffled = faces[:]
                 rng.shuffle(shuffled)
-                assert profile_from_faces(shuffled, field) == expected
+                assert profile_from_faces(shuffled, (field,)) == (expected,)
+
+
+def random_face_sets(rng, count):
+    """Full face lists in random order: the void and irrelevant complexes,
+    rp2 (whose homology differs over Q and F2), then random complexes."""
+    sets = [[], [0], rp2().sorted_faces()]
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        facets = [pack(rng.sample(range(1, n + 1), rng.randint(1, n)))
+                  for _ in range(rng.randint(1, 5))]
+        sets.append(list(generated_faces(facets)))
+    for faces in sets:
+        rng.shuffle(faces)
+    return sets
+
+
+def test_battery_profile_equals_one_field_profiles():
+    battery = (QQ, GF2, F3)
+    for faces in random_face_sets(random.Random(5), 40):
+        singles = tuple(profile_from_faces(faces, (field,))[0] for field in battery)
+        assert profile_from_faces(faces, battery) == singles
+        assert profile_from_faces(faces, battery[::-1]) == singles[::-1]
+
+
+def test_boundary_matrices_are_built_once_whatever_the_battery(monkeypatch):
+    built = []
+    build = homology._boundary_from_groups
+
+    def counted(groups, i):
+        built.append(i)
+        return build(groups, i)
+
+    monkeypatch.setattr(homology, "_boundary_from_groups", counted)
+    faces = rp2().sorted_faces()
+    for battery in ((QQ,), (QQ, GF2), (QQ, GF2, F3)):
+        built.clear()
+        profile_from_faces(faces, battery)
+        assert built == [0, 1, 2]
 
 
 def test_euler_identity():
@@ -227,6 +267,47 @@ def test_cone_invariance():
 def test_disconnected_not_cm():
     d = new_complex(4, [(1, 2), (3, 4)])
     assert not is_cohen_macaulay(d, QQ)
+
+
+def random_complex_with_unused_vertices(rng, pure):
+    """Facets on 1..n-1 of one size (pure) or of mixed sizes; vertex n and
+    whatever else no facet picks stay unused."""
+    n = rng.randint(4, 8)
+    size = rng.randint(2, 3)
+    facets = [pack(rng.sample(range(1, n), size if pure else rng.randint(1, n - 2)))
+              for _ in range(rng.randint(2, 8))]
+    return SimplicialComplex(n, tuple(facets))
+
+
+def first_failing_link(delta, field, sphere):
+    """(face, degree) of the first face in sorted_faces() order whose
+    re-indexed link has homology below its dimension or, with ``sphere``, a
+    top homology other than K; None when every link passes."""
+    for f in delta.sorted_faces():
+        link = delta.link(unpack(f))
+        profile = reduced_homology(link, field)
+        low = [i for i in range(-1, link.dim) if profile.betti_number(i)]
+        if low:
+            return unpack(f), low[0]
+        if sphere and profile.betti_number(link.dim) != 1:
+            return unpack(f), link.dim
+    return None
+
+
+@pytest.mark.parametrize("pure", [True, False], ids=["pure", "non-pure"])
+def test_link_criteria_witnesses_match_the_reindexed_link_route(pure):
+    rng = random.Random(23 if pure else 29)
+    for _ in range(30):
+        delta = random_complex_with_unused_vertices(rng, pure)
+        for field in (QQ, GF2, F3):
+            cm = is_cohen_macaulay(delta, field)
+            bad = first_failing_link(delta, field, sphere=False)
+            assert (cm.is_cm, cm.witness_face, cm.witness_degree) == (
+                bad is None, *(bad or (None, None)))
+            gor = is_gorenstein(delta, field)
+            bad = first_failing_link(delta.core(), field, sphere=True)
+            assert (gor.is_gorenstein, gor.witness_face, gor.witness_degree) == (
+                bad is None, *(bad or (None, None)))
 
 
 # -- Gorenstein criteria -----------------------------------------------------------------------

@@ -186,6 +186,12 @@ def test_local_cohomology_validation():
         local_cohomology_dim(triangle_ideal(), 5, (0, 0, 0))
 
 
+@pytest.mark.parametrize("length", [4, 6])
+def test_local_cohomology_rejects_a_degree_of_the_wrong_length(length):
+    with pytest.raises(ValueError, match="length"):
+        local_cohomology_dim(stanley_reisner(cycle_complex(5)), 1, (0,) * length)
+
+
 # -- depth scans -----------------------------------------------------------------------
 
 def test_triangle_ideal_depth():
