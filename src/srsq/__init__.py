@@ -37,7 +37,6 @@ from .criteria import (
     S2Result,
     condition3_check,
     depth2_criterion,
-    explore_random,
     paper_audit,
     random_pure_complex,
     s2_criterion,

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 battery failure, 2 usage error, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -19,7 +20,6 @@ from typing import Any
 from . import jsonio
 from .complexes import Graph, SimplicialComplex, named_complex, new_complex
 from .criteria import (
-    CONDITION3_DEFAULT_BOUND,
     condition3_check,
     depth2_criterion,
     explore_complexes,
@@ -57,8 +57,8 @@ EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
 
 
-def _emit(doc: Any, fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(doc: Any, fmt: str) -> None:
+    out = sys.stdout
     if fmt == "json":
         json.dump(doc, out, sort_keys=True, separators=(",", ":"))
         out.write("\n")
@@ -99,7 +99,7 @@ def _read_json(path: str | None):
 
 
 def _read_complex(path: str | None) -> SimplicialComplex:
-    return jsonio.complex_from_dict(_read_json(path), allow_unused=True)
+    return jsonio.complex_from_dict(_read_json(path))
 
 
 def _read_graph(path: str | None) -> Graph:
@@ -113,7 +113,7 @@ def _read_ideal(path: str | None):
 def _read_complex_or_ideal(path: str | None):
     doc = _read_json(path)
     if isinstance(doc, dict) and "facets" in doc:
-        return jsonio.complex_from_dict(doc, allow_unused=True)
+        return jsonio.complex_from_dict(doc)
     return jsonio.ideal_from_dict(doc)
 
 
@@ -247,8 +247,7 @@ def cmd_check(args) -> int:
     elif op == "depth2":
         _emit(jsonio.depth2_to_dict(depth2_criterion(delta)), args.format)
     elif op == "condition3":
-        _emit(jsonio.condition3_to_dict(condition3_check(delta, args.condition3_bound)),
-              args.format)
+        _emit(jsonio.condition3_to_dict(condition3_check(delta)), args.format)
     elif op in ("depth", "cm-square", "cm-symbolic-square"):
         of = args.of if op == "depth" else op[len("cm-"):]
         if of == "symbolic-square":
@@ -258,7 +257,7 @@ def cmd_check(args) -> int:
             reports = depth_reports(ideal.power(2) if of == "square" else ideal, fields, budget)
         _emit({f.name: jsonio.depth_report_to_dict(r) for f, r in reports.items()}, args.format)
     elif op == "audit":
-        report = paper_audit(delta, fields, budget, args.condition3_bound)
+        report = paper_audit(delta, fields, budget)
         _emit(jsonio.audit_to_dict(report), args.format)
         if report.violations:
             return EXIT_VIOLATION
@@ -314,28 +313,22 @@ def cmd_reproduce(args) -> int:
 # -- exploration ------------------------------------------------------------------
 
 
-def _audit_one(payload):
-    facets, n, field_names, budget, bound = payload
-    delta = SimplicialComplex(n, tuple(facets))
-    fields = tuple(FieldSpec.parse(name) for name in field_names)
-    return jsonio.audit_to_dict(paper_audit(delta, fields, budget, bound))
+def _audit_doc(delta: SimplicialComplex, fields: tuple[FieldSpec, ...], budget: int) -> dict:
+    return jsonio.audit_to_dict(paper_audit(delta, fields, budget))
 
 
 def cmd_explore(args) -> int:
-    budget = _budget(args)
-    fields = _fields(args)
+    audit = functools.partial(_audit_doc, fields=_fields(args), budget=_budget(args))
     complexes = explore_complexes(args.seed, args.count, args.n_max)
-    payloads = [
-        (c.facets, c.n, [f.name for f in fields], budget, args.condition3_bound)
-        for c in complexes
-    ]
-    if args.jobs > 1:
+    # More workers than cores or complexes only adds processes to start.
+    jobs = min(args.jobs, os.cpu_count() or 1, len(complexes))
+    if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.get_context("fork").Pool(args.jobs) as pool:
-            docs = pool.map(_audit_one, payloads)
+        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+            docs = pool.map(audit, complexes)
     else:
-        docs = [_audit_one(p) for p in payloads]
+        docs = list(map(audit, complexes))
     violated = [d for d in docs if d["violations"]]
     for i, doc in enumerate(violated):
         path = os.path.join(args.dump_dir, f"counterexample_candidate_{i:03d}.json")
@@ -369,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_fields=False):
         p.add_argument("--format", choices=("json", "md"), default="json")
-        p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
         p.add_argument("--budget", type=int, default=None,
                        help=f"scan budget (default {DEFAULT_BUDGET} or SRSQ_BUDGET)")
         if with_fields:
@@ -413,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "cm-square", "cm-symbolic-square", "audit"))
     k.add_argument("--of", choices=("radical", "square", "symbolic-square"), default="radical",
                    help="which ideal 'depth' scans")
-    k.add_argument("--condition3-bound", type=int, default=CONDITION3_DEFAULT_BOUND)
     common(k, with_fields=True)
     k.set_defaults(func=cmd_check)
 
@@ -431,10 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--dump-dir", default=".", help="where counterexample candidates go")
     e.add_argument("--full", action="store_true", help="include full audit reports")
-    e.add_argument("--condition3-bound", type=int, default=CONDITION3_DEFAULT_BOUND)
     common(e, with_fields=True)
     e.set_defaults(func=cmd_explore)
 
+    for p in (c, i, k):  # the subcommands that read a document
+        p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
     return parser
 
 

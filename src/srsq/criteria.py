@@ -35,7 +35,13 @@ from .takayama import (
     symbolic_square_depth_report,
 )
 
-CONDITION3_DEFAULT_BOUND = 9
+# The non-face triple brute force costs about six times more per added
+# vertex: single runs on a 2-vCPU host took 11.6 s at n = 10
+# (disjoint_pentagons(2)) and 69 s at n = 11 (cross_polytope_stellar(5)), and
+# n = 12 (cross_polytope(6)) had not finished after 39 s.  The cap keeps
+# `check audit` and `explore` finite; above it the special-triangle criterion
+# decides alone.
+CONDITION3_MAX_VERTICES = 9
 
 
 @dataclass(frozen=True)
@@ -90,15 +96,14 @@ class Condition3Result:
     witness: tuple[tuple[int, ...], ...] | None = None
 
 
-def condition3_check(
-    delta: SimplicialComplex, max_vertices: int = CONDITION3_DEFAULT_BOUND
-) -> Condition3Result:
+def condition3_check(delta: SimplicialComplex) -> Condition3Result:
     """Brute force over all non-face triples, deduplicated by (union,
     intersection) signatures; no reduction to minimal non-faces is used."""
     n = delta.n
-    if n > max_vertices:
+    if n > CONDITION3_MAX_VERTICES:
         raise ValueError(
-            f"the non-face triple brute force is capped at n <= {max_vertices}, got n = {n}"
+            "the non-face triple brute force is capped at "
+            f"n <= {CONDITION3_MAX_VERTICES}, got n = {n}"
         )
     full = (1 << n) - 1
     faces = delta.face_masks
@@ -233,13 +238,12 @@ def paper_audit(
     delta: SimplicialComplex,
     fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
     budget: int = DEFAULT_BUDGET,
-    condition3_bound: int = CONDITION3_DEFAULT_BOUND,
 ) -> AuditReport:
     """Compute all criteria for one complex and check the implications.
 
-    The non-face triple condition is only brute-forced when n is within the
-    configured bound; the special-triangle criterion stands in for it above
-    the bound (the two are equivalent and cross-checked whenever both are
+    The non-face triple condition is only brute-forced when n is at most
+    CONDITION3_MAX_VERTICES; the special-triangle criterion stands in for it
+    above the cap (the two are equivalent and cross-checked whenever both are
     computed).  Budget errors from the depth scans propagate.
     """
     fields = tuple(fields)
@@ -254,9 +258,7 @@ def paper_audit(
         depth2=depth2_criterion(delta) if delta.dim >= 1 else None,
         s2=s2_criterion(delta) if delta.is_pure() else None,
         sym2=symbolic2_equals_square(ideal),
-        condition3=condition3_check(delta, condition3_bound)
-        if delta.n <= condition3_bound
-        else None,
+        condition3=condition3_check(delta) if delta.n <= CONDITION3_MAX_VERTICES else None,
         cm_square={f: square_depth_report(delta, f, budget) for f in fields},
         cm_symbolic_square={
             f: symbolic_square_depth_report(delta, f, budget) for f in fields
@@ -269,13 +271,11 @@ def paper_audit(
 # -- the exploration harness -----------------------------------------------------
 
 
-def random_pure_complex(
-    rng: random.Random, n: int, facet_size: int | None = None
-) -> SimplicialComplex:
+def random_pure_complex(rng: random.Random, n: int) -> SimplicialComplex:
     """Seeded random pure complex covering all n vertices, dim >= 1."""
     if n < 3:
         raise ValueError("need n >= 3 for interesting pure complexes")
-    d = facet_size if facet_size is not None else rng.randint(2, max(2, min(n - 1, 4)))
+    d = rng.randint(2, max(2, min(n - 1, 4)))
     pool = list(combinations(range(1, n + 1), d))
     full = (1 << n) - 1
     while True:
@@ -289,29 +289,12 @@ def random_pure_complex(
 
 
 def explore_complexes(seed: int, count: int, n_max: int) -> list[SimplicialComplex]:
-    """The deterministic complex stream behind explore_random."""
+    """``count`` seeded random pure complexes with 3 <= n <= n_max, fixed by
+    the seed: the stream that ``srsq explore`` and reproduce criterion 9
+    audit."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
         n = rng.randint(3, max(3, n_max))
         out.append(random_pure_complex(rng, n))
     return out
-
-
-def explore_random(
-    seed: int,
-    count: int,
-    n_max: int,
-    fields: Sequence[FieldSpec] = DEFAULT_FIELDS,
-    budget: int = DEFAULT_BUDGET,
-    condition3_bound: int = CONDITION3_DEFAULT_BOUND,
-) -> list[AuditReport]:
-    """Audit ``count`` seeded random pure complexes with 3 <= n <= n_max.
-
-    Deterministic for a fixed seed.  Violations are reported, never asserted;
-    callers decide whether to dump them as counterexample candidates.
-    """
-    return [
-        paper_audit(delta, fields=fields, budget=budget, condition3_bound=condition3_bound)
-        for delta in explore_complexes(seed, count, n_max)
-    ]

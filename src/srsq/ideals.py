@@ -460,24 +460,25 @@ def symbolic2_equals_square(ideal: MonomialIdeal) -> Sym2Result:
     """Decide I^(2) = I^2 by checking every special triangle's obstruction.
 
     Equality holds iff for each special triangle the monomial
-    x^(H1 cap H2 cap H3) * x^(H1 cup H2 cup H3) lies in I^2.  Enumeration
-    stops at the first failing triangle; the certificate is that triangle and
-    its monomial, or the number of triangles checked when equality holds.
+    x^W * x^U, with W = H1 cap H2 cap H3 and U = H1 cup H2 cup H3, lies in
+    I^2.  A product x^g * x^h of two generators (g = h allowed) has exponent
+    2 on g cap h and 1 on the rest of g cup h, so it divides x^W * x^U iff
+    g cup h lies in U and g cap h lies in W: membership is decided on
+    vertex masks, without building I^2.  Enumeration stops at the first
+    failing triangle; the certificate is that triangle and its monomial, or
+    the number of triangles checked when equality holds.
     """
     if not ideal.is_squarefree():
         raise ValueError("the criterion applies to squarefree ideals")
-    # Squares of squarefree monomials and the obstruction monomials have
-    # exponents at most 2, so one layout serves every membership test.
-    layout = _Layout(ideal.n, 2)
-    square: list[int] | None = None
+    supports = ideal.supports()
     checked = 0
     # Lazy enumeration: stop at the first failing triangle.  The generator
     # order is deterministic, so the certificate is reproducible.
-    for tri in _iter_special_triangles(ideal.supports()):
-        if square is None:
-            square = [layout.pack(g) for g in ideal.power(2).gens]
+    for tri in _iter_special_triangles(supports):
         checked += 1
-        mono = triangle_obstruction_monomial(ideal.n, tri)
-        if not layout.divides_any(square, layout.pack(mono)):
-            return Sym2Result(False, tri, mono, checked)
+        h1, h2, h3 = tri.witnesses
+        inter, union = h1 & h2 & h3, h1 | h2 | h3
+        inside = [g for g in supports if not g & ~union]
+        if all(g & h & ~inter for g, h in combinations_with_replacement(inside, 2)):
+            return Sym2Result(False, tri, triangle_obstruction_monomial(ideal.n, tri), checked)
     return Sym2Result(True, None, None, checked)

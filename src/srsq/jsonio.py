@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
+from .bits import MAX_VERTICES
 from .complexes import FVector, Graph, SimplicialComplex, new_complex
 from .criteria import AuditReport, Condition3Result, Depth2Result, S2Result
 from .homology import (
@@ -35,7 +36,8 @@ def complex_to_dict(delta: SimplicialComplex, vertex_map: Mapping[int, int] | No
     return doc
 
 
-def complex_from_dict(doc: Mapping[str, Any], allow_unused: bool = False) -> SimplicialComplex:
+def complex_from_dict(doc: Mapping[str, Any]) -> SimplicialComplex:
+    """The complex on vertices 1..n; vertices in no facet are kept."""
     try:
         n = _integer(doc["n"], "n")
         facets = [[_integer(v, "a vertex") for v in f] for f in doc["facets"]]
@@ -43,7 +45,7 @@ def complex_from_dict(doc: Mapping[str, Any], allow_unused: bool = False) -> Sim
         raise ValueError(f"not a complex document: {exc}") from exc
     if n == 0 and facets == [[]]:
         return SimplicialComplex(0, (0,))
-    return new_complex(n, facets, allow_unused=allow_unused)
+    return new_complex(n, facets, allow_unused=True)
 
 
 def graph_from_dict(doc: Mapping[str, Any]) -> Graph:
@@ -69,6 +71,8 @@ def _integer(value: Any, what: str) -> int:
 def ideal_from_dict(doc: Mapping[str, Any]) -> MonomialIdeal:
     try:
         n = _integer(doc["n"], "n")
+        if n > MAX_VERTICES:
+            raise ValueError(f"n must be at most {MAX_VERTICES}, got {n}")
         rows = [[_integer(e, "an exponent") for e in g] for g in doc["gens"]]
         return MonomialIdeal.from_exponents(n, rows)
     except (KeyError, TypeError, ValueError) as exc:

@@ -28,7 +28,13 @@ from .complexes import (
     phantom_pentagon,
     rp2,
 )
-from .criteria import condition3_check, depth2_criterion, explore_random, paper_audit, s2_criterion
+from .criteria import (
+    condition3_check,
+    depth2_criterion,
+    explore_complexes,
+    paper_audit,
+    s2_criterion,
+)
 from .homology import DEFAULT_FIELDS, GF2, QQ, is_cohen_macaulay, is_gorenstein
 from .ideals import (
     Monomial,
@@ -285,10 +291,10 @@ def criterion_7_disjoint_pentagons(budget: int = DEFAULT_BUDGET) -> CriterionRes
 # -- criterion 8: oracle equivalences -------------------------------------------
 
 
-def iter_pure_complexes(n_max: int = 5) -> Iterator[SimplicialComplex]:
-    """Every pure complex on 1..n <= n_max whose facets cover all vertices,
+def iter_pure_complexes() -> Iterator[SimplicialComplex]:
+    """Every pure complex on 1..n <= 5 whose facets cover all vertices,
     exhaustively by facet family."""
-    for n in range(1, n_max + 1):
+    for n in range(1, 6):
         full = (1 << n) - 1
         for d in range(1, n + 1):
             pool = [pack(c) for c in combinations(range(1, n + 1), d)]
@@ -336,7 +342,7 @@ def criterion_8_oracle_equivalences(budget: int = DEFAULT_BUDGET) -> CriterionRe
 
     start = time.perf_counter()
     rng = _random.Random(0)
-    exhaustive = list(iter_pure_complexes(5))
+    exhaustive = list(iter_pure_complexes())
     randoms = [random_pure_complex(rng, 6 + (i % 2)) for i in range(200)]
     failures: list[dict] = []
     for delta in exhaustive + randoms:
@@ -375,21 +381,16 @@ def named_battery() -> list[tuple[str, SimplicialComplex]]:
 
 def criterion_9_implication_audits(budget: int = DEFAULT_BUDGET) -> CriterionResult:
     start = time.perf_counter()
+    pool = named_battery() + [
+        (f"explore[{i}]", delta) for i, delta in enumerate(explore_complexes(0, 100, 6))
+    ]
     violations: list[dict] = []
-    audited = 0
-    for name, delta in named_battery():
+    for name, delta in pool:
         report = paper_audit(delta, budget=budget)
-        audited += 1
         if report.violations:
             violations.append({"complex": name, "violations": list(report.violations)})
-    for i, report in enumerate(explore_random(0, 100, 6, budget=budget)):
-        audited += 1
-        if report.violations:
-            violations.append(
-                {"complex": f"explore[{i}]", "violations": list(report.violations)}
-            )
     checks = {"no_implication_violations": not violations}
-    details = {"audited": audited, "violations": violations}
+    details = {"audited": len(pool), "violations": violations}
     return _result("criterion-09", "implication audits across the battery", None, start, checks, details)
 
 

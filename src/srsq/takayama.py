@@ -229,13 +229,8 @@ def _scan_points(faces: Sequence[int], rho: Sequence[int], n: int):
     """(G, a) pairs in a fixed total order: faces sorted by (size, vertices),
     then the nonnegative part in lexicographic product order."""
     for g in faces:
-        free = [j for j in range(n) if not g >> j & 1]
-        base = [-1 if g >> j & 1 else 0 for j in range(n)]
-        for combo in product(*(range(rho[j]) for j in free)):
-            a = list(base)
-            for j, e in zip(free, combo):
-                a[j] = e
-            yield g, tuple(a)
+        for a in product(*((-1,) if g >> j & 1 else range(rho[j]) for j in range(n))):
+            yield g, a
 
 
 def _scan_reports(

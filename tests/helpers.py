@@ -1,6 +1,7 @@
 """Shared test oracles: independent, brute-force implementations used to
 cross-check the package's optimized kernels.  Nothing here imports the code
-paths under test beyond plain data types."""
+paths under test beyond plain data types, and the special-triangle
+enumeration for the second-power oracle."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from srsq import Graph, MonomialIdeal, SimplicialComplex
+from srsq import Graph, MonomialIdeal, SimplicialComplex, Sym2Result
 from srsq.bits import pack, unpack
+from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
 
 
 def brute_minimal_transversals(sets: list[int], n: int) -> list[int]:
@@ -192,3 +194,18 @@ def maximal_independent_sets(g: Graph) -> list[tuple[int, ...]]:
     indep = [m for m in range(1 << g.n) if all((m & e) != e for e in es)]
     out = [m for m in indep if not any(o != m and m & ~o == 0 for o in indep)]
     return sorted(unpack(m) for m in out)
+
+
+def sym2_by_square_membership(ideal: MonomialIdeal) -> Sym2Result:
+    """The special-triangle test with I^2 built: each triangle's obstruction
+    monomial, in enumeration order, checked for membership in ideal.power(2)."""
+    square = None
+    checked = 0
+    for tri in _iter_special_triangles(ideal.supports()):
+        if square is None:
+            square = ideal.power(2)
+        checked += 1
+        mono = triangle_obstruction_monomial(ideal.n, tri)
+        if not square.contains(mono):
+            return Sym2Result(False, tri, mono, checked)
+    return Sym2Result(True, None, None, checked)

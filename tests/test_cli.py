@@ -159,8 +159,8 @@ def test_violation_exit_code(monkeypatch, capsys):
     # force a fake violation through the audit path to pin the exit code
     real_audit = cli.paper_audit
 
-    def fake_audit(delta, fields, budget, bound):
-        report = real_audit(delta, fields, budget, bound)
+    def fake_audit(delta, fields, budget):
+        report = real_audit(delta, fields, budget)
         report.violations = ("synthetic violation for exit-code test",)
         return report
 
@@ -170,6 +170,30 @@ def test_violation_exit_code(monkeypatch, capsys):
         ["check", "audit"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
     )
     assert code == EXIT_VIOLATION
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "audit", "--condition3-bound", "12"],
+    ["explore", "--count", "1", "--condition3-bound", "12"],
+    ["generate", "rp2", "--in", "-"],
+    ["reproduce-paper", "--only", "criterion-01", "--in", "-"],
+    ["explore", "--count", "1", "--in", "-"],
+])
+def test_removed_options_are_usage_errors(argv, monkeypatch, capsys):
+    _, doc, _ = run(["generate", "cycle", "--n", "5"], monkeypatch=monkeypatch, capsys=capsys)
+    monkeypatch.setattr("sys.stdin", io.StringIO(doc))
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("n, code", [(64, EXIT_OK), (65, EXIT_USAGE)])
+def test_ideal_documents_keep_to_the_vertex_limit(n, code, monkeypatch, capsys):
+    got, out, err = run(["ideal", "power"], stdin_text=json.dumps({"n": n, "gens": []}),
+                        monkeypatch=monkeypatch, capsys=capsys)
+    assert got == code
+    if code == EXIT_USAGE:
+        assert out == "" and "at most 64" in err
 
 
 def test_check_depth_targets(monkeypatch, capsys):
@@ -339,11 +363,46 @@ def test_explore_jobs_deterministic(monkeypatch, capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_explore_pool_is_capped_by_cores_and_complexes(monkeypatch, capsys, tmp_path):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class SerialContext:
+        Pool = SerialPool
+
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    monkeypatch.setattr("multiprocessing.get_context", lambda method=None: SerialContext())
+    outs = []
+    for jobs in ("64", "1"):
+        code, out, _ = run(
+            ["explore", "--seed", "7", "--count", "4", "--n-max", "5",
+             "--jobs", jobs, "--dump-dir", str(tmp_path)],
+            monkeypatch=monkeypatch,
+            capsys=capsys,
+        )
+        assert code == EXIT_OK
+        outs.append(out)
+    assert sizes == [3]
+    assert outs[0] == outs[1]
+
+
 def test_explore_dumps_counterexample_candidates(monkeypatch, capsys, tmp_path):
     real_audit = cli.paper_audit
 
-    def fake_audit(delta, fields, budget, bound):
-        report = real_audit(delta, fields, budget, bound)
+    def fake_audit(delta, fields, budget):
+        report = real_audit(delta, fields, budget)
         report.violations = ("synthetic violation",)
         return report
 

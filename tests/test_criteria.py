@@ -14,7 +14,6 @@ from srsq import (
     cycle_complex,
     depth2_criterion,
     edge_ideal,
-    explore_random,
     four_path,
     complete_graph,
     new_complex,
@@ -30,7 +29,7 @@ from srsq import (
     symbolic_power,
     symbolic_square_depth_report,
 )
-from srsq.criteria import _audit_violations
+from srsq.criteria import _audit_violations, explore_complexes
 from srsq.homology import GorensteinReport
 
 from helpers import brute_nonfaces
@@ -218,8 +217,8 @@ def test_field_comparisons_need_q_in_the_battery():
 
 
 def test_explore_deterministic_and_clean():
-    a = explore_random(5, 12, 5)
-    b = explore_random(5, 12, 5)
+    a = [paper_audit(d) for d in explore_complexes(5, 12, 5)]
+    b = [paper_audit(d) for d in explore_complexes(5, 12, 5)]
     assert len(a) == len(b) == 12
     for ra, rb in zip(a, b):
         assert ra.delta == rb.delta

@@ -30,6 +30,7 @@ from helpers import (
     graph_has_triangle,
     random_graph,
     random_squarefree_ideal,
+    sym2_by_square_membership,
     tuple_intersection,
     tuple_minimal,
     tuple_power,
@@ -371,6 +372,25 @@ def test_triangle_criterion_agrees_with_direct_equality():
         I = random_squarefree_ideal(rng, n)
         direct = I.power(2) == symbolic_power(complex_of_ideal(I), 2)
         assert symbolic2_equals_square(I).equal == direct
+
+
+def test_sym2_mask_rule_matches_square_membership():
+    from srsq.criteria import random_pure_complex
+    from srsq.reproduce import named_battery
+
+    rng = random.Random(43)
+    ideals = [stanley_reisner(delta) for _, delta in named_battery()]
+    for n in range(3, 8):
+        for _ in range(12):
+            ideals.append(stanley_reisner(random_pure_complex(rng, n)))
+            ideals.append(random_squarefree_ideal(rng, n))
+            g = random_graph(rng, n)
+            if g.edges:
+                ideals.append(edge_ideal(g))
+    results = [symbolic2_equals_square(I) for I in ideals]
+    assert results == [sym2_by_square_membership(I) for I in ideals]
+    assert {r.equal for r in results} == {True, False}
+    assert any(r.equal and r.triangles_checked for r in results)
 
 
 def test_edge_ideal_triangle_free_exhaustive_n5():
