@@ -46,6 +46,7 @@ from .takayama import (
     BudgetExceeded,
     DEFAULT_BUDGET,
     depth_reports,
+    square_depth_reports,
     symbolic_square_depth_reports,
 )
 from .reproduce import run_all
@@ -252,9 +253,10 @@ def cmd_check(args) -> int:
         of = args.of if op == "depth" else op[len("cm-"):]
         if of == "symbolic-square":
             reports = symbolic_square_depth_reports(delta, fields, budget)
+        elif of == "square":
+            reports = square_depth_reports(delta, fields, budget)
         else:
-            ideal = stanley_reisner(delta)
-            reports = depth_reports(ideal.power(2) if of == "square" else ideal, fields, budget)
+            reports = depth_reports(stanley_reisner(delta), fields, budget)
         _emit({f.name: jsonio.depth_report_to_dict(r) for f, r in reports.items()}, args.format)
     elif op == "audit":
         report = paper_audit(delta, fields, budget)

@@ -30,6 +30,16 @@ symbolic-square scan runs in this facet form over the same points in the
 same order as the generator form, through the same loop; the generator
 form applied to symbolic_power(Delta, 2) is kept as the test suite's oracle.
 
+The square I_Delta^2 is scanned in facet form as well whenever it equals
+I_Delta^(2), which the special-triangle criterion decides without building
+either power.  Then S/I^2 and S/I^(2) are one ring: the same minimal
+generators, rho, points and Delta_a, so the same report, depth, witness and
+scan_size included.  The two forms even have equal scan sizes on every
+complex (rho of I^2 is 2 exactly off the cone vertices), so a budget
+refusal names the same requirement on either route.  Only a square that
+differs from the symbolic square is built and scanned in generator form;
+the generator form of every square is the test suite's oracle.
+
 is_cm_square decides Cohen-Macaulayness of S/I_Delta^2 by the join rule:
 one battery scan per join factor of Delta, whose scan sizes add where a scan
 of the whole join would multiply them.  The direct scan of a join is kept as
@@ -45,7 +55,7 @@ from typing import Callable, Collection, Hashable, Sequence
 from .bits import generated_faces, unpack
 from .complexes import SimplicialComplex, void_complex
 from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces, reduced_homology
-from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner
+from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner, symbolic2_equals_square
 
 DEFAULT_BUDGET = 10**6
 
@@ -323,9 +333,20 @@ def _symbolic_depth_reports(
 # -- squares and symbolic squares ----------------------------------------------
 
 
+def _square_is_symbolic(delta: SimplicialComplex) -> bool:
+    """I_Delta^2 = I_Delta^(2), so the facet form scans the square (module
+    docstring); decided by the special-triangle criterion, no power built."""
+    return (delta.n >= 1 and not delta.is_void()
+            and symbolic2_equals_square(stanley_reisner(delta)).equal)
+
+
 def square_depth_reports(
     delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
 ) -> dict[FieldSpec, DepthReport]:
+    """Depth of S/I_Delta^2: in facet form when I^2 = I^(2), else by the
+    generators of I^2."""
+    if _square_is_symbolic(delta):
+        return _symbolic_depth_reports(delta, 2, fields, budget)
     return depth_reports(stanley_reisner(delta).power(2), fields, budget)
 
 
@@ -341,6 +362,8 @@ def square_depth_report(
     delta: SimplicialComplex, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
 ) -> DepthReport:
     """One field's report of square_depth_reports."""
+    if _square_is_symbolic(delta):
+        return symbolic_square_depth_report(delta, field, budget)
     return depth_via_takayama(stanley_reisner(delta).power(2), field, budget)
 
 
@@ -359,7 +382,9 @@ def is_cm_square(
     By the join rule the square of a join is Cohen-Macaulay iff the squares
     of all its join factors are, so each factor gets its own battery scan; a
     scan of the whole join would cover the product of the factors' points.
-    Stops as soon as every field is False.
+    Each factor is scanned by square_depth_reports, in facet form when its
+    square equals its symbolic square (module docstring).  Stops as soon as
+    every field is False.
     """
     verdicts = dict.fromkeys(fields, True)
     for factor in delta.join_factors():

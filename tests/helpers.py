@@ -1,7 +1,8 @@
 """Shared test oracles: independent, brute-force implementations used to
 cross-check the package's optimized kernels.  Nothing here imports the code
-paths under test beyond plain data types, and the special-triangle
-enumeration for the second-power oracle."""
+paths under test beyond plain data types, the special-triangle enumeration
+for the second-power oracle, and the generator-form depth scan that the
+facet-form square scan replaces."""
 
 from __future__ import annotations
 
@@ -9,7 +10,17 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
-from srsq import Graph, MonomialIdeal, SimplicialComplex, Sym2Result
+from srsq import (
+    DEFAULT_BUDGET,
+    DepthReport,
+    FieldSpec,
+    Graph,
+    MonomialIdeal,
+    SimplicialComplex,
+    Sym2Result,
+    depth_reports,
+    stanley_reisner,
+)
 from srsq.bits import pack, unpack
 from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
 
@@ -209,3 +220,11 @@ def sym2_by_square_membership(ideal: MonomialIdeal) -> Sym2Result:
         if not square.contains(mono):
             return Sym2Result(False, tri, mono, checked)
     return Sym2Result(True, None, None, checked)
+
+
+def generator_form_square_reports(
+    delta: SimplicialComplex, fields: tuple[FieldSpec, ...], budget: int = DEFAULT_BUDGET
+) -> dict[FieldSpec, DepthReport]:
+    """Depth of S/I_Delta^2 with I^2 built and Delta_a selected by its
+    generators, whether or not I^2 = I^(2)."""
+    return depth_reports(stanley_reisner(delta).power(2), fields, budget)

@@ -3,8 +3,11 @@ import json
 
 import pytest
 
-from srsq import cli
+from srsq import DEFAULT_FIELDS, cli, jsonio
 from srsq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from srsq.reproduce import named_battery
+
+from helpers import generator_form_square_reports
 
 
 def run(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -347,6 +350,24 @@ def test_explore_writes_summary(monkeypatch, capsys, tmp_path):
     assert doc["count"] == 4 and doc["violations"] == 0
     assert len(doc["reports"]) == 4
     assert not list(tmp_path.iterdir())  # no counterexample files when clean
+
+
+def test_explore_rejects_a_negative_count(monkeypatch, capsys):
+    code, out, err = run(["explore", "--count", "-1"], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE
+    assert out == "" and "count" in err
+
+
+@pytest.mark.parametrize("delta", [d for _, d in named_battery()],
+                         ids=[name for name, _ in named_battery()])
+def test_square_checks_print_the_generator_form_reports(delta, monkeypatch, capsys):
+    oracle = generator_form_square_reports(delta, DEFAULT_FIELDS)
+    expected = json.dumps({f.name: jsonio.depth_report_to_dict(r) for f, r in oracle.items()},
+                          sort_keys=True, separators=(",", ":")) + "\n"
+    doc = json.dumps(jsonio.complex_to_dict(delta))
+    for argv in (["check", "cm-square"], ["check", "depth", "--of", "square"]):
+        code, out, _ = run(argv, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out) == (EXIT_OK, expected)
 
 
 def test_explore_jobs_deterministic(monkeypatch, capsys, tmp_path):

@@ -31,8 +31,9 @@ from srsq import (
 )
 from srsq.criteria import _audit_violations, explore_complexes
 from srsq.homology import GorensteinReport
+from srsq.reproduce import named_battery
 
-from helpers import brute_nonfaces
+from helpers import brute_nonfaces, generator_form_square_reports
 
 
 def three_points():
@@ -232,3 +233,22 @@ def test_random_pure_complex_properties():
         d = random_pure_complex(rng, n)
         assert d.is_pure() and d.n == n and d.dim >= 1
         assert d.support == (1 << n) - 1
+
+
+def test_audit_square_reports_match_generator_form_oracle():
+    # with I^2 = I^(2) the audit copies its facet-form symbolic-square reports
+    # into cm_square, and its own CM(I^2) check becomes a tautology there
+    pool = [d for _, d in named_battery()] + explore_complexes(0, 30, 6)
+    equal = 0
+    for d in pool:
+        report = paper_audit(d)
+        assert report.cm_square == generator_form_square_reports(d, report.fields)
+        assert report.cm_square is not report.cm_symbolic_square
+        equal += report.sym2.equal
+    assert 0 < equal < len(pool)
+
+
+def test_explore_complexes_rejects_a_negative_count():
+    assert explore_complexes(0, 0, 6) == []
+    with pytest.raises(ValueError, match="count"):
+        explore_complexes(0, -1, 6)

@@ -1,4 +1,6 @@
+import functools
 import random
+from itertools import permutations
 
 import pytest
 
@@ -34,14 +36,19 @@ from srsq import (
     square_depth_report,
     square_depth_reports,
     stanley_reisner,
+    symbolic2_equals_square,
     symbolic_power,
     symbolic_square_depth_report,
     symbolic_square_depth_reports,
     void_complex,
 )
 from srsq import takayama
+from srsq.bits import pack, unpack
 from srsq.criteria import random_pure_complex
+from srsq.reproduce import iter_pure_complexes
 from srsq.takayama import _facet_selection, _symbolic_depth_reports, _symbolic_rho
+
+from helpers import generator_form_square_reports
 
 
 def triangle_ideal():
@@ -398,6 +405,79 @@ def test_battery_over_budget_raises_once_before_any_rank(form, monkeypatch):
     assert battery_err.value.required == single_err.value.required
     if form == "square":
         assert battery_err.value.required == 23104
+
+
+# -- the square in facet form when I^2 = I^(2), against the generator form -------------
+
+def one_per_relabeling(complexes):
+    """One complex per class of complexes that differ by a vertex relabeling."""
+    seen, out = set(), []
+    for d in complexes:
+        key = (d.n, min(tuple(sorted(pack([p[v - 1] for v in unpack(f)]) for f in d.facets))
+                        for p in permutations(range(1, d.n + 1))))
+        if key not in seen:
+            seen.add(key)
+            out.append(d)
+    return out
+
+
+@functools.cache
+def square_oracle_cases():
+    """Criterion 8's pool and the edge cases of the facet-form dispatch.
+
+    The pool is cut for time (its generator-form scans over three fields
+    alone take about a minute on a 2-vCPU host): the exhaustive n <= 5 part to one complex per
+    relabeling class (77 of 1817), and the 200 seeded n = 6, 7 complexes to
+    the 6 with I^2 = I^(2) and the first four, which scan the generator form
+    on both routes like the rest.
+    """
+    rng = random.Random(0)
+    randoms = [random_pure_complex(rng, 6 + i % 2) for i in range(200)]
+    pentagon = cycle_complex(5)
+    cases = one_per_relabeling(iter_pure_complexes())
+    cases += [d for d in randoms if symbolic2_equals_square(stanley_reisner(d)).equal]
+    cases += randoms[:4]
+    cases += [
+        simplex_complex(3),  # the zero ideal
+        SimplicialComplex(3, (0,)),  # only the empty face: the maximal ideal
+        SimplicialComplex(6, pentagon.facets),  # vertex 6 in no face
+        SimplicialComplex(6, tuple(f | 1 << 5 for f in pentagon.facets)),  # cone over C5
+        cross_polytope_stellar(2),
+        phantom_pentagon(2),
+        four_path(),
+    ]
+    rng = random.Random(97)
+    cases += [random_complex(rng, n) for n in range(3, 8) for _ in range(4)]
+    return tuple(cases)
+
+
+def test_square_reports_match_generator_form_oracle():
+    cases = square_oracle_cases()
+    equal = [symbolic2_equals_square(stanley_reisner(d)).equal for d in cases]
+    assert any(equal) and not all(equal)
+    assert any(not d.is_pure() for d in cases)
+    assert any(d.cone_vertices() for d in cases) and any(d.support != (1 << d.n) - 1 for d in cases)
+    for d in cases:
+        expected = generator_form_square_reports(d, BATTERY)
+        assert square_depth_reports(d, BATTERY) == expected
+        for f in BATTERY:
+            assert square_depth_report(d, f) == expected[f]
+
+
+def test_square_budget_refusal_matches_generator_form():
+    for d in square_oracle_cases():
+        with pytest.raises(BudgetExceeded) as sized:
+            generator_form_square_reports(d, BATTERY, 0)
+        budget = sized.value.required - 1
+        refusals = []
+        for scan in (generator_form_square_reports, square_depth_reports):
+            with pytest.raises(BudgetExceeded) as err:
+                scan(d, BATTERY, budget)
+            refusals.append(err.value.required)
+        with pytest.raises(BudgetExceeded) as err:
+            square_depth_report(d, QQ, budget)
+        refusals.append(err.value.required)
+        assert refusals == [budget + 1] * 3
 
 
 # -- square / symbolic square verdicts ----------------------------------------------------
