@@ -320,6 +320,8 @@ def _audit_doc(delta: SimplicialComplex, fields: tuple[FieldSpec, ...], budget: 
 
 
 def cmd_explore(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     audit = functools.partial(_audit_doc, fields=_fields(args), budget=_budget(args))
     complexes = explore_complexes(args.seed, args.count, args.n_max)
     # More workers than cores or complexes only adds processes to start.

@@ -263,9 +263,6 @@ class MonomialIdeal:
         layout = _Layout.fitting(self.n, self.gens)
         return layout.unpack(reduce(layout.lcm, map(layout.pack, self.gens), 0)).exps
 
-    def radical(self) -> "MonomialIdeal":
-        return MonomialIdeal(self.n, tuple(g.radical() for g in self.gens))
-
     def power(self, k: int) -> "MonomialIdeal":
         """k-fold products of generators, minimalised; k = 0 gives the unit ideal."""
         if k < 0:
@@ -311,9 +308,8 @@ def complex_of_ideal(ideal: MonomialIdeal) -> SimplicialComplex:
     generator supports (equivalently, of the minimal primes of sqrt(I))."""
     if ideal.is_unit():
         raise ValueError("the unit ideal has no associated complex")
-    rad = ideal.radical()
     full = (1 << ideal.n) - 1
-    covers = minimal_transversals(rad.supports())
+    covers = minimal_transversals(ideal.supports())
     return SimplicialComplex(ideal.n, tuple(full & ~c for c in covers))
 
 
@@ -434,7 +430,7 @@ def special_triangles(ideal: MonomialIdeal) -> tuple[SpecialTriangle, ...]:
     """
     if not ideal.is_squarefree():
         raise ValueError("special triangles are defined for squarefree ideals")
-    return tuple(sorted(set(_iter_special_triangles(ideal.supports())),
+    return tuple(sorted(_iter_special_triangles(ideal.supports()),
                         key=lambda t: (t.vertices, t.witnesses)))
 
 

@@ -333,21 +333,16 @@ def _symbolic_depth_reports(
 # -- squares and symbolic squares ----------------------------------------------
 
 
-def _square_is_symbolic(delta: SimplicialComplex) -> bool:
-    """I_Delta^2 = I_Delta^(2), so the facet form scans the square (module
-    docstring); decided by the special-triangle criterion, no power built."""
-    return (delta.n >= 1 and not delta.is_void()
-            and symbolic2_equals_square(stanley_reisner(delta)).equal)
-
-
 def square_depth_reports(
     delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
 ) -> dict[FieldSpec, DepthReport]:
-    """Depth of S/I_Delta^2: in facet form when I^2 = I^(2), else by the
-    generators of I^2."""
-    if _square_is_symbolic(delta):
+    """Depth of S/I_Delta^2: in facet form when I^2 = I^(2), which the
+    special-triangle criterion decides without building either power (module
+    docstring), else by the generators of I^2."""
+    ideal = stanley_reisner(delta)
+    if not delta.is_void() and symbolic2_equals_square(ideal).equal:
         return _symbolic_depth_reports(delta, 2, fields, budget)
-    return depth_reports(stanley_reisner(delta).power(2), fields, budget)
+    return depth_reports(ideal.power(2), fields, budget)
 
 
 def symbolic_square_depth_reports(
@@ -362,9 +357,7 @@ def square_depth_report(
     delta: SimplicialComplex, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
 ) -> DepthReport:
     """One field's report of square_depth_reports."""
-    if _square_is_symbolic(delta):
-        return symbolic_square_depth_report(delta, field, budget)
-    return depth_via_takayama(stanley_reisner(delta).power(2), field, budget)
+    return square_depth_reports(delta, (field,), budget)[field]
 
 
 def symbolic_square_depth_report(

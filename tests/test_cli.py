@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -358,6 +362,19 @@ def test_explore_rejects_a_negative_count(monkeypatch, capsys):
     assert out == "" and "count" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n-max", "1"], "n_max must be >= 3, got 1"),
+    (["--n-max", "2"], "n_max must be >= 3, got 2"),
+    (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["--jobs", "-3"], "--jobs must be >= 1, got -3"),
+], ids=["n-max-1", "n-max-2", "jobs-0", "jobs-negative"])
+def test_explore_rejects_settings_instead_of_rewriting_them(argv, message, monkeypatch,
+                                                            capsys, tmp_path):
+    code, out, err = run(["explore", "--count", "2", "--dump-dir", str(tmp_path), *argv],
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("delta", [d for _, d in named_battery()],
                          ids=[name for name, _ in named_battery()])
 def test_square_checks_print_the_generator_form_reports(delta, monkeypatch, capsys):
@@ -596,3 +613,32 @@ def test_irrelevant_complex_round_trip(monkeypatch, capsys):
     )
     # the irrelevant complex has no variables; symbolic powers are undefined
     assert code == EXIT_USAGE
+
+
+# -- the module entry point, in a child process ------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(argv, stdin_text):
+    """``python -m srsq`` with the source tree first on the import path."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "srsq", *argv], input=stdin_text,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+def test_module_entry_point_audits_like_main(monkeypatch, capsys):
+    _, doc, _ = run(["generate", "rp2"], monkeypatch=monkeypatch, capsys=capsys)
+    code, out, _ = run(["check", "audit"], stdin_text=doc, monkeypatch=monkeypatch,
+                       capsys=capsys)
+    assert code == EXIT_OK
+    child = run_module(["check", "audit"], doc)
+    assert (child.returncode, child.stdout, child.stderr) == (EXIT_OK, out, "")
+
+
+def test_module_entry_point_rejects_a_malformed_document():
+    child = run_module(["check", "audit"], '{"n": 3, "facets": [[1, 2]')
+    assert child.returncode == EXIT_USAGE and child.stdout == ""
+    assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
+    assert "Traceback" not in child.stderr

@@ -8,9 +8,11 @@ from srsq import (
     AuditReport,
     DepthReport,
     FieldSpec,
+    MonomialIdeal,
     Sym2Result,
     complex_of_ideal,
     condition3_check,
+    cross_polytope,
     cycle_complex,
     depth2_criterion,
     edge_ideal,
@@ -248,7 +250,36 @@ def test_audit_square_reports_match_generator_form_oracle():
     assert 0 < equal < len(pool)
 
 
+@pytest.mark.parametrize("delta, started, powers", [
+    (cycle_complex(5), 1, 0),
+    (cross_polytope(2), 1, 0),
+    (rp2(), 3, 1),
+], ids=["pentagon", "square", "rp2"])
+def test_audit_scans_the_symbolic_square_once_and_builds_the_square_once(
+        delta, started, powers, scans, monkeypatch):
+    # one facet-form scan serves the battery; an unequal square is built once
+    # and scanned per field
+    power = MonomialIdeal.power
+    built = []
+
+    def counted(self, k):
+        built.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(MonomialIdeal, "power", counted)
+    report = paper_audit(delta, (QQ, GF2))
+    assert (len(scans), len(built)) == (started, powers)
+    assert report.sym2.equal == (powers == 0)
+
+
 def test_explore_complexes_rejects_a_negative_count():
     assert explore_complexes(0, 0, 6) == []
     with pytest.raises(ValueError, match="count"):
         explore_complexes(0, -1, 6)
+
+
+@pytest.mark.parametrize("n_max", [-1, 0, 1, 2])
+def test_explore_complexes_rejects_fewer_than_three_vertices(n_max):
+    with pytest.raises(ValueError, match="n_max must be >= 3"):
+        explore_complexes(0, 2, n_max)
+    assert [d.n for d in explore_complexes(0, 5, 3)] == [3] * 5

@@ -16,6 +16,7 @@ from srsq import (
     edge_ideal,
     four_path,
     in_symbolic_power,
+    random_pure_complex,
     rp2,
     simplex_complex,
     special_triangles,
@@ -24,6 +25,7 @@ from srsq import (
     symbolic_power,
 )
 from srsq.bits import pack, unpack
+from srsq.ideals import _iter_special_triangles
 from helpers import (
     brute_minimal_nonfaces,
     brute_minimal_transversals,
@@ -211,6 +213,21 @@ def test_complex_of_ideal_round_trip():
 def test_complex_of_ideal_takes_radical():
     I2 = triangle_ideal().power(2)
     assert complex_of_ideal(I2) == complex_of_ideal(triangle_ideal())
+    # F is a face of Delta(I) iff no generator support lies inside F, checked
+    # over every subset on random non-squarefree ideals
+    rng = random.Random(41)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(1, 6)
+        rows = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+                for _ in range(rng.randint(1, 5))]
+        ideal = MonomialIdeal.from_exponents(n, rows)
+        if ideal.is_unit() or ideal.is_squarefree():
+            continue
+        checked += 1
+        supports = [pack(i + 1 for i, e in enumerate(row) if e) for row in rows]
+        faces = {m for m in range(1 << n) if all(s & ~m for s in supports)}
+        assert complex_of_ideal(ideal).face_masks == faces
 
 
 # -- powers and intersections ----------------------------------------------------------
@@ -349,6 +366,18 @@ def test_special_triangle_pattern_with_tails():
     assert any(t.vertices == (1, 2, 3) for t in tris)
     hg = associated_hypergraph(I)
     assert sorted(hg.edge_tuples()) == [(1, 2, 4), (1, 3, 6), (2, 3, 5)]
+
+
+def test_special_triangles_are_distinct_by_construction():
+    rng = random.Random(53)
+    ideals = [random_squarefree_ideal(rng, rng.randint(3, 7)) for _ in range(300)]
+    ideals += [stanley_reisner(random_pure_complex(rng, rng.randint(3, 7))) for _ in range(100)]
+    enumerated = 0
+    for ideal in ideals:
+        tris = list(_iter_special_triangles(ideal.supports()))
+        assert len(set(tris)) == len(tris)
+        enumerated += len(tris)
+    assert enumerated > len(ideals)  # the check is not vacuous
 
 
 def test_rp2_special_triangles_nonempty():
