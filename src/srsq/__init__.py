@@ -72,14 +72,10 @@ from .ideals import (
 from .takayama import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    DegreeVector,
     DepthReport,
-    delta_a,
-    delta_a_symbolic,
     depth_reports,
     depth_via_takayama,
     is_cm_square,
-    local_cohomology_dim,
     square_depth_report,
     square_depth_reports,
     symbolic_square_depth_report,

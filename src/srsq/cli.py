@@ -124,9 +124,13 @@ def _parse_face(text: str) -> tuple[int, ...]:
 
 def _budget(args) -> int:
     if args.budget is not None:
-        return args.budget
-    env = os.environ.get("SRSQ_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+        budget = args.budget
+    else:
+        env = os.environ.get("SRSQ_BUDGET")
+        budget = int(env) if env else DEFAULT_BUDGET
+    if budget < 0:
+        raise ValueError(f"the budget must be >= 0, got {budget}")
+    return budget
 
 
 def _fields(args) -> tuple[FieldSpec, ...]:

@@ -53,9 +53,12 @@ class Depth2Result:
 
 
 def depth2_criterion(delta: SimplicialComplex) -> Depth2Result:
+    """The diameter is taken over the vertices that occur in a face, on the
+    link of the empty face as in s2_criterion: an unused vertex v is no
+    vertex of Delta (x_v lies in I_Delta), so it is not an isolated one."""
     if delta.dim < 1:
         raise ValueError("the diameter criterion needs dim >= 1")
-    diameter = delta.one_skeleton().diameter()
+    diameter = delta.link(()).one_skeleton().diameter()
     return Depth2Result(diameter <= 2, diameter)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .bits import bits, generated_faces, unpack
+from .bits import bits, generated_faces, pack, unpack
 from .complexes import SimplicialComplex
 
 
@@ -327,9 +327,12 @@ class GorensteinReport:
 
 
 def is_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> GorensteinReport:
+    """Stanley's criterion on the core, kept in the input's labels so that
+    the witness face names the input's vertices."""
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
-    core = delta.core()
+    cone = pack(delta.cone_vertices())
+    core = SimplicialComplex(delta.n, tuple(f & ~cone for f in delta.facets))
     chi = core.euler_characteristic_reduced()
     expected = 1 if core.dim % 2 == 0 else -1
     bad = _first_bad_link(core, field, sphere=True)
@@ -348,6 +351,8 @@ class LocallyGorensteinReport:
 
 def is_locally_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> LocallyGorensteinReport:
     """Every vertex link is Gorenstein over the field."""
+    if delta.is_void():
+        raise ValueError("Gorensteinness of the void complex is undefined")
     for v in unpack(delta.support):
         if not is_gorenstein(delta.link([v]), field):
             return LocallyGorensteinReport(False, field, v)

@@ -51,7 +51,6 @@ from .takayama import (
     depth_reports,
     is_cm_square,
     square_depth_reports,
-    symbolic_square_depth_report,
     symbolic_square_depth_reports,
 )
 
@@ -328,7 +327,7 @@ def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool
     if delta.dim >= 1:
         # depth >= 2 of the symbolic square only involves connectivity data,
         # which is characteristic-free, so one field decides it.
-        deep = symbolic_square_depth_report(delta, GF2, budget).depth >= 2
+        deep = symbolic_square_depth_reports(delta, (GF2,), budget)[GF2].depth >= 2
         out["diameter_vs_depth"] = depth2_criterion(delta).holds == deep
     return out
 

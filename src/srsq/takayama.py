@@ -52,9 +52,9 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Collection, Hashable, Sequence
 
-from .bits import generated_faces, unpack
-from .complexes import SimplicialComplex, void_complex
-from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces, reduced_homology
+from .bits import generated_faces
+from .complexes import SimplicialComplex
+from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces
 from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner, symbolic2_equals_square
 
 DEFAULT_BUDGET = 10**6
@@ -69,24 +69,6 @@ class BudgetExceeded(Exception):
         super().__init__(
             f"scan needs {required} homology evaluations, budget is {budget}"
         )
-
-
-@dataclass(frozen=True)
-class DegreeVector:
-    """a in Z^n with its derived negative support G_a."""
-
-    a: tuple[int, ...]
-
-    @property
-    def neg_support_mask(self) -> int:
-        m = 0
-        for i, e in enumerate(self.a):
-            if e < 0:
-                m |= 1 << i
-        return m
-
-    def neg_support(self) -> tuple[int, ...]:
-        return unpack(self.neg_support_mask)
 
 
 @dataclass(frozen=True)
@@ -163,60 +145,6 @@ def _facet_selection(
         if outside < ell:
             selected.append(f & ~g_mask)
     return tuple(selected)
-
-
-def delta_a(ideal: MonomialIdeal, a: Sequence[int]) -> SimplicialComplex:
-    """The subcomplex Delta_a(I) of Delta(I), by its facets (ambient labels).
-
-    Follows the displayed definition directly; use delta_a_symbolic for the
-    facet-sum shortcut available when I is a symbolic power and a >= 0.
-    """
-    if len(a) != ideal.n:
-        raise ValueError("degree vector length must match the variable count")
-    delta = complex_of_ideal(ideal)
-    g_mask = DegreeVector(tuple(a)).neg_support_mask
-    gens = tuple(g.exps for g in ideal.gens)
-    faces = _delta_a_faces(delta.sorted_faces(), gens, g_mask, tuple(a))
-    if faces is None:
-        return void_complex(ideal.n)
-    return SimplicialComplex(ideal.n, tuple(faces))
-
-
-def delta_a_symbolic(delta: SimplicialComplex, a: Sequence[int], ell: int) -> SimplicialComplex:
-    """Delta_a(I_Delta^(ell)) for a in N^n: the complex generated by the
-    facets F of Delta with sum of a_i outside F at most ell - 1."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    if any(e < 0 for e in a):
-        raise ValueError("delta_a_symbolic needs a nonnegative degree (use delta_a)")
-    if len(a) != delta.n:
-        raise ValueError("degree vector length must match the vertex count")
-    return SimplicialComplex(delta.n, _facet_selection(delta.facets, 0, a, ell))
-
-
-# -- graded pieces -------------------------------------------------------------
-
-
-def local_cohomology_dim(
-    ideal: MonomialIdeal, i: int, a: Sequence[int], field: FieldSpec = QQ
-) -> int:
-    """dim_K H_m^i(S/I)_a per the formula in the module docstring."""
-    if ideal.is_unit():
-        raise ValueError("local cohomology of the zero ring is rejected")
-    if len(a) != ideal.n:
-        raise ValueError("degree vector length must match the variable count")
-    delta = complex_of_ideal(ideal)
-    dim_ring = delta.dim + 1
-    if not 0 <= i <= dim_ring:
-        raise ValueError(f"cohomological degree {i} out of range 0..{dim_ring}")
-    dv = DegreeVector(tuple(a))
-    g_mask = dv.neg_support_mask
-    if not delta.contains_mask(g_mask):
-        return 0
-    rho = ideal.rho()
-    if any(e > rho[j] - 1 for j, e in enumerate(a)):
-        return 0
-    return reduced_homology(delta_a(ideal, a), field).betti_number(i - g_mask.bit_count() - 1)
 
 
 # -- the depth scan ------------------------------------------------------------

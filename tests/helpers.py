@@ -1,17 +1,21 @@
 """Shared test oracles: independent, brute-force implementations used to
 cross-check the package's optimized kernels.  Nothing here imports the code
 paths under test beyond plain data types, the special-triangle enumeration
-for the second-power oracle, and the generator-form depth scan that the
-facet-form square scan replaces."""
+for the second-power oracle, reduced homology for the graded pieces, and the
+generator-form depth scan that the facet-form square scan replaces.  The
+Delta_a oracles follow the formulas in the docstring of ``srsq.takayama`` and
+call nothing in that module."""
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
 from srsq import (
     DEFAULT_BUDGET,
+    QQ,
     DepthReport,
     FieldSpec,
     Graph,
@@ -19,6 +23,7 @@ from srsq import (
     SimplicialComplex,
     Sym2Result,
     depth_reports,
+    reduced_homology,
     stanley_reisner,
 )
 from srsq.bits import pack, unpack
@@ -228,3 +233,83 @@ def generator_form_square_reports(
     """Depth of S/I_Delta^2 with I^2 built and Delta_a selected by its
     generators, whether or not I^2 = I^(2)."""
     return depth_reports(stanley_reisner(delta).power(2), fields, budget)
+
+
+# -- Delta_a and graded pieces by the displayed formulas ----------------------
+
+
+@dataclass(frozen=True)
+class DegreeVector:
+    """a in Z^n with its negative support G_a."""
+
+    a: tuple[int, ...]
+
+    def neg_support(self) -> tuple[int, ...]:
+        return tuple(j for j, e in enumerate(self.a, 1) if e < 0)
+
+
+def ideal_faces(ideal: MonomialIdeal) -> list[frozenset[int]]:
+    """Faces of Delta(I): the subsets of [n] containing no generator's support."""
+    supports = [{j for j, e in enumerate(g.exps, 1) if e} for g in ideal.gens]
+    vertices = range(1, ideal.n + 1)
+    return [
+        frozenset(c)
+        for k in range(ideal.n + 1)
+        for c in combinations(vertices, k)
+        if not any(s <= set(c) for s in supports)
+    ]
+
+
+def ideal_rho(ideal: MonomialIdeal) -> tuple[int, ...]:
+    """Per-variable maximum exponent over the minimal generators."""
+    return tuple(max((g.exps[j] for g in ideal.gens), default=0) for j in range(ideal.n))
+
+
+def delta_a(ideal: MonomialIdeal, a) -> SimplicialComplex:
+    """Delta_a(I): the faces F of Delta(I) disjoint from G_a such that every
+    minimal generator x^b has some b_i > a_i with i outside F and G_a.  No
+    face at all is the void complex."""
+    if len(a) != ideal.n:
+        raise ValueError("degree vector length must match the variable count")
+    neg = set(DegreeVector(tuple(a)).neg_support())
+    faces = [
+        f for f in ideal_faces(ideal)
+        if not f & neg
+        and all(any(g.exps[i - 1] > a[i - 1] for i in range(1, ideal.n + 1) if i not in f | neg)
+                for g in ideal.gens)
+    ]
+    return SimplicialComplex(ideal.n, tuple(pack(f) for f in faces))
+
+
+def delta_a_symbolic(delta: SimplicialComplex, a, ell: int) -> SimplicialComplex:
+    """Delta_a(I_Delta^(ell)) for a in N^n: generated by the facets F of Delta
+    with sum_{i not in F} a_i <= ell - 1."""
+    if ell < 1:
+        raise ValueError("ell must be >= 1")
+    if any(e < 0 for e in a):
+        raise ValueError("delta_a_symbolic needs a nonnegative degree (use delta_a)")
+    if len(a) != delta.n:
+        raise ValueError("degree vector length must match the vertex count")
+    return SimplicialComplex(delta.n, tuple(
+        f for f in delta.facets
+        if sum(e for i, e in enumerate(a, 1) if i not in unpack(f)) <= ell - 1
+    ))
+
+
+def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field: FieldSpec = QQ) -> int:
+    """dim_K H_m^i(S/I)_a: ~H_{i - |G_a| - 1}(Delta_a(I); K) when G_a is a
+    face of Delta(I) and a_j <= rho_j - 1 for all j, and 0 otherwise."""
+    if ideal.is_unit():
+        raise ValueError("local cohomology of the zero ring is rejected")
+    if len(a) != ideal.n:
+        raise ValueError("degree vector length must match the variable count")
+    faces = ideal_faces(ideal)
+    dim_ring = max(len(f) for f in faces)
+    if not 0 <= i <= dim_ring:
+        raise ValueError(f"cohomological degree {i} out of range 0..{dim_ring}")
+    g = DegreeVector(tuple(a)).neg_support()
+    if frozenset(g) not in faces:
+        return 0
+    if any(e > r - 1 for e, r in zip(a, ideal_rho(ideal))):
+        return 0
+    return reduced_homology(delta_a(ideal, a), field).betti_number(i - len(g) - 1)

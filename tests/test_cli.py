@@ -146,6 +146,35 @@ def test_env_budget_override(monkeypatch, capsys):
     assert code == EXIT_BUDGET
 
 
+@pytest.mark.parametrize("budget,code", [("-1", EXIT_USAGE), ("0", EXIT_BUDGET)])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_negative_budget_is_a_usage_error(budget, code, source, monkeypatch, capsys):
+    _, doc, _ = run(["generate", "rp2"], monkeypatch=monkeypatch, capsys=capsys)
+    argv = ["check", "audit"]
+    if source == "flag":
+        argv += ["--budget", budget]
+    else:
+        monkeypatch.setenv("SRSQ_BUDGET", budget)
+    got, _, err = run(argv, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert got == code and "budget" in err
+
+
+@pytest.mark.parametrize("doc", [
+    '{"n":3,"facets":[[1,2]]}',
+    '{"n":4,"facets":[[1,2],[2,3],[1,3]]}',
+], ids=["edge", "triangle-boundary"])
+def test_audit_with_an_unused_vertex_is_clean(doc, monkeypatch, capsys):
+    code, out, _ = run(["check", "audit"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_OK and json.loads(out)["violations"] == []
+
+
+@pytest.mark.parametrize("op", ["cm", "gorenstein", "locally-gorenstein"])
+def test_link_checks_reject_the_void_complex(op, monkeypatch, capsys):
+    code, _, err = run(["check", op], stdin_text='{"n":3,"facets":[]}',
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE and "void complex is undefined" in err
+
+
 def test_usage_errors(monkeypatch, capsys):
     with pytest.raises(SystemExit) as err:
         main(["check", "not-a-check"])

@@ -9,6 +9,7 @@ from srsq import (
     DepthReport,
     FieldSpec,
     MonomialIdeal,
+    SimplicialComplex,
     Sym2Result,
     complex_of_ideal,
     condition3_check,
@@ -30,6 +31,7 @@ from srsq import (
     symbolic2_equals_square,
     symbolic_power,
     symbolic_square_depth_report,
+    symbolic_square_depth_reports,
 )
 from srsq.criteria import _audit_violations, explore_complexes
 from srsq.homology import GorensteinReport
@@ -133,6 +135,29 @@ def test_depth2_equivalence_random():
         d = random_pure_complex(rng, n)
         deep = symbolic_square_depth_report(d, GF2).depth >= 2
         assert depth2_criterion(d).holds == deep
+
+
+def with_unused_vertex(d):
+    """d on one more vertex, which lies in no face."""
+    return SimplicialComplex(d.n + 1, d.facets)
+
+
+def test_depth2_criterion_ignores_unused_vertices():
+    # the scan is the oracle; an unused vertex is no isolated vertex
+    rng = random.Random(79)
+    pool = [new_complex(2, [(1, 2)]), cycle_complex(3)]
+    pool += [random_pure_complex(rng, rng.randint(3, 6)) for _ in range(40)]
+    verdicts = set()
+    for d in pool:
+        padded = with_unused_vertex(d)
+        deep = symbolic_square_depth_reports(padded, (GF2,))[GF2].depth >= 2
+        result = depth2_criterion(padded)
+        assert result.holds == deep
+        assert result == depth2_criterion(d)
+        verdicts.add(deep)
+    assert verdicts == {True, False}
+    for d in pool[:2]:
+        assert paper_audit(with_unused_vertex(d)).violations == ()
 
 
 # -- audits -----------------------------------------------------------------------------

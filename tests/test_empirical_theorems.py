@@ -18,7 +18,6 @@ from srsq import (
     four_path,
     is_cm_square,
     is_gorenstein,
-    local_cohomology_dim,
     reduced_homology,
     rp2,
     square_depth_report,
@@ -34,6 +33,8 @@ from srsq.complexes import (
     path_complex,
     phantom_pentagon,
 )
+
+from helpers import local_cohomology_dim
 
 
 # -- stellar subdivisions of complete intersection complexes ---------------------

@@ -305,7 +305,11 @@ def test_link_criteria_witnesses_match_the_reindexed_link_route(pure):
             assert (cm.is_cm, cm.witness_face, cm.witness_degree) == (
                 bad is None, *(bad or (None, None)))
             gor = is_gorenstein(delta, field)
-            bad = first_failing_link(delta.core(), field, sphere=True)
+            core, vmap = delta.core_with_map()
+            bad = first_failing_link(core, field, sphere=True)
+            if bad is not None:  # back to the input's labels
+                label = {new: old for old, new in vmap.items()}
+                bad = (tuple(label[v] for v in bad[0]), bad[1])
             assert (gor.is_gorenstein, gor.witness_face, gor.witness_degree) == (
                 bad is None, *(bad or (None, None)))
 
@@ -339,6 +343,37 @@ def test_gorenstein_implies_core_cm():
         for field in (QQ, GF2):
             if is_gorenstein(d, field):
                 assert is_cohen_macaulay(d.core(), field)
+
+
+def test_gorenstein_witness_names_the_input_vertices_on_cones():
+    # the apex 1 leaves the core, which shifts every label of the core down
+    # by one; the witness face must keep the cone's labels
+    rng = random.Random(31)
+    bases = [four_path(), rp2(), path_complex(6), phantom_pentagon(2)]
+    bases += [random_pure_complex(rng, rng.randint(3, 6)) for _ in range(20)]
+    failing = 0
+    for base in bases:
+        if base.cone_vertices():
+            continue
+        cone = simplex_complex(1).join(base)
+        for field in (QQ, GF2):
+            expected = is_gorenstein(base, field)
+            report = is_gorenstein(cone, field)
+            assert report.is_gorenstein == expected.is_gorenstein
+            if expected.witness_face is not None:
+                failing += 1
+                assert report.witness_face == tuple(v + 1 for v in expected.witness_face)
+                assert report.witness_degree == expected.witness_degree
+    assert failing >= 10
+    # the complex of a cone with apex 1 whose link of 5 fails
+    d = new_complex(6, [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 2), (1, 5, 6)])
+    assert is_gorenstein(d, QQ).witness_face == (5,)
+
+
+def test_locally_gorenstein_rejects_the_void_complex():
+    for field in (QQ, GF2):
+        with pytest.raises(ValueError, match="void complex is undefined"):
+            is_locally_gorenstein(SimplicialComplex(3, ()), field)
 
 
 def test_locally_gorenstein():

@@ -9,7 +9,6 @@ from srsq import (
     QQ,
     BudgetExceeded,
     DEFAULT_BUDGET,
-    DegreeVector,
     FieldSpec,
     MonomialIdeal,
     SimplicialComplex,
@@ -18,8 +17,6 @@ from srsq import (
     cross_polytope,
     cross_polytope_stellar,
     cycle_complex,
-    delta_a,
-    delta_a_symbolic,
     depth_reports,
     depth_via_takayama,
     disjoint_pentagons,
@@ -27,7 +24,6 @@ from srsq import (
     irrelevant_complex,
     is_cm_square,
     is_cohen_macaulay,
-    local_cohomology_dim,
     path_complex,
     phantom_pentagon,
     reduced_homology,
@@ -46,9 +42,15 @@ from srsq import takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import random_pure_complex
 from srsq.reproduce import iter_pure_complexes
-from srsq.takayama import _facet_selection, _symbolic_depth_reports, _symbolic_rho
+from srsq.takayama import _delta_a_faces, _facet_selection, _symbolic_depth_reports, _symbolic_rho
 
-from helpers import generator_form_square_reports
+from helpers import (
+    DegreeVector,
+    delta_a,
+    delta_a_symbolic,
+    generator_form_square_reports,
+    local_cohomology_dim,
+)
 
 
 def triangle_ideal():
@@ -155,6 +157,37 @@ def test_symbolic_capping_soundness():
         a = tuple(rng.randint(0, ell + 2) for _ in range(n))
         capped = tuple(min(e, ell) for e in a)
         assert delta_a_symbolic(d, a, ell) == delta_a_symbolic(d, capped, ell)
+
+
+def random_point(rng, n, top):
+    """A degree with entries in -2..top; about a third of them negative."""
+    return tuple(rng.randint(-2, -1) if rng.random() < 1 / 3 else rng.randint(0, top)
+                 for _ in range(n))
+
+
+def test_selection_kernels_match_the_definition_on_random_points():
+    # both scan kernels against the brute-force definition in helpers, at
+    # points of every sign pattern, G_a a face of Delta or not
+    rng = random.Random(71)
+    mixed = void = 0
+    for _ in range(120):
+        n = rng.randint(2, 6)
+        d = random_complex(rng, n)
+        ell = rng.randint(1, 3)
+        ideal = rng.choice([stanley_reisner(d), stanley_reisner(d).power(2),
+                            symbolic_power(d, ell)])
+        a = random_point(rng, n, max(ideal.rho()) + 1)
+        g_mask = pack(j for j, e in enumerate(a, 1) if e < 0)
+        expected = delta_a(ideal, a)
+        faces = _delta_a_faces(complex_of_ideal(ideal).sorted_faces(),
+                               [m.exps for m in ideal.gens], g_mask, a)
+        assert SimplicialComplex(n, tuple(faces or ())) == expected
+        assert (faces is None) == expected.is_void()
+        selected = _facet_selection(d.facets, g_mask, a, ell)
+        assert SimplicialComplex(n, selected) == delta_a(symbolic_power(d, ell), a)
+        mixed += bool(g_mask) and any(e > 0 for e in a)
+        void += expected.is_void()
+    assert mixed >= 20 and 0 < void < 120
 
 
 # -- graded pieces -------------------------------------------------------------------
