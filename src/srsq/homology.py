@@ -1,10 +1,18 @@
 """Exact reduced simplicial homology over Q and F_p, with the
 Reisner (Cohen-Macaulay) and Stanley (Gorenstein) criteria.
 
-Ranks are computed exactly: fraction-free Bareiss elimination over arbitrary
-precision integers for Q, bitmask elimination for F_2, and plain modular
-elimination for other primes.  Exactness is non-negotiable here; a single
-wrong rank flips a Cohen-Macaulay verdict.
+Ranks are computed exactly: bitmask elimination for F_2, plain modular
+elimination for other primes, and fraction-free Bareiss elimination over
+arbitrary precision integers for Q.  Exactness is non-negotiable here; a
+single wrong rank flips a Cohen-Macaulay verdict.
+
+Most Q ranks are read off F_2 instead.  For an integer matrix M,
+rank_Q M >= rank_F2 M, since a minor that is odd is nonzero; and over any
+field rank d_t + rank d_{t+1} <= |C_t|, since d d = 0, with equality exactly
+when ~H_t vanishes.  So where F_2 homology vanishes in degree t, the Q ranks
+of both maps next to t equal their F_2 ranks, and profile_from_faces runs
+Bareiss only on a map between two consecutive degrees that both carry F_2
+homology (2-torsion, as in rp2's d_2).
 
 Conventions for the reduced chain complex of a complex Delta:
   * C_{-1} is spanned by the empty face, and the boundary of a vertex is the
@@ -243,17 +251,37 @@ def profile_from_faces(
     is empty (void complex).  This is the scan-friendly entry point: callers
     that already hold a filtered face list skip complex construction.
     Each boundary matrix is built once; only its rank depends on the field.
+
+    When Q or F2 is in the battery, every map is ranked over F2 first.  A Q
+    rank is copied from F2 unless F2 homology is nonzero in both degrees the
+    map joins: ``rank_Q >= rank_F2`` (an odd minor is nonzero) and
+    ``rank d_t + rank d_{t+1} <= |C_t|`` (``d d = 0``), so a zero F2 Betti
+    number in degree t pins both Q ranks next to t.  Bareiss runs only on
+    the remaining maps, which is where torsion lives.
     """
     groups = _faces_by_dim(faces)
-    ranks = [[0] * (len(groups) + 1) for _ in fields]  # entry i + 1 is rank d_i
-    for i in range(len(groups) - 1):  # d_i for i = 0 .. top-1 (dimension index)
-        boundary = _boundary_from_groups(groups, i)
-        for field_ranks, field in zip(ranks, fields):
-            field_ranks[i + 1] = matrix_rank(boundary, field)
-    return tuple(
-        HomologyProfile(field, tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups)))
-        for field, r in zip(fields, ranks)
-    )
+    boundaries = [_boundary_from_groups(groups, i) for i in range(len(groups) - 1)]
+
+    def ranks(field: FieldSpec) -> list[int]:  # entry t is rank d_{t-1}
+        return [0, *(matrix_rank(b, field) for b in boundaries), 0]
+
+    def betti(r: list[int]) -> tuple[int, ...]:
+        return tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups))
+
+    f2 = ranks(GF2) if QQ in fields or GF2 in fields else []
+
+    def field_ranks(field: FieldSpec) -> list[int]:
+        if field == GF2:
+            return f2
+        if field != QQ:
+            return ranks(field)
+        f2_betti = betti(f2)
+        return [0, *(
+            matrix_rank(b, QQ) if f2_betti[t - 1] and f2_betti[t] else f2[t]
+            for t, b in enumerate(boundaries, 1)
+        ), 0]
+
+    return tuple(HomologyProfile(field, betti(field_ranks(field))) for field in fields)
 
 
 def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile:

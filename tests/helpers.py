@@ -145,29 +145,27 @@ def stellar_by_definition(delta: SimplicialComplex, face: tuple[int, ...]) -> Si
 
 
 def fraction_rank(rows) -> int:
-    """Plain Gaussian elimination over Fraction, the rank oracle."""
-    m = [[Fraction(e) for e in row] for row in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [e * inv for e in m[row]]
-        for r in range(nrows):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Plain Gaussian elimination over Fraction, the rank oracle.  Rows are
+    kept sparse as {column: entry} and reduced against earlier pivot rows,
+    so boundary matrices of a few hundred faces stay cheap."""
+    pivots = {}  # leading column -> pivot row with leading entry 1
+    for row in rows:
+        r = {c: Fraction(e) for c, e in enumerate(row) if e}
+        while r:
+            lead = min(r)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inv = 1 / r[lead]
+                pivots[lead] = {c: e * inv for c, e in r.items()}
+                break
+            f = r[lead]
+            for c, e in pivot.items():
+                v = r.get(c, 0) - f * e
+                if v:
+                    r[c] = v
+                else:
+                    r.pop(c, None)
+    return len(pivots)
 
 
 def modp_rank_naive(rows, p: int) -> int:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srsq import (
     GF2,
@@ -222,6 +223,73 @@ def test_boundary_matrices_are_built_once_whatever_the_battery(monkeypatch):
         assert built == [0, 1, 2]
 
 
+def torsion_complexes():
+    """rp2 and joins of it whose F2 homology sits in two consecutive degrees,
+    so that some Q rank between them still needs Bareiss."""
+    d = rp2()
+    return [d, d.join(new_complex(2, [(1,), (2,)])), d.join(d), d.join(cycle_complex(5))]
+
+
+def q_betti_oracle(faces):
+    """dim ~H_i over Q for i = -1 .. dim from fraction_rank of each
+    boundary_matrix, as a tuple indexed like HomologyProfile.betti."""
+    if not faces:
+        return ()
+    delta = SimplicialComplex(max(faces).bit_length(), tuple(faces))
+    ranks = [fraction_rank(boundary_matrix(delta, i)) for i in range(-1, delta.dim + 1)] + [0]
+    sizes = [sum(1 for f in faces if f.bit_count() == i + 1) for i in range(-1, delta.dim + 1)]
+    return tuple(size - ranks[t] - ranks[t + 1] for t, size in enumerate(sizes))
+
+
+def test_q_profiles_match_the_fraction_oracle_whatever_the_battery():
+    pool = random_face_sets(random.Random(7), 40)
+    pool += [d.sorted_faces() for d in named_battery() + torsion_complexes()]
+    for faces in pool:
+        expected = q_betti_oracle(faces)
+        for battery in ((QQ,), (QQ, GF2), (F3, QQ, GF2)):
+            profiles = dict(zip(battery, profile_from_faces(faces, battery)))
+            assert profiles[QQ].betti == expected
+
+
+@st.composite
+def integer_matrices(draw):
+    cols = draw(st.integers(min_value=1, max_value=6))
+    row = st.lists(st.integers(min_value=-4, max_value=4), min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=1, max_size=6))
+
+
+@given(integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_rank_over_q_bounds_every_prime_rank(m):
+    # a minor that is nonzero mod p is nonzero over Z: the F2 shortcut rests on this
+    q = matrix_rank(m, QQ)
+    assert q >= matrix_rank(m, GF2) and q >= matrix_rank(m, F3)
+
+
+def test_bareiss_runs_only_between_two_degrees_with_f2_homology(monkeypatch):
+    calls = []
+    rank = homology.matrix_rank
+
+    def counted(rows, field):
+        calls.append(field)
+        return rank(rows, field)
+
+    monkeypatch.setattr(homology, "matrix_rank", counted)
+
+    def q_rank_calls(run):
+        calls.clear()
+        run()
+        return calls.count(QQ)
+
+    # spheres and links of a Gorenstein complex are F2-acyclic in all but one degree
+    assert q_rank_calls(lambda: reduced_homology(cross_polytope(3), QQ)) == 0
+    assert calls == [GF2] * 3  # a Q-only battery still ranks over F2
+    assert q_rank_calls(lambda: reduced_homology(cycle_complex(5), QQ)) == 0
+    assert q_rank_calls(lambda: is_cohen_macaulay(cross_polytope_stellar(3), QQ)) == 0
+    # F2 sees H_1 and H_2 of rp2, so d_2 between them goes to Bareiss
+    assert q_rank_calls(lambda: reduced_homology(rp2(), QQ)) == 1
+
+
 def test_euler_identity():
     for d in named_battery():
         chi = d.euler_characteristic_reduced()
@@ -294,11 +362,26 @@ def first_failing_link(delta, field, sphere):
     return None
 
 
+def cone_bases():
+    """Complexes with no cone vertex whose Gorenstein test fails.  The first
+    four fail at the empty face; the four-cycle with a pendant edge passes
+    there and fails at its vertex 4, whose link is three points."""
+    pendant = new_complex(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
+    return [four_path(), rp2(), path_complex(6), phantom_pentagon(2), pendant]
+
+
+def witness_pool(rng, pure):
+    """Random complexes with unused vertices, then cones with apex 1 over ten
+    of them and over cone_bases(): the apex leaves the core and shifts every
+    re-indexed label, so core labels and input labels differ."""
+    randoms = [random_complex_with_unused_vertices(rng, pure) for _ in range(30)]
+    return randoms + [simplex_complex(1).join(b) for b in randoms[:10] + cone_bases()]
+
+
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "non-pure"])
 def test_link_criteria_witnesses_match_the_reindexed_link_route(pure):
     rng = random.Random(23 if pure else 29)
-    for _ in range(30):
-        delta = random_complex_with_unused_vertices(rng, pure)
+    for delta in witness_pool(rng, pure):
         for field in (QQ, GF2, F3):
             cm = is_cohen_macaulay(delta, field)
             bad = first_failing_link(delta, field, sphere=False)
@@ -349,8 +432,7 @@ def test_gorenstein_witness_names_the_input_vertices_on_cones():
     # the apex 1 leaves the core, which shifts every label of the core down
     # by one; the witness face must keep the cone's labels
     rng = random.Random(31)
-    bases = [four_path(), rp2(), path_complex(6), phantom_pentagon(2)]
-    bases += [random_pure_complex(rng, rng.randint(3, 6)) for _ in range(20)]
+    bases = cone_bases() + [random_pure_complex(rng, rng.randint(3, 6)) for _ in range(20)]
     failing = 0
     for base in bases:
         if base.cone_vertices():
