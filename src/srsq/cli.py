@@ -4,8 +4,11 @@ Subcommands: generate (named complexes), complex (transforms), ideal
 (Stanley-Reisner algebra), check (criteria and scans), reproduce-paper (the
 full acceptance battery), explore (randomized audits).
 
+Only check, reproduce-paper and explore run a scan, so only they take
+--budget; SRSQ_BUDGET overrides the default scan budget.
+
 Exit codes: 0 success, 1 battery failure, 2 usage error, 3 budget exceeded,
-4 implication violation.  SRSQ_BUDGET overrides the default scan budget.
+4 implication violation, 141 output pipe closed by its reader.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_VIOLATION = 4
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer a closed pipe ends
 
 
 def _emit(doc: Any, fmt: str) -> None:
@@ -253,11 +257,10 @@ def cmd_check(args) -> int:
         _emit(jsonio.depth2_to_dict(depth2_criterion(delta)), args.format)
     elif op == "condition3":
         _emit(jsonio.condition3_to_dict(condition3_check(delta)), args.format)
-    elif op in ("depth", "cm-square", "cm-symbolic-square"):
-        of = args.of if op == "depth" else op[len("cm-"):]
-        if of == "symbolic-square":
+    elif op == "depth":
+        if args.of == "symbolic-square":
             reports = symbolic_square_depth_reports(delta, fields, budget)
-        elif of == "square":
+        elif args.of == "square":
             reports = square_depth_reports(delta, fields, budget)
         else:
             reports = depth_reports(stanley_reisner(delta), fields, budget)
@@ -368,13 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_fields=False):
-        p.add_argument("--format", choices=("json", "md"), default="json")
-        p.add_argument("--budget", type=int, default=None,
-                       help=f"scan budget (default {DEFAULT_BUDGET} or SRSQ_BUDGET)")
-        if with_fields:
-            p.add_argument("--fields", default=None, help="field battery, e.g. Q,F2,F3")
-
     g = sub.add_parser("generate", help="emit a named complex as JSON")
     g.add_argument("name", help="cycle, path, simplex, cross-polytope, cross-polytope-stellar,"
                                 " rp2, phantom-pentagon, four-path, conjecture-graph,"
@@ -384,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--k", type=int, default=None)
     g.add_argument("--r", type=int, default=None)
     g.add_argument("--graph", default=None, help="graph JSON file for 'complementary'")
-    common(g)
     g.set_defaults(func=cmd_generate)
 
     c = sub.add_parser("complex", help="construct or transform complexes")
@@ -395,7 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--face-arg", default="", help="face for link/star/stellar/restrict, e.g. 1,2")
     c.add_argument("--k", type=int, default=None, help="skeleton dimension")
     c.add_argument("--with", dest="with_file", default=None, help="second complex for join")
-    common(c)
     c.set_defaults(func=cmd_complex)
 
     i = sub.add_parser("ideal", help="Stanley-Reisner and monomial ideal operations")
@@ -404,23 +398,19 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--k", type=int, default=2, help="exponent for 'power'")
     i.add_argument("--ell", type=int, default=2, help="symbolic power exponent")
     i.add_argument("--with", dest="with_file", default=None, help="second ideal file")
-    common(i)
     i.set_defaults(func=cmd_ideal)
 
     k = sub.add_parser("check", help="run a criterion on a complex")
     k.add_argument("op", choices=("cm", "gorenstein", "locally-gorenstein", "homology",
-                                  "s2", "depth2", "condition3", "depth",
-                                  "cm-square", "cm-symbolic-square", "audit"))
+                                  "s2", "depth2", "condition3", "depth", "audit"))
     k.add_argument("--of", choices=("radical", "square", "symbolic-square"), default="radical",
                    help="which ideal 'depth' scans")
-    common(k, with_fields=True)
     k.set_defaults(func=cmd_check)
 
     r = sub.add_parser("reproduce-paper", help="run the acceptance battery")
     r.add_argument("--only", action="append", default=None,
                    help="run a single criterion key (repeatable)")
     r.add_argument("--out", default=None, help="write PREFIX.md and PREFIX.json")
-    common(r)
     r.set_defaults(func=cmd_reproduce)
 
     e = sub.add_parser("explore", help="audit seeded random complexes")
@@ -430,9 +420,15 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--jobs", type=int, default=1)
     e.add_argument("--dump-dir", default=".", help="where counterexample candidates go")
     e.add_argument("--full", action="store_true", help="include full audit reports")
-    common(e, with_fields=True)
     e.set_defaults(func=cmd_explore)
 
+    for p in (g, c, i, k, r, e):
+        p.add_argument("--format", choices=("json", "md"), default="json")
+    for p in (k, r, e):  # the subcommands that run a scan
+        p.add_argument("--budget", type=int, default=None,
+                       help=f"scan budget (default {DEFAULT_BUDGET} or SRSQ_BUDGET)")
+    for p in (k, e):
+        p.add_argument("--fields", default=None, help="field battery, e.g. Q,F2,F3")
     for p in (c, i, k):  # the subcommands that read a document
         p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
     return parser
@@ -442,7 +438,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader has gone.  Send what is still buffered to the null
+        # device, so the flush at exit stays quiet too, and end as SIGPIPE would.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET

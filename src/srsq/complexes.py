@@ -252,29 +252,14 @@ class SimplicialComplex:
         relation on minimal non-faces; cone vertices form a single simplex
         factor.  Returns ``[self]`` when the complex is join-irreducible.
         """
-        parent = list(range(self.n + 1))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            parent[find(x)] = find(y)
-
-        nonfaces = self.minimal_nonfaces()
-        for nf in nonfaces:
-            vs = unpack(nf)
-            for v in vs[1:]:
-                union(vs[0], v)
-        blocks: dict[int, int] = {}
-        for nf in nonfaces:
-            for v in unpack(nf):
-                r = find(v)
-                blocks[r] = blocks.get(r, 0) | (1 << (v - 1))
+        parts: list[int] = []  # disjoint vertex blocks, as masks
+        for nf in self.minimal_nonfaces():
+            merged = nf
+            for block in [b for b in parts if b & nf]:
+                merged |= block
+                parts.remove(block)
+            parts.append(merged)
         cone = pack(self.cone_vertices())
-        parts = sorted(blocks.values())
         if cone:
             parts.append(cone)
         if len(parts) <= 1:

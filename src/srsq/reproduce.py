@@ -74,20 +74,41 @@ class CriterionResult:
         return f"{self.status} {self.key}: {self.title} [{self.elapsed:.2f}s{lim}]"
 
 
-def _result(key, title, limit, started, checks, details, notes=()) -> CriterionResult:
-    elapsed = time.perf_counter() - started
-    passed = all(checks.values()) and (limit is None or elapsed < limit)
-    details = dict(details)
-    details["checks"] = dict(checks)
-    return CriterionResult(key, title, passed, elapsed, limit, details, tuple(notes))
+# criterion key -> the registered criterion, in battery order
+_CRITERIA: dict[str, Callable[..., CriterionResult]] = {}
+
+
+def criterion(key: str, title: str, limit: float | None = None, notes: tuple[str, ...] = ()):
+    """Register a battery item under ``key``.
+
+    The decorated body takes the scan budget and returns ``(checks,
+    details)``; the registered function times it and passes only if every
+    check holds within ``limit`` seconds.
+    """
+
+    def register(body: Callable[[int], tuple[dict, dict]]) -> Callable[..., CriterionResult]:
+        def run(budget: int = DEFAULT_BUDGET) -> CriterionResult:
+            start = time.perf_counter()
+            checks, details = body(budget)
+            elapsed = time.perf_counter() - start
+            passed = all(checks.values()) and (limit is None or elapsed < limit)
+            details = {**details, "checks": dict(checks)}
+            return CriterionResult(key, title, passed, elapsed, limit, details, notes)
+
+        # the body's name and docstring, which test ids and help() show
+        run.__name__, run.__qualname__, run.__doc__ = body.__name__, body.__qualname__, body.__doc__
+        _CRITERIA[key] = run
+        return run
+
+    return register
 
 
 # -- criterion 1: the triangle ideal -----------------------------------------
 
 
-def criterion_1_triangle(budget: int = DEFAULT_BUDGET) -> CriterionResult:
+@criterion("criterion-01", "triangle ideal second powers")
+def criterion_1_triangle(budget: int):
     """I = (x1x2, x2x3, x3x1): I^(2) = I^2 + (x1x2x3) != I^2, bit-exact."""
-    start = time.perf_counter()
     I = MonomialIdeal.squarefree_from_supports(3, [(1, 2), (2, 3), (1, 3)])
     triangle_cubed = MonomialIdeal.from_exponents(3, [(1, 1, 1)])
 
@@ -111,14 +132,14 @@ def criterion_1_triangle(budget: int = DEFAULT_BUDGET) -> CriterionResult:
         "square_gens": [list(g.exps) for g in square.gens],
         "best_compute_seconds": best,
     }
-    return _result("criterion-01", "triangle ideal second powers", None, start, checks, details)
+    return checks, details
 
 
 # -- criterion 2: the pentagon -------------------------------------------------
 
 
-def criterion_2_pentagon(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    start = time.perf_counter()
+@criterion("criterion-02", "pentagon: CM square and Gorenstein", 1.0)
+def criterion_2_pentagon(budget: int):
     d = cycle_complex(5)
     I = stanley_reisner(d)
     cm_square = is_cm_square(d, (QQ, GF2), budget)
@@ -130,7 +151,7 @@ def criterion_2_pentagon(budget: int = DEFAULT_BUDGET) -> CriterionResult:
         "gorenstein_Q": bool(is_gorenstein(d, QQ)),
         "gorenstein_F2": bool(is_gorenstein(d, GF2)),
     }
-    return _result("criterion-02", "pentagon: CM square and Gorenstein", 1.0, start, checks, {})
+    return checks, {}
 
 
 # -- criterion 3: the projective plane ----------------------------------------
@@ -156,8 +177,8 @@ def _pentagon_relabeling(delta: SimplicialComplex) -> dict[int, int] | None:
     return mapping if delta.relabel(mapping) == cycle_complex(5) else None
 
 
-def criterion_3_projective_plane(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    start = time.perf_counter()
+@criterion("criterion-03", "real projective plane (6 vertices)", 120.0)
+def criterion_3_projective_plane(budget: int):
     d = rp2()
     I = stanley_reisner(d)
     fv = d.f_vector()
@@ -182,16 +203,14 @@ def criterion_3_projective_plane(budget: int = DEFAULT_BUDGET) -> CriterionResul
         "triangle_criterion_fails": not sym.equal,
     }
     details = {"failing_triangle": list(sym.failing.vertices) if sym.failing else None}
-    return _result(
-        "criterion-03", "real projective plane (6 vertices)", 120.0, start, checks, details
-    )
+    return checks, details
 
 
 # -- criteria 4 and 5: the glued pentagons and the 4-path ----------------------
 
 
-def criterion_4_phantom_pentagon(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    start = time.perf_counter()
+@criterion("criterion-04", "glued pentagons (k = 2): symbolic vs ordinary", 120.0)
+def criterion_4_phantom_pentagon(budget: int):
     d = phantom_pentagon(2)
     sym_sq = symbolic_square_depth_reports(d, (QQ, GF2), budget)
     sq = square_depth_reports(d, (QQ, GF2), budget)
@@ -203,13 +222,11 @@ def criterion_4_phantom_pentagon(budget: int = DEFAULT_BUDGET) -> CriterionResul
         "not_gorenstein_Q": not is_gorenstein(d, QQ),
         "not_gorenstein_F2": not is_gorenstein(d, GF2),
     }
-    return _result(
-        "criterion-04", "glued pentagons (k = 2): symbolic vs ordinary", 120.0, start, checks, {}
-    )
+    return checks, {}
 
 
-def criterion_5_four_path(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    start = time.perf_counter()
+@criterion("criterion-05", "4-pointed path", 10.0)
+def criterion_5_four_path(budget: int):
     d = four_path()
     cm_square = is_cm_square(d, (QQ, GF2), budget)
     checks = {
@@ -221,14 +238,14 @@ def criterion_5_four_path(budget: int = DEFAULT_BUDGET) -> CriterionResult:
         "not_cm_square_F2": not cm_square[GF2],
         "dim_ring_2": d.dim + 1 == 2,
     }
-    return _result("criterion-05", "4-pointed path", 10.0, start, checks, {})
+    return checks, {}
 
 
 # -- criterion 6: stellar subdivisions of cross polytopes -----------------------
 
 
-def criterion_6_cross_stellar(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    start = time.perf_counter()
+@criterion("criterion-06", "stellar subdivisions of cross polytopes", 600.0)
+def criterion_6_cross_stellar(budget: int):
     cs2 = cross_polytope_stellar(2)
     mapping = _pentagon_relabeling(cs2)
     ideal_matches = mapping is not None and stanley_reisner(
@@ -242,16 +259,14 @@ def criterion_6_cross_stellar(budget: int = DEFAULT_BUDGET) -> CriterionResult:
         "stellar_3_cm_square_F2": cm_square[GF2],
     }
     details = {"pentagon_relabeling": mapping}
-    return _result(
-        "criterion-06", "stellar subdivisions of cross polytopes", 600.0, start, checks, details
-    )
+    return checks, details
 
 
 # -- criterion 7: two disjoint pentagons (n = 10) -------------------------------
 
 
-def criterion_7_disjoint_pentagons(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    start = time.perf_counter()
+@criterion("criterion-07", "two disjoint pentagons (n = 10)")
+def criterion_7_disjoint_pentagons(budget: int):
     d = disjoint_pentagons(2)
     I = stanley_reisner(d)
     sym = symbolic2_equals_square(I)
@@ -282,9 +297,7 @@ def criterion_7_disjoint_pentagons(budget: int = DEFAULT_BUDGET) -> CriterionRes
         "factor_verdicts": factor_verdicts,
         "budget_triggered_fallback": tiny_budget_route,
     }
-    return _result(
-        "criterion-07", "two disjoint pentagons (n = 10)", None, start, checks, details
-    )
+    return checks, details
 
 
 # -- criterion 8: oracle equivalences -------------------------------------------
@@ -332,14 +345,14 @@ def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool
     return out
 
 
-def criterion_8_oracle_equivalences(budget: int = DEFAULT_BUDGET) -> CriterionResult:
+@criterion("criterion-08", "oracle equivalences (exhaustive + random)", 1800.0)
+def criterion_8_oracle_equivalences(budget: int):
     """Criterion equivalences against independent oracles, exhaustively for
     n <= 5 and on 200 seeded random complexes for n = 6, 7."""
     import random as _random
 
     from .criteria import random_pure_complex
 
-    start = time.perf_counter()
     rng = _random.Random(0)
     exhaustive = list(iter_pure_complexes())
     randoms = [random_pure_complex(rng, 6 + (i % 2)) for i in range(200)]
@@ -354,9 +367,7 @@ def criterion_8_oracle_equivalences(budget: int = DEFAULT_BUDGET) -> CriterionRe
         "random_complexes": len(randoms),
         "failures": failures[:10],
     }
-    return _result(
-        "criterion-08", "oracle equivalences (exhaustive + random)", 1800.0, start, checks, details
-    )
+    return checks, details
 
 
 # -- criterion 9: implication audits --------------------------------------------
@@ -378,8 +389,8 @@ def named_battery() -> list[tuple[str, SimplicialComplex]]:
     ]
 
 
-def criterion_9_implication_audits(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    start = time.perf_counter()
+@criterion("criterion-09", "implication audits across the battery")
+def criterion_9_implication_audits(budget: int):
     pool = named_battery() + [
         (f"explore[{i}]", delta) for i, delta in enumerate(explore_complexes(0, 100, 6))
     ]
@@ -390,14 +401,17 @@ def criterion_9_implication_audits(budget: int = DEFAULT_BUDGET) -> CriterionRes
             violations.append({"complex": name, "violations": list(report.violations)})
     checks = {"no_implication_violations": not violations}
     details = {"audited": len(pool), "violations": violations}
-    return _result("criterion-09", "implication audits across the battery", None, start, checks, details)
+    return checks, details
 
 
 # -- criterion 10: the conjectured family ----------------------------------------
 
 
-def criterion_10_conjecture(budget: int = DEFAULT_BUDGET) -> CriterionResult:
-    start = time.perf_counter()
+@criterion(
+    "criterion-10", "conjectured graph family (n = 1 asserted, n = 2 recorded)",
+    notes=("the n = 2 verdict is recorded, not asserted (conjectured case)",),
+)
+def criterion_10_conjecture(budget: int):
     recorded = {
         f.name: {"cm": r2.is_cm, "depth": r2.depth, "dim": r2.dim}
         for f, r2 in square_depth_reports(conjecture_complex(2), (QQ, GF2), budget).items()
@@ -408,38 +422,14 @@ def criterion_10_conjecture(budget: int = DEFAULT_BUDGET) -> CriterionResult:
         "n1_pentagon_cm_square_F2": pentagon_case[GF2].is_cm,
     }
     details = {"n2_recorded_verdicts": recorded}
-    notes = ("the n = 2 verdict is recorded, not asserted (conjectured case)",)
-    return _result(
-        "criterion-10", "conjectured graph family (n = 1 asserted, n = 2 recorded)",
-        None, start, checks, details, notes,
-    )
-
-
-ALL_CRITERIA: tuple[tuple[str, Callable[..., CriterionResult]], ...] = (
-    ("criterion-01", criterion_1_triangle),
-    ("criterion-02", criterion_2_pentagon),
-    ("criterion-03", criterion_3_projective_plane),
-    ("criterion-04", criterion_4_phantom_pentagon),
-    ("criterion-05", criterion_5_four_path),
-    ("criterion-06", criterion_6_cross_stellar),
-    ("criterion-07", criterion_7_disjoint_pentagons),
-    ("criterion-08", criterion_8_oracle_equivalences),
-    ("criterion-09", criterion_9_implication_audits),
-    ("criterion-10", criterion_10_conjecture),
-)
+    return checks, details
 
 
 def run_all(
     budget: int = DEFAULT_BUDGET, only: Iterable[str] | None = None
 ) -> list[CriterionResult]:
     wanted = set(only) if only else None
-    keys = [key for key, _ in ALL_CRITERIA]
-    if wanted and not wanted <= set(keys):
-        unknown = ", ".join(sorted(wanted - set(keys)))
-        raise ValueError(f"unknown criterion {unknown}; valid keys: {', '.join(keys)}")
-    results = []
-    for key, fn in ALL_CRITERIA:
-        if wanted and key not in wanted:
-            continue
-        results.append(fn(budget=budget))
-    return results
+    if wanted and not wanted <= _CRITERIA.keys():
+        unknown = ", ".join(sorted(wanted - _CRITERIA.keys()))
+        raise ValueError(f"unknown criterion {unknown}; valid keys: {', '.join(_CRITERIA)}")
+    return [run(budget=budget) for key, run in _CRITERIA.items() if not wanted or key in wanted]

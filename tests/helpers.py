@@ -130,6 +130,39 @@ def brute_minimal_nonfaces(delta: SimplicialComplex) -> list[int]:
     return sorted(m for m in nf if not any(o != m and o & ~m == 0 for o in nf))
 
 
+def join_blocks_by_bfs(delta: SimplicialComplex) -> list[int]:
+    """Vertex blocks of the finest join decomposition, as sorted masks.
+
+    The blocks are the connected components, found by breadth-first search,
+    of the relation "lie in a common minimal non-face", plus one block of
+    the vertices in every facet.  Minimal non-faces come from a scan of every
+    subset of [n]: a non-face all of whose codimension-one subsets are faces.
+    """
+    faces = delta.face_masks
+    minimal = [m for m in range(1 << delta.n) if m not in faces
+               and all(m & ~(1 << (v - 1)) in faces for v in unpack(m))]
+    unseen = {v for m in minimal for v in unpack(m)}
+    blocks = []
+    while unseen:
+        start = min(unseen)
+        unseen.discard(start)
+        block, queue = 0, [start]
+        while queue:
+            v = queue.pop(0)
+            block |= 1 << (v - 1)
+            for m in minimal:
+                if m >> (v - 1) & 1:
+                    for w in unpack(m):
+                        if w in unseen:
+                            unseen.discard(w)
+                            queue.append(w)
+        blocks.append(block)
+    cone = [v for v in range(1, delta.n + 1) if all(f >> (v - 1) & 1 for f in delta.facets)]
+    if cone:
+        blocks.append(pack(cone))
+    return sorted(blocks)
+
+
 def stellar_by_definition(delta: SimplicialComplex, face: tuple[int, ...]) -> SimplicialComplex:
     """Face-level construction: drop faces containing F, add H + {v} for faces
     H with F not inside H and F u H a face."""

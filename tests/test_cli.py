@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from srsq import DEFAULT_FIELDS, cli, jsonio
-from srsq.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, main
+from srsq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VIOLATION, main
 from srsq.reproduce import named_battery
 
 from helpers import generator_form_square_reports
@@ -92,7 +92,7 @@ def test_complex_join_and_stellar(monkeypatch, capsys, tmp_path):
 def test_check_cm_square(monkeypatch, capsys):
     _, doc, _ = run(["generate", "cross-polytope-stellar", "--d", "3"], monkeypatch=monkeypatch, capsys=capsys)
     code, out, _ = run(
-        ["check", "cm-square", "--fields", "Q,F2"],
+        ["check", "depth", "--of", "square", "--fields", "Q,F2"],
         stdin_text=doc,
         monkeypatch=monkeypatch,
         capsys=capsys,
@@ -128,7 +128,7 @@ def test_byte_identical_reports(monkeypatch, capsys):
 def test_budget_exit_code(monkeypatch, capsys):
     _, doc, _ = run(["generate", "rp2"], monkeypatch=monkeypatch, capsys=capsys)
     code, _, err = run(
-        ["check", "cm-square", "--budget", "10"],
+        ["check", "depth", "--of", "square", "--budget", "10"],
         stdin_text=doc,
         monkeypatch=monkeypatch,
         capsys=capsys,
@@ -141,7 +141,8 @@ def test_env_budget_override(monkeypatch, capsys):
     monkeypatch.setenv("SRSQ_BUDGET", "10")
     _, doc, _ = run(["generate", "rp2"], monkeypatch=monkeypatch, capsys=capsys)
     code, _, _ = run(
-        ["check", "cm-square"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys
+        ["check", "depth", "--of", "square"], stdin_text=doc, monkeypatch=monkeypatch,
+        capsys=capsys,
     )
     assert code == EXIT_BUDGET
 
@@ -214,6 +215,13 @@ def test_violation_exit_code(monkeypatch, capsys):
     ["generate", "rp2", "--in", "-"],
     ["reproduce-paper", "--only", "criterion-01", "--in", "-"],
     ["explore", "--count", "1", "--in", "-"],
+    # 'depth --of' is the one spelling of the square scans
+    pytest.param(["check", "cm-square"], id="check-cm-square"),
+    pytest.param(["check", "cm-symbolic-square"], id="check-cm-symbolic-square"),
+    # --budget only where a scan reads it
+    pytest.param(["generate", "rp2", "--budget", "5"], id="generate-budget"),
+    pytest.param(["complex", "f-vector", "--budget", "5"], id="complex-budget"),
+    pytest.param(["ideal", "sr", "--budget", "5"], id="ideal-budget"),
 ])
 def test_removed_options_are_usage_errors(argv, monkeypatch, capsys):
     _, doc, _ = run(["generate", "cycle", "--n", "5"], monkeypatch=monkeypatch, capsys=capsys)
@@ -247,27 +255,20 @@ def test_check_depth_targets(monkeypatch, capsys):
         assert json.loads(out)["Q"]["cohen_macaulay"] == cm
 
 
-def test_depth_of_symbolic_square_matches_cm_symbolic_square(monkeypatch, capsys, scans):
-    # cm-square likewise prints the document of depth --of square, and every
-    # one of these commands starts one scan for the whole battery
+def test_depth_checks_start_one_scan_per_battery(monkeypatch, capsys, scans):
     for generate in (["rp2"], ["cycle", "--n", "5"]):
         _, doc, _ = run(["generate", *generate], monkeypatch=monkeypatch, capsys=capsys)
         for of in ("symbolic-square", "square", "radical"):
-            outputs = []
-            checks = [["depth", "--of", of]] + ([[f"cm-{of}"]] if of != "radical" else [])
-            for check in checks:
-                scans.clear()
-                code, out, _ = run(
-                    ["check", *check, "--fields", "Q,F2,F3"],
-                    stdin_text=doc,
-                    monkeypatch=monkeypatch,
-                    capsys=capsys,
-                )
-                assert code == EXIT_OK
-                assert len(scans) == 1
-                outputs.append(out)
-            assert outputs[0] == outputs[-1]
-            assert list(json.loads(outputs[0])) == ["F2", "F3", "Q"]
+            scans.clear()
+            code, out, _ = run(
+                ["check", "depth", "--of", of, "--fields", "Q,F2,F3"],
+                stdin_text=doc,
+                monkeypatch=monkeypatch,
+                capsys=capsys,
+            )
+            assert code == EXIT_OK
+            assert len(scans) == 1
+            assert list(json.loads(out)) == ["F2", "F3", "Q"]
 
 
 def test_ideal_power_and_intersect(monkeypatch, capsys, tmp_path):
@@ -411,9 +412,9 @@ def test_square_checks_print_the_generator_form_reports(delta, monkeypatch, caps
     expected = json.dumps({f.name: jsonio.depth_report_to_dict(r) for f, r in oracle.items()},
                           sort_keys=True, separators=(",", ":")) + "\n"
     doc = json.dumps(jsonio.complex_to_dict(delta))
-    for argv in (["check", "cm-square"], ["check", "depth", "--of", "square"]):
-        code, out, _ = run(argv, stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
-        assert (code, out) == (EXIT_OK, expected)
+    code, out, _ = run(["check", "depth", "--of", "square"], stdin_text=doc,
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out) == (EXIT_OK, expected)
 
 
 def test_explore_jobs_deterministic(monkeypatch, capsys, tmp_path):
@@ -649,12 +650,16 @@ def test_irrelevant_complex_round_trip(monkeypatch, capsys):
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def module_env():
+    """The environment of a child that imports the source tree first."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def run_module(argv, stdin_text):
     """``python -m srsq`` with the source tree first on the import path."""
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-m", "srsq", *argv], input=stdin_text,
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
+                          capture_output=True, text=True, timeout=300, env=module_env())
 
 
 def test_module_entry_point_audits_like_main(monkeypatch, capsys):
@@ -671,3 +676,20 @@ def test_module_entry_point_rejects_a_malformed_document():
     assert child.returncode == EXIT_USAGE and child.stdout == ""
     assert child.stderr.startswith("error: ") and child.stderr.count("\n") == 1
     assert "Traceback" not in child.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    # 137 kB, larger than a pipe buffer, so the write fails whatever the timing
+    ["cross-polytope", "--d", "12"],
+    # 99 bytes, which stay in the stream's buffer until the final flush
+    ["rp2"],
+], ids=["large", "small"])
+def test_a_closed_output_pipe_ends_quietly_with_the_sigpipe_status(argv):
+    # the reader closes before the writer writes; stdout is block-buffered,
+    # as under a plain shell
+    env = {k: v for k, v in module_env().items() if k != "PYTHONUNBUFFERED"}
+    child = subprocess.Popen([sys.executable, "-m", "srsq", "generate", *argv],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    child.stdout.close()
+    _, err = child.communicate(timeout=300)
+    assert (child.returncode, err) == (EXIT_PIPE, b"")

@@ -12,6 +12,8 @@ from srsq import (
 )
 from srsq.bits import pack, unpack
 
+from helpers import join_blocks_by_bfs
+
 
 @st.composite
 def complexes(draw, max_n=6):
@@ -75,3 +77,23 @@ def test_euler_from_homology_matches_face_count(delta):
 def test_cone_kills_reduced_homology(delta):
     profile = reduced_homology(delta.cone(), QQ)
     assert profile.is_zero()
+
+
+def _factors_by_bfs(delta):
+    blocks = join_blocks_by_bfs(delta)
+    return [delta] if len(blocks) <= 1 else [delta.restrict(unpack(b)) for b in blocks]
+
+
+@given(complexes())
+@settings(max_examples=80, deadline=None)
+def test_join_factors_match_the_bfs_oracle(delta):
+    assert delta.join_factors() == _factors_by_bfs(delta)
+
+
+@given(complexes(max_n=5), complexes(max_n=5))
+@settings(max_examples=60, deadline=None)
+def test_join_factors_of_a_join_match_the_bfs_oracle(left, right):
+    joined = left.join(right)
+    factors = joined.join_factors()
+    assert factors == _factors_by_bfs(joined)
+    assert len(factors) >= len(left.join_factors()) + len(right.join_factors()) - 1
