@@ -22,6 +22,11 @@ with depth = dim S/I when nothing fires below the dimension (the top
 cohomology never vanishes identically and is not scanned).  Only the ranks
 depend on the field, so one scan per ideal serves a whole field battery.
 
+In the generator form a point selects Delta_a by masks alone: the sets
+mb = {i outside G_a : b_i > a_i}, one per generator x^b, come from masks
+precomputed once per ideal, and the pair (G_a, set of mb) keys the homology
+cache.  The faces of Delta_a are listed only when a key is new.
+
 For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
 2011): Delta_a(I) is generated by the sets F - G_a over the facets F of
 Delta that contain G_a and satisfy sum_{i not in F} a_i <= l - 1, and
@@ -94,25 +99,44 @@ class DepthReport:
 # -- the degree-selected subcomplex --------------------------------------------
 
 
-def _delta_a_faces(
-    faces: Sequence[int], gens: Sequence[tuple[int, ...]], g_mask: int, a: Sequence[int]
-) -> list[int] | None:
-    """Faces of Delta_a among ``faces``; None encodes the void complex.
+def _generator_selection(
+    faces: Sequence[int], gens: Sequence[tuple[int, ...]]
+) -> tuple[Callable[[int, Sequence[int]], Hashable], Callable[[Hashable], list[int]]]:
+    """``select`` and ``expand`` of the generator-form scan; ``faces`` are
+    the faces of Delta(I), ``gens`` the exponent vectors of its generators.
 
-    For each generator b, mb = {i outside G_a : b_i > a_i}; a face F survives
-    iff it avoids G_a and every mb has a vertex outside F.  An empty mb kills
-    every face including the empty one.
+    For each generator b, mb = {j outside G_a : b_j > a_j}; a face F of
+    Delta_a avoids G_a and misses a vertex of every mb, and an empty mb
+    leaves Delta_a void.  Once per ideal, levels[k] holds the masks
+    {j : b_j > k} of all generators, for k below the largest exponent; at a
+    point, with at_k = {j : a_j = k}, each mb is the OR over k of
+    levels[k][b] & at_k, and G_a drops out because a is negative there.
+    ``select(g_mask, a)`` returns None for the void complex and the key
+    (G_a, set of mb) otherwise; ``expand(key)`` lists the faces of Delta_a
+    and runs only on a cache miss.
     """
-    masks = []
-    for b in gens:
-        mb = 0
-        for j, e in enumerate(b):
-            if e and not g_mask >> j & 1 and e > a[j]:
-                mb |= 1 << j
-        if not mb:
+    top = max((e for b in gens for e in b), default=0)
+    levels = [[sum(1 << j for j, e in enumerate(b) if e > k) for b in gens]
+              for k in range(top)]
+
+    def select(g_mask: int, a: Sequence[int]) -> Hashable:
+        at = [0] * top
+        for j, e in enumerate(a):
+            if 0 <= e < top:
+                at[e] |= 1 << j
+        mbs = [0] * len(gens)
+        for level, at_k in zip(levels, at):
+            if at_k:
+                mbs = [mb | (lb & at_k) for mb, lb in zip(mbs, level)]
+        if 0 in mbs:
             return None
-        masks.append(mb)
-    return [f for f in faces if not f & g_mask and all(mb & ~f for mb in masks)]
+        return g_mask, frozenset(mbs)
+
+    def expand(key: Hashable) -> list[int]:
+        g_mask, mbs = key
+        return [f for f in faces if not f & g_mask and all(mb & ~f for mb in mbs)]
+
+    return select, expand
 
 
 def _facet_selection(
@@ -183,8 +207,9 @@ def _scan_reports(
     """The depth scan shared by the generator and facet forms, per field.
 
     ``select(g_mask, a)`` names Delta_a by a hashable key, falsy when Delta_a
-    has no faces or is void; ``expand(key)`` lists its faces and runs only on
-    a cache miss.  The search space (see module docstring) is sized upfront;
+    is void: (G_a, set of mb) in the generator form, the tuple of F - G_a in
+    the facet form.  ``expand(key)`` lists the faces of Delta_a and runs only
+    on a cache miss.  The search space (see module docstring) is sized upfront;
     exceeding the budget raises BudgetExceeded rather than truncating.  Each
     field's witness is its first nonvanishing piece in the fixed (i, a) order,
     so reports are deterministic regardless of evaluation strategy.
@@ -222,12 +247,8 @@ def depth_reports(
         raise ValueError("depth of the zero ring is rejected")
     delta = complex_of_ideal(ideal)
     faces = delta.sorted_faces()
-    gens = tuple(g.exps for g in ideal.gens)
-    return _scan_reports(
-        delta, faces, ideal.rho(), fields, budget,
-        select=lambda g_mask, a: tuple(_delta_a_faces(faces, gens, g_mask, a) or ()),
-        expand=lambda selected: selected,
-    )
+    select, expand = _generator_selection(faces, [g.exps for g in ideal.gens])
+    return _scan_reports(delta, faces, ideal.rho(), fields, budget, select, expand)
 
 
 def depth_via_takayama(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 
 from srsq import (
     DEFAULT_BUDGET,
@@ -344,3 +344,22 @@ def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field: FieldSpec = QQ)
     if any(e > r - 1 for e, r in zip(a, ideal_rho(ideal))):
         return 0
     return reduced_homology(delta_a(ideal, a), field).betti_number(i - len(g) - 1)
+
+
+def brute_force_depth(ideal: MonomialIdeal, field: FieldSpec = QQ):
+    """(depth, first witness (a, dim) or None, scan size) of S/I from
+    local_cohomology_dim at every degree of the scan space: a = -1 on a face
+    G of Delta(I) and 0 <= a_j <= rho_j - 1 elsewhere, faces by (size,
+    vertices) and then a in lexicographic order, one cohomological degree
+    at a time below dim S/I."""
+    faces = sorted(ideal_faces(ideal), key=lambda f: (len(f), sorted(f)))
+    rho = ideal_rho(ideal)
+    points = [a for g in faces for a in product(
+        *((-1,) if j in g else range(rho[j - 1]) for j in range(1, ideal.n + 1)))]
+    dim_ring = max(len(f) for f in faces)
+    for i in range(dim_ring):
+        for a in points:
+            betti = local_cohomology_dim(ideal, i, a, field)
+            if betti:
+                return i, (a, betti), len(points)
+    return dim_ring, None, len(points)

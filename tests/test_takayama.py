@@ -42,10 +42,16 @@ from srsq import takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import random_pure_complex
 from srsq.reproduce import iter_pure_complexes
-from srsq.takayama import _delta_a_faces, _facet_selection, _symbolic_depth_reports, _symbolic_rho
+from srsq.takayama import (
+    _facet_selection,
+    _generator_selection,
+    _symbolic_depth_reports,
+    _symbolic_rho,
+)
 
 from helpers import (
     DegreeVector,
+    brute_force_depth,
     delta_a,
     delta_a_symbolic,
     generator_form_square_reports,
@@ -167,27 +173,53 @@ def random_point(rng, n, top):
 
 def test_selection_kernels_match_the_definition_on_random_points():
     # both scan kernels against the brute-force definition in helpers, at
-    # points of every sign pattern, G_a a face of Delta or not
+    # points of every sign pattern, G_a a face of Delta or not; cubes make
+    # the generator form read exponent levels above 2
     rng = random.Random(71)
-    mixed = void = 0
-    for _ in range(120):
+    mixed = void = cubes = 0
+    for _ in range(150):
         n = rng.randint(2, 6)
         d = random_complex(rng, n)
         ell = rng.randint(1, 3)
         ideal = rng.choice([stanley_reisner(d), stanley_reisner(d).power(2),
-                            symbolic_power(d, ell)])
+                            stanley_reisner(d).power(3), symbolic_power(d, ell)])
         a = random_point(rng, n, max(ideal.rho()) + 1)
         g_mask = pack(j for j, e in enumerate(a, 1) if e < 0)
         expected = delta_a(ideal, a)
-        faces = _delta_a_faces(complex_of_ideal(ideal).sorted_faces(),
-                               [m.exps for m in ideal.gens], g_mask, a)
+        select, expand = _generator_selection(complex_of_ideal(ideal).sorted_faces(),
+                                              [m.exps for m in ideal.gens])
+        key = select(g_mask, a)
+        faces = None if key is None else expand(key)
         assert SimplicialComplex(n, tuple(faces or ())) == expected
         assert (faces is None) == expected.is_void()
         selected = _facet_selection(d.facets, g_mask, a, ell)
         assert SimplicialComplex(n, selected) == delta_a(symbolic_power(d, ell), a)
         mixed += bool(g_mask) and any(e > 0 for e in a)
         void += expected.is_void()
-    assert mixed >= 20 and 0 < void < 120
+        cubes += max(ideal.rho()) == 3 and any(e == 2 for e in a)
+    assert mixed >= 20 and 0 < void < 150 and cubes >= 10
+
+
+def test_unequal_square_scans_match_the_brute_force_depth():
+    # the audit's battery scan of I^2 != I^(2) against local_cohomology_dim
+    # evaluated over the whole scan space, one degree at a time; rp2's square
+    # has depth 0, the random ones are drawn with positive depth so that
+    # every piece of degree 0 is evaluated
+    rng = random.Random(73)
+    cases = [stanley_reisner(rp2()).power(2)]
+    while len(cases) < 3:
+        d = random_complex(rng, rng.randint(4, 5))
+        if d.is_void() or symbolic2_equals_square(stanley_reisner(d)).equal:
+            continue
+        square = stanley_reisner(d).power(2)
+        if brute_force_depth(square)[0] > 0:
+            cases.append(square)
+    for square in cases:
+        reports = depth_reports(square, (QQ, GF2))
+        for field, report in reports.items():
+            depth, witness, size = brute_force_depth(square, field)
+            assert (report.depth, report.scan_size) == (depth, size)
+            assert witness == (report.witness and (report.witness.a, report.witness.betti))
 
 
 # -- graded pieces -------------------------------------------------------------------
