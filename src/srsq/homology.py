@@ -4,10 +4,7 @@ Reisner (Cohen-Macaulay) and Stanley (Gorenstein) criteria.
 Ranks are computed exactly: bitmask elimination for F_2, plain modular
 elimination for other primes, and fraction-free Bareiss elimination over
 arbitrary precision integers for Q.  Exactness is non-negotiable here; a
-single wrong rank flips a Cohen-Macaulay verdict.  matrix_rank takes a
-dense integer matrix over any field; profile_from_faces packs its F_2
-columns straight from the faces instead, one bitmask per face, and builds a
-dense boundary matrix only for Bareiss or an odd F_p.
+single wrong rank flips a Cohen-Macaulay verdict.
 
 Most Q ranks are read off F_2 instead.  For an integer matrix M,
 rank_Q M >= rank_F2 M, since a minor that is odd is nonzero; and over any
@@ -245,26 +242,6 @@ class HomologyProfile:
         return {i: self.betti_number(i) for i in self.degrees()}
 
 
-def _rank_f2_from_groups(groups: list[list[int]], i: int) -> int:
-    """Rank of d_i over F_2 with no dense matrix: each i-face m becomes one
-    column bitmask, a 1 in the row of m ^ b for every vertex bit b of m.
-    d_0 is the augmentation row, of rank 1 when there are vertices."""
-    cols = groups[i + 1] if i + 1 < len(groups) else []
-    if i < 1:
-        return 1 if i == 0 and cols else 0
-    row_bit = {m: 1 << r for r, m in enumerate(groups[i])}
-    packed = []
-    for m in cols:
-        col = 0
-        rest = m
-        while rest:
-            b = rest & -rest
-            col |= row_bit[m ^ b]
-            rest ^= b
-        packed.append(col)
-    return _rank_gf2(packed)
-
-
 def profile_from_faces(
     faces: Iterable[int], fields: Sequence[FieldSpec]
 ) -> tuple[HomologyProfile, ...]:
@@ -273,41 +250,35 @@ def profile_from_faces(
     The face list must be closed under taking subsets and include 0 unless it
     is empty (void complex).  This is the scan-friendly entry point: callers
     that already hold a filtered face list skip complex construction.
-    The faces are grouped once; only the ranks depend on the field.
+    Each boundary matrix is built once; only its rank depends on the field.
 
-    When Q or F2 is in the battery, every map is ranked over F2 first, from
-    columns packed straight from the face groups.  A Q rank is copied from
-    F2 unless F2 homology is nonzero in both degrees the map joins:
-    ``rank_Q >= rank_F2`` (an odd minor is nonzero) and
+    When Q or F2 is in the battery, every map is ranked over F2 first.  A Q
+    rank is copied from F2 unless F2 homology is nonzero in both degrees the
+    map joins: ``rank_Q >= rank_F2`` (an odd minor is nonzero) and
     ``rank d_t + rank d_{t+1} <= |C_t|`` (``d d = 0``), so a zero F2 Betti
     number in degree t pins both Q ranks next to t.  Bareiss runs only on
-    the remaining maps, which is where torsion lives.  A dense boundary
-    matrix is built only for Bareiss or an odd F_p, at most once per map.
+    the remaining maps, which is where torsion lives.
     """
     groups = _faces_by_dim(faces)
-    maps = range(len(groups) - 1)  # d_0 .. d_top
-    dense: dict[int, list[list[int]]] = {}
+    boundaries = [_boundary_from_groups(groups, i) for i in range(len(groups) - 1)]
 
-    def boundary(i: int) -> list[list[int]]:
-        if i not in dense:
-            dense[i] = _boundary_from_groups(groups, i)
-        return dense[i]
+    def ranks(field: FieldSpec) -> list[int]:  # entry t is rank d_{t-1}
+        return [0, *(matrix_rank(b, field) for b in boundaries), 0]
 
-    def betti(r: list[int]) -> tuple[int, ...]:  # r[t] is rank d_{t-1}
+    def betti(r: list[int]) -> tuple[int, ...]:
         return tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups))
 
-    f2 = ([0, *(_rank_f2_from_groups(groups, i) for i in maps), 0]
-          if QQ in fields or GF2 in fields else [])
+    f2 = ranks(GF2) if QQ in fields or GF2 in fields else []
 
     def field_ranks(field: FieldSpec) -> list[int]:
         if field == GF2:
             return f2
         if field != QQ:
-            return [0, *(matrix_rank(boundary(i), field) for i in maps), 0]
+            return ranks(field)
         f2_betti = betti(f2)
         return [0, *(
-            matrix_rank(boundary(i), QQ) if f2_betti[i] and f2_betti[i + 1] else f2[i + 1]
-            for i in maps
+            matrix_rank(b, QQ) if f2_betti[t - 1] and f2_betti[t] else f2[t]
+            for t, b in enumerate(boundaries, 1)
         ), 0]
 
     return tuple(HomologyProfile(field, betti(field_ranks(field))) for field in fields)

@@ -25,7 +25,8 @@ depend on the field, so one scan per ideal serves a whole field battery.
 In the generator form a point selects Delta_a by masks alone: the sets
 mb = {i outside G_a : b_i > a_i}, one per generator x^b, come from masks
 precomputed once per ideal, and the pair (G_a, set of mb) keys the homology
-cache.  The faces of Delta_a are listed only when a key is new.
+cache.  The faces of Delta_a are listed only when a key is new, and homology
+is evaluated only when those faces are new.
 
 For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
 2011): Delta_a(I) is generated by the sets F - G_a over the facets F of
@@ -209,16 +210,20 @@ def _scan_reports(
     ``select(g_mask, a)`` names Delta_a by a hashable key, falsy when Delta_a
     is void: (G_a, set of mb) in the generator form, the tuple of F - G_a in
     the facet form.  ``expand(key)`` lists the faces of Delta_a and runs only
-    on a cache miss.  The search space (see module docstring) is sized upfront;
-    exceeding the budget raises BudgetExceeded rather than truncating.  Each
-    field's witness is its first nonvanishing piece in the fixed (i, a) order,
-    so reports are deterministic regardless of evaluation strategy.
+    on a key miss; keys whose faces come out equal, in the same order, share
+    one homology evaluation (in the generator form every facet G_a with no
+    empty mb gives {empty face}).  The search space (see module docstring) is
+    sized upfront; exceeding the budget raises BudgetExceeded rather than
+    truncating.  Each field's witness is its first nonvanishing piece in the
+    fixed (i, a) order, so reports are deterministic regardless of evaluation
+    strategy.
     """
     size = _scan_size(faces, rho)
     if size > budget:
         raise BudgetExceeded(size, budget)
     dim_ring = delta.dim + 1
     cache: dict[Hashable, tuple[HomologyProfile, ...]] = {}
+    by_faces: dict[tuple[int, ...], tuple[HomologyProfile, ...]] = {}
     first_hits: list[dict[int, CohomologyWitness]] = [{} for _ in fields]
     for g_mask, a in _scan_points(faces, rho, delta.n):
         key = select(g_mask, a)
@@ -226,8 +231,11 @@ def _scan_reports(
             continue
         profiles = cache.get(key)
         if profiles is None:
-            selected = expand(key)
-            profiles = cache[key] = profile_from_faces(selected, fields)
+            selected = tuple(expand(key))
+            profiles = by_faces.get(selected)
+            if profiles is None:
+                profiles = by_faces[selected] = profile_from_faces(selected, fields)
+            cache[key] = profiles
         shift = g_mask.bit_count() + 1
         for profile, first_hit in zip(profiles, first_hits):
             for i, betti in enumerate(profile.betti, shift - 1):

@@ -278,12 +278,12 @@ def test_audit_square_reports_match_generator_form_oracle():
 @pytest.mark.parametrize("delta, started, powers", [
     (cycle_complex(5), 1, 0),
     (cross_polytope(2), 1, 0),
-    (rp2(), 2, 1),
+    (rp2(), 3, 1),
 ], ids=["pentagon", "square", "rp2"])
 def test_audit_scans_the_symbolic_square_once_and_builds_the_square_once(
         delta, started, powers, scans, monkeypatch):
     # one facet-form scan serves the battery; an unequal square is built once
-    # and gets one battery scan
+    # and scanned per field
     power = MonomialIdeal.power
     built = []
 

@@ -201,7 +201,7 @@ def test_selection_kernels_match_the_definition_on_random_points():
 
 
 def test_unequal_square_scans_match_the_brute_force_depth():
-    # the audit's battery scan of I^2 != I^(2) against local_cohomology_dim
+    # the generator-form battery scan of I^2 != I^(2) against local_cohomology_dim
     # evaluated over the whole scan space, one degree at a time; rp2's square
     # has depth 0, the random ones are drawn with positive depth so that
     # every piece of degree 0 is evaluated
@@ -220,6 +220,28 @@ def test_unequal_square_scans_match_the_brute_force_depth():
             depth, witness, size = brute_force_depth(square, field)
             assert (report.depth, report.scan_size) == (depth, size)
             assert witness == (report.witness and (report.witness.a, report.witness.betti))
+
+
+@pytest.mark.parametrize("ideal", [
+    stanley_reisner(rp2()).power(2),
+    stanley_reisner(four_path()).power(2),
+    symbolic_power(cycle_complex(5), 2),
+    stanley_reisner(cross_polytope(2)).power(3),
+], ids=["rp2-square", "four-path-square", "pentagon-symbolic", "square-cube"])
+def test_generator_form_evaluates_each_delta_a_once(ideal, monkeypatch):
+    # keys (G_a, set of mb) that name the same faces share one evaluation:
+    # every facet G_a with no empty mb selects {empty face}, for one
+    evaluated = []
+    profile = takayama.profile_from_faces
+
+    def recorded(faces, fields):
+        evaluated.append(frozenset(faces))
+        return profile(faces, fields)
+
+    monkeypatch.setattr(takayama, "profile_from_faces", recorded)
+    depth_reports(ideal, (QQ, GF2))
+    assert len(evaluated) == len(set(evaluated)) > 0
+    assert frozenset({0}) in evaluated
 
 
 # -- graded pieces -------------------------------------------------------------------
