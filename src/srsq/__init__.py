@@ -55,12 +55,10 @@ from .homology import (
     reduced_homology,
 )
 from .ideals import (
-    Hypergraph,
     Monomial,
     MonomialIdeal,
     SpecialTriangle,
     Sym2Result,
-    associated_hypergraph,
     complex_of_ideal,
     edge_ideal,
     in_symbolic_power,

@@ -21,7 +21,7 @@ import sys
 from typing import Any
 
 from . import jsonio
-from .complexes import Graph, SimplicialComplex, named_complex, new_complex
+from .complexes import NAMED_COMPLEXES, Graph, SimplicialComplex, named_complex, new_complex
 from .criteria import (
     condition3_check,
     depth2_criterion,
@@ -126,6 +126,13 @@ def _parse_face(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
+def _require(command: str, op: str, needs: dict[str, tuple[str, Any]]) -> None:
+    """Exit 2 before any document is read when ``op`` lacks the flag it needs;
+    ``needs`` maps an op to that flag, spelt as typed, and its parsed value."""
+    if op in needs and needs[op][1] is None:
+        raise ValueError(f"'{command} {op}' needs --{needs[op][0]}")
+
+
 def _budget(args) -> int:
     if args.budget is not None:
         budget = args.budget
@@ -162,9 +169,8 @@ def cmd_generate(args) -> int:
 
 def cmd_complex(args) -> int:
     op = args.op
-    needed = {"new": "n", "skeleton": "k"}.get(op)
-    if needed and getattr(args, needed) is None:
-        raise ValueError(f"'complex {op}' needs --{needed}")
+    _require("complex", op, {"new": ("n", args.n), "skeleton": ("k", args.k),
+                             "join": ("with", args.with_file)})
     if op == "new":
         delta = new_complex(args.n, [_parse_face(f) for f in args.face or []])
         _emit(jsonio.complex_to_dict(delta), args.format)
@@ -203,6 +209,8 @@ def cmd_complex(args) -> int:
 
 def cmd_ideal(args) -> int:
     op = args.op
+    _require("ideal", op, {"intersect": ("with", args.with_file),
+                           "equals": ("with", args.with_file)})
     if op == "sr":
         _emit(jsonio.ideal_to_dict(stanley_reisner(_read_complex(args.infile))), args.format)
     elif op == "complex":
@@ -371,10 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="emit a named complex as JSON")
-    g.add_argument("name", help="cycle, path, simplex, cross-polytope, cross-polytope-stellar,"
-                                " rp2, phantom-pentagon, four-path, conjecture-graph,"
-                                " disjoint-pentagons, complementary")
+    g = sub.add_parser("generate", help="emit a named complex as JSON",
+                       formatter_class=argparse.RawTextHelpFormatter)
+    g.add_argument("name", help="a named complex and the parameter it takes:\n" + "\n".join(
+        name.replace("_", "-") + (f" --{param}" if param else "")
+        for name, (_, param) in NAMED_COMPLEXES.items()))
     g.add_argument("--n", type=int, default=None)
     g.add_argument("--d", type=int, default=None)
     g.add_argument("--k", type=int, default=None)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bits import (
     MAX_VERTICES,
@@ -379,13 +379,6 @@ def simplex_complex(n: int) -> SimplicialComplex:
 # -- named complexes from the worked examples -------------------------------
 
 
-def cycle_complex(n: int) -> SimplicialComplex:
-    if n < 3:
-        raise ValueError("a cycle needs at least 3 vertices")
-    edges = [(i, i + 1) for i in range(1, n)] + [(n, 1)]
-    return new_complex(n, edges)
-
-
 def path_complex(n: int) -> SimplicialComplex:
     if n < 2:
         raise ValueError("a path needs at least 2 vertices")
@@ -396,6 +389,10 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return Graph.from_edges(n, [(i, i + 1) for i in range(1, n)] + [(n, 1)])
+
+
+def cycle_complex(n: int) -> SimplicialComplex:
+    return SimplicialComplex(n, cycle_graph(n).edges)
 
 
 def complete_graph(n: int) -> Graph:
@@ -503,38 +500,40 @@ def disjoint_pentagons(r: int) -> SimplicialComplex:
     return complementary_complex(g)
 
 
-def named_complex(name: str, **params) -> SimplicialComplex:
-    """Dispatch for every complex used in the worked examples.
+# name -> (constructor, the one parameter it takes or None); names are spelt
+# with "_" here, and "cross" and "cross_stellar" are aliases.
+NAMED_COMPLEXES: dict[str, tuple[Callable[..., SimplicialComplex], str | None]] = {
+    "cycle": (cycle_complex, "n"),
+    "path": (path_complex, "n"),
+    "simplex": (simplex_complex, "n"),
+    "cross_polytope": (cross_polytope, "d"),
+    "cross": (cross_polytope, "d"),
+    "cross_polytope_stellar": (cross_polytope_stellar, "d"),
+    "cross_stellar": (cross_polytope_stellar, "d"),
+    "rp2": (rp2, None),
+    "phantom_pentagon": (phantom_pentagon, "k"),
+    "four_path": (four_path, None),
+    "conjecture_graph": (conjecture_complex, "n"),
+    "disjoint_pentagons": (disjoint_pentagons, "r"),
+    "complementary": (complementary_complex, "graph"),
+}
 
-    Names: cycle(n), path(n), simplex(n), cross_polytope(d),
-    cross_polytope_stellar(d), rp2, phantom_pentagon(k), four_path,
-    conjecture_graph(n) (its complementary complex), disjoint_pentagons(r),
-    complementary(graph=Graph).
-    """
+
+def named_complex(name: str, **params) -> SimplicialComplex:
+    """The complex ``NAMED_COMPLEXES`` lists under ``name`` (``-`` and ``_``
+    alike, any case), built from the one parameter it takes: an integer, or a
+    :class:`Graph` for ``complementary``.  A missing or extra parameter is a
+    ValueError."""
     key = name.replace("-", "_").lower()
-    try:
-        if key == "cycle":
-            return cycle_complex(int(params["n"]))
-        if key == "path":
-            return path_complex(int(params["n"]))
-        if key == "simplex":
-            return simplex_complex(int(params["n"]))
-        if key in ("cross_polytope", "cross"):
-            return cross_polytope(int(params["d"]))
-        if key in ("cross_polytope_stellar", "cross_stellar"):
-            return cross_polytope_stellar(int(params["d"]))
-        if key == "rp2":
-            return rp2()
-        if key == "phantom_pentagon":
-            return phantom_pentagon(int(params["k"]))
-        if key == "four_path":
-            return four_path()
-        if key == "conjecture_graph":
-            return conjecture_complex(int(params["n"]))
-        if key == "disjoint_pentagons":
-            return disjoint_pentagons(int(params["r"]))
-        if key == "complementary":
-            return complementary_complex(params["graph"])
-    except KeyError as exc:
-        raise ValueError(f"missing parameter {exc} for named complex {name!r}") from exc
-    raise ValueError(f"unknown named complex {name!r}")
+    if key not in NAMED_COMPLEXES:
+        raise ValueError(f"unknown named complex {name!r}")
+    build, param = NAMED_COMPLEXES[key]
+    if param is not None and param not in params:
+        raise ValueError(f"missing parameter {param!r} for named complex {name!r}")
+    extra = sorted(set(params) - {param})
+    if extra:
+        raise ValueError(f"named complex {name!r} takes no parameter {extra[0]!r}")
+    if param is None:
+        return build()
+    value = params[param]
+    return build(value if param == "graph" else int(value))

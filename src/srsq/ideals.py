@@ -288,6 +288,7 @@ class MonomialIdeal:
         return MonomialIdeal(self.n, self.gens + other.gens)
 
     def supports(self) -> tuple[int, ...]:
+        """Generator supports as masks: the edges of the generator hypergraph."""
         return tuple(g.support_mask() for g in self.gens)
 
 
@@ -368,23 +369,6 @@ def in_symbolic_power(source: SimplicialComplex | MonomialIdeal, m: Monomial, el
 
 
 # -- special triangles and the second-power criterion -------------------------
-
-
-@dataclass(frozen=True)
-class Hypergraph:
-    """Vertex set [n] with the generator supports of a squarefree ideal."""
-
-    n: int
-    edges: tuple[int, ...]
-
-    def edge_tuples(self) -> list[tuple[int, ...]]:
-        return [unpack(e) for e in self.edges]
-
-
-def associated_hypergraph(ideal: MonomialIdeal) -> Hypergraph:
-    if not ideal.is_squarefree():
-        raise ValueError("the associated hypergraph needs a squarefree ideal")
-    return Hypergraph(ideal.n, ideal.supports())
 
 
 @dataclass(frozen=True)

@@ -151,21 +151,20 @@ def depth_report_to_dict(report: DepthReport) -> dict:
     return doc
 
 
+def _diameter(value: float | None) -> Any:
+    """A graph diameter for JSON: a disconnected graph's is "infinity"."""
+    return "infinity" if value == float("inf") else value
+
+
 def depth2_to_dict(result: Depth2Result) -> dict:
-    diameter: Any = result.diameter
-    if diameter == float("inf"):
-        diameter = "infinity"
-    return {"holds": result.holds, "diameter": diameter}
+    return {"holds": result.holds, "diameter": _diameter(result.diameter)}
 
 
 def s2_to_dict(result: S2Result) -> dict:
     doc: dict[str, Any] = {"holds": result.holds}
     if not result.holds:
         doc["witness_face"] = list(result.witness_face or ())
-        diameter: Any = result.witness_diameter
-        if diameter == float("inf"):
-            diameter = "infinity"
-        doc["witness_diameter"] = diameter
+        doc["witness_diameter"] = _diameter(result.witness_diameter)
     return doc
 
 

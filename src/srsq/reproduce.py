@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
-from .bits import bits, pack
+from .bits import bit_index, bits, pack
 from .complexes import (
     SimplicialComplex,
     conjecture_complex,
@@ -311,19 +311,9 @@ def iter_pure_complexes() -> Iterator[SimplicialComplex]:
         for d in range(1, n + 1):
             pool = [pack(c) for c in combinations(range(1, n + 1), d)]
             for sel in range(1, 1 << len(pool)):
-                support = 0
-                facets = []
-                s = sel
-                i = 0
-                while s:
-                    if s & 1:
-                        facets.append(pool[i])
-                        support |= pool[i]
-                    s >>= 1
-                    i += 1
-                if support != full:
-                    continue
-                yield SimplicialComplex(n, tuple(facets))
+                delta = SimplicialComplex(n, tuple(pool[bit_index(b) - 1] for b in bits(sel)))
+                if delta.support == full:
+                    yield delta
 
 
 def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool]:

@@ -6,6 +6,7 @@ the verdicts and the runtime bound.  Expected values are pinned here; the
 independent oracles behind the derived ones live in the unit test modules.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -21,6 +22,7 @@ from srsq.reproduce import (
     criterion_8_oracle_equivalences,
     criterion_9_implication_audits,
     criterion_10_conjecture,
+    iter_pure_complexes,
 )
 
 
@@ -91,6 +93,21 @@ def test_criterion_08_oracle_equivalences_under_30min():
     assert r.details["random_complexes"] == 200
     assert r.details["failures"] == []
     assert r.passed and r.elapsed < 1800.0
+
+
+def test_criterion_08_enumerates_the_pure_complexes_in_a_fixed_order():
+    # Pinned from the enumeration before it became one comprehension over the
+    # set bits of each selection; tests/test_takayama.py keeps the first
+    # complex of each relabeling class, so the order matters as well.
+    digest = hashlib.sha256()
+    count = 0
+    for delta in iter_pure_complexes():
+        count += 1
+        digest.update(repr((delta.n, delta.facet_tuples())).encode())
+    assert count == 1817
+    assert digest.hexdigest() == (
+        "6156c8035914da54389069fec8d189dd9c51b2662dfbd8112792901388d1d5a8"
+    )
 
 
 def test_criterion_09_implication_audits_clean():

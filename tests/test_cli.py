@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from itertools import takewhile
 from pathlib import Path
 
 import pytest
 
 from srsq import DEFAULT_FIELDS, cli, jsonio
+from srsq.complexes import NAMED_COMPLEXES, cycle_graph, named_complex
 from srsq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VIOLATION, main
 from srsq.reproduce import named_battery
 
@@ -614,6 +616,95 @@ def test_generate_cross_stellar_alias(monkeypatch, capsys):
         ["generate", "cross-stellar", "--d", "2"], monkeypatch=monkeypatch, capsys=capsys
     )
     assert code == EXIT_OK and json.loads(out)["n"] == 5
+
+
+# a value for each parameter a named complex takes, as typed
+GENERATE_PARAMS = {"n": "5", "d": "2", "k": "2", "r": "2"}
+
+
+def _pentagon_graph_file(tmp_path):
+    graph = tmp_path / "c5.json"
+    graph.write_text(json.dumps({"n": 5, "edges": [list(e) for e in cycle_graph(5).edge_tuples()]}))
+    return str(graph)
+
+
+def _generate_args(param, tmp_path):
+    """generate's options for ``param``, and named_complex's keywords for them."""
+    if param is None:
+        return [], {}
+    if param == "graph":
+        return ["--graph", _pentagon_graph_file(tmp_path)], {"graph": cycle_graph(5)}
+    return [f"--{param}", GENERATE_PARAMS[param]], {param: int(GENERATE_PARAMS[param])}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_COMPLEXES))
+def test_generate_builds_every_table_entry(name, monkeypatch, capsys, tmp_path):
+    _, param = NAMED_COMPLEXES[name]
+    argv, params = _generate_args(param, tmp_path)
+    code, out, _ = run(["generate", name.replace("_", "-"), *argv],
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_OK
+    assert json.loads(out) == jsonio.complex_to_dict(named_complex(name, **params))
+
+
+def test_generate_help_lists_the_table(monkeypatch, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["generate", "--help"])
+    assert err.value.code == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if "the parameter it takes:" in line) + 1
+    listed = [line.split() for line in lines[start:start + len(NAMED_COMPLEXES) + 1]]
+    assert listed[-1] == []  # the list ends with the table
+    assert listed[:-1] == [
+        [name.replace("_", "-")] + ([f"--{param}"] if param else [])
+        for name, (_, param) in NAMED_COMPLEXES.items()
+    ]
+
+
+def test_readme_lists_every_named_complex():
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| name | parameter | complex |") + 2  # past the rule
+    rows = takewhile(lambda line: line.startswith("|"), lines[start:])
+    listed = {name.strip(" `"): param.strip(" `")
+              for name, param in (row.split("|")[1:3] for row in rows)}
+    assert listed == {
+        name.replace("_", "-"): f"--{param}" if param else "none"
+        for name, (_, param) in NAMED_COMPLEXES.items()
+    }
+
+
+@pytest.mark.parametrize("argv, param", [
+    pytest.param(["rp2", "--n", "5"], "'n'", id="rp2-n"),
+    pytest.param(["cycle", "--n", "5", "--d", "3"], "'d'", id="cycle-d"),
+    pytest.param(["cycle", "--n", "5", "--graph", "GRAPH"], "'graph'", id="cycle-graph"),
+    pytest.param(["four-path", "--k", "2"], "'k'", id="four-path-k"),
+])
+def test_generate_rejects_a_parameter_the_complex_does_not_take(
+        argv, param, monkeypatch, capsys, tmp_path):
+    graph = _pentagon_graph_file(tmp_path)
+    argv = [graph if a == "GRAPH" else a for a in argv]
+    code, out, err = run(["generate", *argv], monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert f"takes no parameter {param}" in err
+
+
+class _UnreadableStdin:
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+@pytest.mark.parametrize("command", [
+    ["complex", "join"], ["ideal", "intersect"], ["ideal", "equals"],
+], ids=" ".join)
+def test_with_is_checked_before_any_document_is_read(command, monkeypatch, capsys, tmp_path):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"n": 2, "facets": [[1], [2]], "gens": [[1, 1]]}))
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    for argv in ([], ["--in", str(doc)]):
+        assert main([*command, *argv]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: '{' '.join(command)}' needs --with\n"
 
 
 def test_star_output_pipes_back_in(monkeypatch, capsys):

@@ -27,6 +27,7 @@ from srsq import (
     stanley_reisner,
 )
 from srsq.bits import pack, unpack
+from srsq.complexes import NAMED_COMPLEXES
 from helpers import (
     floyd_warshall_diameter,
     maximal_independent_sets,
@@ -295,6 +296,38 @@ def test_named_complex_dispatch():
         named_complex("nonsense")
     with pytest.raises(ValueError):
         named_complex("cycle")  # missing n
+
+
+# a value for each parameter a named complex takes
+NAMED_PARAMS = {"n": 5, "d": 2, "k": 2, "r": 2, "graph": cycle_graph(5)}
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_COMPLEXES))
+def test_named_complex_builds_every_table_entry(name):
+    build, param = NAMED_COMPLEXES[name]
+    params = {param: NAMED_PARAMS[param]} if param else {}
+    expected = build(*params.values())
+    assert named_complex(name, **params) == expected
+    assert named_complex(name.replace("_", "-").upper(), **params) == expected
+    if param and param != "graph":
+        assert named_complex(name, **{param: str(params[param])}) == expected
+
+
+@pytest.mark.parametrize("name", sorted(NAMED_COMPLEXES))
+def test_named_complex_rejects_a_missing_or_extra_parameter(name):
+    _, param = NAMED_COMPLEXES[name]
+    params = {param: NAMED_PARAMS[param]} if param else {}
+    extra = "d" if param == "n" else "n"
+    with pytest.raises(ValueError, match=f"takes no parameter '{extra}'"):
+        named_complex(name, **params, **{extra: 3})
+    if param:
+        with pytest.raises(ValueError, match=f"missing parameter '{param}'"):
+            named_complex(name)
+
+
+def test_cycle_complex_is_the_cycle_graph():
+    for n in (3, 5, 8):
+        assert cycle_complex(n).facets == cycle_graph(n).edges
 
 
 def test_cross_polytope_ideals():

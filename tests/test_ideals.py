@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 from srsq import (
     Monomial,
     MonomialIdeal,
-    associated_hypergraph,
     complete_graph,
     complex_of_ideal,
     cycle_complex,
@@ -364,8 +363,7 @@ def test_special_triangle_pattern_with_tails():
     I = MonomialIdeal.squarefree_from_supports(6, [(1, 2, 4), (2, 3, 5), (1, 3, 6)])
     tris = special_triangles(I)
     assert any(t.vertices == (1, 2, 3) for t in tris)
-    hg = associated_hypergraph(I)
-    assert sorted(hg.edge_tuples()) == [(1, 2, 4), (1, 3, 6), (2, 3, 5)]
+    assert sorted(map(unpack, I.supports())) == [(1, 2, 4), (1, 3, 6), (2, 3, 5)]
 
 
 def test_special_triangles_are_distinct_by_construction():
