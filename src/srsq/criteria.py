@@ -31,6 +31,7 @@ from .ideals import Sym2Result, stanley_reisner, symbolic2_equals_square
 from .takayama import (
     DEFAULT_BUDGET,
     DepthReport,
+    check_square_budget,
     depth_via_takayama,
     symbolic_square_depth_reports,
 )
@@ -247,7 +248,8 @@ def paper_audit(
     The non-face triple condition is only brute-forced when n is at most
     CONDITION3_MAX_VERTICES; the special-triangle criterion stands in for it
     above the cap (the two are equivalent and cross-checked whenever both are
-    computed).  Budget errors from the depth scans propagate.
+    computed).  A depth scan over the budget is refused right after the
+    input checks, before any link walk: S/I^2 and S/I^(2) have one scan size.
 
     One facet-form scan of S/I^(2) serves the whole field battery.  When
     I^2 = I^(2), S/I^2 is S/I^(2), so ``cm_square`` is a copy of those
@@ -258,6 +260,8 @@ def paper_audit(
     so an input they reject fails before any scan starts.
     """
     fields = tuple(fields)
+    if delta.n:  # on no vertex, stanley_reisner below refuses the complex
+        check_square_budget(delta, budget)
     report = AuditReport(
         delta=delta,
         fields=fields,

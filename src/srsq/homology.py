@@ -242,6 +242,31 @@ class HomologyProfile:
         return {i: self.betti_number(i) for i in self.degrees()}
 
 
+def _graph_betti(groups: list[list[int]]) -> tuple[int, ...]:
+    """Reduced Betti numbers of a complex of dimension <= 1 from a union-find
+    over its edges: ~H_{-1} = [no vertex], ~H_0 = c - 1 and ~H_1 = E - V + c
+    for c components.  Graph homology is free, so this holds over every
+    field."""
+    if len(groups) < 2:
+        return (1,) * len(groups)
+    vertices, edges = groups[1], groups[2] if len(groups) == 3 else []
+    root = {v: v for v in vertices}
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = v = root[root[v]]
+        return v
+
+    components = len(vertices)
+    for edge in edges:
+        low = edge & -edge
+        u, w = find(low), find(edge ^ low)
+        if u != w:
+            root[u] = w
+            components -= 1
+    return (0, components - 1, len(edges) - len(vertices) + components)[:len(groups)]
+
+
 def profile_from_faces(
     faces: Iterable[int], fields: Sequence[FieldSpec]
 ) -> tuple[HomologyProfile, ...]:
@@ -250,7 +275,11 @@ def profile_from_faces(
     The face list must be closed under taking subsets and include 0 unless it
     is empty (void complex).  This is the scan-friendly entry point: callers
     that already hold a filtered face list skip complex construction.
-    Each boundary matrix is built once; only its rank depends on the field.
+
+    A complex of dimension <= 1 is a graph: its Betti numbers come from a
+    union-find over the edges (_graph_betti), with no matrix, and are the
+    same over every field.  Otherwise each boundary matrix is built once and
+    only its rank depends on the field; rank d_0 is 1, since a vertex exists.
 
     When Q or F2 is in the battery, every map is ranked over F2 first.  A Q
     rank is copied from F2 unless F2 homology is nonzero in both degrees the
@@ -260,10 +289,13 @@ def profile_from_faces(
     the remaining maps, which is where torsion lives.
     """
     groups = _faces_by_dim(faces)
-    boundaries = [_boundary_from_groups(groups, i) for i in range(len(groups) - 1)]
+    if len(groups) <= 3:
+        betti = _graph_betti(groups)
+        return tuple(HomologyProfile(field, betti) for field in fields)
+    boundaries = [_boundary_from_groups(groups, i) for i in range(1, len(groups) - 1)]
 
     def ranks(field: FieldSpec) -> list[int]:  # entry t is rank d_{t-1}
-        return [0, *(matrix_rank(b, field) for b in boundaries), 0]
+        return [0, 1, *(matrix_rank(b, field) for b in boundaries), 0]
 
     def betti(r: list[int]) -> tuple[int, ...]:
         return tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups))
@@ -276,9 +308,9 @@ def profile_from_faces(
         if field != QQ:
             return ranks(field)
         f2_betti = betti(f2)
-        return [0, *(
+        return [0, 1, *(
             matrix_rank(b, QQ) if f2_betti[t - 1] and f2_betti[t] else f2[t]
-            for t, b in enumerate(boundaries, 1)
+            for t, b in enumerate(boundaries, 2)
         ), 0]
 
     return tuple(HomologyProfile(field, betti(field_ranks(field))) for field in fields)

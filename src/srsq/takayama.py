@@ -22,17 +22,22 @@ with depth = dim S/I when nothing fires below the dimension (the top
 cohomology never vanishes identically and is not scanned).  Only the ranks
 depend on the field, so one scan per ideal serves a whole field battery.
 
-In the generator form a point selects Delta_a by masks alone: the sets
-mb = {i outside G_a : b_i > a_i}, one per generator x^b, come from masks
-precomputed once per ideal, and the pair (G_a, set of mb) keys the homology
-cache.  The faces of Delta_a are listed only when a key is new, and homology
-is evaluated only when those faces are new.
+Each Delta_a is named by a bitset over the positions of
+Delta(I).sorted_faces(): bit p is set iff face p lies in Delta_a, and 0 is
+the void complex.  That int keys the homology cache, so each Delta_a is
+evaluated once per scan and its faces are listed only on a cache miss.  In
+the generator form a point selects Delta_a by masks alone: the sets
+mb = {i outside G_a : b_i > a_i}, one per generator x^b, come from words
+packed once per ideal, and Delta_a is the faces avoiding G_a that lack
+every mb, from per-scan tables of the faces containing each vertex.  No
+face is visited per point.
 
 For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
 2011): Delta_a(I) is generated by the sets F - G_a over the facets F of
 Delta that contain G_a and satisfy sum_{i not in F} a_i <= l - 1, and
-rho_j = l off the cone vertices (those in every facet) and 0 on them.  The
-symbolic-square scan runs in this facet form over the same points in the
+rho_j = l off the cone vertices (those in every facet) and 0 on them.  As
+a bitset, Delta_a is the OR of the faces inside each such F, less the
+faces meeting G_a.  The symbolic-square scan runs in this facet form over the same points in the
 same order as the generator form, through the same loop; the generator
 form applied to symbolic_power(Delta, 2) is kept as the test suite's oracle.
 
@@ -42,7 +47,8 @@ either power.  Then S/I^2 and S/I^(2) are one ring: the same minimal
 generators, rho, points and Delta_a, so the same report, depth, witness and
 scan_size included.  The two forms even have equal scan sizes on every
 complex (rho of I^2 is 2 exactly off the cone vertices), so a budget
-refusal names the same requirement on either route.  Only a square that
+refusal names the same requirement on either route, and
+check_square_budget can refuse both from the faces alone.  Only a square that
 differs from the symbolic square is built and scanned in generator form;
 the generator form of every square is the test suite's oracle.
 
@@ -55,10 +61,11 @@ the test suite's oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Collection, Hashable, Sequence
+from functools import lru_cache, partial
+from itertools import compress, product
+from typing import Callable, Sequence
 
-from .bits import generated_faces
+from .bits import bits
 from .complexes import SimplicialComplex
 from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces
 from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner, symbolic2_equals_square
@@ -98,78 +105,137 @@ class DepthReport:
 
 
 # -- the degree-selected subcomplex --------------------------------------------
+#
+# Both kernels return Delta_a as its bitset over the faces (module docstring)
+# and build their tables from the vertex table, once per scan.
+
+Select = Callable[[int, Sequence[int]], int]
+
+
+def _vertex_table(faces: Sequence[int], n: int) -> list[int]:
+    """Entry j is the bitset of the faces that contain vertex j + 1, for every
+    vertex 1..n: a vertex that lies only in generators gets 0."""
+    table = [0] * n
+    for p, f in enumerate(faces):
+        bit = 1 << p
+        while f:
+            low = f & -f
+            table[low.bit_length() - 1] |= bit
+            f ^= low
+    return table
+
+
+def _meeting(table: list[int], mask: int) -> int:
+    """The OR of the vertex table's rows at the set bits of ``mask``: the
+    bitset of the faces that meet ``mask``."""
+    out = 0
+    for j, row in enumerate(table):
+        if mask >> j & 1:
+            out |= row
+    return out
+
+
+def _avoiding(table: list[int], everything: int) -> Callable[[int], int]:
+    """The bitset of the faces that avoid G, remembered for one G: scan
+    points come grouped by G."""
+    return lru_cache(maxsize=1)(lambda g_mask: everything & ~_meeting(table, g_mask))
 
 
 def _generator_selection(
-    faces: Sequence[int], gens: Sequence[tuple[int, ...]]
-) -> tuple[Callable[[int, Sequence[int]], Hashable], Callable[[Hashable], list[int]]]:
-    """``select`` and ``expand`` of the generator-form scan; ``faces`` are
-    the faces of Delta(I), ``gens`` the exponent vectors of its generators.
+    gens: Sequence[tuple[int, ...]], faces: Sequence[int], n: int
+) -> Select:
+    """``select(g_mask, a)`` of the generator-form scan; ``faces`` are the
+    faces of Delta(I) on n vertices, ``gens`` the exponent vectors of its
+    generators.
 
     For each generator b, mb = {j outside G_a : b_j > a_j}; a face F of
     Delta_a avoids G_a and misses a vertex of every mb, and an empty mb
-    leaves Delta_a void.  Once per ideal, levels[k] holds the masks
-    {j : b_j > k} of all generators, for k below the largest exponent; at a
-    point, with at_k = {j : a_j = k}, each mb is the OR over k of
-    levels[k][b] & at_k, and G_a drops out because a is negative there.
-    ``select(g_mask, a)`` returns None for the void complex and the key
-    (G_a, set of mb) otherwise; ``expand(key)`` lists the faces of Delta_a
-    and runs only on a cache miss.
+    leaves Delta_a void.  Exponents are packed in n-bit lanes, one per level
+    k below the largest exponent: once per ideal, lane k of a generator's
+    word is {j : b_j > k}; at a point, lane k of ``at`` is {j : a_j = k}.
+    Lane k of their AND is then {j : a_j = k < b_j}, so the AND is zero iff
+    mb is empty, and mb is the OR of its lanes (G_a drops out because a is
+    negative there).  Delta_a is the faces avoiding G_a ANDed with, per mb,
+    the faces lacking mb; the latter is remembered per scan, keyed by the
+    AND, from the vertex table.  No face is visited per point.
     """
     top = max((e for b in gens for e in b), default=0)
-    levels = [[sum(1 << j for j, e in enumerate(b) if e > k) for b in gens]
-              for k in range(top)]
+    words = [sum(1 << (k * n + j) for k in range(top) for j, e in enumerate(b) if e > k)
+             for b in gens]
+    table = _vertex_table(faces, n)
+    everything = (1 << len(faces)) - 1
+    avoiding = _avoiding(table, everything)
 
-    def select(g_mask: int, a: Sequence[int]) -> Hashable:
-        at = [0] * top
+    class Lacking(dict):
+        def __missing__(self, lanes: int) -> int:
+            holding = everything
+            for low in bits(lanes):
+                holding &= table[(low.bit_length() - 1) % n]
+            self[lanes] = everything & ~holding
+            return self[lanes]
+
+    lacking = Lacking()
+
+    def select(g_mask: int, a: Sequence[int]) -> int:
+        at = 0
         for j, e in enumerate(a):
             if 0 <= e < top:
-                at[e] |= 1 << j
-        mbs = [0] * len(gens)
-        for level, at_k in zip(levels, at):
-            if at_k:
-                mbs = [mb | (lb & at_k) for mb, lb in zip(mbs, level)]
+                at |= 1 << (e * n + j)
+        mbs = {word & at for word in words}
         if 0 in mbs:
-            return None
-        return g_mask, frozenset(mbs)
+            return 0
+        selected = avoiding(g_mask)
+        for lanes in mbs:
+            selected &= lacking[lanes]
+        return selected
 
-    def expand(key: Hashable) -> list[int]:
-        g_mask, mbs = key
-        return [f for f in faces if not f & g_mask and all(mb & ~f for mb in mbs)]
-
-    return select, expand
+    return select
 
 
 def _facet_selection(
-    facets: Sequence[int], g_mask: int, a: Sequence[int], ell: int
-) -> tuple[int, ...]:
-    """Generators F - G_a of Delta_a(I_Delta^(ell)), in facet order: one per
-    facet F containing G_a with sum_{i not in F} a_i <= ell - 1.
+    facets: Sequence[int], ell: int, faces: Sequence[int], n: int
+) -> Select:
+    """``select(g_mask, a)`` of the facet-form scan of I_Delta^(ell): Delta_a
+    is generated by F - G_a over the facets F containing G_a with
+    sum_{i not in F} a_i <= ell - 1, so it is the OR of the faces inside
+    those F, less the faces meeting G_a.
 
     The outside sum is counted layerwise, |{i not in F : a_i >= k}| summed
     over k = 1..ell; capping the layers at ell leaves the comparison intact.
-    An empty result is the void complex.  Plain loops: this runs per scan
-    point.
+    Plain loops: this runs per scan point.
     """
-    layers = []
-    for k in range(1, ell + 1):
-        layer = 0
-        for i, e in enumerate(a):
-            if e >= k:
-                layer |= 1 << i
-        if not layer:
-            break
-        layers.append(layer)
-    selected = []
-    for f in facets:
-        if g_mask & ~f:
-            continue
-        outside = 0
-        for layer in layers:
-            outside += (layer & ~f).bit_count()
-        if outside < ell:
-            selected.append(f & ~g_mask)
-    return tuple(selected)
+    table = _vertex_table(faces, n)
+    everything = (1 << len(faces)) - 1
+    avoiding = _avoiding(table, everything)
+    inside = [everything & ~_meeting(table, ~f) for f in facets]
+
+    def select(g_mask: int, a: Sequence[int]) -> int:
+        layers = []
+        for k in range(1, ell + 1):
+            layer = 0
+            for i, e in enumerate(a):
+                if e >= k:
+                    layer |= 1 << i
+            if not layer:
+                break
+            layers.append(layer)
+        selected = 0
+        for f, below in zip(facets, inside):
+            if g_mask & ~f:
+                continue
+            outside = 0
+            for layer in layers:
+                outside += (layer & ~f).bit_count()
+            if outside < ell:
+                selected |= below
+        return selected & avoiding(g_mask)
+
+    return select
+
+
+def _faces_of(faces: Sequence[int], selected: int) -> list[int]:
+    """The faces at the set bits of a Delta_a bitset, in face order."""
+    return list(compress(faces, map(int, reversed(f"{selected:b}"))))
 
 
 # -- the depth scan ------------------------------------------------------------
@@ -188,6 +254,14 @@ def _scan_size(faces: Sequence[int], rho: Sequence[int]) -> int:
     return total
 
 
+def _checked_size(faces: Sequence[int], rho: Sequence[int], budget: int) -> int:
+    """The scan size, or BudgetExceeded when it is over the budget."""
+    size = _scan_size(faces, rho)
+    if size > budget:
+        raise BudgetExceeded(size, budget)
+    return size
+
+
 def _scan_points(faces: Sequence[int], rho: Sequence[int], n: int):
     """(G, a) pairs in a fixed total order: faces sorted by (size, vertices),
     then the nonnegative part in lexicographic product order."""
@@ -202,28 +276,23 @@ def _scan_reports(
     rho: Sequence[int],
     fields: Sequence[FieldSpec],
     budget: int,
-    select: Callable[[int, tuple[int, ...]], Hashable],
-    expand: Callable[[Hashable], Collection[int]],
+    kernel: Callable[[Sequence[int], int], Select],
 ) -> dict[FieldSpec, DepthReport]:
     """The depth scan shared by the generator and facet forms, per field.
 
-    ``select(g_mask, a)`` names Delta_a by a hashable key, falsy when Delta_a
-    is void: (G_a, set of mb) in the generator form, the tuple of F - G_a in
-    the facet form.  ``expand(key)`` lists the faces of Delta_a and runs only
-    on a key miss; keys whose faces come out equal, in the same order, share
-    one homology evaluation (in the generator form every facet G_a with no
-    empty mb gives {empty face}).  The search space (see module docstring) is
-    sized upfront; exceeding the budget raises BudgetExceeded rather than
-    truncating.  Each field's witness is its first nonvanishing piece in the
-    fixed (i, a) order, so reports are deterministic regardless of evaluation
-    strategy.
+    ``kernel(faces, n)`` builds the form's ``select(g_mask, a)``, which names
+    Delta_a by its bitset over ``faces`` (0 for the void complex); equal
+    bitsets are equal complexes, so each Delta_a is listed and evaluated
+    once per scan.  The search space (see module docstring) is sized upfront,
+    before the kernel builds its tables; exceeding the budget raises
+    BudgetExceeded rather than truncating.  Each field's witness is its first
+    nonvanishing piece in the fixed (i, a) order, so reports are
+    deterministic regardless of evaluation strategy.
     """
-    size = _scan_size(faces, rho)
-    if size > budget:
-        raise BudgetExceeded(size, budget)
+    size = _checked_size(faces, rho, budget)
+    select = kernel(faces, delta.n)
     dim_ring = delta.dim + 1
-    cache: dict[Hashable, tuple[HomologyProfile, ...]] = {}
-    by_faces: dict[tuple[int, ...], tuple[HomologyProfile, ...]] = {}
+    cache: dict[int, tuple[HomologyProfile, ...]] = {}
     first_hits: list[dict[int, CohomologyWitness]] = [{} for _ in fields]
     for g_mask, a in _scan_points(faces, rho, delta.n):
         key = select(g_mask, a)
@@ -231,11 +300,7 @@ def _scan_reports(
             continue
         profiles = cache.get(key)
         if profiles is None:
-            selected = tuple(expand(key))
-            profiles = by_faces.get(selected)
-            if profiles is None:
-                profiles = by_faces[selected] = profile_from_faces(selected, fields)
-            cache[key] = profiles
+            profiles = cache[key] = profile_from_faces(_faces_of(faces, key), fields)
         shift = g_mask.bit_count() + 1
         for profile, first_hit in zip(profiles, first_hits):
             for i, betti in enumerate(profile.betti, shift - 1):
@@ -254,9 +319,8 @@ def depth_reports(
     if ideal.is_unit():
         raise ValueError("depth of the zero ring is rejected")
     delta = complex_of_ideal(ideal)
-    faces = delta.sorted_faces()
-    select, expand = _generator_selection(faces, [g.exps for g in ideal.gens])
-    return _scan_reports(delta, faces, ideal.rho(), fields, budget, select, expand)
+    kernel = partial(_generator_selection, [g.exps for g in ideal.gens])
+    return _scan_reports(delta, delta.sorted_faces(), ideal.rho(), fields, budget, kernel)
 
 
 def depth_via_takayama(
@@ -279,12 +343,8 @@ def _symbolic_depth_reports(
     """Depth of S/I_Delta^(ell) by the facet-form scan (module docstring)."""
     if delta.n < 1 or delta.is_void():
         raise ValueError("symbolic powers need a nonvoid complex on at least one vertex")
-    facets = delta.facets
-    return _scan_reports(
-        delta, delta.sorted_faces(), _symbolic_rho(delta, ell), fields, budget,
-        select=lambda g_mask, a: _facet_selection(facets, g_mask, a, ell),
-        expand=generated_faces,
-    )
+    return _scan_reports(delta, delta.sorted_faces(), _symbolic_rho(delta, ell), fields,
+                         budget, partial(_facet_selection, delta.facets, ell))
 
 
 # -- squares and symbolic squares ----------------------------------------------
@@ -322,6 +382,14 @@ def symbolic_square_depth_report(
 ) -> DepthReport:
     """One field's report of symbolic_square_depth_reports."""
     return symbolic_square_depth_reports(delta, (field,), budget)[field]
+
+
+def check_square_budget(delta: SimplicialComplex, budget: int) -> None:
+    """Raise BudgetExceeded when a scan of S/I_Delta^2, in either form, or of
+    S/I_Delta^(2) would need more than ``budget`` points: all have the facet
+    form's scan size (module docstring).  Only the faces are listed, so a
+    caller can refuse before any other work."""
+    _checked_size(delta.sorted_faces(), _symbolic_rho(delta, 2), budget)
 
 
 def is_cm_square(

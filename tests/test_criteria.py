@@ -6,6 +6,7 @@ from srsq import (
     GF2,
     QQ,
     AuditReport,
+    BudgetExceeded,
     DepthReport,
     FieldSpec,
     MonomialIdeal,
@@ -32,7 +33,9 @@ from srsq import (
     symbolic_power,
     symbolic_square_depth_report,
     symbolic_square_depth_reports,
+    void_complex,
 )
+from srsq import criteria
 from srsq.criteria import _audit_violations, explore_complexes
 from srsq.homology import GorensteinReport
 from srsq.reproduce import named_battery
@@ -308,3 +311,27 @@ def test_explore_complexes_rejects_fewer_than_three_vertices(n_max):
     with pytest.raises(ValueError, match="n_max must be >= 3"):
         explore_complexes(0, 2, n_max)
     assert [d.n for d in explore_complexes(0, 5, 3)] == [3] * 5
+
+
+def test_audit_refuses_an_over_budget_scan_before_any_link_walk(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an over-budget audit must not walk links")
+
+    for name in ("is_gorenstein", "is_locally_gorenstein", "s2_criterion"):
+        monkeypatch.setattr(criteria, name, refuse)
+    d = cross_polytope(8)
+    with pytest.raises(BudgetExceeded) as err:
+        paper_audit(d)
+    assert str(err.value) == "scan needs 16777216 homology evaluations, budget is 1000000"
+    with pytest.raises(BudgetExceeded) as scan_err:
+        symbolic_square_depth_reports(d, (QQ,))
+    assert scan_err.value.required == err.value.required
+
+
+@pytest.mark.parametrize("budget", [0, 10**6])
+def test_audit_keeps_its_messages_for_void_and_vertexless_input(budget):
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="^Gorensteinness of the void complex is undefined$"):
+            paper_audit(void_complex(n), budget=budget)
+    with pytest.raises(ValueError, match="^need a complex on at least one ambient vertex$"):
+        paper_audit(SimplicialComplex(0, (0,)), budget=budget)

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -220,7 +221,8 @@ def test_boundary_matrices_are_built_once_whatever_the_battery(monkeypatch):
     for battery in ((QQ,), (QQ, GF2), (QQ, GF2, F3)):
         built.clear()
         profile_from_faces(faces, battery)
-        assert built == [0, 1, 2]
+        # rank d_0 is 1 by formula, so the augmentation row is never built
+        assert built == [1, 2]
 
 
 def torsion_complexes():
@@ -230,13 +232,14 @@ def torsion_complexes():
     return [d, d.join(new_complex(2, [(1,), (2,)])), d.join(d), d.join(cycle_complex(5))]
 
 
-def q_betti_oracle(faces):
+def q_betti_oracle(faces, rank=fraction_rank):
     """dim ~H_i over Q for i = -1 .. dim from fraction_rank of each
-    boundary_matrix, as a tuple indexed like HomologyProfile.betti."""
+    boundary_matrix, as a tuple indexed like HomologyProfile.betti; over
+    another field with its ``rank``."""
     if not faces:
         return ()
     delta = SimplicialComplex(max(faces).bit_length(), tuple(faces))
-    ranks = [fraction_rank(boundary_matrix(delta, i)) for i in range(-1, delta.dim + 1)] + [0]
+    ranks = [rank(boundary_matrix(delta, i)) for i in range(-1, delta.dim + 1)] + [0]
     sizes = [sum(1 for f in faces if f.bit_count() == i + 1) for i in range(-1, delta.dim + 1)]
     return tuple(size - ranks[t] - ranks[t + 1] for t, size in enumerate(sizes))
 
@@ -249,6 +252,49 @@ def test_q_profiles_match_the_fraction_oracle_whatever_the_battery():
         for battery in ((QQ,), (QQ, GF2), (F3, QQ, GF2)):
             profiles = dict(zip(battery, profile_from_faces(faces, battery)))
             assert profiles[QQ].betti == expected
+
+
+def graph_face_sets(rng, count):
+    """Face lists of dimension <= 1: the void complex, {0}, random graphs
+    with isolated vertices, and the links of rp2's nonempty faces (cycles,
+    pairs of points and {0})."""
+    sets = [[], [0]]
+    for _ in range(count):
+        n = rng.randint(1, 8)
+        vertices = rng.sample(range(1, n + 1), rng.randint(1, n))
+        edges = [pack(e) for e in combinations(sorted(vertices), 2) if rng.random() < 0.4]
+        sets.append(list(generated_faces([pack([v]) for v in vertices] + edges)))
+    d = rp2()
+    sets += [sorted(homology._link_faces(d, f)) for f in d.sorted_faces() if f]
+    for faces in sets:
+        rng.shuffle(faces)
+    return sets
+
+
+def test_graph_rule_matches_the_rank_route(monkeypatch):
+    # graph homology is free, so one union-find answers every field; the
+    # rank route (fraction_rank over Q, dense elimination mod p) is the oracle
+    pool = graph_face_sets(random.Random(83), 60)
+    battery = (QQ, GF2, F3)
+
+    def refuse(*args):
+        raise AssertionError("a complex of dimension <= 1 needs no boundary matrix")
+
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_boundary_from_groups", refuse)
+        profiles = [profile_from_faces(faces, battery) for faces in pool]
+    isolated = cycles = 0
+    for faces, by_field in zip(pool, profiles):
+        expected = q_betti_oracle(faces)
+        for profile in by_field:
+            assert profile.betti == expected
+        for p in (2, 3):
+            assert q_betti_oracle(faces, lambda rows: modp_rank_naive(rows, p)) == expected
+        isolated += len(expected) == 3 and any(
+            f.bit_count() == 1 and not any(e & f for e in faces if e.bit_count() == 2)
+            for f in faces)
+        cycles += len(expected) == 3 and expected[2] > 0
+    assert isolated >= 5 and cycles >= 5
 
 
 @st.composite
@@ -283,7 +329,7 @@ def test_bareiss_runs_only_between_two_degrees_with_f2_homology(monkeypatch):
 
     # spheres and links of a Gorenstein complex are F2-acyclic in all but one degree
     assert q_rank_calls(lambda: reduced_homology(cross_polytope(3), QQ)) == 0
-    assert calls == [GF2] * 3  # a Q-only battery still ranks over F2
+    assert calls == [GF2] * 2  # a Q-only battery still ranks d_1, d_2 over F2
     assert q_rank_calls(lambda: reduced_homology(cycle_complex(5), QQ)) == 0
     assert q_rank_calls(lambda: is_cohen_macaulay(cross_polytope_stellar(3), QQ)) == 0
     # F2 sees H_1 and H_2 of rp2, so d_2 between them goes to Bareiss

@@ -43,6 +43,7 @@ from srsq.bits import pack, unpack
 from srsq.criteria import random_pure_complex
 from srsq.reproduce import iter_pure_complexes
 from srsq.takayama import (
+    _faces_of,
     _facet_selection,
     _generator_selection,
     _symbolic_depth_reports,
@@ -143,7 +144,9 @@ def test_delta_a_mixed_sign_matches_facet_formula():
             if g >> j & 1:
                 a[j] = -1
         lhs = delta_a(symbolic_power(d, ell), tuple(a))
-        assert SimplicialComplex(d.n, _facet_selection(d.facets, g, a, ell)) == lhs
+        all_faces = d.sorted_faces()
+        key = _facet_selection(d.facets, ell, all_faces, d.n)(g, a)
+        assert SimplicialComplex(d.n, tuple(_faces_of(all_faces, key))) == lhs
         good = [
             f & ~g
             for f in d.facets
@@ -171,10 +174,26 @@ def random_point(rng, n, top):
                  for _ in range(n))
 
 
+def bitset_of(faces, delta):
+    """The Delta_a bitset naming the faces of ``delta`` among ``faces``."""
+    return sum(1 << p for p, f in enumerate(faces) if f in delta.face_masks)
+
+
+def kernel_keys(ideal, d, ell, g_mask, a):
+    """(generator-form key of ``ideal``, facet-form key of d's ell-th
+    symbolic power) at the point a, with the face lists they index."""
+    faces = complex_of_ideal(ideal).sorted_faces()
+    gen_key = _generator_selection([m.exps for m in ideal.gens], faces, ideal.n)(g_mask, a)
+    sym_faces = d.sorted_faces()
+    sym_key = _facet_selection(d.facets, ell, sym_faces, d.n)(g_mask, a)
+    return (gen_key, faces), (sym_key, sym_faces)
+
+
 def test_selection_kernels_match_the_definition_on_random_points():
     # both scan kernels against the brute-force definition in helpers, at
     # points of every sign pattern, G_a a face of Delta or not; cubes make
-    # the generator form read exponent levels above 2
+    # the generator form read exponent levels above 2; the key is the
+    # bitset of Delta_a's faces, 0 exactly when Delta_a is void
     rng = random.Random(71)
     mixed = void = cubes = 0
     for _ in range(150):
@@ -186,18 +205,53 @@ def test_selection_kernels_match_the_definition_on_random_points():
         a = random_point(rng, n, max(ideal.rho()) + 1)
         g_mask = pack(j for j, e in enumerate(a, 1) if e < 0)
         expected = delta_a(ideal, a)
-        select, expand = _generator_selection(complex_of_ideal(ideal).sorted_faces(),
-                                              [m.exps for m in ideal.gens])
-        key = select(g_mask, a)
-        faces = None if key is None else expand(key)
-        assert SimplicialComplex(n, tuple(faces or ())) == expected
-        assert (faces is None) == expected.is_void()
-        selected = _facet_selection(d.facets, g_mask, a, ell)
-        assert SimplicialComplex(n, selected) == delta_a(symbolic_power(d, ell), a)
+        (key, faces), (sym_key, sym_faces) = kernel_keys(ideal, d, ell, g_mask, a)
+        assert key == bitset_of(faces, expected)
+        assert SimplicialComplex(n, tuple(_faces_of(faces, key))) == expected
+        assert sym_key == bitset_of(sym_faces, delta_a(symbolic_power(d, ell), a))
         mixed += bool(g_mask) and any(e > 0 for e in a)
         void += expected.is_void()
         cubes += max(ideal.rho()) == 3 and any(e == 2 for e in a)
     assert mixed >= 20 and 0 < void < 150 and cubes >= 10
+
+
+def test_selection_kernels_match_the_definition_past_64_faces():
+    # n = 7..9 and more than 64 faces, where a Delta_a bitset is wider than
+    # one machine word: scan points of squares and symbolic squares, G_a
+    # empty or a vertex so that Delta_a keeps faces past the 64th
+    rng = random.Random(79)
+    wide = 0
+    for n in (7, 8, 9):
+        for _ in range(2):
+            d = random_pure_complex(rng, n)
+            while len(d.sorted_faces()) <= 64:
+                d = random_pure_complex(rng, n)
+            faces = d.sorted_faces()
+            ideal = rng.choice([stanley_reisner(d).power(2), symbolic_power(d, 2)])
+            for _ in range(2):
+                g_mask = faces[rng.randrange(n + 1)]
+                a = tuple(-1 if g_mask >> j & 1 else int(rng.random() < 0.2) for j in range(n))
+                (key, gen_faces), (sym_key, _) = kernel_keys(ideal, d, 2, g_mask, a)
+                assert gen_faces == faces
+                assert key == bitset_of(faces, delta_a(ideal, a))
+                assert sym_key == bitset_of(faces, delta_a(symbolic_power(d, 2), a))
+                wide += key.bit_length() > 64
+    assert wide >= 3
+
+
+@pytest.mark.parametrize("form", ["generator", "facet"])
+def test_over_budget_scans_refuse_before_building_a_face_index(form, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the face index is built only once the budget allows the scan")
+
+    monkeypatch.setattr(takayama, "_vertex_table", refuse)
+    d = cross_polytope(9)
+    with pytest.raises(BudgetExceeded) as err:
+        if form == "facet":
+            symbolic_square_depth_reports(d, (QQ, GF2))
+        else:
+            depth_reports(stanley_reisner(d).power(2), (QQ, GF2))
+    assert err.value.required == 2 ** 27
 
 
 def test_unequal_square_scans_match_the_brute_force_depth():
@@ -229,8 +283,8 @@ def test_unequal_square_scans_match_the_brute_force_depth():
     stanley_reisner(cross_polytope(2)).power(3),
 ], ids=["rp2-square", "four-path-square", "pentagon-symbolic", "square-cube"])
 def test_generator_form_evaluates_each_delta_a_once(ideal, monkeypatch):
-    # keys (G_a, set of mb) that name the same faces share one evaluation:
-    # every facet G_a with no empty mb selects {empty face}, for one
+    # points whose Delta_a has the same faces share one evaluation: every
+    # facet G_a with no empty mb selects {empty face}, for one
     evaluated = []
     profile = takayama.profile_from_faces
 
