@@ -20,11 +20,18 @@ Conventions for the reduced chain complex of a complex Delta:
   * dim ~H_i = dim ker d_i - rank d_{i+1} for i = -1 .. dim Delta;
   * the void complex (no faces at all) has zero homology everywhere, while
     the irrelevant complex {0} has ~H_{-1} = K.
+
+Reisner, Stanley and local Gorenstein share one walk over Delta's own faces,
+and no core or link complex is built: lk_core(G) = lk_Delta(G | cone), and
+lk v's core has the links lk_Delta(G | the meet of the facets through v).
+Adding a fixed set to faces keeps their sorted_faces() order, so witnesses
+are those of a walk over the core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .bits import bits, generated_faces, pack, unpack
@@ -323,25 +330,28 @@ def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProf
 # -- Reisner and Stanley criteria ----------------------------------------------
 
 
-def _link_faces(delta: SimplicialComplex, f: int) -> set[int]:
-    """Faces of the link of f, in ambient labels (homology only cares about
-    the face poset, so no re-indexing is needed here)."""
-    return generated_faces(g & ~f for g in delta.facets if f & ~g == 0)
-
-
-def _first_bad_link(delta: SimplicialComplex, field: FieldSpec, sphere: bool) -> tuple | None:
-    """(face, degree) for the first face in sorted_faces() order whose link has
+def _link_walk(delta: SimplicialComplex, field: FieldSpec, sphere: bool,
+               insides: Sequence[int]) -> tuple | None:
+    """(k, face - insides[k], degree) for the first k, then the first face in
+    sorted_faces() order that contains the mask insides[k], whose link has
     reduced homology below its dimension or, with ``sphere``, a top homology
-    other than K; None when every link passes (Reisner; Stanley on the core)."""
-    for f in delta.sorted_faces():
-        faces = _link_faces(delta, f)
-        link_dim = max(m.bit_count() for m in faces) - 1
-        (profile,) = profile_from_faces(faces, (field,))
-        bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
-        if bad is None and sphere and profile.betti_number(link_dim) != 1:
-            bad = link_dim
-        if bad is not None:
-            return unpack(f), bad
+    other than K; None when all pass.  Links keep the input's labels, and one
+    that passed is not evaluated again."""
+    faces = delta.sorted_faces()
+    passed: set[int] = set()
+    for k, inside in enumerate(insides):
+        for f in faces:
+            if f & inside != inside or f in passed:
+                continue
+            link = generated_faces(g & ~f for g in delta.facets if f & ~g == 0)
+            link_dim = max(m.bit_count() for m in link) - 1
+            (profile,) = profile_from_faces(link, (field,))
+            bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
+            if bad is None and sphere and profile.betti_number(link_dim) != 1:
+                bad = link_dim
+            if bad is not None:
+                return k, unpack(f & ~inside), bad
+            passed.add(f)
     return None
 
 
@@ -363,8 +373,8 @@ def is_cohen_macaulay(delta: SimplicialComplex, field: FieldSpec) -> ReisnerRepo
     reduced homology below its dimension."""
     if delta.is_void():
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
-    bad = _first_bad_link(delta, field, sphere=False)
-    return ReisnerReport(bad is None, field, *(bad or ()))
+    bad = _link_walk(delta, field, False, (0,))
+    return ReisnerReport(bad is None, field, *(bad[1:] if bad else ()))
 
 
 @dataclass(frozen=True)
@@ -387,16 +397,16 @@ class GorensteinReport:
 
 
 def is_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> GorensteinReport:
-    """Stanley's criterion on the core, kept in the input's labels so that
-    the witness face names the input's vertices."""
+    """Stanley's criterion on the core, read off the faces of Delta that
+    contain the cone vertices, so the witness face names the input's vertices."""
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
     cone = pack(delta.cone_vertices())
-    core = SimplicialComplex(delta.n, tuple(f & ~cone for f in delta.facets))
-    chi = core.euler_characteristic_reduced()
-    expected = 1 if core.dim % 2 == 0 else -1
-    bad = _first_bad_link(core, field, sphere=True)
-    return GorensteinReport(bad is None, field, chi, expected, *(bad or ()))
+    c = cone.bit_count()
+    chi = sum(1 if (m.bit_count() - c) % 2 else -1 for m in delta.face_masks if m & cone == cone)
+    expected = 1 if (delta.dim - c) % 2 == 0 else -1
+    bad = _link_walk(delta, field, True, (cone,))
+    return GorensteinReport(bad is None, field, chi, expected, *(bad[1:] if bad else ()))
 
 
 @dataclass(frozen=True)
@@ -410,10 +420,10 @@ class LocallyGorensteinReport:
 
 
 def is_locally_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> LocallyGorensteinReport:
-    """Every vertex link is Gorenstein over the field."""
+    """Every vertex link is Gorenstein over the field (module docstring)."""
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
-    for v in unpack(delta.support):
-        if not is_gorenstein(delta.link([v]), field):
-            return LocallyGorensteinReport(False, field, v)
-    return LocallyGorensteinReport(True, field)
+    vertices = unpack(delta.support)
+    insides = [reduce(int.__and__, (g for g in delta.facets if g >> (v - 1) & 1)) for v in vertices]
+    bad = _link_walk(delta, field, True, insides)
+    return LocallyGorensteinReport(bad is None, field, None if bad is None else vertices[bad[0]])

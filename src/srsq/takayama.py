@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, product
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .bits import bits
 from .complexes import SimplicialComplex
@@ -241,7 +241,7 @@ def _faces_of(faces: Sequence[int], selected: int) -> list[int]:
 # -- the depth scan ------------------------------------------------------------
 
 
-def _scan_size(faces: Sequence[int], rho: Sequence[int]) -> int:
+def _scan_size(faces: Iterable[int], rho: Sequence[int]) -> int:
     total = 0
     for g in faces:
         prod = 1
@@ -254,7 +254,7 @@ def _scan_size(faces: Sequence[int], rho: Sequence[int]) -> int:
     return total
 
 
-def _checked_size(faces: Sequence[int], rho: Sequence[int], budget: int) -> int:
+def _checked_size(faces: Iterable[int], rho: Sequence[int], budget: int) -> int:
     """The scan size, or BudgetExceeded when it is over the budget."""
     size = _scan_size(faces, rho)
     if size > budget:
@@ -389,7 +389,7 @@ def check_square_budget(delta: SimplicialComplex, budget: int) -> None:
     S/I_Delta^(2) would need more than ``budget`` points: all have the facet
     form's scan size (module docstring).  Only the faces are listed, so a
     caller can refuse before any other work."""
-    _checked_size(delta.sorted_faces(), _symbolic_rho(delta, 2), budget)
+    _checked_size(delta.face_masks, _symbolic_rho(delta, 2), budget)
 
 
 def is_cm_square(

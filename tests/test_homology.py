@@ -265,7 +265,8 @@ def graph_face_sets(rng, count):
         edges = [pack(e) for e in combinations(sorted(vertices), 2) if rng.random() < 0.4]
         sets.append(list(generated_faces([pack([v]) for v in vertices] + edges)))
     d = rp2()
-    sets += [sorted(homology._link_faces(d, f)) for f in d.sorted_faces() if f]
+    sets += [sorted(generated_faces(g & ~f for g in d.facets if f & ~g == 0))
+             for f in d.sorted_faces() if f]
     for faces in sets:
         rng.shuffle(faces)
     return sets
@@ -427,6 +428,7 @@ def witness_pool(rng, pure):
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "non-pure"])
 def test_link_criteria_witnesses_match_the_reindexed_link_route(pure):
     rng = random.Random(23 if pure else 29)
+    local_verdicts = set()
     for delta in witness_pool(rng, pure):
         for field in (QQ, GF2, F3):
             cm = is_cohen_macaulay(delta, field)
@@ -435,12 +437,45 @@ def test_link_criteria_witnesses_match_the_reindexed_link_route(pure):
                 bad is None, *(bad or (None, None)))
             gor = is_gorenstein(delta, field)
             core, vmap = delta.core_with_map()
+            assert (gor.core_euler, gor.expected_euler) == (
+                core.euler_characteristic_reduced(), 1 if core.dim % 2 == 0 else -1)
             bad = first_failing_link(core, field, sphere=True)
             if bad is not None:  # back to the input's labels
                 label = {new: old for old, new in vmap.items()}
                 bad = (tuple(label[v] for v in bad[0]), bad[1])
             assert (gor.is_gorenstein, gor.witness_face, gor.witness_degree) == (
                 bad is None, *(bad or (None, None)))
+            # local Gorenstein: the first vertex whose re-indexed link has a
+            # core that fails Stanley's test
+            local = is_locally_gorenstein(delta, field)
+            first = next((v for v in unpack(delta.support) if first_failing_link(
+                delta.link([v]).core(), field, sphere=True)), None)
+            assert (local.holds, local.witness_vertex) == (first is None, first)
+            local_verdicts.add(local.holds)
+    assert local_verdicts == {True, False}
+
+
+def test_link_criteria_evaluate_each_link_of_delta_once_and_build_no_complex(monkeypatch):
+    # cross_polytope(6) has 728 nonempty faces; walking each vertex link's
+    # core on its own evaluates every face once per vertex in it, 2916 times
+    delta, cone = cross_polytope(6), simplex_complex(1).join(four_path())
+    evaluated = []
+    profile = homology.profile_from_faces
+
+    def counted(faces, fields):
+        evaluated.append(faces)
+        return profile(faces, fields)
+
+    def refuse(*args):
+        raise AssertionError("the link criteria read the links of Delta's own faces")
+
+    monkeypatch.setattr(homology, "profile_from_faces", counted)
+    for name in ("__post_init__", "link", "link_with_map"):
+        monkeypatch.setattr(SimplicialComplex, name, refuse)
+    assert is_locally_gorenstein(delta, QQ)
+    assert len(evaluated) <= len(delta.face_masks) - 1 == 728
+    assert is_cohen_macaulay(delta, GF2) and is_gorenstein(delta, GF2)
+    assert not is_gorenstein(cone, QQ) and not is_locally_gorenstein(cone, QQ)
 
 
 # -- Gorenstein criteria -----------------------------------------------------------------------

@@ -48,6 +48,7 @@ from srsq.takayama import (
     _generator_selection,
     _symbolic_depth_reports,
     _symbolic_rho,
+    check_square_budget,
 )
 
 from helpers import (
@@ -252,6 +253,18 @@ def test_over_budget_scans_refuse_before_building_a_face_index(form, monkeypatch
         else:
             depth_reports(stanley_reisner(d).power(2), (QQ, GF2))
     assert err.value.required == 2 ** 27
+
+
+def test_square_budget_refuses_without_sorting_the_faces(monkeypatch):
+    # the scan size is a sum over the faces, so no face order is needed
+    def refuse(self):
+        raise AssertionError("the budget check must not sort the faces")
+
+    monkeypatch.setattr(SimplicialComplex, "sorted_faces", refuse)
+    with pytest.raises(BudgetExceeded) as err:
+        check_square_budget(disjoint_pentagons(2), 1000)
+    assert err.value.required == 23104
+    check_square_budget(disjoint_pentagons(2), 23104)
 
 
 def test_unequal_square_scans_match_the_brute_force_depth():
