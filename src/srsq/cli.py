@@ -2,7 +2,8 @@
 
 Subcommands: generate (named complexes), complex (transforms), ideal
 (Stanley-Reisner algebra), check (criteria and scans), reproduce-paper (the
-full acceptance battery), explore (randomized audits).
+full acceptance battery), explore (randomized audits).  Each op of complex,
+ideal and check is one entry of OPS, which run_op runs.
 
 Only check, reproduce-paper and explore run a scan, so only they take
 --budget; SRSQ_BUDGET overrides the default scan budget.
@@ -18,7 +19,7 @@ import functools
 import json
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 from . import jsonio
 from .complexes import NAMED_COMPLEXES, Graph, SimplicialComplex, named_complex, new_complex
@@ -126,13 +127,6 @@ def _parse_face(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.replace(",", " ").split())
 
 
-def _require(command: str, op: str, needs: dict[str, tuple[str, Any]]) -> None:
-    """Exit 2 before any document is read when ``op`` lacks the flag it needs;
-    ``needs`` maps an op to that flag, spelt as typed, and its parsed value."""
-    if op in needs and needs[op][1] is None:
-        raise ValueError(f"'{command} {op}' needs --{needs[op][0]}")
-
-
 def _budget(args) -> int:
     if args.budget is not None:
         budget = args.budget
@@ -150,137 +144,111 @@ def _fields(args) -> tuple[FieldSpec, ...]:
 
 # -- generate ---------------------------------------------------------------
 
+# the parameters the named complexes take, in order of first appearance; each is a flag
+GENERATE_PARAMS = tuple(dict.fromkeys(param for _, param in NAMED_COMPLEXES.values() if param))
+
 
 def cmd_generate(args) -> int:
-    params: dict[str, Any] = {}
-    for key in ("n", "d", "k", "r"):
-        value = getattr(args, key)
-        if value is not None:
-            params[key] = value
-    if args.graph:
-        params["graph"] = _read_graph(args.graph)
-    delta = named_complex(args.name, **params)
-    _emit(jsonio.complex_to_dict(delta), args.format)
+    params = {p: getattr(args, p) for p in GENERATE_PARAMS if getattr(args, p) not in (None, "")}
+    if "graph" in params:
+        params["graph"] = _read_graph(params["graph"])
+    _emit(jsonio.complex_to_dict(named_complex(args.name, **params)), args.format)
     return EXIT_OK
 
 
-# -- complex transforms -------------------------------------------------------
+# -- complex, ideal and check: one table entry per op ---------------------------
 
 
-def cmd_complex(args) -> int:
-    op = args.op
-    _require("complex", op, {"new": ("n", args.n), "skeleton": ("k", args.k),
-                             "join": ("with", args.with_file)})
-    if op == "new":
-        delta = new_complex(args.n, [_parse_face(f) for f in args.face or []])
-        _emit(jsonio.complex_to_dict(delta), args.format)
-        return EXIT_OK
-    delta = _read_complex(args.infile)
-    if op == "link":
-        link, vmap = delta.link_with_map(_parse_face(args.face_arg))
-        _emit(jsonio.complex_to_dict(link, vmap), args.format)
-    elif op == "star":
-        _emit(jsonio.complex_to_dict(delta.star(_parse_face(args.face_arg))), args.format)
-    elif op == "skeleton":
-        _emit(jsonio.complex_to_dict(delta.skeleton(args.k)), args.format)
-    elif op == "restrict":
-        sub, vmap = delta.restrict_with_map(_parse_face(args.face_arg))
-        _emit(jsonio.complex_to_dict(sub, vmap), args.format)
-    elif op == "core":
-        core, vmap = delta.core_with_map()
-        _emit(jsonio.complex_to_dict(core, vmap), args.format)
-    elif op == "join":
-        other = _read_complex(args.with_file)
-        _emit(jsonio.complex_to_dict(delta.join(other)), args.format)
-    elif op == "stellar":
-        _emit(
-            jsonio.complex_to_dict(delta.stellar_subdivision(_parse_face(args.face_arg))),
-            args.format,
-        )
-    elif op == "f-vector":
-        _emit(jsonio.fvector_to_dict(delta.f_vector()), args.format)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown complex op {op}")
-    return EXIT_OK
+def _face(args) -> tuple[int, ...]:
+    return _parse_face(args.face_arg)
 
 
-# -- ideal operations ----------------------------------------------------------
+def _triangles(ideal, args) -> dict:
+    tris = special_triangles(ideal)
+    return {"count": len(tris), "triangles": [jsonio.triangle_to_dict(t) for t in tris]}
 
 
-def cmd_ideal(args) -> int:
-    op = args.op
-    _require("ideal", op, {"intersect": ("with", args.with_file),
-                           "equals": ("with", args.with_file)})
-    if op == "sr":
-        _emit(jsonio.ideal_to_dict(stanley_reisner(_read_complex(args.infile))), args.format)
-    elif op == "complex":
-        _emit(jsonio.complex_to_dict(complex_of_ideal(_read_ideal(args.infile))), args.format)
-    elif op == "power":
-        _emit(jsonio.ideal_to_dict(_read_ideal(args.infile).power(args.k)), args.format)
-    elif op == "symbolic":
-        src = _read_complex_or_ideal(args.infile)
-        _emit(jsonio.ideal_to_dict(symbolic_power(src, args.ell)), args.format)
-    elif op == "intersect":
-        left = _read_ideal(args.infile)
-        right = _read_ideal(args.with_file)
-        _emit(jsonio.ideal_to_dict(left.intersect(right)), args.format)
-    elif op == "equals":
-        left = _read_ideal(args.infile)
-        right = _read_ideal(args.with_file)
-        _emit({"equal": left == right}, args.format)
-    elif op == "triangles":
-        tris = special_triangles(_read_ideal(args.infile))
-        _emit({"count": len(tris), "triangles": [jsonio.triangle_to_dict(t) for t in tris]},
-              args.format)
-    elif op == "equals-sym2":
-        _emit(jsonio.sym2_to_dict(symbolic2_equals_square(_read_ideal(args.infile))), args.format)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown ideal op {op}")
-    return EXIT_OK
+def _per_field(delta, args, check, to_dict) -> dict:
+    return {f.name: to_dict(check(delta, f)) for f in args.fields}
 
 
-# -- checks ---------------------------------------------------------------------
+def _audit_doc(delta: SimplicialComplex, fields: tuple[FieldSpec, ...], budget: int) -> dict:
+    return jsonio.audit_to_dict(paper_audit(delta, fields, budget))
 
 
-# check op -> (the check on one field, its JSON form), run once per field
-_PER_FIELD_CHECKS = {
-    "cm": (is_cohen_macaulay, jsonio.reisner_to_dict),
-    "gorenstein": (is_gorenstein, jsonio.gorenstein_to_dict),
-    "locally-gorenstein": (is_locally_gorenstein, jsonio.locally_gorenstein_to_dict),
-    "homology": (reduced_homology, jsonio.profile_to_dict),
+# check depth --of target -> the battery scan of that ideal of the complex
+DEPTH_OF = {
+    "radical": lambda d, fields, budget: depth_reports(stanley_reisner(d), fields, budget),
+    "square": lambda d, fields, budget: square_depth_reports(d, fields, budget),
+    "symbolic-square": lambda d, fields, budget: symbolic_square_depth_reports(d, fields, budget),
+}
+
+# command -> op -> (the flag it needs, or None; the reader of its input document, or None;
+# the document it prints, from that input and the arguments).  The entries name each
+# function in a lambda, so a function is looked up when its op runs.
+OPS: dict[str, dict[str, tuple[str | None, Any, Callable[[Any, Any], dict]]]] = {
+    "complex": {
+        "new": ("n", None, lambda _, a: jsonio.complex_to_dict(
+            new_complex(a.n, [_parse_face(f) for f in a.face or []]))),
+        "link": (None, _read_complex,
+                 lambda d, a: jsonio.complex_to_dict(*d.link_with_map(_face(a)))),
+        "star": (None, _read_complex, lambda d, a: jsonio.complex_to_dict(d.star(_face(a)))),
+        "skeleton": ("k", _read_complex, lambda d, a: jsonio.complex_to_dict(d.skeleton(a.k))),
+        "restrict": (None, _read_complex,
+                     lambda d, a: jsonio.complex_to_dict(*d.restrict_with_map(_face(a)))),
+        "core": (None, _read_complex, lambda d, a: jsonio.complex_to_dict(*d.core_with_map())),
+        "join": ("with", _read_complex,
+                 lambda d, a: jsonio.complex_to_dict(d.join(_read_complex(a.with_file)))),
+        "stellar": (None, _read_complex,
+                    lambda d, a: jsonio.complex_to_dict(d.stellar_subdivision(_face(a)))),
+        "f-vector": (None, _read_complex, lambda d, a: jsonio.fvector_to_dict(d.f_vector())),
+    },
+    "ideal": {
+        "sr": (None, _read_complex, lambda d, a: jsonio.ideal_to_dict(stanley_reisner(d))),
+        "complex": (None, _read_ideal, lambda i, a: jsonio.complex_to_dict(complex_of_ideal(i))),
+        "power": (None, _read_ideal, lambda i, a: jsonio.ideal_to_dict(i.power(a.k))),
+        "symbolic": (None, _read_complex_or_ideal,
+                     lambda x, a: jsonio.ideal_to_dict(symbolic_power(x, a.ell))),
+        "intersect": ("with", _read_ideal,
+                      lambda i, a: jsonio.ideal_to_dict(i.intersect(_read_ideal(a.with_file)))),
+        "equals": ("with", _read_ideal, lambda i, a: {"equal": i == _read_ideal(a.with_file)}),
+        "triangles": (None, _read_ideal, _triangles),
+        "equals-sym2": (None, _read_ideal,
+                        lambda i, a: jsonio.sym2_to_dict(symbolic2_equals_square(i))),
+    },
+    "check": {
+        "cm": (None, _read_complex,
+               lambda d, a: _per_field(d, a, is_cohen_macaulay, jsonio.reisner_to_dict)),
+        "gorenstein": (None, _read_complex,
+                       lambda d, a: _per_field(d, a, is_gorenstein, jsonio.gorenstein_to_dict)),
+        "locally-gorenstein": (None, _read_complex, lambda d, a: _per_field(
+            d, a, is_locally_gorenstein, jsonio.locally_gorenstein_to_dict)),
+        "homology": (None, _read_complex,
+                     lambda d, a: _per_field(d, a, reduced_homology, jsonio.profile_to_dict)),
+        "s2": (None, _read_complex, lambda d, a: jsonio.s2_to_dict(s2_criterion(d))),
+        "depth2": (None, _read_complex, lambda d, a: jsonio.depth2_to_dict(depth2_criterion(d))),
+        "condition3": (None, _read_complex,
+                       lambda d, a: jsonio.condition3_to_dict(condition3_check(d))),
+        "depth": (None, _read_complex, lambda d, a: {
+            f.name: jsonio.depth_report_to_dict(r)
+            for f, r in DEPTH_OF[a.of](d, a.fields, a.budget).items()}),
+        "audit": (None, _read_complex, lambda d, a: _audit_doc(d, a.fields, a.budget)),
+    },
 }
 
 
-def cmd_check(args) -> int:
-    op = args.op
-    fields = _fields(args)
-    budget = _budget(args)
-    delta = _read_complex(args.infile)
-    if op in _PER_FIELD_CHECKS:
-        check, to_dict = _PER_FIELD_CHECKS[op]
-        _emit({f.name: to_dict(check(delta, f)) for f in fields}, args.format)
-    elif op == "s2":
-        _emit(jsonio.s2_to_dict(s2_criterion(delta)), args.format)
-    elif op == "depth2":
-        _emit(jsonio.depth2_to_dict(depth2_criterion(delta)), args.format)
-    elif op == "condition3":
-        _emit(jsonio.condition3_to_dict(condition3_check(delta)), args.format)
-    elif op == "depth":
-        if args.of == "symbolic-square":
-            reports = symbolic_square_depth_reports(delta, fields, budget)
-        elif args.of == "square":
-            reports = square_depth_reports(delta, fields, budget)
-        else:
-            reports = depth_reports(stanley_reisner(delta), fields, budget)
-        _emit({f.name: jsonio.depth_report_to_dict(r) for f, r in reports.items()}, args.format)
-    elif op == "audit":
-        report = paper_audit(delta, fields, budget)
-        _emit(jsonio.audit_to_dict(report), args.format)
-        if report.violations:
-            return EXIT_VIOLATION
-    else:  # pragma: no cover
-        raise ValueError(f"unknown check {op}")
-    return EXIT_OK
+def run_op(args) -> int:
+    """Run ``args.op`` of ``args.command`` from its OPS entry; exit 4 on a document
+    that lists violations (an audit's)."""
+    needs, read, show = OPS[args.command][args.op]
+    # a missing flag or a bad battery or budget is refused before any document is read
+    if needs is not None and getattr(args, "with_file" if needs == "with" else needs) is None:
+        raise ValueError(f"'{args.command} {args.op}' needs --{needs}")
+    if args.command == "check":
+        args.fields, args.budget = _fields(args), _budget(args)
+    doc = show(read(args.infile) if read else None, args)
+    _emit(doc, args.format)
+    return EXIT_VIOLATION if doc.get("violations") else EXIT_OK
 
 
 # -- the battery -----------------------------------------------------------------
@@ -328,10 +296,6 @@ def cmd_reproduce(args) -> int:
 
 
 # -- exploration ------------------------------------------------------------------
-
-
-def _audit_doc(delta: SimplicialComplex, fields: tuple[FieldSpec, ...], budget: int) -> dict:
-    return jsonio.audit_to_dict(paper_audit(delta, fields, budget))
 
 
 def cmd_explore(args) -> int:
@@ -384,37 +348,28 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("name", help="a named complex and the parameter it takes:\n" + "\n".join(
         name.replace("_", "-") + (f" --{param}" if param else "")
         for name, (_, param) in NAMED_COMPLEXES.items()))
-    g.add_argument("--n", type=int, default=None)
-    g.add_argument("--d", type=int, default=None)
-    g.add_argument("--k", type=int, default=None)
-    g.add_argument("--r", type=int, default=None)
-    g.add_argument("--graph", default=None, help="graph JSON file for 'complementary'")
+    for param in GENERATE_PARAMS:
+        if param == "graph":
+            g.add_argument("--graph", default=None, help="graph JSON file for 'complementary'")
+        else:
+            g.add_argument(f"--{param}", type=int, default=None)
     g.set_defaults(func=cmd_generate)
 
     c = sub.add_parser("complex", help="construct or transform complexes")
-    c.add_argument("op", choices=("new", "link", "star", "skeleton", "restrict", "core",
-                                  "join", "stellar", "f-vector"))
     c.add_argument("--n", type=int, default=None, help="vertex count for 'new'")
     c.add_argument("--face", action="append", default=None, help="face for 'new' (repeatable)")
     c.add_argument("--face-arg", default="", help="face for link/star/stellar/restrict, e.g. 1,2")
     c.add_argument("--k", type=int, default=None, help="skeleton dimension")
     c.add_argument("--with", dest="with_file", default=None, help="second complex for join")
-    c.set_defaults(func=cmd_complex)
 
     i = sub.add_parser("ideal", help="Stanley-Reisner and monomial ideal operations")
-    i.add_argument("op", choices=("sr", "complex", "power", "symbolic", "intersect",
-                                  "equals", "triangles", "equals-sym2"))
     i.add_argument("--k", type=int, default=2, help="exponent for 'power'")
     i.add_argument("--ell", type=int, default=2, help="symbolic power exponent")
     i.add_argument("--with", dest="with_file", default=None, help="second ideal file")
-    i.set_defaults(func=cmd_ideal)
 
     k = sub.add_parser("check", help="run a criterion on a complex")
-    k.add_argument("op", choices=("cm", "gorenstein", "locally-gorenstein", "homology",
-                                  "s2", "depth2", "condition3", "depth", "audit"))
-    k.add_argument("--of", choices=("radical", "square", "symbolic-square"), default="radical",
+    k.add_argument("--of", choices=tuple(DEPTH_OF), default="radical",
                    help="which ideal 'depth' scans")
-    k.set_defaults(func=cmd_check)
 
     r = sub.add_parser("reproduce-paper", help="run the acceptance battery")
     r.add_argument("--only", action="append", default=None,
@@ -438,8 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"scan budget (default {DEFAULT_BUDGET} or SRSQ_BUDGET)")
     for p in (k, e):
         p.add_argument("--fields", default=None, help="field battery, e.g. Q,F2,F3")
-    for p in (c, i, k):  # the subcommands that read a document
+    for command, p in (("complex", c), ("ideal", i), ("check", k)):  # each reads a document
+        p.add_argument("op", choices=tuple(OPS[command]))
         p.add_argument("--in", dest="infile", default=None, help="input file (default stdin)")
+        p.set_defaults(func=run_op)
     return parser
 
 

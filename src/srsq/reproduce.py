@@ -10,6 +10,7 @@ independent oracle computation (the unit tests carry those oracles).
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -33,6 +34,7 @@ from .criteria import (
     depth2_criterion,
     explore_complexes,
     paper_audit,
+    random_pure_complex,
     s2_criterion,
 )
 from .homology import DEFAULT_FIELDS, GF2, QQ, is_cohen_macaulay, is_gorenstein
@@ -339,11 +341,7 @@ def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool
 def criterion_8_oracle_equivalences(budget: int):
     """Criterion equivalences against independent oracles, exhaustively for
     n <= 5 and on 200 seeded random complexes for n = 6, 7."""
-    import random as _random
-
-    from .criteria import random_pure_complex
-
-    rng = _random.Random(0)
+    rng = random.Random(0)
     exhaustive = list(iter_pure_complexes())
     randoms = [random_pure_complex(rng, 6 + (i % 2)) for i in range(200)]
     failures: list[dict] = []

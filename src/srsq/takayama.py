@@ -74,14 +74,12 @@ DEFAULT_BUDGET = 10**6
 
 
 class BudgetExceeded(Exception):
-    """The scan would need more homology evaluations than the budget allows."""
+    """The scan would visit more points than the budget allows."""
 
     def __init__(self, required: int, budget: int):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"scan needs {required} homology evaluations, budget is {budget}"
-        )
+        super().__init__(f"scan needs {required} points, budget is {budget}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from itertools import takewhile
@@ -673,6 +674,15 @@ def test_readme_lists_every_named_complex():
     }
 
 
+def test_readme_lists_every_op_of_the_tables():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    paragraph = text[text.index("Subcommands: "):].split("\n\n")[0].replace("\n", " ")
+    listed = [(command, [op.strip() for op in ops.split("/")])
+              for command, ops in re.findall(r"`(\w+)` \(([^)]*)\)", paragraph)]
+    assert listed == [(command, list(ops)) for command, ops in cli.OPS.items()]
+    assert f"`check depth --of {'|'.join(cli.DEPTH_OF)}`" in paragraph
+
+
 @pytest.mark.parametrize("argv, param", [
     pytest.param(["rp2", "--n", "5"], "'n'", id="rp2-n"),
     pytest.param(["cycle", "--n", "5", "--d", "3"], "'d'", id="cycle-d"),
@@ -705,6 +715,24 @@ def test_with_is_checked_before_any_document_is_read(command, monkeypatch, capsy
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: '{' '.join(command)}' needs --with\n"
+
+
+# a usage error that the op table refuses before any document is read, and its message
+EARLY_USAGE_ERRORS = [
+    (["complex", "new"], "'complex new' needs --n"),
+    (["complex", "skeleton"], "'complex skeleton' needs --k"),
+    *[(["check", op, "--budget", "-1"], "the budget must be >= 0, got -1")
+      for op in cli.OPS["check"]],
+    *[(["check", op, "--fields", ""], "empty field battery") for op in cli.OPS["check"]],
+]
+
+
+@pytest.mark.parametrize("argv, message", EARLY_USAGE_ERRORS,
+                         ids=[" ".join(a or '""' for a in argv) for argv, _ in EARLY_USAGE_ERRORS])
+def test_usage_errors_are_found_before_any_document_is_read(argv, message, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", _UnreadableStdin())
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_star_output_pipes_back_in(monkeypatch, capsys):

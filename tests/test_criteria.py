@@ -322,7 +322,7 @@ def test_audit_refuses_an_over_budget_scan_before_any_link_walk(monkeypatch):
     d = cross_polytope(8)
     with pytest.raises(BudgetExceeded) as err:
         paper_audit(d)
-    assert str(err.value) == "scan needs 16777216 homology evaluations, budget is 1000000"
+    assert str(err.value) == "scan needs 16777216 points, budget is 1000000"
     with pytest.raises(BudgetExceeded) as scan_err:
         symbolic_square_depth_reports(d, (QQ,))
     assert scan_err.value.required == err.value.required
