@@ -6,13 +6,17 @@ bitmasks.  Two explicit edge cases are representable: the irrelevant complex
 complex ``()`` (no faces at all; it shows up as a degree-restricted subcomplex
 in local cohomology scans).  Everything is immutable and every operation is a
 pure function, so values can be shared freely.
+
+The linkwise criteria read links off the facets: ``SimplicialComplex.link_walk``
+is their one walk over the faces, and ``skeleton_diameter`` the one BFS, which
+``Graph.diameter`` runs too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -142,6 +146,23 @@ class SimplicialComplex:
 
     def link(self, face: Face) -> "SimplicialComplex":
         return self.link_with_map(face)[0]
+
+    def link_walk(self, probe: Callable, insides: Sequence[int] = (0,)) -> tuple | None:
+        """(k, face - insides[k], value) for the first k, then the first face in
+        sorted_faces() order that contains the mask insides[k], on whose link's
+        facets (in this complex's labels) ``probe`` returns a value other than
+        None; None when every link passes.  A passed link is not probed again."""
+        faces = self.sorted_faces()
+        passed: set[int] = set()
+        for k, inside in enumerate(insides):
+            for f in faces:
+                if f & inside != inside or f in passed:
+                    continue
+                value = probe([g & ~f for g in self.facets if f & ~g == 0])
+                if value is not None:
+                    return k, unpack(f & ~inside), value
+                passed.add(f)
+        return None
 
     def star(self, face: Face) -> "SimplicialComplex":
         """Closed star, kept on the ambient vertex set (labels unchanged)."""
@@ -289,6 +310,8 @@ class Graph:
     edges: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0 or self.n > MAX_VERTICES:
+            raise ValueError(f"vertex count must be in 0..{MAX_VERTICES}, got {self.n}")
         full = (1 << self.n) - 1
         for e in self.edges:
             if e.bit_count() != 2:
@@ -315,27 +338,27 @@ class Graph:
 
     def diameter(self) -> float:
         """Max BFS eccentricity; math.inf for a disconnected graph; 0 for n <= 1."""
-        if self.n <= 1:
-            return 0
-        adj = self.adjacency()
-        full = (1 << self.n) - 1
-        best = 0
-        for s in range(1, self.n + 1):
-            seen = 1 << (s - 1)
-            frontier = seen
-            dist = 0
-            while seen != full:
-                nxt = 0
-                for b in bits(frontier):
-                    nxt |= adj[bit_index(b)]
-                nxt &= ~seen
-                if not nxt:
-                    return math.inf
-                seen |= nxt
-                frontier = nxt
-                dist += 1
-            best = max(best, dist)
-        return best
+        return skeleton_diameter(self.edges + tuple(1 << v for v in range(self.n)))
+
+
+def skeleton_diameter(masks: Iterable[int]) -> float:
+    """Diameter of the 1-skeleton that the masks generate, over the vertices they
+    cover; math.inf when it is disconnected, 0 on at most one vertex."""
+    adj: dict[int, int] = {}  # vertex bit -> the vertices sharing a mask with it
+    for m in masks:
+        for b in bits(m):
+            adj[b] = adj.get(b, 0) | m
+    cover, best = sum(adj), 0
+    for seen in adj:
+        frontier, dist = seen, 0
+        while seen != cover:
+            frontier = reduce(int.__or__, map(adj.get, bits(frontier))) & ~seen
+            if not frontier:
+                return math.inf
+            seen |= frontier
+            dist += 1
+        best = max(best, dist)
+    return best
 
 
 def disjoint_union(g1: Graph, g2: Graph) -> Graph:

@@ -2,6 +2,10 @@
 linkwise (S2) criterion, the brute-force union/intersection condition on
 non-face triples, and the per-instance implication audit.
 
+The (S2) criterion probes each link in SimplicialComplex.link_walk, and the
+diameter criterion reads Delta's own facets; both take the diameter with
+complexes.skeleton_diameter, so neither builds a link complex or a graph.
+
 The audit computes every verdict for one complex and then asserts the
 implications that must hold between them; any violation is flagged and
 treated by the CLI as a critical bug (exit code 4).  The exploration harness
@@ -17,7 +21,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .bits import pack, unpack
-from .complexes import SimplicialComplex, new_complex
+from .complexes import SimplicialComplex, new_complex, skeleton_diameter
 from .homology import (
     DEFAULT_FIELDS,
     QQ,
@@ -59,7 +63,7 @@ def depth2_criterion(delta: SimplicialComplex) -> Depth2Result:
     vertex of Delta (x_v lies in I_Delta), so it is not an isolated one."""
     if delta.dim < 1:
         raise ValueError("the diameter criterion needs dim >= 1")
-    diameter = delta.link(()).one_skeleton().diameter()
+    diameter = skeleton_diameter(delta.facets)
     return Depth2Result(diameter <= 2, diameter)
 
 
@@ -77,14 +81,15 @@ def s2_criterion(delta: SimplicialComplex) -> S2Result:
     >= 1, the link's 1-skeleton must have diameter <= 2."""
     if not delta.is_pure():
         raise ValueError("the (S2) criterion is stated for pure complexes")
-    for f in delta.sorted_faces():
-        link = delta.link(unpack(f))
-        if link.dim < 1:
-            continue
-        diameter = link.one_skeleton().diameter()
-        if diameter > 2:
-            return S2Result(False, unpack(f), diameter)
-    return S2Result(True)
+    bad = delta.link_walk(_wide_link_diameter)
+    return S2Result(bad is None, *(bad[1:] if bad else ()))
+
+
+def _wide_link_diameter(link: list[int]) -> float | None:
+    """A link's diameter, given its facets, if its dimension is >= 1 and its diameter > 2."""
+    if max(m.bit_count() for m in link) > 1 and (diameter := skeleton_diameter(link)) > 2:
+        return diameter
+    return None
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,11 @@ Conventions for the reduced chain complex of a complex Delta:
   * the void complex (no faces at all) has zero homology everywhere, while
     the irrelevant complex {0} has ~H_{-1} = K.
 
-Reisner, Stanley and local Gorenstein share one walk over Delta's own faces,
-and no core or link complex is built: lk_core(G) = lk_Delta(G | cone), and
-lk v's core has the links lk_Delta(G | the meet of the facets through v).
+Reisner, Stanley and local Gorenstein pass a homology probe to
+SimplicialComplex.link_walk, the one walk over Delta's own faces, which the
+(S2) criterion shares.  No core or link complex is built: lk_core(G) =
+lk_Delta(G | cone), and lk v's core has the links lk_Delta(G | the meet of
+the facets through v).
 Adding a fixed set to faces keeps their sorted_faces() order, so witnesses
 are those of a walk over the core.
 """
@@ -31,7 +33,7 @@ are those of a walk over the core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from typing import Iterable, Mapping, Sequence
 
 from .bits import bits, generated_faces, pack, unpack
@@ -330,29 +332,16 @@ def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProf
 # -- Reisner and Stanley criteria ----------------------------------------------
 
 
-def _link_walk(delta: SimplicialComplex, field: FieldSpec, sphere: bool,
-               insides: Sequence[int]) -> tuple | None:
-    """(k, face - insides[k], degree) for the first k, then the first face in
-    sorted_faces() order that contains the mask insides[k], whose link has
-    reduced homology below its dimension or, with ``sphere``, a top homology
-    other than K; None when all pass.  Links keep the input's labels, and one
-    that passed is not evaluated again."""
-    faces = delta.sorted_faces()
-    passed: set[int] = set()
-    for k, inside in enumerate(insides):
-        for f in faces:
-            if f & inside != inside or f in passed:
-                continue
-            link = generated_faces(g & ~f for g in delta.facets if f & ~g == 0)
-            link_dim = max(m.bit_count() for m in link) - 1
-            (profile,) = profile_from_faces(link, (field,))
-            bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
-            if bad is None and sphere and profile.betti_number(link_dim) != 1:
-                bad = link_dim
-            if bad is not None:
-                return k, unpack(f & ~inside), bad
-            passed.add(f)
-    return None
+def _failing_degree(field: FieldSpec, sphere: bool, link: list[int]) -> int | None:
+    """The first degree below its dimension in which the link generated by
+    these facets has reduced homology or, with ``sphere``, its top degree
+    when that homology is not K; None when the link passes."""
+    link_dim = max(m.bit_count() for m in link) - 1
+    (profile,) = profile_from_faces(generated_faces(link), (field,))
+    bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
+    if bad is None and sphere and profile.betti_number(link_dim) != 1:
+        bad = link_dim
+    return bad
 
 
 @dataclass(frozen=True)
@@ -373,7 +362,7 @@ def is_cohen_macaulay(delta: SimplicialComplex, field: FieldSpec) -> ReisnerRepo
     reduced homology below its dimension."""
     if delta.is_void():
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
-    bad = _link_walk(delta, field, False, (0,))
+    bad = delta.link_walk(partial(_failing_degree, field, False))
     return ReisnerReport(bad is None, field, *(bad[1:] if bad else ()))
 
 
@@ -405,7 +394,7 @@ def is_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> GorensteinRepor
     c = cone.bit_count()
     chi = sum(1 if (m.bit_count() - c) % 2 else -1 for m in delta.face_masks if m & cone == cone)
     expected = 1 if (delta.dim - c) % 2 == 0 else -1
-    bad = _link_walk(delta, field, True, (cone,))
+    bad = delta.link_walk(partial(_failing_degree, field, True), (cone,))
     return GorensteinReport(bad is None, field, chi, expected, *(bad[1:] if bad else ()))
 
 
@@ -425,5 +414,5 @@ def is_locally_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> Locally
         raise ValueError("Gorensteinness of the void complex is undefined")
     vertices = unpack(delta.support)
     insides = [reduce(int.__and__, (g for g in delta.facets if g >> (v - 1) & 1)) for v in vertices]
-    bad = _link_walk(delta, field, True, insides)
+    bad = delta.link_walk(partial(_failing_degree, field, True), insides)
     return LocallyGorensteinReport(bad is None, field, None if bad is None else vertices[bad[0]])

@@ -23,7 +23,12 @@ from srsq import (
     SimplicialComplex,
     Sym2Result,
     depth_reports,
+    four_path,
+    new_complex,
+    path_complex,
+    phantom_pentagon,
     reduced_homology,
+    rp2,
     stanley_reisner,
 )
 from srsq.bits import pack, unpack
@@ -363,3 +368,24 @@ def brute_force_depth(ideal: MonomialIdeal, field: FieldSpec = QQ):
             if betti:
                 return i, (a, betti), len(points)
     return dim_ring, None, len(points)
+
+
+# -- pools for the link-walk cross-checks -------------------------------------
+
+
+def random_complex_with_unused_vertices(rng, pure):
+    """Facets on 1..n-1 of one size (pure) or of mixed sizes; vertex n and
+    whatever else no facet picks stay unused."""
+    n = rng.randint(4, 8)
+    size = rng.randint(2, 3)
+    facets = [pack(rng.sample(range(1, n), size if pure else rng.randint(1, n - 2)))
+              for _ in range(rng.randint(2, 8))]
+    return SimplicialComplex(n, tuple(facets))
+
+
+def cone_bases():
+    """Complexes with no cone vertex whose Gorenstein test fails.  The first
+    four fail at the empty face; the four-cycle with a pendant edge passes
+    there and fails at its vertex 4, whose link is three points."""
+    pendant = new_complex(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
+    return [four_path(), rp2(), path_complex(6), phantom_pentagon(2), pendant]

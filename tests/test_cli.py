@@ -698,6 +698,28 @@ def test_generate_rejects_a_parameter_the_complex_does_not_take(
     assert f"takes no parameter {param}" in err
 
 
+def _pentagons_document(r):
+    """A graph document of r disjoint pentagons, on 5r vertices."""
+    edges = [[5 * k + i, 5 * k + i % 5 + 1] for k in range(r) for i in range(1, 6)]
+    return json.dumps({"n": 5 * r, "edges": edges})
+
+
+@pytest.mark.parametrize("argv, doc, n", [
+    pytest.param(["disjoint-pentagons", "--r", "13"], "", 65, id="disjoint-pentagons"),
+    pytest.param(["conjecture-graph", "--n", "21"], "", 65, id="conjecture-graph"),
+    pytest.param(["complementary", "--graph", "-"], _pentagons_document(13), 65,
+                 id="complementary-65"),
+    pytest.param(["complementary", "--graph", "-"], '{"n": -1, "edges": []}', -1,
+                 id="complementary-negative"),
+])
+def test_generate_refuses_a_graph_off_the_vertex_range_before_any_search(
+        argv, doc, n, monkeypatch, capsys):
+    code, out, err = run(["generate", *argv], stdin_text=doc, monkeypatch=monkeypatch,
+                         capsys=capsys)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error: ") and err.endswith(f"vertex count must be in 0..64, got {n}\n")
+
+
 class _UnreadableStdin:
     def read(self, *args):
         raise AssertionError("stdin was read")

@@ -250,6 +250,9 @@ def test_graph_basics():
         Graph.from_edges(3, [(1, 1)])
     g = Graph.from_edges(3, [(1, 2), (2, 1)])
     assert len(g.edges) == 1
+    for n in (-1, 65):  # as for complexes: a vertex is one bit of a mask
+        with pytest.raises(ValueError, match=f"vertex count must be in 0..64, got {n}"):
+            Graph(n, ())
 
 
 def test_diameters():
@@ -258,6 +261,8 @@ def test_diameters():
     two_edges = Graph.from_edges(4, [(1, 2), (3, 4)])
     assert two_edges.diameter() == math.inf
     assert path_complex(6).one_skeleton().diameter() == 5
+    assert Graph(0, ()).diameter() == Graph(1, ()).diameter() == 0
+    assert Graph(3, ()).diameter() == math.inf
 
 
 def test_diameter_against_floyd_warshall():

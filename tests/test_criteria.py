@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,8 +8,10 @@ from srsq import (
     QQ,
     AuditReport,
     BudgetExceeded,
+    Depth2Result,
     DepthReport,
     FieldSpec,
+    Graph,
     MonomialIdeal,
     SimplicialComplex,
     Sym2Result,
@@ -20,12 +23,16 @@ from srsq import (
     edge_ideal,
     four_path,
     complete_graph,
+    is_cohen_macaulay,
+    is_gorenstein,
+    is_locally_gorenstein,
     new_complex,
     paper_audit,
     path_complex,
     phantom_pentagon,
     random_pure_complex,
     rp2,
+    S2Result,
     s2_criterion,
     simplex_complex,
     stanley_reisner,
@@ -35,12 +42,19 @@ from srsq import (
     symbolic_square_depth_reports,
     void_complex,
 )
-from srsq import criteria
+from srsq import criteria, jsonio
+from srsq.bits import unpack
 from srsq.criteria import _audit_violations, explore_complexes
 from srsq.homology import GorensteinReport
 from srsq.reproduce import named_battery
 
-from helpers import brute_nonfaces, generator_form_square_reports
+from helpers import (
+    brute_nonfaces,
+    cone_bases,
+    floyd_warshall_diameter,
+    generator_form_square_reports,
+    random_complex_with_unused_vertices,
+)
 
 
 def three_points():
@@ -69,6 +83,57 @@ def test_s2_criterion():
     assert not r.holds and r.witness_face == ()
     with pytest.raises(ValueError):
         s2_criterion(new_complex(3, [(1, 2), (3,)]))  # not pure
+
+
+def first_wide_link(delta):
+    """(face, diameter) of the first face in sorted_faces() order whose
+    re-indexed link has dimension >= 1 and a 1-skeleton of diameter > 2,
+    by Floyd-Warshall; None when there is none."""
+    for f in delta.sorted_faces():
+        link = delta.link(unpack(f))
+        if link.dim >= 1 and (diameter := floyd_warshall_diameter(link.one_skeleton())) > 2:
+            return unpack(f), diameter
+    return None
+
+
+def test_diameter_criteria_match_the_reindexed_link_route():
+    rng = random.Random(41)
+    cone_over_path = simplex_complex(1).join(path_complex(5))  # apex 1 over 2-3-4-5-6
+    two_edges = new_complex(4, [(1, 2), (3, 4)])
+    pool = ([d for _, d in named_battery()]
+            + [random_complex_with_unused_vertices(rng, pure=True) for _ in range(30)]
+            + [simplex_complex(1).join(b) for b in cone_bases()] + [cone_over_path, two_edges])
+    s2_verdicts = set()
+    for delta in pool:
+        if delta.is_pure():
+            bad = first_wide_link(delta)
+            assert s2_criterion(delta) == S2Result(bad is None, *(bad or ()))
+            s2_verdicts.add(bad is None)
+        if delta.dim >= 1:
+            diameter = floyd_warshall_diameter(delta.link(()).one_skeleton())
+            assert depth2_criterion(delta) == Depth2Result(diameter <= 2, diameter)
+    assert s2_verdicts == {True, False}
+    assert s2_criterion(cone_over_path) == S2Result(False, (1,), 4)
+    assert depth2_criterion(cone_over_path) == Depth2Result(True, 2)
+    assert jsonio.s2_to_dict(s2_criterion(two_edges)) == {
+        "holds": False, "witness_face": [], "witness_diameter": "infinity"}
+    assert depth2_criterion(two_edges) == Depth2Result(False, math.inf)
+
+
+def test_linkwise_criteria_build_no_link_complex_or_graph(monkeypatch):
+    plane, sphere = rp2(), cross_polytope(4)
+
+    def refuse(*args):
+        raise AssertionError("the linkwise criteria read the links off Delta's own facets")
+
+    for owner, name in ((SimplicialComplex, "__post_init__"),
+                        (SimplicialComplex, "link_with_map"), (Graph, "__post_init__")):
+        monkeypatch.setattr(owner, name, refuse)
+    for delta in (plane, sphere):
+        assert s2_criterion(delta).holds and depth2_criterion(delta).holds
+        assert is_locally_gorenstein(delta, QQ)
+    assert is_cohen_macaulay(plane, QQ) and not is_cohen_macaulay(plane, GF2)
+    assert not is_gorenstein(plane, QQ) and is_gorenstein(sphere, GF2)
 
 
 # -- the non-face triple condition -----------------------------------------------------

@@ -29,7 +29,8 @@ from srsq import SimplicialComplex, homology
 from srsq.bits import generated_faces, pack, unpack
 from srsq.criteria import random_pure_complex
 from srsq.homology import parse_field_battery, profile_from_faces
-from helpers import fraction_rank, modp_rank_naive
+from helpers import (cone_bases, fraction_rank, modp_rank_naive,
+                     random_complex_with_unused_vertices)
 
 F3 = FieldSpec(3)
 
@@ -384,16 +385,6 @@ def test_disconnected_not_cm():
     assert not is_cohen_macaulay(d, QQ)
 
 
-def random_complex_with_unused_vertices(rng, pure):
-    """Facets on 1..n-1 of one size (pure) or of mixed sizes; vertex n and
-    whatever else no facet picks stay unused."""
-    n = rng.randint(4, 8)
-    size = rng.randint(2, 3)
-    facets = [pack(rng.sample(range(1, n), size if pure else rng.randint(1, n - 2)))
-              for _ in range(rng.randint(2, 8))]
-    return SimplicialComplex(n, tuple(facets))
-
-
 def first_failing_link(delta, field, sphere):
     """(face, degree) of the first face in sorted_faces() order whose
     re-indexed link has homology below its dimension or, with ``sphere``, a
@@ -407,14 +398,6 @@ def first_failing_link(delta, field, sphere):
         if sphere and profile.betti_number(link.dim) != 1:
             return unpack(f), link.dim
     return None
-
-
-def cone_bases():
-    """Complexes with no cone vertex whose Gorenstein test fails.  The first
-    four fail at the empty face; the four-cycle with a pendant edge passes
-    there and fails at its vertex 4, whose link is three points."""
-    pendant = new_complex(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
-    return [four_path(), rp2(), path_complex(6), phantom_pentagon(2), pendant]
 
 
 def witness_pool(rng, pure):
