@@ -73,7 +73,6 @@ from .takayama import (
     DepthReport,
     depth_reports,
     depth_via_takayama,
-    is_cm_square,
     square_depth_report,
     square_depth_reports,
     symbolic_square_depth_report,

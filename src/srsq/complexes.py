@@ -122,10 +122,6 @@ class SimplicialComplex:
                 counts[m.bit_count() - 1] += 1
         return FVector(tuple(counts))
 
-    def euler_characteristic_reduced(self) -> int:
-        """chi~ = -1 + f_0 - f_1 + ... (0 by convention for the void complex)."""
-        return 0 if self.is_void() else self.f_vector().euler_reduced
-
     # -- subcomplex constructions -----------------------------------------
 
     def link_with_map(self, face: Face) -> tuple["SimplicialComplex", dict[int, int]]:
@@ -262,17 +258,21 @@ class SimplicialComplex:
     # -- non-faces and join structure ---------------------------------------
 
     def minimal_nonfaces(self) -> tuple[int, ...]:
-        """Inclusion-minimal subsets of [n] that are not faces, as masks."""
+        """Inclusion-minimal subsets of [n] that are not faces, as masks;
+        listed once per complex (stanley_reisner and join_blocks both read
+        them)."""
+        return self._minimal_nonfaces
+
+    @cached_property
+    def _minimal_nonfaces(self) -> tuple[int, ...]:
         full = (1 << self.n) - 1
         return tuple(minimal_transversals([full & ~g for g in self.facets]))
 
-    def join_factors(self) -> list["SimplicialComplex"]:
-        """Finest decomposition as a simplicial join, re-indexed factors.
-
-        Vertex blocks are the connected components of the co-occurrence
-        relation on minimal non-faces; cone vertices form a single simplex
-        factor.  Returns ``[self]`` when the complex is join-irreducible.
-        """
+    def join_blocks(self) -> list[int]:
+        """Vertex blocks of the finest decomposition as a simplicial join, as
+        masks in ascending order: the connected components of the
+        co-occurrence relation on minimal non-faces, and the cone vertices as
+        one block (a simplex factor) when there are any."""
         parts: list[int] = []  # disjoint vertex blocks, as masks
         for nf in self.minimal_nonfaces():
             merged = nf
@@ -283,9 +283,15 @@ class SimplicialComplex:
         cone = pack(self.cone_vertices())
         if cone:
             parts.append(cone)
-        if len(parts) <= 1:
+        return sorted(parts)
+
+    def join_factors(self) -> list["SimplicialComplex"]:
+        """The restrictions to join_blocks(), re-indexed; ``[self]`` when the
+        complex is join-irreducible."""
+        blocks = self.join_blocks()
+        if len(blocks) <= 1:
             return [self]
-        return [self.restrict(unpack(p)) for p in sorted(parts)]
+        return [self.restrict(unpack(p)) for p in blocks]
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,12 @@ def depth_report_to_dict(report: DepthReport) -> dict:
             "homology_degree": report.witness.homology_degree,
             "betti": report.witness.betti,
         }
+    if report.factors:
+        doc["join_factors"] = [
+            {"vertices": list(vertices), "radical": depth_report_to_dict(radical),
+             "power": depth_report_to_dict(power)}
+            for vertices, radical, power in report.factors
+        ]
     return doc
 
 

@@ -48,10 +48,9 @@ from .ideals import (
     symbolic_power,
 )
 from .takayama import (
-    BudgetExceeded,
     DEFAULT_BUDGET,
+    _symbolic_depth_reports,
     depth_reports,
-    is_cm_square,
     square_depth_reports,
     symbolic_square_depth_reports,
 )
@@ -144,12 +143,12 @@ def criterion_1_triangle(budget: int):
 def criterion_2_pentagon(budget: int):
     d = cycle_complex(5)
     I = stanley_reisner(d)
-    cm_square = is_cm_square(d, (QQ, GF2), budget)
+    sq = square_depth_reports(d, (QQ, GF2), budget)
     checks = {
         "no_special_triangles": special_triangles(I) == (),
         "symbolic_square_equals_square": I.power(2) == symbolic_power(d, 2),
-        "cm_square_Q": cm_square[QQ],
-        "cm_square_F2": cm_square[GF2],
+        "cm_square_Q": sq[QQ].is_cm,
+        "cm_square_F2": sq[GF2].is_cm,
         "gorenstein_Q": bool(is_gorenstein(d, QQ)),
         "gorenstein_F2": bool(is_gorenstein(d, GF2)),
     }
@@ -230,14 +229,14 @@ def criterion_4_phantom_pentagon(budget: int):
 @criterion("criterion-05", "4-pointed path", 10.0)
 def criterion_5_four_path(budget: int):
     d = four_path()
-    cm_square = is_cm_square(d, (QQ, GF2), budget)
+    sq = square_depth_reports(d, (QQ, GF2), budget)
     checks = {
         "cm_Q": bool(is_cohen_macaulay(d, QQ)),
         "cm_F2": bool(is_cohen_macaulay(d, GF2)),
         "not_gorenstein_Q": not is_gorenstein(d, QQ),
         "not_gorenstein_F2": not is_gorenstein(d, GF2),
-        "not_cm_square_Q": not cm_square[QQ],
-        "not_cm_square_F2": not cm_square[GF2],
+        "not_cm_square_Q": not sq[QQ].is_cm,
+        "not_cm_square_F2": not sq[GF2].is_cm,
         "dim_ring_2": d.dim + 1 == 2,
     }
     return checks, {}
@@ -253,12 +252,12 @@ def criterion_6_cross_stellar(budget: int):
     ideal_matches = mapping is not None and stanley_reisner(
         cs2.relabel(mapping)
     ) == stanley_reisner(cycle_complex(5))
-    cm_square = is_cm_square(cross_polytope_stellar(3), (QQ, GF2), budget)
+    sq = square_depth_reports(cross_polytope_stellar(3), (QQ, GF2), budget)
     checks = {
         "stellar_2_is_pentagon_up_to_relabeling": mapping is not None,
         "stellar_2_ideal_matches_after_relabeling": ideal_matches,
-        "stellar_3_cm_square_Q": cm_square[QQ],
-        "stellar_3_cm_square_F2": cm_square[GF2],
+        "stellar_3_cm_square_Q": sq[QQ].is_cm,
+        "stellar_3_cm_square_F2": sq[GF2].is_cm,
     }
     details = {"pentagon_relabeling": mapping}
     return checks, details
@@ -270,34 +269,24 @@ def criterion_6_cross_stellar(budget: int):
 @criterion("criterion-07", "two disjoint pentagons (n = 10)")
 def criterion_7_disjoint_pentagons(budget: int):
     d = disjoint_pentagons(2)
-    I = stanley_reisner(d)
-    sym = symbolic2_equals_square(I)
-    try:
-        direct = {f.name: r.is_cm for f, r in square_depth_reports(d, (QQ, GF2), budget).items()}
-    except BudgetExceeded:
-        direct = {"Q": "budget-exceeded", "F2": "budget-exceeded"}
-    # The join rule must work on this very case: factor-wise verdicts, and
-    # is_cm_square end to end under a budget only the factor scans fit.
-    factors = d.join_factors()
-    per_factor = [is_cm_square(x, (QQ, GF2), budget) for x in factors]
-    factor_verdicts = {f.name: [v[f] for v in per_factor] for f in (QQ, GF2)}
-    fallback = {f.name: all(factor_verdicts[f.name]) for f in (QQ, GF2)}
-    # 1000 sits between the factor scans (152 points each) and the direct
-    # n = 10 scan (23104 points).
-    tiny_budget_route = {f.name: v for f, v in is_cm_square(d, (QQ, GF2), 1000).items()}
+    sym = symbolic2_equals_square(stanley_reisner(d))
+    # the square folded from the two pentagons, against the facet-form scan
+    # of the whole join (I^2 = I^(2) here), which does not fold
+    route = square_depth_reports(d, (QQ, GF2), budget)
+    whole = _symbolic_depth_reports(d, 2, (QQ, GF2), budget)
     checks = {
         "symbolic2_equals_square": sym.equal,
-        "two_join_factors": len(factors) == 2,
-        "cm_square_Q": (direct["Q"] is True) or (direct["Q"] == "budget-exceeded" and fallback["Q"]),
-        "cm_square_F2": (direct["F2"] is True)
-        or (direct["F2"] == "budget-exceeded" and fallback["F2"]),
-        "fallback_route_Q": fallback["Q"] and tiny_budget_route["Q"],
-        "fallback_route_F2": fallback["F2"] and tiny_budget_route["F2"],
+        "two_join_factors": len(route[QQ].factors) == 2,
+        "cm_square_Q": route[QQ].is_cm,
+        "cm_square_F2": route[GF2].is_cm,
+        "whole_join_scan_agrees_Q": whole[QQ].depth == route[QQ].depth,
+        "whole_join_scan_agrees_F2": whole[GF2].depth == route[GF2].depth,
     }
     details = {
-        "direct": direct,
-        "factor_verdicts": factor_verdicts,
-        "budget_triggered_fallback": tiny_budget_route,
+        "depth": {f.name: route[f].depth for f in (QQ, GF2)},
+        "factor_depths": {f.name: [[r.depth, p.depth] for _, r, p in route[f].factors]
+                          for f in (QQ, GF2)},
+        "scan_size": route[QQ].scan_size,
     }
     return checks, details
 
@@ -401,16 +390,18 @@ def criterion_9_implication_audits(budget: int):
 )
 def criterion_10_conjecture(budget: int):
     recorded = {
-        f.name: {"cm": r2.is_cm, "depth": r2.depth, "dim": r2.dim}
-        for f, r2 in square_depth_reports(conjecture_complex(2), (QQ, GF2), budget).items()
+        f"n{n}_recorded_verdicts": {
+            f.name: {"cm": r.is_cm, "depth": r.depth, "dim": r.dim}
+            for f, r in square_depth_reports(conjecture_complex(n), (QQ, GF2), budget).items()
+        }
+        for n in (2, 3)
     }
     pentagon_case = square_depth_reports(conjecture_complex(1), (QQ, GF2), budget)
     checks = {
         "n1_pentagon_cm_square_Q": pentagon_case[QQ].is_cm,
         "n1_pentagon_cm_square_F2": pentagon_case[GF2].is_cm,
     }
-    details = {"n2_recorded_verdicts": recorded}
-    return checks, details
+    return checks, recorded
 
 
 def run_all(

@@ -52,20 +52,33 @@ check_square_budget can refuse both from the faces alone.  Only a square that
 differs from the symbolic square is built and scanned in generator form;
 the generator form of every square is the test suite's oracle.
 
-is_cm_square decides Cohen-Macaulayness of S/I_Delta^2 by the join rule:
-one battery scan per join factor of Delta, whose scan sizes add where a scan
-of the whole join would multiply them.  The direct scan of a join is kept as
-the test suite's oracle.
+A join is answered from its factors and never scanned whole.  For
+Delta = A * B on disjoint vertex sets, with r the depth of a factor's S/I and
+s that of its square or symbolic square (H.T. Ha, N.V. Trung, T.N. Trung,
+Math. Z. 282 (2016) for I^2; Ha, Nguyen, Trung, Trung, Math. Z. 294 (2020)
+for I^(2)),
+
+    r_Delta = r_A + r_B,    s_Delta = min(r_A + r_B + 1, s_A + r_B, r_A + s_B),
+
+the dimensions add, and each cone vertex adds one to depth and dim.  So when
+Delta has two or more join factors besides the cone simplex (an unused vertex
+is one: the complex {emptyset} on one vertex), each of them gets two scans,
+S/I in facet form at l = 1 and the power, and the factors fold pairwise;
+their scan sizes add where a scan of the whole join would multiply them.
+The budget still counts the whole ring's scan size, from the faces, before
+any other work; no factor scan is larger.  A join's report has no witness:
+its ``factors`` hold each factor's two reports, whose witnesses certify the
+fold.  The whole-join scans in both forms are the test suite's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from itertools import compress, product
 from typing import Callable, Iterable, Sequence
 
-from .bits import bits
+from .bits import bits, pack, unpack
 from .complexes import SimplicialComplex
 from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces
 from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner, symbolic2_equals_square
@@ -100,6 +113,8 @@ class DepthReport:
     is_cm: bool
     witness: CohomologyWitness | None
     scan_size: int
+    # a join's (vertices, S/I report, power report) per non-cone factor, else ()
+    factors: tuple[tuple[tuple[int, ...], DepthReport, DepthReport], ...] = ()
 
 
 # -- the degree-selected subcomplex --------------------------------------------
@@ -347,13 +362,53 @@ def _symbolic_depth_reports(
 
 # -- squares and symbolic squares ----------------------------------------------
 
+def _fold(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """(depth S/I, depth of its power) of a join from those of two factors."""
+    (r_a, s_a), (r_b, s_b) = a, b
+    return r_a + r_b, min(r_a + r_b + 1, s_a + r_b, r_a + s_b)
+
+
+def _join_reports(
+    delta: SimplicialComplex,
+    size: int,
+    fields: Sequence[FieldSpec],
+    budget: int,
+    power: Callable[[SimplicialComplex, Sequence[FieldSpec], int], dict[FieldSpec, DepthReport]],
+) -> dict[FieldSpec, DepthReport] | None:
+    """The reports of S/I_Delta^2 or S/I_Delta^(2), whichever ``power`` scans
+    on each factor, folded over the join factors of Delta (module
+    docstring); None when Delta has fewer than two join factors besides the
+    cone simplex."""
+    cone = pack(delta.cone_vertices())
+    blocks = [b for b in delta.join_blocks() if b != cone]
+    if len(blocks) < 2:
+        return None
+    factors = []
+    for block in blocks:
+        factor = delta.restrict(unpack(block))
+        factors.append((unpack(block), _symbolic_depth_reports(factor, 1, fields, budget),
+                        power(factor, fields, budget)))
+    c = cone.bit_count()
+    out = {}
+    for f in fields:
+        reports = tuple((v, radical[f], powered[f]) for v, radical, powered in factors)
+        _, depth = reduce(_fold, [(r.depth, p.depth) for _, r, p in reports])
+        dim = sum(p.dim for _, _, p in reports)
+        out[f] = DepthReport(f, depth + c, dim + c, depth == dim, None, size, reports)
+    return out
+
 
 def square_depth_reports(
     delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
 ) -> dict[FieldSpec, DepthReport]:
-    """Depth of S/I_Delta^2: in facet form when I^2 = I^(2), which the
-    special-triangle criterion decides without building either power (module
-    docstring), else by the generators of I^2."""
+    """Depth of S/I_Delta^2: a join from its factors; else in facet form when
+    I^2 = I^(2), which the special-triangle criterion decides without
+    building either power, else by the generators of I^2 (module
+    docstring).  The budget is checked before any other work."""
+    size = check_square_budget(delta, budget) if delta.n else 0
+    joined = _join_reports(delta, size, fields, budget, square_depth_reports)
+    if joined is not None:
+        return joined
     ideal = stanley_reisner(delta)
     if not delta.is_void() and symbolic2_equals_square(ideal).equal:
         return _symbolic_depth_reports(delta, 2, fields, budget)
@@ -363,9 +418,11 @@ def square_depth_reports(
 def symbolic_square_depth_reports(
     delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
 ) -> dict[FieldSpec, DepthReport]:
-    """Depth of S/I_Delta^(2), scanned in facet form; no generator of the
-    symbolic square is built."""
-    return _symbolic_depth_reports(delta, 2, fields, budget)
+    """Depth of S/I_Delta^(2): a join from its factors, else scanned in facet
+    form; no generator of the symbolic square is built."""
+    size = check_square_budget(delta, budget) if delta.n else 0
+    joined = _join_reports(delta, size, fields, budget, symbolic_square_depth_reports)
+    return joined if joined is not None else _symbolic_depth_reports(delta, 2, fields, budget)
 
 
 def square_depth_report(
@@ -382,30 +439,10 @@ def symbolic_square_depth_report(
     return symbolic_square_depth_reports(delta, (field,), budget)[field]
 
 
-def check_square_budget(delta: SimplicialComplex, budget: int) -> None:
-    """Raise BudgetExceeded when a scan of S/I_Delta^2, in either form, or of
-    S/I_Delta^(2) would need more than ``budget`` points: all have the facet
-    form's scan size (module docstring).  Only the faces are listed, so a
-    caller can refuse before any other work."""
-    _checked_size(delta.face_masks, _symbolic_rho(delta, 2), budget)
-
-
-def is_cm_square(
-    delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
-) -> dict[FieldSpec, bool]:
-    """Is S/I_Delta^2 Cohen-Macaulay over each field of the battery?
-
-    By the join rule the square of a join is Cohen-Macaulay iff the squares
-    of all its join factors are, so each factor gets its own battery scan; a
-    scan of the whole join would cover the product of the factors' points.
-    Each factor is scanned by square_depth_reports, in facet form when its
-    square equals its symbolic square (module docstring).  Stops as soon as
-    every field is False.
-    """
-    verdicts = dict.fromkeys(fields, True)
-    for factor in delta.join_factors():
-        if not any(verdicts.values()):
-            break
-        for f, report in square_depth_reports(factor, fields, budget).items():
-            verdicts[f] = verdicts[f] and report.is_cm
-    return verdicts
+def check_square_budget(delta: SimplicialComplex, budget: int) -> int:
+    """The scan size of S/I_Delta^2 and S/I_Delta^(2), or BudgetExceeded when
+    it is over ``budget``.  Both forms of either ring have the facet form's
+    scan size (module docstring), and so does a join, whose factor scans are
+    each no larger.  Only the faces are listed, so a caller can refuse before
+    any other work; the minimal non-faces are not needed."""
+    return _checked_size(delta.face_masks, _symbolic_rho(delta, 2), budget)

@@ -2,14 +2,15 @@
 cross-check the package's optimized kernels.  Nothing here imports the code
 paths under test beyond plain data types, the special-triangle enumeration
 for the second-power oracle, reduced homology for the graded pieces, and the
-generator-form depth scan that the facet-form square scan replaces.  The
+generator-form depth scan that the facet-form square scan and the join route
+replace.  The
 Delta_a oracles follow the formulas in the docstring of ``srsq.takayama`` and
 call nothing in that module."""
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 
@@ -30,6 +31,7 @@ from srsq import (
     reduced_homology,
     rp2,
     stanley_reisner,
+    symbolic_power,
 )
 from srsq.bits import pack, unpack
 from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
@@ -269,6 +271,33 @@ def generator_form_square_reports(
     """Depth of S/I_Delta^2 with I^2 built and Delta_a selected by its
     generators, whether or not I^2 = I^(2)."""
     return depth_reports(stanley_reisner(delta).power(2), fields, budget)
+
+
+def generator_form_symbolic_square_reports(
+    delta: SimplicialComplex, fields: tuple[FieldSpec, ...], budget: int = DEFAULT_BUDGET
+) -> dict[FieldSpec, DepthReport]:
+    """Depth of S/I_Delta^(2) with I^(2) built and Delta_a selected by its
+    generators."""
+    return depth_reports(symbolic_power(delta, 2), fields, budget)
+
+
+def assert_whole_ring_report(delta: SimplicialComplex, report: DepthReport,
+                             whole: DepthReport, oracle) -> None:
+    """``report``, of S/I_Delta^2 or S/I_Delta^(2), against ``whole``, the
+    scan of that whole ring.  A join's report has the same depth, dim,
+    verdict and scan size but no witness, and each of its factors holds the
+    generator-form reports of the factor's S/I and, by ``oracle``, of its
+    power; any other report is ``whole`` itself."""
+    if not report.factors:
+        assert report == whole
+        return
+    assert report.witness is None
+    assert replace(report, witness=whole.witness, factors=()) == whole
+    f = report.field
+    for vertices, radical, power in report.factors:
+        factor = delta.restrict(vertices)
+        assert radical == depth_reports(stanley_reisner(factor), (f,))[f]
+        assert power == oracle(factor, (f,))[f]
 
 
 # -- Delta_a and graded pieces by the displayed formulas ----------------------

@@ -68,10 +68,13 @@ def test_criterion_06_cross_stellar_under_10min():
     assert r.passed and r.elapsed < 600.0
 
 
-def test_criterion_07_disjoint_pentagons_with_fallback_path():
+def test_criterion_07_disjoint_pentagons_by_join_factors():
     r = report(criterion_7_disjoint_pentagons())
-    assert r.details["checks"]["fallback_route_Q"]
-    assert r.details["checks"]["fallback_route_F2"]
+    assert r.details["checks"]["whole_join_scan_agrees_Q"]
+    assert r.details["checks"]["whole_join_scan_agrees_F2"]
+    assert r.details["depth"] == {"Q": 4, "F2": 4}
+    assert r.details["factor_depths"] == {"Q": [[2, 2], [2, 2]], "F2": [[2, 2], [2, 2]]}
+    assert r.details["scan_size"] == 23104
     assert r.passed
 
 
@@ -79,7 +82,7 @@ def test_criterion_07_disjoint_pentagons_with_fallback_path():
     (criterion_2_pentagon, 1),
     (criterion_5_four_path, 1),
     (criterion_6_cross_stellar, 1),
-    # the direct scan, one per factor, and one per factor under budget 1000
+    # S/I and the square of each pentagon, and the facet-form scan of the whole join
     (criterion_7_disjoint_pentagons, 5),
 ])
 def test_cm_square_criteria_scan_each_join_factor_once(criterion, count, scans):
@@ -119,7 +122,8 @@ def test_criterion_09_implication_audits_clean():
 def test_criterion_10_conjecture_recorded():
     r = report(criterion_10_conjecture())
     assert r.passed
-    recorded = r.details["n2_recorded_verdicts"]
-    assert set(recorded) == {"Q", "F2"}
-    for verdict in recorded.values():
-        assert {"cm", "depth", "dim"} <= set(verdict)
+    for n in (2, 3):
+        recorded = r.details[f"n{n}_recorded_verdicts"]
+        assert set(recorded) == {"Q", "F2"}
+        for verdict in recorded.values():
+            assert {"cm", "depth", "dim"} <= set(verdict)

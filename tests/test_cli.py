@@ -9,12 +9,14 @@ from pathlib import Path
 
 import pytest
 
-from srsq import DEFAULT_FIELDS, cli, jsonio
+from srsq import DEFAULT_FIELDS, cli, depth_reports, jsonio, stanley_reisner
+from srsq.bits import pack, unpack
 from srsq.complexes import NAMED_COMPLEXES, cycle_graph, named_complex
+from srsq.criteria import explore_complexes
 from srsq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VIOLATION, main
 from srsq.reproduce import named_battery
 
-from helpers import generator_form_square_reports
+from helpers import generator_form_square_reports, join_blocks_by_bfs
 
 
 def run(argv, stdin_text="", monkeypatch=None, capsys=None):
@@ -412,12 +414,36 @@ def test_explore_rejects_settings_instead_of_rewriting_them(argv, message, monke
                          ids=[name for name, _ in named_battery()])
 def test_square_checks_print_the_generator_form_reports(delta, monkeypatch, capsys):
     oracle = generator_form_square_reports(delta, DEFAULT_FIELDS)
-    expected = json.dumps({f.name: jsonio.depth_report_to_dict(r) for f, r in oracle.items()},
-                          sort_keys=True, separators=(",", ":")) + "\n"
+    expected = {f.name: jsonio.depth_report_to_dict(r) for f, r in oracle.items()}
+    cone = pack(delta.cone_vertices())
+    blocks = [b for b in join_blocks_by_bfs(delta) if b != cone]
+    if len(blocks) >= 2:  # a join: each field's report lists its factors, with the witnesses
+        for f in DEFAULT_FIELDS:
+            expected[f.name].pop("witness", None)
+            expected[f.name]["join_factors"] = [{
+                "vertices": list(unpack(b)),
+                "radical": jsonio.depth_report_to_dict(
+                    depth_reports(stanley_reisner(delta.restrict(unpack(b))), (f,))[f]),
+                "power": jsonio.depth_report_to_dict(
+                    generator_form_square_reports(delta.restrict(unpack(b)), (f,))[f]),
+            } for b in blocks]
     doc = json.dumps(jsonio.complex_to_dict(delta))
     code, out, _ = run(["check", "depth", "--of", "square"], stdin_text=doc,
                        monkeypatch=monkeypatch, capsys=capsys)
-    assert (code, out) == (EXIT_OK, expected)
+    assert (code, out) == (EXIT_OK, json.dumps(expected, sort_keys=True, separators=(",", ":"))
+                           + "\n")
+
+
+@pytest.mark.parametrize("of", ["square", "symbolic-square"])
+def test_square_checks_refuse_a_52_vertex_complex_before_its_minimal_nonfaces(of):
+    # listing the minimal non-faces of this complex runs for minutes; the
+    # scan size, from the faces alone, refuses it first
+    doc = json.dumps(jsonio.complex_to_dict(explore_complexes(0, 1, 70)[0]))
+    child = subprocess.run([sys.executable, "-m", "srsq", "check", "depth", "--of", of],
+                           input=doc, capture_output=True, text=True, timeout=20,
+                           env=module_env())
+    assert child.returncode == EXIT_BUDGET and child.stdout == ""
+    assert child.stderr == "error: scan needs 2295146960098689024 points, budget is 1000000\n"
 
 
 def test_explore_jobs_deterministic(monkeypatch, capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 
 from srsq import (
     Graph,
+    SimplicialComplex,
     complementary_complex,
     conjecture_complex,
     conjecture_graph,
@@ -156,8 +157,8 @@ def test_join_euler_product():
     gens = [pentagon(), rp2(), four_path(), cross_polytope(2), simplex_complex(2)]
     for a in gens:
         for b in gens:
-            chi = a.join(b).euler_characteristic_reduced()
-            assert chi == -a.euler_characteristic_reduced() * b.euler_characteristic_reduced()
+            chi = a.join(b).f_vector().euler_reduced
+            assert chi == -a.f_vector().euler_reduced * b.f_vector().euler_reduced
 
 
 def test_join_factors():
@@ -170,6 +171,14 @@ def test_join_factors():
     cone = pentagon().cone()
     factors = cone.join_factors()
     assert sorted(f.n for f in factors) == [1, 5]
+    # the blocks are vertex masks in the complex's own labels
+    assert j.join_blocks() == [0b11111, 0b11111 << 5]
+    assert cone.join_blocks() == [0b11111, 1 << 5]
+    assert pentagon().join_blocks() == [0b11111]
+    # a vertex in no face is a block of its own, the factor {emptyset}
+    unused = SimplicialComplex(6, pentagon().facets)
+    assert unused.join_blocks() == [0b11111, 1 << 5]
+    assert unused.join_factors()[1] == SimplicialComplex(1, (0,))
 
 
 # -- stellar subdivision --------------------------------------------------------------
@@ -232,8 +241,8 @@ def test_stellar_preserves_reduced_euler():
         (cross_polytope(2), (1, 4)),
         (cross_polytope(3), (1, 2, 3)),
     ]:
-        before = d.euler_characteristic_reduced()
-        assert d.stellar_subdivision(face).euler_characteristic_reduced() == before
+        before = d.f_vector().euler_reduced
+        assert d.stellar_subdivision(face).f_vector().euler_reduced == before
 
 
 def test_stellar_errors():

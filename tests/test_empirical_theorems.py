@@ -16,11 +16,10 @@ from srsq import (
     cross_polytope,
     cycle_complex,
     four_path,
-    is_cm_square,
     is_gorenstein,
     reduced_homology,
     rp2,
-    square_depth_report,
+    square_depth_reports,
     stanley_reisner,
     symbolic_power,
     symbolic2_equals_square,
@@ -34,7 +33,11 @@ from srsq.complexes import (
     phantom_pentagon,
 )
 
-from helpers import local_cohomology_dim
+from helpers import generator_form_square_reports, local_cohomology_dim
+
+
+def cm_square(delta, fields):
+    return {f: r.is_cm for f, r in square_depth_reports(delta, fields).items()}
 
 
 # -- stellar subdivisions of complete intersection complexes ---------------------
@@ -49,12 +52,12 @@ def test_stellar_of_generic_ci_complex_has_cm_square():
     # I = (x1x2x3, x4x5) on 5 variables: non-acyclic (chi~ = 1), and
     # F = {x1, x4} picks one variable from each block (sizes sum to 2)
     gamma = ci_complex(5, [(1, 2, 3), (4, 5)])
-    assert gamma.euler_characteristic_reduced() == 1
+    assert gamma.f_vector().euler_reduced == 1
     delta = gamma.stellar_subdivision((1, 4))
     # resulting ideal: (x1x2x3, x4x5, x1x4, v x2x3, v x5) with v = 6
     expected = sorted([(1, 2, 3), (4, 5), (1, 4), (2, 3, 6), (5, 6)])
     assert sorted(g.support() for g in stanley_reisner(delta).gens) == expected
-    assert is_cm_square(delta, (QQ, GF2)) == {QQ: True, GF2: True}
+    assert cm_square(delta, (QQ, GF2)) == {QQ: True, GF2: True}
 
 
 def test_stellar_of_ci_on_full_block_face():
@@ -65,7 +68,7 @@ def test_stellar_of_ci_on_full_block_face():
     delta = gamma.stellar_subdivision((1, 2))
     expected = sorted([(1, 2), (3, 6), (4, 5)])
     assert sorted(g.support() for g in stanley_reisner(delta).gens) == expected
-    assert is_cm_square(delta, (QQ, GF2)) == {QQ: True, GF2: True}
+    assert cm_square(delta, (QQ, GF2)) == {QQ: True, GF2: True}
 
 
 def test_stellar_construction_matches_cross_polytope_shortcut():
@@ -106,13 +109,13 @@ def test_codim3_gorenstein_squares_are_cm():
         assert d.n - (d.dim + 1) == 3
         for field in (QQ, GF2):
             assert is_gorenstein(d, field)
-        assert is_cm_square(d, (QQ, GF2)) == {QQ: True, GF2: True}
+        assert cm_square(d, (QQ, GF2)) == {QQ: True, GF2: True}
 
 
 def test_complete_intersection_square_cm_baseline():
     # codim-2 complete intersection: squares of CIs are always CM
     d = cross_polytope(2)
-    assert is_cm_square(d, (QQ, GF2)) == {QQ: True, GF2: True}
+    assert cm_square(d, (QQ, GF2)) == {QQ: True, GF2: True}
 
 
 # -- join combination for Cohen-Macaulay squares -------------------------------------
@@ -125,10 +128,10 @@ def test_join_cm_square_matches_factorwise_rule():
     ]
     for a, b, expected in cases:
         j = a.join(b)
-        direct = square_depth_report(j, GF2).is_cm
-        combined = is_cm_square(a, (GF2,))[GF2] and is_cm_square(b, (GF2,))[GF2]
+        direct = generator_form_square_reports(j, (GF2,))[GF2].is_cm
+        combined = cm_square(a, (GF2,))[GF2] and cm_square(b, (GF2,))[GF2]
         assert direct == combined == expected
-        assert is_cm_square(j, (GF2,)) == {GF2: expected}
+        assert cm_square(j, (GF2,)) == {GF2: expected}
 
 
 def test_join_factors_recover_irreducibles():
@@ -205,5 +208,5 @@ def test_phantom_pentagon_family_beyond_k2():
         d = phantom_pentagon(k)
         assert depth2_criterion(d).holds
         assert symbolic_square_depth_report(d, GF2).is_cm
-        assert is_cm_square(d, (GF2,)) == {GF2: False}
+        assert cm_square(d, (GF2,)) == {GF2: False}
         assert not is_gorenstein(d, GF2)

@@ -340,7 +340,7 @@ def test_bareiss_runs_only_between_two_degrees_with_f2_homology(monkeypatch):
 
 def test_euler_identity():
     for d in named_battery():
-        chi = d.euler_characteristic_reduced()
+        chi = d.f_vector().euler_reduced
         for field in (QQ, GF2, F3):
             assert reduced_homology(d, field).euler() == chi
 
@@ -421,7 +421,7 @@ def test_link_criteria_witnesses_match_the_reindexed_link_route(pure):
             gor = is_gorenstein(delta, field)
             core, vmap = delta.core_with_map()
             assert (gor.core_euler, gor.expected_euler) == (
-                core.euler_characteristic_reduced(), 1 if core.dim % 2 == 0 else -1)
+                core.f_vector().euler_reduced, 1 if core.dim % 2 == 0 else -1)
             bad = first_failing_link(core, field, sphere=True)
             if bad is not None:  # back to the input's labels
                 label = {new: old for old, new in vmap.items()}

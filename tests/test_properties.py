@@ -67,7 +67,7 @@ def test_stanley_reisner_round_trip(delta):
 @given(complexes(max_n=5))
 @settings(max_examples=30, deadline=None)
 def test_euler_from_homology_matches_face_count(delta):
-    chi = delta.euler_characteristic_reduced()
+    chi = delta.f_vector().euler_reduced
     assert reduced_homology(delta, QQ).euler() == chi
     assert reduced_homology(delta, GF2).euler() == chi
 

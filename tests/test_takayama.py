@@ -22,7 +22,6 @@ from srsq import (
     disjoint_pentagons,
     four_path,
     irrelevant_complex,
-    is_cm_square,
     is_cohen_macaulay,
     path_complex,
     phantom_pentagon,
@@ -53,10 +52,12 @@ from srsq.takayama import (
 
 from helpers import (
     DegreeVector,
+    assert_whole_ring_report,
     brute_force_depth,
     delta_a,
     delta_a_symbolic,
     generator_form_square_reports,
+    generator_form_symbolic_square_reports,
     local_cohomology_dim,
 )
 
@@ -427,12 +428,13 @@ def oracle_battery():
 
 def test_symbolic_square_report_matches_generator_form():
     # witness and scan_size included: the two forms scan the same points in
-    # the same order
+    # the same order (a join, here the pentagon with an unused vertex, keeps
+    # its witnesses in its factors)
     for d in oracle_battery():
-        oracle_ideal = symbolic_power(d, 2)
+        expected = generator_form_symbolic_square_reports(d, (QQ, GF2))
         for field in (QQ, GF2):
-            expected = depth_via_takayama(oracle_ideal, field)
-            assert symbolic_square_depth_report(d, field) == expected
+            assert_whole_ring_report(d, symbolic_square_depth_report(d, field), expected[field],
+                                     generator_form_symbolic_square_reports)
 
 
 def test_symbolic_square_budget_refusal_matches_generator_form():
@@ -537,9 +539,10 @@ def test_symbolic_square_battery_matches_generator_form_oracle():
         if d.n < 1:
             continue
         reports = symbolic_square_depth_reports(d, BATTERY)
-        oracle_ideal = symbolic_power(d, 2)
+        expected = generator_form_symbolic_square_reports(d, BATTERY)
         for f in BATTERY:
-            assert reports[f] == depth_via_takayama(oracle_ideal, f)
+            assert_whole_ring_report(d, reports[f], expected[f],
+                                     generator_form_symbolic_square_reports)
 
 
 @pytest.mark.parametrize("form", sorted(FORMS))
@@ -613,9 +616,11 @@ def test_square_reports_match_generator_form_oracle():
     assert any(d.cone_vertices() for d in cases) and any(d.support != (1 << d.n) - 1 for d in cases)
     for d in cases:
         expected = generator_form_square_reports(d, BATTERY)
-        assert square_depth_reports(d, BATTERY) == expected
+        reports = square_depth_reports(d, BATTERY)
+        assert list(reports) == list(BATTERY)
         for f in BATTERY:
-            assert square_depth_report(d, f) == expected[f]
+            assert_whole_ring_report(d, reports[f], expected[f], generator_form_square_reports)
+            assert square_depth_report(d, f) == reports[f]
 
 
 def test_square_budget_refusal_matches_generator_form():
@@ -636,12 +641,16 @@ def test_square_budget_refusal_matches_generator_form():
 
 # -- square / symbolic square verdicts ----------------------------------------------------
 
+def cm_square(delta, fields=(QQ, GF2), budget=DEFAULT_BUDGET):
+    return {f: r.is_cm for f, r in square_depth_reports(delta, fields, budget).items()}
+
+
 def test_worked_example_verdicts():
     for field in (QQ, GF2):
         assert symbolic_square_depth_report(phantom_pentagon(2), field).is_cm
-    assert is_cm_square(phantom_pentagon(2), (QQ, GF2)) == {QQ: False, GF2: False}
-    assert is_cm_square(cross_polytope_stellar(2), (QQ, GF2)) == {QQ: True, GF2: True}
-    assert is_cm_square(four_path(), (QQ, GF2)) == {QQ: False, GF2: False}
+    assert cm_square(phantom_pentagon(2)) == {QQ: False, GF2: False}
+    assert cm_square(cross_polytope_stellar(2)) == {QQ: True, GF2: True}
+    assert cm_square(four_path()) == {QQ: False, GF2: False}
 
 
 def test_monotone_consistency():
@@ -649,45 +658,60 @@ def test_monotone_consistency():
     from srsq import symbolic2_equals_square
 
     for d in named_battery():
-        for field, cm in is_cm_square(d, (QQ, GF2)).items():
+        for field, cm in cm_square(d).items():
             if cm:
                 assert symbolic_square_depth_report(d, field).is_cm
                 I = stanley_reisner(d)
                 assert symbolic2_equals_square(I).equal
 
 
-def test_budget_guard_and_join_fallback():
+def test_budget_guard_refuses_a_join_by_its_whole_ring(monkeypatch):
     d = disjoint_pentagons(2)
     with pytest.raises(BudgetExceeded) as err:
         square_depth_report(d, QQ, budget=1000)
     assert err.value.required == 23104
-    # the join rule factors through the two pentagons
-    assert is_cm_square(d, (QQ, GF2), budget=1000) == {QQ: True, GF2: True}
-    # a complex with no join structure raises
-    with pytest.raises(BudgetExceeded):
-        is_cm_square(rp2(), (QQ, GF2), budget=10)
+    # a join is answered from its factors, but the budget still counts the
+    # whole ring: 23104 points, not the pentagons' 11 + 152 each
+    assert cm_square(d, budget=23104) == {QQ: True, GF2: True}
+
+    def refuse(self):
+        raise AssertionError("the budget is checked before the minimal non-faces are listed")
+
+    monkeypatch.setattr(SimplicialComplex, "minimal_nonfaces", refuse)
+    for scan in (square_depth_reports, symbolic_square_depth_reports):
+        with pytest.raises(BudgetExceeded) as err:
+            scan(d, (QQ, GF2), 23103)
+        assert err.value.required == 23104
+        with pytest.raises(BudgetExceeded):
+            scan(rp2(), (QQ, GF2), 10)
 
 
-def test_join_rule_scans_each_factor_once_and_stops_early(scans):
-    # 152 points per pentagon, against 23104 for the whole join
-    assert is_cm_square(disjoint_pentagons(2), (QQ, GF2), budget=1000) == {QQ: True, GF2: True}
-    assert len(scans) == 2
-    # the 4-path factor (60 points) is False over both fields, so the
-    # pentagon factor (152 points, over the budget) is never scanned
-    j = four_path().join(cycle_complex(5))
-    assert is_cm_square(j, (QQ, GF2), budget=100) == {QQ: False, GF2: False}
-    assert len(scans) == 3
+def test_join_route_scans_each_factor_twice_and_never_the_whole_join(scans):
+    # S/I and the power of each pentagon, on 5 vertices; never the 10-vertex join
+    assert cm_square(disjoint_pentagons(2)) == {QQ: True, GF2: True}
+    assert sorted(n for *_, n in scans) == [5, 5, 5, 5]
+    scans.clear()
+    assert {f: r.is_cm for f, r in symbolic_square_depth_reports(
+        disjoint_pentagons(2), (QQ, GF2)).items()} == {QQ: True, GF2: True}
+    assert sorted(n for *_, n in scans) == [5, 5, 5, 5]
+    # the cone block is never scanned; an unused vertex is a factor of its own
+    scans.clear()
+    j = SimplicialComplex(11, four_path().join(cycle_complex(5)).cone().facets)  # apex 10
+    reports = square_depth_reports(j, (QQ, GF2))
+    assert [v for v, _, _ in reports[QQ].factors] == [(1, 2, 3, 4), (5, 6, 7, 8, 9), (11,)]
+    assert sorted(n for *_, n in scans) == [1, 1, 4, 4, 5, 5]
+    assert cm_square(j) == {QQ: False, GF2: False}
 
 
-def random_joins(count=60):
+def random_joins(count=60, seed=89, factors_per_join=(1, 2, 3)):
     """Joins of two or three complexes on at most 8 vertices in all: random
     factors on 2..4 vertices without cone vertices (non-pure, with unused
     vertices at times), and in about a third of the joins a cone factor."""
-    rng = random.Random(89)
+    rng = random.Random(seed)
     joins = []
     while len(joins) < count:
         factors = []
-        for n in [rng.randint(2, 4) for _ in range(rng.choice((1, 2, 3)))]:
+        for n in [rng.randint(2, 4) for _ in range(rng.choice(factors_per_join))]:
             factor = random_complex(rng, n)
             while factor.cone_vertices():
                 factor = random_complex(rng, n)
@@ -703,17 +727,55 @@ def random_joins(count=60):
     return joins
 
 
+def join_oracle_cases():
+    """Random joins of two and of three non-cone factors, with and without a
+    cone block and unused vertices, and joins with an rp2 factor."""
+    pentagon = cycle_complex(5)
+    rng = random.Random(101)
+    return random_joins() + random_joins(24, 103, (2, 3)) + [
+        rp2().join(SimplicialComplex(2, (1, 2))),  # rp2 * two points
+        SimplicialComplex(7, rp2().facets),  # rp2 and an unused vertex
+        rp2().join(simplex_complex(1)).join(SimplicialComplex(1, (0,))),  # a cone, an unused
+        SimplicialComplex(3, (0,)),  # three unused vertices and nothing else
+        SimplicialComplex(6, pentagon.facets),  # the pentagon and an unused vertex
+        SimplicialComplex(8, tuple(f | 1 << 5 for f in pentagon.facets)),  # cone 6, unused 7, 8
+        random_complex(rng, 3).join(cross_polytope(2)),
+    ]
+
+
+def whole_symbolic_square_scan(delta, fields, budget=DEFAULT_BUDGET):
+    return _symbolic_depth_reports(delta, 2, fields, budget)
+
+
 def test_join_rule_matches_direct_scan_on_random_joins():
-    fields = (QQ, GF2)
-    joins = random_joins()
-    assert any(not j.is_pure() for j in joins)
-    assert any(j.cone_vertices() for j in joins)
+    """The join route against the whole-join scans, the generator form for
+    I^2 and the facet form for I^(2), over Q, F2 and F3: equal depth, dim,
+    verdict, scan size and budget refusal."""
+    cases = join_oracle_cases()
+    factor_counts = set()
     seen = set()
-    for j in joins:
-        direct = {f: r.is_cm for f, r in square_depth_reports(j, fields).items()}
-        assert is_cm_square(j, fields) == direct
-        seen.update(direct.values())
+    for route, oracle in ((square_depth_reports, generator_form_square_reports),
+                          (symbolic_square_depth_reports, whole_symbolic_square_scan)):
+        for j in cases:
+            reports, whole = route(j, BATTERY), oracle(j, BATTERY)
+            factor_counts.add(len(reports[QQ].factors))
+            for f in BATTERY:
+                assert_whole_ring_report(j, reports[f], whole[f], oracle)
+                seen.add(reports[f].is_cm)
+            refusals = []
+            for scan in (route, oracle):
+                with pytest.raises(BudgetExceeded) as err:
+                    scan(j, BATTERY, whole[QQ].scan_size - 1)
+                refusals.append(err.value.required)
+            assert refusals == [whole[QQ].scan_size] * 2
+    assert {0, 2, 3} <= factor_counts
+    assert any(not j.is_pure() for j in cases)
+    assert any(j.cone_vertices() for j in cases)
+    assert any(j.support != (1 << j.n) - 1 for j in cases)
     assert seen == {True, False}
+    # the fold reads each field's own factor depths: S/I of rp2 is CM over Q only
+    rp2_join = symbolic_square_depth_reports(rp2().join(SimplicialComplex(2, (1, 2))), BATTERY)
+    assert [rp2_join[f].factors[0][1].is_cm for f in BATTERY] == [True, False, True]
 
 
 def test_hypersurface_with_unused_variable():
