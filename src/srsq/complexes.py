@@ -259,8 +259,8 @@ class SimplicialComplex:
 
     def minimal_nonfaces(self) -> tuple[int, ...]:
         """Inclusion-minimal subsets of [n] that are not faces, as masks;
-        listed once per complex (stanley_reisner and join_blocks both read
-        them)."""
+        listed once per complex (stanley_reisner, join_blocks and
+        condition3_check read them)."""
         return self._minimal_nonfaces
 
     @cached_property

@@ -1,6 +1,6 @@
 """First-class checks with certificates: the diameter depth criterion, the
-linkwise (S2) criterion, the brute-force union/intersection condition on
-non-face triples, and the per-instance implication audit.
+linkwise (S2) criterion, the union/intersection condition on non-face
+triples (read off the minimal non-faces), and the per-instance audit.
 
 The (S2) criterion probes each link in SimplicialComplex.link_walk, and the
 diameter criterion reads Delta's own facets; both take the diameter with
@@ -40,12 +40,9 @@ from .takayama import (
     symbolic_square_depth_reports,
 )
 
-# The non-face triple brute force costs about six times more per added
-# vertex: single runs on a 2-vCPU host took 11.6 s at n = 10
-# (disjoint_pentagons(2)) and 69 s at n = 11 (cross_polytope_stellar(5)), and
-# n = 12 (cross_polytope(6)) had not finished after 39 s.  The cap keeps
-# `check audit` and `explore` finite; above it the special-triangle criterion
-# decides alone.
+# Above the cap, `check condition3` exits 2 and the audit leaves the verdict
+# out (the special-triangle criterion decides alone); the cap keeps the bytes
+# of `check audit` and `explore --full` for n > 9, and the benchmark's pins.
 CONDITION3_MAX_VERTICES = 9
 
 
@@ -106,59 +103,24 @@ class Condition3Result:
 
 
 def condition3_check(delta: SimplicialComplex) -> Condition3Result:
-    """Brute force over all non-face triples, deduplicated by (union,
-    intersection) signatures; no reduction to minimal non-faces is used."""
-    n = delta.n
-    if n > CONDITION3_MAX_VERTICES:
-        raise ValueError(
-            "the non-face triple brute force is capped at "
-            f"n <= {CONDITION3_MAX_VERTICES}, got n = {n}"
-        )
-    full = (1 << n) - 1
-    faces = delta.face_masks
-    nonfaces = [m for m in range(full + 1) if m not in faces]
-    if not nonfaces:
-        return Condition3Result(True)
-
-    nfset = set(nonfaces)
-    # has_nonface_inside[m]: some non-face is a subset of m.  Non-faces are
-    # upward closed, so one bit-removal step per mask suffices.
-    hnf = bytearray(full + 1)
-    for m in range(full + 1):
-        if m in nfset:
-            hnf[m] = 1
-            continue
-        mm = m
-        while mm:
-            b = mm & -mm
-            if hnf[m ^ b]:
-                hnf[m] = 1
-                break
-            mm ^= b
-
-    pair_sigs: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, f1 in enumerate(nonfaces):
-        for f2 in nonfaces[i:]:
-            key = (f1 | f2, f1 & f2)
-            if key not in pair_sigs:
-                pair_sigs[key] = (f1, f2)
-    triple_sigs: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for (u2, w2), (f1, f2) in pair_sigs.items():
-        for f3 in nonfaces:
-            key = (u2 | f3, w2 & f3)
-            if key not in triple_sigs:
-                triple_sigs[key] = (f1, f2, f3)
-
-    def satisfiable(u: int, w: int) -> bool:
-        for g1 in nonfaces:
-            if g1 & ~u:
-                continue
-            if hnf[u & ~(g1 & ~w)]:
-                return True
-        return False
-
-    for (u, w), triple in triple_sigs.items():
-        if not satisfiable(u, w):
+    """The condition on minimal non-faces, one triple per (union U,
+    intersection W) signature.  It is monotone in every F_i and G_j: if
+    F_i contains M_i, U and W contain those of the Ms, and shrinking G1, G2
+    to minimal non-faces inside them keeps G1 u G2 in U and G1 n G2 in W.
+    So the Fs range over minimal non-faces, and (U, W) is met iff minimal
+    non-faces g1, g2 in U (possibly equal) have g1 n g2 in W."""
+    if delta.n > CONDITION3_MAX_VERTICES:
+        raise ValueError("the non-face triple condition is capped at "
+                         f"n <= {CONDITION3_MAX_VERTICES}, got n = {delta.n}")
+    mins = sorted(delta.minimal_nonfaces())
+    sigs: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for i, f1 in enumerate(mins):
+        for f2 in mins[i:]:
+            for f3 in mins:
+                sigs.setdefault((f1 | f2 | f3, f1 & f2 & f3), (f1, f2, f3))
+    for (u, w), triple in sigs.items():
+        inside = [g for g in mins if not g & ~u]
+        if not any(not g1 & g2 & ~w for i, g1 in enumerate(inside) for g2 in inside[i:]):
             return Condition3Result(False, tuple(unpack(t) for t in triple))
     return Condition3Result(True)
 
@@ -238,7 +200,7 @@ def _audit_violations(report: AuditReport) -> tuple[str, ...]:
                 out.append(f"Gorenstein over {f.name} but not over Q")
     if report.condition3 is not None and report.condition3.holds != report.sym2.equal:
         out.append(
-            "non-face triple brute force disagrees with the special-triangle criterion"
+            "non-face triple condition disagrees with the special-triangle criterion"
         )
     return tuple(out)
 
@@ -250,7 +212,7 @@ def paper_audit(
 ) -> AuditReport:
     """Compute all criteria for one complex and check the implications.
 
-    The non-face triple condition is only brute-forced when n is at most
+    The non-face triple condition is only checked when n is at most
     CONDITION3_MAX_VERTICES; the special-triangle criterion stands in for it
     above the cap (the two are equivalent and cross-checked whenever both are
     computed).  A depth scan over the budget is refused right after the

@@ -385,8 +385,8 @@ def criterion_9_implication_audits(budget: int):
 
 
 @criterion(
-    "criterion-10", "conjectured graph family (n = 1 asserted, n = 2 recorded)",
-    notes=("the n = 2 verdict is recorded, not asserted (conjectured case)",),
+    "criterion-10", "conjectured graph family (n = 1 asserted, n = 2 and 3 recorded)",
+    notes=("the n = 2 and 3 verdicts are recorded, not asserted (conjectured cases)",),
 )
 def criterion_10_conjecture(budget: int):
     recorded = {

@@ -1,9 +1,9 @@
 """Shared test oracles: independent, brute-force implementations used to
 cross-check the package's optimized kernels.  Nothing here imports the code
 paths under test beyond plain data types, the special-triangle enumeration
-for the second-power oracle, reduced homology for the graded pieces, and the
+for the second-power oracle, reduced homology for the graded pieces, the
 generator-form depth scan that the facet-form square scan and the join route
-replace.  The
+replace, and the vertex cap of the non-face triple condition.  The
 Delta_a oracles follow the formulas in the docstring of ``srsq.takayama`` and
 call nothing in that module."""
 
@@ -34,6 +34,7 @@ from srsq import (
     symbolic_power,
 )
 from srsq.bits import pack, unpack
+from srsq.criteria import CONDITION3_MAX_VERTICES, Condition3Result
 from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
 
 
@@ -135,6 +136,66 @@ def brute_nonfaces(delta: SimplicialComplex) -> list[int]:
 def brute_minimal_nonfaces(delta: SimplicialComplex) -> list[int]:
     nf = brute_nonfaces(delta)
     return sorted(m for m in nf if not any(o != m and o & ~m == 0 for o in nf))
+
+
+def condition3_over_all_nonfaces(delta: SimplicialComplex) -> Condition3Result:
+    """The non-face triple condition by brute force over all 2^n subsets,
+    deduplicated by (union, intersection) signatures; no reduction to minimal
+    non-faces is used.  The witness oracle for ``condition3_check``, in the
+    same signature order."""
+    n = delta.n
+    if n > CONDITION3_MAX_VERTICES:
+        raise ValueError(
+            "the non-face triple brute force is capped at "
+            f"n <= {CONDITION3_MAX_VERTICES}, got n = {n}"
+        )
+    full = (1 << n) - 1
+    faces = delta.face_masks
+    nonfaces = [m for m in range(full + 1) if m not in faces]
+    if not nonfaces:
+        return Condition3Result(True)
+
+    nfset = set(nonfaces)
+    # has_nonface_inside[m]: some non-face is a subset of m.  Non-faces are
+    # upward closed, so one bit-removal step per mask suffices.
+    hnf = bytearray(full + 1)
+    for m in range(full + 1):
+        if m in nfset:
+            hnf[m] = 1
+            continue
+        mm = m
+        while mm:
+            b = mm & -mm
+            if hnf[m ^ b]:
+                hnf[m] = 1
+                break
+            mm ^= b
+
+    pair_sigs: dict[tuple[int, int], tuple[int, int]] = {}
+    for i, f1 in enumerate(nonfaces):
+        for f2 in nonfaces[i:]:
+            key = (f1 | f2, f1 & f2)
+            if key not in pair_sigs:
+                pair_sigs[key] = (f1, f2)
+    triple_sigs: dict[tuple[int, int], tuple[int, int, int]] = {}
+    for (u2, w2), (f1, f2) in pair_sigs.items():
+        for f3 in nonfaces:
+            key = (u2 | f3, w2 & f3)
+            if key not in triple_sigs:
+                triple_sigs[key] = (f1, f2, f3)
+
+    def satisfiable(u: int, w: int) -> bool:
+        for g1 in nonfaces:
+            if g1 & ~u:
+                continue
+            if hnf[u & ~(g1 & ~w)]:
+                return True
+        return False
+
+    for (u, w), triple in triple_sigs.items():
+        if not satisfiable(u, w):
+            return Condition3Result(False, tuple(unpack(t) for t in triple))
+    return Condition3Result(True)
 
 
 def join_blocks_by_bfs(delta: SimplicialComplex) -> list[int]:

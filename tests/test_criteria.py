@@ -43,14 +43,15 @@ from srsq import (
     void_complex,
 )
 from srsq import criteria, jsonio
-from srsq.bits import unpack
+from srsq.bits import pack, unpack
 from srsq.criteria import _audit_violations, explore_complexes
 from srsq.homology import GorensteinReport
-from srsq.reproduce import named_battery
+from srsq.reproduce import iter_pure_complexes, named_battery
 
 from helpers import (
     assert_whole_ring_report,
     brute_nonfaces,
+    condition3_over_all_nonfaces,
     cone_bases,
     floyd_warshall_diameter,
     generator_form_square_reports,
@@ -182,6 +183,42 @@ def test_condition3_against_direct_loop():
         d = random_pure_complex(rng, n)
         assert condition3_check(d).holds == brute_condition3(d)
     assert condition3_check(three_points()).holds == brute_condition3(three_points())
+
+
+@pytest.mark.parametrize("pool", ["named", "explore", "exhaustive", "simplex_skeletons",
+                                  "unused_vertices"])
+def test_condition3_witness_matches_the_all_subsets_oracle(pool):
+    """Verdict and witness equal the 2^n oracle's, and a witness triple
+    consists of minimal non-faces."""
+    complexes = {
+        "named": lambda: [d for _, d in named_battery() if d.n <= criteria.CONDITION3_MAX_VERTICES],
+        "explore": lambda: explore_complexes(0, 100, 6),
+        "exhaustive": lambda: list(iter_pure_complexes()),
+        # n = 9 at the cap, with up to 126 minimal non-faces
+        "simplex_skeletons": lambda: [simplex_complex(9).skeleton(k) for k in range(5)],
+        # pure and non-pure, with vertices in no face, and the void complex
+        "unused_vertices": lambda: [random_complex_with_unused_vertices(random.Random(i), i % 2)
+                                    for i in range(100)] + [void_complex(3)],
+    }[pool]()
+    for delta in complexes:
+        result = condition3_check(delta)
+        assert result == condition3_over_all_nonfaces(delta)
+        assert result.holds or all(pack(f) in delta.minimal_nonfaces() for f in result.witness)
+
+
+def test_condition3_lists_no_subsets(monkeypatch):
+    names = ("rp2", "conjecture_2", "cross_polytope_stellar_3")
+    expected = {name: condition3_over_all_nonfaces(d)
+                for name, d in named_battery() if name in names}
+
+    def refuse(self):
+        raise AssertionError("condition3_check reads only the minimal non-faces")
+
+    monkeypatch.setattr(SimplicialComplex, "face_masks", property(refuse))
+    for name, delta in named_battery():  # fresh complexes: no face list cached
+        if name in names:
+            assert condition3_check(delta) == expected[name]
+    assert not expected["rp2"].holds and expected["conjecture_2"].holds
 
 
 def test_condition3_equivalent_to_power_equality():
