@@ -47,7 +47,6 @@ from .homology import (
     QQ,
     FieldSpec,
     HomologyProfile,
-    boundary_matrix,
     is_cohen_macaulay,
     is_gorenstein,
     is_locally_gorenstein,

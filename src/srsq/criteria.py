@@ -37,6 +37,7 @@ from .takayama import (
     DepthReport,
     check_square_budget,
     depth_via_takayama,
+    square_depth_reports,
     symbolic_square_depth_reports,
 )
 
@@ -222,8 +223,10 @@ def paper_audit(
     I^2 = I^(2), S/I^2 is S/I^(2), so ``cm_square`` is a copy of those
     reports and no second scan runs; the check of CM(I^2) against CM(I^(2))
     together with I^2 = I^(2) is then a tautology, and the test suite's
-    generator-form oracle covers that case.  Otherwise I^2 is built once and
-    scanned in generator form.  The verdicts that need no scan come first,
+    generator-form oracle covers that case.  Otherwise a join's
+    ``cm_square`` is folded from its factors by square_depth_reports, as
+    ``check depth --of square`` reports it, and any other I^2 is built once
+    and scanned in generator form.  The verdicts that need no scan come first,
     so an input they reject fails before any scan starts.
     """
     fields = tuple(fields)
@@ -245,6 +248,8 @@ def paper_audit(
     )
     if report.sym2.equal:
         report.cm_square = dict(report.cm_symbolic_square)
+    elif any(r.factors for r in report.cm_symbolic_square.values()):
+        report.cm_square = square_depth_reports(delta, fields, budget)
     else:
         # One scan per field: the benchmark's tracer counts scans only on depth_via_takayama.
         square = ideal.power(2)

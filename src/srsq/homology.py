@@ -1,18 +1,19 @@
 """Exact reduced simplicial homology over Q and F_p, with the
 Reisner (Cohen-Macaulay) and Stanley (Gorenstein) criteria.
 
-Ranks are computed exactly: bitmask elimination for F_2, plain modular
-elimination for other primes, and fraction-free Bareiss elimination over
-arbitrary precision integers for Q.  Exactness is non-negotiable here; a
-single wrong rank flips a Cohen-Macaulay verdict.
+Ranks are computed exactly.  Exactness is non-negotiable here; a single
+wrong rank flips a Cohen-Macaulay verdict.
 
-Most Q ranks are read off F_2 instead.  For an integer matrix M,
-rank_Q M >= rank_F2 M, since a minor that is odd is nonzero; and over any
-field rank d_t + rank d_{t+1} <= |C_t|, since d d = 0, with equality exactly
-when ~H_t vanishes.  So where F_2 homology vanishes in degree t, the Q ranks
-of both maps next to t equal their F_2 ranks, and profile_from_faces runs
-Bareiss only on a map between two consecutive degrees that both carry F_2
-homology (2-torsion, as in rp2's d_2).
+Every boundary entry is 0 or +-1, and eliminating a +-1 pivot is
+unimodular, so one elimination serves every field (the elimination phase of
+Dumas, Heckenbach, Saunders and Welker, 2003).  profile_from_faces reduces
+each map d_i with i >= 2 once: its columns are (rows holding +1, rows
+holding -1) bitmasks, and each column is reduced by its lowest entry while
+that row holds a kept unit pivot.  A column that would gain a +-2 entry is
+set aside and then cleared on every pivot row; over each field,
+rank d_i = u + matrix_rank(remainder), for u unit pivots.  matrix_rank is
+fraction-free Bareiss elimination over Q and plain modular elimination over
+F_p, and sees only remainders, which is where torsion lives (rp2's d_2).
 
 Conventions for the reduced chain complex of a complex Delta:
   * C_{-1} is spanned by the empty face, and the boundary of a vertex is the
@@ -123,22 +124,6 @@ def _rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
-def _rank_gf2(rows: Iterable[int]) -> int:
-    """Rank of rows given as bitmasks over F_2."""
-    basis: dict[int, int] = {}
-    rank = 0
-    for r in rows:
-        while r:
-            lead = r & -r
-            if lead in basis:
-                r ^= basis[lead]
-            else:
-                basis[lead] = r
-                rank += 1
-                break
-    return rank
-
-
 def _rank_modp(rows: Sequence[Sequence[int]], p: int) -> int:
     m = [[e % p for e in r] for r in rows]
     if not m or not m[0]:
@@ -168,19 +153,10 @@ def matrix_rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
     """Exact rank of an integer matrix over the given field."""
     if field.char == 0:
         return _rank_bareiss(rows)
-    if field.char == 2:
-        packed = []
-        for r in rows:
-            bitsrow = 0
-            for j, e in enumerate(r):
-                if e % 2:
-                    bitsrow |= 1 << j
-            packed.append(bitsrow)
-        return _rank_gf2(packed)
     return _rank_modp(rows, field.char)
 
 
-# -- boundary matrices and homology profiles ----------------------------------
+# -- signed boundary columns and homology profiles -----------------------------
 
 
 def _faces_by_dim(faces: Iterable[int]) -> list[list[int]]:
@@ -195,31 +171,64 @@ def _faces_by_dim(faces: Iterable[int]) -> list[list[int]]:
     return [grouped.get(k, []) for k in range(max(grouped) + 1)]
 
 
-def _boundary_from_groups(groups: list[list[int]], i: int) -> list[list[int]]:
-    """Matrix of d_i: (i-faces) -> (i-1 faces); i is the simplex dimension.
-    Rows and columns keep the group order; the j-th lowest bit has sign (-1)^j."""
-    if i == -1:
-        return []
-    cols = groups[i + 1] if i + 1 < len(groups) else []
-    if i == 0:
-        return [[1] * len(cols)] if cols else []
-    rows_index = {m: r for r, m in enumerate(groups[i])}
-    matrix = [[0] * len(cols) for _ in groups[i]]
-    for c, m in enumerate(cols):
+def _signed_columns(groups: list[list[int]], i: int) -> list[tuple[int, int]]:
+    """Columns of d_i, i >= 1 the simplex dimension, as (rows holding +1,
+    rows holding -1) bitmasks over the positions of groups[i]; the columns
+    keep the order of groups[i + 1], and the j-th lowest vertex of a face
+    has sign (-1)^j."""
+    index = {m: 1 << r for r, m in enumerate(groups[i])}
+    columns = []
+    for m in groups[i + 1]:
+        signed = [0, 0]
         for j, b in enumerate(bits(m)):
-            matrix[rows_index[m ^ b]][c] = -1 if j % 2 else 1
-    return matrix
+            signed[j % 2] |= index[m ^ b]
+        columns.append((signed[0], signed[1]))
+    return columns
 
 
-def boundary_matrix(delta: SimplicialComplex, i: int) -> list[list[int]]:
-    """Boundary matrix d_i over Z with signs from ascending vertex order.
+def _unit_reduce(columns: Iterable[tuple[int, int]]) -> tuple[int, list[list[int]]]:
+    """(u, remainder) with rank = u + rank(remainder) over every field, for
+    the matrix whose columns are (+1 rows, -1 rows) bitmasks.
 
-    Rows are the (i-1)-faces, columns the i-faces, both sorted by vertex
-    tuple; i = 0 yields the augmentation row, i = -1 an empty matrix.
+    Each column is reduced by its lowest entry while that row holds a kept
+    pivot, whose lowest entry is +1 (negating a column keeps every rank); u
+    counts the pivots.  A column that would gain a +-2 entry is set aside,
+    then cleared on every pivot row, lowest first, by integer multiples of
+    the pivots.  The remainder holds those columns on the rows they still
+    reach.  Every step is unimodular, and the pivots are unit triangular on
+    their rows, so the ranks hold over Q and every F_p.
     """
-    if delta.is_void() or not -1 <= i <= delta.dim:
-        raise ValueError(f"boundary index {i} out of range")
-    return _boundary_from_groups(_faces_by_dim(delta.sorted_faces()), i)
+    pivots: dict[int, tuple[int, int]] = {}
+    stuck = []
+    for plus, minus in columns:
+        while plus | minus:
+            low = (plus | minus) & -(plus | minus)
+            if low & minus:
+                plus, minus = minus, plus
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = (plus, minus)
+                break
+            p_plus, p_minus = pivot
+            if plus & p_minus or minus & p_plus:
+                stuck.append((plus, minus))
+                break
+            up, down = plus | p_minus, minus | p_plus
+            plus, minus = up & ~down, down & ~up
+    cleared, order = [], sorted(pivots)
+    for plus, minus in stuck:
+        column = dict.fromkeys(bits(plus), 1) | dict.fromkeys(bits(minus), -1)
+        for low in order:
+            v = column.pop(low, 0)
+            if v:
+                p_plus, p_minus = pivots[low]
+                for b in bits(p_plus ^ low):
+                    column[b] = column.get(b, 0) - v
+                for b in bits(p_minus):
+                    column[b] = column.get(b, 0) + v
+        cleared.append(column)
+    rows = sorted({b for column in cleared for b, v in column.items() if v})
+    return len(pivots), [[column.get(b, 0) for column in cleared] for b in rows]
 
 
 @dataclass(frozen=True)
@@ -287,42 +296,23 @@ def profile_from_faces(
 
     A complex of dimension <= 1 is a graph: its Betti numbers come from a
     union-find over the edges (_graph_betti), with no matrix, and are the
-    same over every field.  Otherwise each boundary matrix is built once and
-    only its rank depends on the field; rank d_0 is 1, since a vertex exists.
-
-    When Q or F2 is in the battery, every map is ranked over F2 first.  A Q
-    rank is copied from F2 unless F2 homology is nonzero in both degrees the
-    map joins: ``rank_Q >= rank_F2`` (an odd minor is nonzero) and
-    ``rank d_t + rank d_{t+1} <= |C_t|`` (``d d = 0``), so a zero F2 Betti
-    number in degree t pins both Q ranks next to t.  Bareiss runs only on
-    the remaining maps, which is where torsion lives.
+    same over every field.  Otherwise rank d_0 is 1, since a vertex exists,
+    rank d_1 = V - c for the c components of the 1-skeleton, and each map
+    d_i with i >= 2 is reduced once (_unit_reduce); only the rank of its
+    remainder depends on the field.
     """
     groups = _faces_by_dim(faces)
     if len(groups) <= 3:
         betti = _graph_betti(groups)
         return tuple(HomologyProfile(field, betti) for field in fields)
-    boundaries = [_boundary_from_groups(groups, i) for i in range(1, len(groups) - 1)]
+    rank_d1 = len(groups[1]) - 1 - _graph_betti(groups[:3])[1]
+    reduced = [_unit_reduce(_signed_columns(groups, i)) for i in range(2, len(groups) - 1)]
 
-    def ranks(field: FieldSpec) -> list[int]:  # entry t is rank d_{t-1}
-        return [0, 1, *(matrix_rank(b, field) for b in boundaries), 0]
-
-    def betti(r: list[int]) -> tuple[int, ...]:
+    def betti(field: FieldSpec) -> tuple[int, ...]:
+        r = [0, 1, rank_d1, *(u + matrix_rank(rest, field) for u, rest in reduced), 0]
         return tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups))
 
-    f2 = ranks(GF2) if QQ in fields or GF2 in fields else []
-
-    def field_ranks(field: FieldSpec) -> list[int]:
-        if field == GF2:
-            return f2
-        if field != QQ:
-            return ranks(field)
-        f2_betti = betti(f2)
-        return [0, 1, *(
-            matrix_rank(b, QQ) if f2_betti[t - 1] and f2_betti[t] else f2[t]
-            for t, b in enumerate(boundaries, 2)
-        ), 0]
-
-    return tuple(HomologyProfile(field, betti(field_ranks(field))) for field in fields)
+    return tuple(HomologyProfile(field, betti(field)) for field in fields)
 
 
 def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile:

@@ -245,6 +245,31 @@ def stellar_by_definition(delta: SimplicialComplex, face: tuple[int, ...]) -> Si
     return SimplicialComplex(delta.n + 1, tuple(faces))
 
 
+def boundary_matrix(delta: SimplicialComplex, i: int) -> list[list[int]]:
+    """Boundary matrix d_i over Z with signs from ascending vertex order,
+    built densely: the oracle for the signed columns of srsq.homology.
+
+    Rows are the (i-1)-faces, columns the i-faces, both sorted by vertex
+    tuple; dropping the j-th vertex has sign (-1)^j.  i = 0 yields the
+    augmentation row, i = -1 an empty matrix.
+    """
+    if delta.is_void() or not -1 <= i <= delta.dim:
+        raise ValueError(f"boundary index {i} out of range")
+    if i == -1:
+        return []
+    faces = delta.sorted_faces()
+    rows = [m for m in faces if m.bit_count() == i]
+    cols = [m for m in faces if m.bit_count() == i + 1]
+    if i == 0:
+        return [[1] * len(cols)]
+    rows_index = {m: r for r, m in enumerate(rows)}
+    matrix = [[0] * len(cols) for _ in rows]
+    for c, m in enumerate(cols):
+        for j, v in enumerate(unpack(m)):
+            matrix[rows_index[m ^ (1 << (v - 1))]][c] = -1 if j % 2 else 1
+    return matrix
+
+
 def fraction_rank(rows) -> int:
     """Plain Gaussian elimination over Fraction, the rank oracle.  Rows are
     kept sparse as {column: entry} and reduced against earlier pivot rows,
@@ -270,7 +295,7 @@ def fraction_rank(rows) -> int:
 
 
 def modp_rank_naive(rows, p: int) -> int:
-    """Dense elimination mod p, independent of the production bitmask path."""
+    """Dense elimination mod p, independent of the production unit-pivot path."""
     m = [[e % p for e in row] for row in rows]
     if not m or not m[0]:
         return 0

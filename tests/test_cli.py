@@ -11,7 +11,7 @@ import pytest
 
 from srsq import DEFAULT_FIELDS, cli, depth_reports, jsonio, stanley_reisner
 from srsq.bits import pack, unpack
-from srsq.complexes import NAMED_COMPLEXES, cycle_graph, named_complex
+from srsq.complexes import NAMED_COMPLEXES, cycle_graph, named_complex, new_complex
 from srsq.criteria import explore_complexes
 from srsq.cli import EXIT_BUDGET, EXIT_OK, EXIT_PIPE, EXIT_USAGE, EXIT_VIOLATION, main
 from srsq.reproduce import named_battery
@@ -114,6 +114,21 @@ def test_check_audit_clean(monkeypatch, capsys):
     )
     assert code == EXIT_OK
     assert json.loads(out)["violations"] == []
+
+
+def test_audit_of_a_join_folds_its_square_as_check_depth_does(monkeypatch, capsys):
+    # rp2 joined with two points: I^2 != I^(2), and the square is folded from the factors
+    doc = json.dumps(jsonio.complex_to_dict(named_complex("rp2").join(new_complex(2, [(1,), (2,)]))))
+    fields = ["--fields", "Q,F2,F3"]
+    code, audit, _ = run(["check", "audit", *fields], stdin_text=doc,
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_OK
+    _, square, _ = run(["check", "depth", "--of", "square", *fields], stdin_text=doc,
+                       monkeypatch=monkeypatch, capsys=capsys)
+    audit = json.loads(audit)
+    assert not audit["symbolic2_equals_square"]["equal"] and audit["violations"] == []
+    assert audit["cm_square"] == json.loads(square)
+    assert all(len(r["join_factors"]) == 2 for r in audit["cm_square"].values())
 
 
 def test_byte_identical_reports(monkeypatch, capsys):

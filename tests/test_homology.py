@@ -2,13 +2,12 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from srsq import (
     GF2,
     QQ,
     FieldSpec,
-    boundary_matrix,
     cross_polytope,
     cross_polytope_stellar,
     cycle_complex,
@@ -29,7 +28,7 @@ from srsq import SimplicialComplex, homology
 from srsq.bits import generated_faces, pack, unpack
 from srsq.criteria import random_pure_complex
 from srsq.homology import parse_field_battery, profile_from_faces
-from helpers import (cone_bases, fraction_rank, modp_rank_naive,
+from helpers import (boundary_matrix, cone_bases, fraction_rank, modp_rank_naive,
                      random_complex_with_unused_vertices)
 
 F3 = FieldSpec(3)
@@ -209,26 +208,32 @@ def test_battery_profile_equals_one_field_profiles():
         assert profile_from_faces(faces, battery[::-1]) == singles[::-1]
 
 
-def test_boundary_matrices_are_built_once_whatever_the_battery(monkeypatch):
-    built = []
-    build = homology._boundary_from_groups
+def test_each_map_is_reduced_once_whatever_the_battery(monkeypatch):
+    packed, reduced = [], []
+    columns, reduce = homology._signed_columns, homology._unit_reduce
 
-    def counted(groups, i):
-        built.append(i)
-        return build(groups, i)
+    def counted_columns(groups, i):
+        packed.append(i)
+        return columns(groups, i)
 
-    monkeypatch.setattr(homology, "_boundary_from_groups", counted)
+    def counted_reduce(cols):
+        reduced.append(len(cols))
+        return reduce(cols)
+
+    monkeypatch.setattr(homology, "_signed_columns", counted_columns)
+    monkeypatch.setattr(homology, "_unit_reduce", counted_reduce)
     faces = rp2().sorted_faces()
     for battery in ((QQ,), (QQ, GF2), (QQ, GF2, F3)):
-        built.clear()
+        packed.clear()
+        reduced.clear()
         profile_from_faces(faces, battery)
-        # rank d_0 is 1 by formula, so the augmentation row is never built
-        assert built == [1, 2]
+        # rank d_0 is 1 by formula and rank d_1 comes from the union-find
+        assert packed == [2] and reduced == [10]
 
 
 def torsion_complexes():
-    """rp2 and joins of it whose F2 homology sits in two consecutive degrees,
-    so that some Q rank between them still needs Bareiss."""
+    """rp2 and joins of it, whose 2-torsion shows in the homology: the maps
+    where ranks differ between Q and F2."""
     d = rp2()
     return [d, d.join(new_complex(2, [(1,), (2,)])), d.join(d), d.join(cycle_complex(5))]
 
@@ -283,7 +288,7 @@ def test_graph_rule_matches_the_rank_route(monkeypatch):
         raise AssertionError("a complex of dimension <= 1 needs no boundary matrix")
 
     with monkeypatch.context() as m:
-        m.setattr(homology, "_boundary_from_groups", refuse)
+        m.setattr(homology, "_signed_columns", refuse)
         profiles = [profile_from_faces(faces, battery) for faces in pool]
     isolated = cycles = 0
     for faces, by_field in zip(pool, profiles):
@@ -309,33 +314,100 @@ def integer_matrices(draw):
 @given(integer_matrices())
 @settings(max_examples=200, deadline=None)
 def test_rank_over_q_bounds_every_prime_rank(m):
-    # a minor that is nonzero mod p is nonzero over Z: the F2 shortcut rests on this
+    # a minor that is nonzero mod p is nonzero over Z, so rank_Q >= rank_Fp;
+    # the audit's cross-field depth check rests on this
     q = matrix_rank(m, QQ)
     assert q >= matrix_rank(m, GF2) and q >= matrix_rank(m, F3)
 
 
-def test_bareiss_runs_only_between_two_degrees_with_f2_homology(monkeypatch):
+def test_only_remainders_reach_matrix_rank(monkeypatch):
     calls = []
     rank = homology.matrix_rank
 
-    def counted(rows, field):
-        calls.append(field)
+    def recorded(rows, field):
+        calls.append((field, rows))
         return rank(rows, field)
 
-    monkeypatch.setattr(homology, "matrix_rank", counted)
+    monkeypatch.setattr(homology, "matrix_rank", recorded)
 
-    def q_rank_calls(run):
+    def remainders(run):
         calls.clear()
         run()
-        return calls.count(QQ)
+        return calls
 
-    # spheres and links of a Gorenstein complex are F2-acyclic in all but one degree
-    assert q_rank_calls(lambda: reduced_homology(cross_polytope(3), QQ)) == 0
-    assert calls == [GF2] * 2  # a Q-only battery still ranks d_1, d_2 over F2
-    assert q_rank_calls(lambda: reduced_homology(cycle_complex(5), QQ)) == 0
-    assert q_rank_calls(lambda: is_cohen_macaulay(cross_polytope_stellar(3), QQ)) == 0
-    # F2 sees H_1 and H_2 of rp2, so d_2 between them goes to Bareiss
-    assert q_rank_calls(lambda: reduced_homology(rp2(), QQ)) == 1
+    # spheres and links of a Gorenstein complex reduce on unit pivots alone
+    assert remainders(lambda: reduced_homology(cross_polytope(3), QQ)) == [(QQ, [])]
+    assert remainders(lambda: reduced_homology(cycle_complex(5), QQ)) == []  # a graph
+    stellar = remainders(lambda: is_cohen_macaulay(cross_polytope_stellar(3), QQ))
+    assert stellar and all(rows == [] for _, rows in stellar)
+    # every field is ranked on every map, even an empty remainder
+    battery = (QQ, GF2, F3)
+    assert [f for f, _ in remainders(lambda: profile_from_faces(cross_polytope(3).sorted_faces(),
+                                                                battery))] == list(battery)
+    # rp2's d_2 keeps a remainder, which carries its 2-torsion
+    (field, rows), = remainders(lambda: reduced_homology(rp2(), GF2))
+    d2 = boundary_matrix(rp2(), 2)
+    assert field == GF2 and rows and len(rows[0]) < len(d2[0])
+
+
+def dense(columns, height):
+    """The integer matrix of (+1 rows, -1 rows) bitmask columns."""
+    return [[(plus >> r & 1) - (minus >> r & 1) for plus, minus in columns]
+            for r in range(height)]
+
+
+def assert_reduction_ranks(columns, height):
+    u, rest = homology._unit_reduce(columns)
+    m = dense(columns, height)
+    assert u + matrix_rank(rest, QQ) == fraction_rank(m)
+    for p in (2, 3):
+        assert u + matrix_rank(rest, FieldSpec(p)) == modp_rank_naive(m, p)
+
+
+@st.composite
+def signed_column_sets(draw):
+    height = draw(st.integers(min_value=1, max_value=7))
+    entries = st.lists(st.sampled_from((-1, 0, 1)), min_size=height, max_size=height)
+    columns = []
+    for col in draw(st.lists(entries, max_size=8)):
+        columns.append((sum(1 << r for r, e in enumerate(col) if e == 1),
+                        sum(1 << r for r, e in enumerate(col) if e == -1)))
+    return columns, height
+
+
+def test_a_column_that_would_gain_two_is_set_aside():
+    # e0 + e1, then e0 - e1: subtracting the pivot would leave -2 on row 1
+    assert homology._unit_reduce([(0b11, 0), (0b01, 0b10)]) == (1, [[-2]])
+
+
+@given(signed_column_sets())
+@example(([(0b11, 0), (0b01, 0b10)], 2))
+@example(([(0b011, 0), (0b110, 0), (0b101, 0)], 3))  # an odd cycle: ranks 3 over Q, 2 over F2
+@settings(max_examples=300, deadline=None)
+def test_unit_reduction_ranks_match_the_oracles(case):
+    assert_reduction_ranks(*case)
+
+
+def test_unit_reduction_of_torsion_complexes_matches_the_oracles():
+    set_aside = 0
+    for delta in torsion_complexes():
+        groups = homology._faces_by_dim(delta.sorted_faces())
+        for i in range(1, delta.dim + 1):
+            columns = homology._signed_columns(groups, i)
+            assert_reduction_ranks(columns, len(groups[i]))
+            set_aside += bool(homology._unit_reduce(columns)[1])
+    assert set_aside >= len(torsion_complexes())
+
+
+def test_signed_columns_match_the_dense_boundary_matrix():
+    rng = random.Random(29)
+    pool = named_battery() + torsion_complexes()[:2]
+    pool += [random_pure_complex(rng, rng.randint(3, 7)) for _ in range(12)]
+    for delta in pool:
+        groups = homology._faces_by_dim(delta.sorted_faces())
+        for i in range(1, delta.dim + 1):
+            columns = homology._signed_columns(groups, i)
+            assert dense(columns, len(groups[i])) == boundary_matrix(delta, i)
 
 
 def test_euler_identity():
