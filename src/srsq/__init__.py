@@ -47,9 +47,12 @@ from .homology import (
     QQ,
     FieldSpec,
     HomologyProfile,
+    cohen_macaulay_reports,
+    gorenstein_reports,
     is_cohen_macaulay,
     is_gorenstein,
     is_locally_gorenstein,
+    locally_gorenstein_reports,
     matrix_rank,
     reduced_homology,
 )

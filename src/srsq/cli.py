@@ -19,6 +19,7 @@ import functools
 import json
 import os
 import sys
+from pathlib import Path
 from typing import Any, Callable
 
 from . import jsonio
@@ -33,11 +34,11 @@ from .criteria import (
 from .homology import (
     DEFAULT_FIELDS,
     FieldSpec,
-    is_cohen_macaulay,
-    is_gorenstein,
-    is_locally_gorenstein,
+    cohen_macaulay_reports,
+    gorenstein_reports,
+    locally_gorenstein_reports,
     parse_field_battery,
-    reduced_homology,
+    profile_from_faces,
 )
 from .ideals import (
     special_triangles,
@@ -100,7 +101,7 @@ def _scalar(v: Any) -> str:
 
 
 def _read_json(path: str | None):
-    text = sys.stdin.read() if path in (None, "-") else open(path).read()
+    text = sys.stdin.read() if path in (None, "-") else Path(path).read_text()
     return json.loads(text)
 
 
@@ -168,8 +169,8 @@ def _triangles(ideal, args) -> dict:
     return {"count": len(tris), "triangles": [jsonio.triangle_to_dict(t) for t in tris]}
 
 
-def _per_field(delta, args, check, to_dict) -> dict:
-    return {f.name: to_dict(check(delta, f)) for f in args.fields}
+def _by_name(reports: dict, to_dict) -> dict:
+    return {f.name: to_dict(r) for f, r in reports.items()}
 
 
 def _audit_doc(delta: SimplicialComplex, fields: tuple[FieldSpec, ...], budget: int) -> dict:
@@ -217,21 +218,21 @@ OPS: dict[str, dict[str, tuple[str | None, Any, Callable[[Any, Any], dict]]]] = 
                         lambda i, a: jsonio.sym2_to_dict(symbolic2_equals_square(i))),
     },
     "check": {
-        "cm": (None, _read_complex,
-               lambda d, a: _per_field(d, a, is_cohen_macaulay, jsonio.reisner_to_dict)),
-        "gorenstein": (None, _read_complex,
-                       lambda d, a: _per_field(d, a, is_gorenstein, jsonio.gorenstein_to_dict)),
-        "locally-gorenstein": (None, _read_complex, lambda d, a: _per_field(
-            d, a, is_locally_gorenstein, jsonio.locally_gorenstein_to_dict)),
-        "homology": (None, _read_complex,
-                     lambda d, a: _per_field(d, a, reduced_homology, jsonio.profile_to_dict)),
+        "cm": (None, _read_complex, lambda d, a: _by_name(
+            cohen_macaulay_reports(d, a.fields), jsonio.reisner_to_dict)),
+        "gorenstein": (None, _read_complex, lambda d, a: _by_name(
+            gorenstein_reports(d, a.fields), jsonio.gorenstein_to_dict)),
+        "locally-gorenstein": (None, _read_complex, lambda d, a: _by_name(
+            locally_gorenstein_reports(d, a.fields), jsonio.locally_gorenstein_to_dict)),
+        "homology": (None, _read_complex, lambda d, a: {
+            p.field.name: jsonio.profile_to_dict(p)
+            for p in profile_from_faces(d.face_masks, a.fields)}),
         "s2": (None, _read_complex, lambda d, a: jsonio.s2_to_dict(s2_criterion(d))),
         "depth2": (None, _read_complex, lambda d, a: jsonio.depth2_to_dict(depth2_criterion(d))),
         "condition3": (None, _read_complex,
                        lambda d, a: jsonio.condition3_to_dict(condition3_check(d))),
-        "depth": (None, _read_complex, lambda d, a: {
-            f.name: jsonio.depth_report_to_dict(r)
-            for f, r in DEPTH_OF[a.of](d, a.fields, a.budget).items()}),
+        "depth": (None, _read_complex, lambda d, a: _by_name(
+            DEPTH_OF[a.of](d, a.fields, a.budget), jsonio.depth_report_to_dict)),
         "audit": (None, _read_complex, lambda d, a: _audit_doc(d, a.fields, a.budget)),
     },
 }

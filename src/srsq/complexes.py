@@ -8,8 +8,9 @@ in local cohomology scans).  Everything is immutable and every operation is a
 pure function, so values can be shared freely.
 
 The linkwise criteria read links off the facets: ``SimplicialComplex.link_walk``
-is their one walk over the faces, and ``skeleton_diameter`` the one BFS, which
-``Graph.diameter`` runs too.
+is their one walk over the faces, a generator that yields each face with its
+link's facets and leaves the verdict to its caller, and ``skeleton_diameter``
+the one BFS, which ``Graph.diameter`` runs too.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import (
     MAX_VERTICES,
@@ -143,22 +144,18 @@ class SimplicialComplex:
     def link(self, face: Face) -> "SimplicialComplex":
         return self.link_with_map(face)[0]
 
-    def link_walk(self, probe: Callable, insides: Sequence[int] = (0,)) -> tuple | None:
-        """(k, face - insides[k], value) for the first k, then the first face in
-        sorted_faces() order that contains the mask insides[k], on whose link's
-        facets (in this complex's labels) ``probe`` returns a value other than
-        None; None when every link passes.  A passed link is not probed again."""
+    def link_walk(self, insides: Sequence[int] = (0,)) -> Iterator[tuple[int, int, list[int]]]:
+        """(k, face & ~insides[k] as a mask, the link's facets in this complex's
+        labels) for each face that contains some mask insides[k], once, for
+        its first such k: k by k, and for each k in sorted_faces() order."""
         faces = self.sorted_faces()
-        passed: set[int] = set()
+        walked: set[int] = set()
         for k, inside in enumerate(insides):
             for f in faces:
-                if f & inside != inside or f in passed:
+                if f & inside != inside or f in walked:
                     continue
-                value = probe([g & ~f for g in self.facets if f & ~g == 0])
-                if value is not None:
-                    return k, unpack(f & ~inside), value
-                passed.add(f)
-        return None
+                walked.add(f)
+                yield k, f & ~inside, [g & ~f for g in self.facets if f & ~g == 0]
 
     def star(self, face: Face) -> "SimplicialComplex":
         """Closed star, kept on the ambient vertex set (labels unchanged)."""

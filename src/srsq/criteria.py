@@ -2,7 +2,7 @@
 linkwise (S2) criterion, the union/intersection condition on non-face
 triples (read off the minimal non-faces), and the per-instance audit.
 
-The (S2) criterion probes each link in SimplicialComplex.link_walk, and the
+The (S2) criterion reads each link from SimplicialComplex.link_walk, and the
 diameter criterion reads Delta's own facets; both take the diameter with
 complexes.skeleton_diameter, so neither builds a link complex or a graph.
 
@@ -28,8 +28,8 @@ from .homology import (
     FieldSpec,
     GorensteinReport,
     LocallyGorensteinReport,
-    is_gorenstein,
-    is_locally_gorenstein,
+    gorenstein_reports,
+    locally_gorenstein_reports,
 )
 from .ideals import Sym2Result, stanley_reisner, symbolic2_equals_square
 from .takayama import (
@@ -79,15 +79,10 @@ def s2_criterion(delta: SimplicialComplex) -> S2Result:
     >= 1, the link's 1-skeleton must have diameter <= 2."""
     if not delta.is_pure():
         raise ValueError("the (S2) criterion is stated for pure complexes")
-    bad = delta.link_walk(_wide_link_diameter)
-    return S2Result(bad is None, *(bad[1:] if bad else ()))
-
-
-def _wide_link_diameter(link: list[int]) -> float | None:
-    """A link's diameter, given its facets, if its dimension is >= 1 and its diameter > 2."""
-    if max(m.bit_count() for m in link) > 1 and (diameter := skeleton_diameter(link)) > 2:
-        return diameter
-    return None
+    for _, face, link in delta.link_walk():
+        if max(m.bit_count() for m in link) > 1 and (diameter := skeleton_diameter(link)) > 2:
+            return S2Result(False, unpack(face), diameter)
+    return S2Result(True)
 
 
 @dataclass(frozen=True)
@@ -237,8 +232,8 @@ def paper_audit(
         fields=fields,
         dim_ring=delta.dim + 1,
         pure=delta.is_pure(),
-        gorenstein={f: is_gorenstein(delta, f) for f in fields},
-        locally_gorenstein={f: is_locally_gorenstein(delta, f) for f in fields},
+        gorenstein=gorenstein_reports(delta, fields),
+        locally_gorenstein=locally_gorenstein_reports(delta, fields),
         depth2=depth2_criterion(delta) if delta.dim >= 1 else None,
         s2=s2_criterion(delta) if delta.is_pure() else None,
         sym2=symbolic2_equals_square(ideal := stanley_reisner(delta)),

@@ -22,11 +22,12 @@ Conventions for the reduced chain complex of a complex Delta:
   * the void complex (no faces at all) has zero homology everywhere, while
     the irrelevant complex {0} has ~H_{-1} = K.
 
-Reisner, Stanley and local Gorenstein pass a homology probe to
-SimplicialComplex.link_walk, the one walk over Delta's own faces, which the
-(S2) criterion shares.  No core or link complex is built: lk_core(G) =
-lk_Delta(G | cone), and lk v's core has the links lk_Delta(G | the meet of
-the facets through v).
+Reisner, Stanley and local Gorenstein take the field battery and read their
+links from SimplicialComplex.link_walk, the one walk over Delta's own faces,
+which the (S2) criterion shares; each link is reduced once for the fields
+that have not failed yet, and the is_* functions are one-field views.  No
+core or link complex is built: lk_core(G) = lk_Delta(G | cone), and lk v's
+core has the links lk_Delta(G | the meet of the facets through v).
 Adding a fixed set to faces keeps their sorted_faces() order, so witnesses
 are those of a walk over the core.
 """
@@ -34,7 +35,7 @@ are those of a walk over the core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from .bits import bits, generated_faces, pack, unpack
@@ -322,16 +323,26 @@ def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProf
 # -- Reisner and Stanley criteria ----------------------------------------------
 
 
-def _failing_degree(field: FieldSpec, sphere: bool, link: list[int]) -> int | None:
-    """The first degree below its dimension in which the link generated by
-    these facets has reduced homology or, with ``sphere``, its top degree
-    when that homology is not K; None when the link passes."""
-    link_dim = max(m.bit_count() for m in link) - 1
-    (profile,) = profile_from_faces(generated_faces(link), (field,))
-    bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
-    if bad is None and sphere and profile.betti_number(link_dim) != 1:
-        bad = link_dim
-    return bad
+def _first_failures(delta: SimplicialComplex, fields: Sequence[FieldSpec], sphere: bool,
+                    insides: Sequence[int] = (0,)) -> dict[FieldSpec, tuple]:
+    """Each failing field's first (k, face, degree) in delta.link_walk(insides)
+    whose link has reduced homology below its dimension or, with ``sphere``,
+    a top homology other than K.  Each link is evaluated once, over the
+    fields that have not failed yet; the walk stops once every field has."""
+    failures: dict[FieldSpec, tuple] = {}
+    live = list(fields)
+    for k, face, link in delta.link_walk(insides):
+        if not live:
+            break
+        link_dim = max(m.bit_count() for m in link) - 1
+        for profile in profile_from_faces(generated_faces(link), live):
+            bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
+            if bad is None and sphere and profile.betti_number(link_dim) != 1:
+                bad = link_dim
+            if bad is not None:
+                failures[profile.field] = (k, unpack(face), bad)
+                live.remove(profile.field)
+    return failures
 
 
 @dataclass(frozen=True)
@@ -347,13 +358,19 @@ class ReisnerReport:
         return self.is_cm
 
 
-def is_cohen_macaulay(delta: SimplicialComplex, field: FieldSpec) -> ReisnerReport:
-    """Reisner's criterion: every link (the empty face included) has vanishing
-    reduced homology below its dimension."""
+def cohen_macaulay_reports(delta: SimplicialComplex,
+                           fields: Sequence[FieldSpec]) -> dict[FieldSpec, ReisnerReport]:
+    """Reisner's criterion over each field: every link (the empty face
+    included) has vanishing reduced homology below its dimension."""
     if delta.is_void():
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
-    bad = delta.link_walk(partial(_failing_degree, field, False))
-    return ReisnerReport(bad is None, field, *(bad[1:] if bad else ()))
+    bad = _first_failures(delta, fields, False)
+    return {f: ReisnerReport(f not in bad, f, *bad.get(f, ())[1:]) for f in fields}
+
+
+def is_cohen_macaulay(delta: SimplicialComplex, field: FieldSpec) -> ReisnerReport:
+    """One field's report of cohen_macaulay_reports."""
+    return cohen_macaulay_reports(delta, (field,))[field]
 
 
 @dataclass(frozen=True)
@@ -375,17 +392,23 @@ class GorensteinReport:
         return self.is_gorenstein
 
 
-def is_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> GorensteinReport:
-    """Stanley's criterion on the core, read off the faces of Delta that
-    contain the cone vertices, so the witness face names the input's vertices."""
+def gorenstein_reports(delta: SimplicialComplex,
+                       fields: Sequence[FieldSpec]) -> dict[FieldSpec, GorensteinReport]:
+    """Stanley's criterion on the core over each field, read off the faces of
+    Delta that contain the cone vertices, so the witness names input vertices."""
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
     cone = pack(delta.cone_vertices())
     c = cone.bit_count()
     chi = sum(1 if (m.bit_count() - c) % 2 else -1 for m in delta.face_masks if m & cone == cone)
     expected = 1 if (delta.dim - c) % 2 == 0 else -1
-    bad = delta.link_walk(partial(_failing_degree, field, True), (cone,))
-    return GorensteinReport(bad is None, field, chi, expected, *(bad[1:] if bad else ()))
+    bad = _first_failures(delta, fields, True, (cone,))
+    return {f: GorensteinReport(f not in bad, f, chi, expected, *bad.get(f, ())[1:]) for f in fields}
+
+
+def is_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> GorensteinReport:
+    """One field's report of gorenstein_reports."""
+    return gorenstein_reports(delta, (field,))[field]
 
 
 @dataclass(frozen=True)
@@ -398,11 +421,18 @@ class LocallyGorensteinReport:
         return self.holds
 
 
-def is_locally_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> LocallyGorensteinReport:
-    """Every vertex link is Gorenstein over the field (module docstring)."""
+def locally_gorenstein_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec]
+                               ) -> dict[FieldSpec, LocallyGorensteinReport]:
+    """Every vertex link is Gorenstein, over each field (module docstring)."""
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
     vertices = unpack(delta.support)
     insides = [reduce(int.__and__, (g for g in delta.facets if g >> (v - 1) & 1)) for v in vertices]
-    bad = delta.link_walk(partial(_failing_degree, field, True), insides)
-    return LocallyGorensteinReport(bad is None, field, None if bad is None else vertices[bad[0]])
+    bad = _first_failures(delta, fields, True, insides)
+    return {f: LocallyGorensteinReport(f not in bad, f, vertices[bad[f][0]] if f in bad else None)
+            for f in fields}
+
+
+def is_locally_gorenstein(delta: SimplicialComplex, field: FieldSpec) -> LocallyGorensteinReport:
+    """One field's report of locally_gorenstein_reports."""
+    return locally_gorenstein_reports(delta, (field,))[field]

@@ -37,7 +37,8 @@ from .criteria import (
     random_pure_complex,
     s2_criterion,
 )
-from .homology import DEFAULT_FIELDS, GF2, QQ, is_cohen_macaulay, is_gorenstein
+from .homology import (DEFAULT_FIELDS, GF2, QQ, cohen_macaulay_reports, is_cohen_macaulay,
+                       is_gorenstein)
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -315,9 +316,9 @@ def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool
         "condition3": condition3_check(delta).holds == eq_direct,
     }
     takayama = None if I.is_zero() else depth_reports(I, DEFAULT_FIELDS, budget)
-    for f in DEFAULT_FIELDS:
-        reisner = bool(is_cohen_macaulay(delta, f))
-        out[f"reisner_vs_takayama_{f.name}"] = reisner == (takayama is None or takayama[f].is_cm)
+    for f, reisner in cohen_macaulay_reports(delta, DEFAULT_FIELDS).items():
+        out[f"reisner_vs_takayama_{f.name}"] = reisner.is_cm == (
+            takayama is None or takayama[f].is_cm)
     if delta.dim >= 1:
         # depth >= 2 of the symbolic square only involves connectivity data,
         # which is characteristic-free, so one field decides it.

@@ -1,11 +1,12 @@
 """Shared test oracles: independent, brute-force implementations used to
 cross-check the package's optimized kernels.  Nothing here imports the code
 paths under test beyond plain data types, the special-triangle enumeration
-for the second-power oracle, reduced homology for the graded pieces, the
-generator-form depth scan that the facet-form square scan and the join route
-replace, and the vertex cap of the non-face triple condition.  The
-Delta_a oracles follow the formulas in the docstring of ``srsq.takayama`` and
-call nothing in that module."""
+for the second-power oracle, reduced homology for the graded pieces and for
+the re-indexed links that the link walk replaces, the generator-form depth
+scan that the facet-form square scan and the join route replace, and the
+vertex cap of the non-face triple condition.  The Delta_a oracles follow
+the formulas in the docstring of ``srsq.takayama`` and call nothing in that
+module."""
 
 from __future__ import annotations
 
@@ -504,3 +505,49 @@ def cone_bases():
     there and fails at its vertex 4, whose link is three points."""
     pendant = new_complex(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
     return [four_path(), rp2(), path_complex(6), phantom_pentagon(2), pendant]
+
+
+# -- the per-field link route the link walk replaces ----------------------------
+
+
+def first_failing_link(delta: SimplicialComplex, field: FieldSpec, sphere: bool):
+    """(face, degree) of the first face in sorted_faces() order whose
+    re-indexed link has homology below its dimension or, with ``sphere``, a
+    top homology other than K; None when every link passes."""
+    for f in delta.sorted_faces():
+        link = delta.link(unpack(f))
+        profile = reduced_homology(link, field)
+        low = [i for i in range(-1, link.dim) if profile.betti_number(i)]
+        if low:
+            return unpack(f), low[0]
+        if sphere and profile.betti_number(link.dim) != 1:
+            return unpack(f), link.dim
+    return None
+
+
+def reindexed_cm_verdict(delta: SimplicialComplex, field: FieldSpec):
+    """(is_cm, witness face, witness degree) of Reisner's criterion, one
+    re-indexed link at a time."""
+    bad = first_failing_link(delta, field, sphere=False)
+    return (bad is None, *(bad or (None, None)))
+
+
+def reindexed_gorenstein_verdict(delta: SimplicialComplex, field: FieldSpec):
+    """(is_gorenstein, core Euler value, expected Euler value, witness face,
+    witness degree) of Stanley's criterion on the re-indexed core, the
+    witness carried back to the input's labels."""
+    core, vmap = delta.core_with_map()
+    bad = first_failing_link(core, field, sphere=True)
+    if bad is not None:
+        label = {new: old for old, new in vmap.items()}
+        bad = (tuple(label[v] for v in bad[0]), bad[1])
+    euler = (core.f_vector().euler_reduced, 1 if core.dim % 2 == 0 else -1)
+    return (bad is None, *euler, *(bad or (None, None)))
+
+
+def reindexed_local_gorenstein_verdict(delta: SimplicialComplex, field: FieldSpec):
+    """(holds, witness vertex): the first vertex whose re-indexed link has a
+    core that fails Stanley's test."""
+    first = next((v for v in unpack(delta.support) if first_failing_link(
+        delta.link([v]).core(), field, sphere=True)), None)
+    return first is None, first

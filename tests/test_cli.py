@@ -449,6 +449,16 @@ def test_square_checks_print_the_generator_form_reports(delta, monkeypatch, caps
                            + "\n")
 
 
+def test_an_input_file_is_closed_after_reading(tmp_path):
+    doc = tmp_path / "path.json"
+    doc.write_text(json.dumps(jsonio.complex_to_dict(named_complex("path", n=5))))
+    child = subprocess.run([sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m",
+                            "srsq", "check", "s2", "--in", str(doc)],
+                           capture_output=True, text=True, timeout=20, env=module_env())
+    assert (child.returncode, child.stderr) == (EXIT_OK, "")
+    assert json.loads(child.stdout)["holds"] is False
+
+
 @pytest.mark.parametrize("of", ["square", "symbolic-square"])
 def test_square_checks_refuse_a_52_vertex_complex_before_its_minimal_nonfaces(of):
     # listing the minimal non-faces of this complex runs for minutes; the

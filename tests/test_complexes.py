@@ -1,5 +1,6 @@
 import math
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -131,6 +132,26 @@ def test_core():
     assert cone.core() == p
     # a simplex cores down to the irrelevant complex
     assert simplex_complex(3).core() == irrelevant_complex()
+
+
+@pytest.mark.parametrize("delta", [cross_polytope(3), rp2()], ids=["cross_polytope_3", "rp2"])
+def test_link_walk_yields_each_face_once_for_its_first_inside(delta):
+    # local Gorenstein's insides: the meet of the facets through each vertex
+    insides = [reduce(int.__and__, (g for g in delta.facets if g >> (v - 1) & 1))
+               for v in unpack(delta.support)]
+    order = {f: i for i, f in enumerate(delta.sorted_faces())}
+    walked = list(delta.link_walk(insides))
+    faces = [face | insides[k] for k, face, _ in walked]
+    assert all(face & insides[k] == 0 for k, face, _ in walked)
+    assert len(set(faces)) == len(faces)
+    assert [(k, order[f]) for (k, _, _), f in zip(walked, faces)] == sorted(
+        (k, order[f]) for (k, _, _), f in zip(walked, faces))
+    assert len(walked) == sum(any(f & i == i for i in insides) for f in delta.face_masks)
+    for (k, _, link), f in zip(walked, faces):
+        assert k == next(j for j, i in enumerate(insides) if f & i == i)
+        assert link == [g & ~f for g in delta.facets if f & ~g == 0]
+    # the default walk is every face once, with the empty face first
+    assert [face for _, face, _ in delta.link_walk()] == delta.sorted_faces()
 
 
 # -- join --------------------------------------------------------------------------

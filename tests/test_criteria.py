@@ -42,7 +42,7 @@ from srsq import (
     symbolic_square_depth_reports,
     void_complex,
 )
-from srsq import criteria, jsonio
+from srsq import criteria, homology, jsonio
 from srsq.bits import pack, unpack
 from srsq.criteria import _audit_violations, explore_complexes
 from srsq.homology import GorensteinReport
@@ -424,8 +424,7 @@ def test_audit_refuses_an_over_budget_scan_before_any_link_walk(monkeypatch):
     def refuse(*args):
         raise AssertionError("an over-budget audit must not walk links")
 
-    for name in ("is_gorenstein", "is_locally_gorenstein", "s2_criterion"):
-        monkeypatch.setattr(criteria, name, refuse)
+    monkeypatch.setattr(SimplicialComplex, "link_walk", refuse)
     d = cross_polytope(8)
     with pytest.raises(BudgetExceeded) as err:
         paper_audit(d)
@@ -433,6 +432,26 @@ def test_audit_refuses_an_over_budget_scan_before_any_link_walk(monkeypatch):
     with pytest.raises(BudgetExceeded) as scan_err:
         symbolic_square_depth_reports(d, (QQ,))
     assert scan_err.value.required == err.value.required
+
+
+def test_audit_walks_each_link_once_for_the_whole_battery(monkeypatch):
+    # one walk per field would evaluate 1026 links on the named battery and
+    # 1594 on the explore pool over {Q, F2}; F2 fails no later than Q on any
+    # link, so the battery walks as far as Q alone does
+    evaluated = []
+    profile = homology.profile_from_faces
+
+    def counted(faces, fields):
+        evaluated.append(tuple(fields))
+        return profile(faces, fields)
+
+    monkeypatch.setattr(homology, "profile_from_faces", counted)
+    for pool, links in (([d for _, d in named_battery()], 513), (explore_complexes(0, 100, 6), 797)):
+        for battery in ((QQ, GF2), (QQ,)):
+            evaluated.clear()
+            for delta in pool:
+                paper_audit(delta, battery)
+            assert len(evaluated) == links, battery
 
 
 @pytest.mark.parametrize("budget", [0, 10**6])

@@ -8,14 +8,17 @@ from srsq import (
     GF2,
     QQ,
     FieldSpec,
+    cohen_macaulay_reports,
     cross_polytope,
     cross_polytope_stellar,
     cycle_complex,
     four_path,
+    gorenstein_reports,
     irrelevant_complex,
     is_cohen_macaulay,
     is_gorenstein,
     is_locally_gorenstein,
+    locally_gorenstein_reports,
     matrix_rank,
     new_complex,
     path_complex,
@@ -25,11 +28,13 @@ from srsq import (
     simplex_complex,
 )
 from srsq import SimplicialComplex, homology
-from srsq.bits import generated_faces, pack, unpack
-from srsq.criteria import random_pure_complex
+from srsq.bits import generated_faces, pack
+from srsq.criteria import explore_complexes, random_pure_complex
 from srsq.homology import parse_field_battery, profile_from_faces
+from srsq.reproduce import named_battery as reproduce_named_battery
 from helpers import (boundary_matrix, cone_bases, fraction_rank, modp_rank_naive,
-                     random_complex_with_unused_vertices)
+                     random_complex_with_unused_vertices, reindexed_cm_verdict,
+                     reindexed_gorenstein_verdict, reindexed_local_gorenstein_verdict)
 
 F3 = FieldSpec(3)
 
@@ -457,21 +462,6 @@ def test_disconnected_not_cm():
     assert not is_cohen_macaulay(d, QQ)
 
 
-def first_failing_link(delta, field, sphere):
-    """(face, degree) of the first face in sorted_faces() order whose
-    re-indexed link has homology below its dimension or, with ``sphere``, a
-    top homology other than K; None when every link passes."""
-    for f in delta.sorted_faces():
-        link = delta.link(unpack(f))
-        profile = reduced_homology(link, field)
-        low = [i for i in range(-1, link.dim) if profile.betti_number(i)]
-        if low:
-            return unpack(f), low[0]
-        if sphere and profile.betti_number(link.dim) != 1:
-            return unpack(f), link.dim
-    return None
-
-
 def witness_pool(rng, pure):
     """Random complexes with unused vertices, then cones with apex 1 over ten
     of them and over cone_bases(): the apex leaves the core and shifts every
@@ -480,34 +470,60 @@ def witness_pool(rng, pure):
     return randoms + [simplex_complex(1).join(b) for b in randoms[:10] + cone_bases()]
 
 
+def assert_battery_matches_reindexed_links(delta, battery) -> dict:
+    """Assert that the battery forms of Reisner, Stanley and local Gorenstein,
+    and their one-field views, give each field's verdicts of the re-indexed
+    link route: verdict, Euler values, witness face, degree and vertex.
+    Return those verdicts by field."""
+    cm = cohen_macaulay_reports(delta, battery)
+    gor = gorenstein_reports(delta, battery)
+    local = locally_gorenstein_reports(delta, battery)
+    assert list(cm) == list(gor) == list(local) == list(battery)
+    verdicts = {}
+    for f in battery:
+        got = ((cm[f].is_cm, cm[f].witness_face, cm[f].witness_degree),
+               (gor[f].is_gorenstein, gor[f].core_euler, gor[f].expected_euler,
+                gor[f].witness_face, gor[f].witness_degree),
+               (local[f].holds, local[f].witness_vertex))
+        assert got == (reindexed_cm_verdict(delta, f), reindexed_gorenstein_verdict(delta, f),
+                       reindexed_local_gorenstein_verdict(delta, f))
+        views = (is_cohen_macaulay(delta, f), is_gorenstein(delta, f),
+                 is_locally_gorenstein(delta, f))
+        assert views == (cm[f], gor[f], local[f])
+        verdicts[f] = got
+    return verdicts
+
+
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "non-pure"])
 def test_link_criteria_witnesses_match_the_reindexed_link_route(pure):
     rng = random.Random(23 if pure else 29)
     local_verdicts = set()
     for delta in witness_pool(rng, pure):
-        for field in (QQ, GF2, F3):
-            cm = is_cohen_macaulay(delta, field)
-            bad = first_failing_link(delta, field, sphere=False)
-            assert (cm.is_cm, cm.witness_face, cm.witness_degree) == (
-                bad is None, *(bad or (None, None)))
-            gor = is_gorenstein(delta, field)
-            core, vmap = delta.core_with_map()
-            assert (gor.core_euler, gor.expected_euler) == (
-                core.f_vector().euler_reduced, 1 if core.dim % 2 == 0 else -1)
-            bad = first_failing_link(core, field, sphere=True)
-            if bad is not None:  # back to the input's labels
-                label = {new: old for old, new in vmap.items()}
-                bad = (tuple(label[v] for v in bad[0]), bad[1])
-            assert (gor.is_gorenstein, gor.witness_face, gor.witness_degree) == (
-                bad is None, *(bad or (None, None)))
-            # local Gorenstein: the first vertex whose re-indexed link has a
-            # core that fails Stanley's test
-            local = is_locally_gorenstein(delta, field)
-            first = next((v for v in unpack(delta.support) if first_failing_link(
-                delta.link([v]).core(), field, sphere=True)), None)
-            assert (local.holds, local.witness_vertex) == (first is None, first)
-            local_verdicts.add(local.holds)
+        verdicts = assert_battery_matches_reindexed_links(delta, (QQ, GF2, F3))
+        local_verdicts.add(verdicts[QQ][2][0])
     assert local_verdicts == {True, False}
+
+
+def two_rp2_at_a_vertex():
+    """Two copies of rp2 sharing vertex 1.  Over F2 Reisner's criterion fails
+    at the empty face (~H_1 = F2^2); over Q the complex is acyclic, and it
+    fails at vertex 1, whose link is two pentagons."""
+    facets = rp2().facet_tuples()
+    return new_complex(11, facets + [tuple(v if v == 1 else v + 5 for v in f) for f in facets])
+
+
+@pytest.mark.parametrize("battery", [(QQ, GF2, F3), (GF2, QQ)], ids=["Q,F2,F3", "F2,Q"])
+def test_one_link_walk_serves_the_battery_as_per_field_walks_do(battery):
+    wedge = two_rp2_at_a_vertex()
+    pool = [d for _, d in reproduce_named_battery()] + explore_complexes(0, 40, 6) + [wedge]
+    # the fields' verdicts differ where the walk went on over the fields that
+    # had not failed: rp2 is CM over Q but not over F2, and the wedge fails
+    # at different faces
+    split = [d for d in pool
+             if len(set(assert_battery_matches_reindexed_links(d, battery).values())) > 1]
+    assert rp2() in split and wedge in split
+    cm = cohen_macaulay_reports(wedge, battery)
+    assert (cm[GF2].witness_face, cm[QQ].witness_face) == ((), (1,))
 
 
 def test_link_criteria_evaluate_each_link_of_delta_once_and_build_no_complex(monkeypatch):
