@@ -9,8 +9,8 @@ independent oracle.
 
 Packed layout.  ``Monomial`` (an exponent tuple) is the value type at the
 boundary: constructors, ``gens``, certificates and JSON rows.  Every bulk
-operation of an ideal (minimalisation, powers, intersections and through
-them symbolic powers, membership, rho) runs instead on exponent vectors
+operation of an ideal (minimalisation, powers, intersections, symbolic
+powers, membership, rho) runs instead on exponent vectors
 packed into one Python int by ``_Layout``, the only place that packs or
 unpacks exponents.  Each variable gets a field of w bits, w - 1 value bits
 under one guard bit, with w worked out per operation from the largest
@@ -187,11 +187,23 @@ class _Layout:
         lcm = self.lcm
         return self.minimal([lcm(a, b) for a in left for b in right])
 
-    def prime_power(self, facet_mask: int, ell: int) -> list[int]:
-        """Minimal generators of P_F^ell: the degree-ell monomials in the
-        variables outside the facet, in int order."""
-        outside = [1 << s for i, s in enumerate(self._shifts) if not facet_mask >> i & 1]
-        return sorted(map(sum, combinations_with_replacement(outside, ell)))
+    def lift(self, packed: Sequence[int], outside_mask: int, ell: int) -> list[int]:
+        """Minimal generators of (packed) intersected with P^ell, P the prime
+        of the variables in ``outside_mask``: each a of outside degree
+        s >= ell stays, any other becomes a + m for every monomial m of
+        degree ell - s in those variables, and the results are minimalised."""
+        shifts = [s for i, s in enumerate(self._shifts) if outside_mask >> i & 1]
+        outside = sum(self._field << s for s in shifts)
+        lifts = {k: list(map(sum, combinations_with_replacement([1 << s for s in shifts], k)))
+                 for k in range(1, ell + 1)}
+        out = []
+        for a in packed:
+            s = self.degree(a & outside)
+            if s >= ell:
+                out.append(a)
+            else:
+                out.extend(a + m for m in lifts[ell - s])
+        return self.minimal(out)
 
 
 @dataclass(frozen=True)
@@ -330,12 +342,16 @@ def _as_complex(source: SimplicialComplex | MonomialIdeal) -> SimplicialComplex:
 
 
 def symbolic_power(source: SimplicialComplex | MonomialIdeal, ell: int) -> MonomialIdeal:
-    """I^(ell) as the intersection of ell-th facet-prime powers.
+    """I^(ell) as the intersection of ell-th facet-prime powers P_F^ell.
 
     ``source`` is either a complex or its (squarefree) Stanley-Reisner ideal.
-    Computed by a left fold of pairwise intersections with intermediate
-    minimalisation, all in one packed layout (no lcm of the facet-prime
-    generators has an exponent above ell); fine at desk scale.
+    A left fold over the facets F, starting from the unit ideal, lifts each
+    generator a into P_F^ell: with s its degree in the variables off F, a
+    stays when s >= ell, and otherwise becomes a + m for every monomial m of
+    degree ell - s off F.  These are exactly the minimal elements of
+    lcm(a, P_F^ell), so each step is minimalised once and no pairwise lcm is
+    taken.  A lift raises only exponents off F, to at most ell, so one
+    packed layout with exponents up to ell serves the whole fold.
     """
     if ell < 1:
         raise ValueError("symbolic powers need ell >= 1")
@@ -343,11 +359,10 @@ def symbolic_power(source: SimplicialComplex | MonomialIdeal, ell: int) -> Monom
     if delta.is_void():
         raise ValueError("the void complex has no facet primes")
     layout = _Layout(delta.n, ell)
-    acc: list[int] | None = None
+    full = (1 << delta.n) - 1
+    acc = [0]
     for f in delta.facets:
-        pf = layout.prime_power(f, ell)
-        acc = pf if acc is None else layout.intersection(acc, pf)
-    assert acc is not None
+        acc = layout.lift(acc, full & ~f, ell)
     return MonomialIdeal._from_minimal(layout, acc)
 
 

@@ -37,8 +37,7 @@ from .criteria import (
     random_pure_complex,
     s2_criterion,
 )
-from .homology import (DEFAULT_FIELDS, GF2, QQ, cohen_macaulay_reports, is_cohen_macaulay,
-                       is_gorenstein)
+from .homology import DEFAULT_FIELDS, GF2, QQ, cohen_macaulay_reports, gorenstein_reports
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -145,13 +144,14 @@ def criterion_2_pentagon(budget: int):
     d = cycle_complex(5)
     I = stanley_reisner(d)
     sq = square_depth_reports(d, (QQ, GF2), budget)
+    gor = gorenstein_reports(d, (QQ, GF2))
     checks = {
         "no_special_triangles": special_triangles(I) == (),
         "symbolic_square_equals_square": I.power(2) == symbolic_power(d, 2),
         "cm_square_Q": sq[QQ].is_cm,
         "cm_square_F2": sq[GF2].is_cm,
-        "gorenstein_Q": bool(is_gorenstein(d, QQ)),
-        "gorenstein_F2": bool(is_gorenstein(d, GF2)),
+        "gorenstein_Q": bool(gor[QQ]),
+        "gorenstein_F2": bool(gor[GF2]),
     }
     return checks, {}
 
@@ -187,13 +187,15 @@ def criterion_3_projective_plane(budget: int):
     sym = symbolic2_equals_square(I)
     all_vertices = Monomial((1,) * 6)
     sym_sq = symbolic_square_depth_reports(d, (QQ, GF2), budget)
+    cm = cohen_macaulay_reports(d, (QQ, GF2))
+    gor = gorenstein_reports(d, (QQ, GF2))
     checks = {
         "f_vector": fv.counts == (6, 15, 10),
         "euler_reduced_zero": fv.euler_reduced == 0,
-        "cm_over_Q": bool(is_cohen_macaulay(d, QQ)),
-        "not_cm_over_F2": not is_cohen_macaulay(d, GF2),
-        "not_gorenstein_Q": not is_gorenstein(d, QQ),
-        "not_gorenstein_F2": not is_gorenstein(d, GF2),
+        "cm_over_Q": bool(cm[QQ]),
+        "not_cm_over_F2": not cm[GF2],
+        "not_gorenstein_Q": not gor[QQ],
+        "not_gorenstein_F2": not gor[GF2],
         "all_vertex_links_are_pentagons": all(
             _pentagon_relabeling(d.link([v])) is not None for v in range(1, 7)
         ),
@@ -216,13 +218,14 @@ def criterion_4_phantom_pentagon(budget: int):
     d = phantom_pentagon(2)
     sym_sq = symbolic_square_depth_reports(d, (QQ, GF2), budget)
     sq = square_depth_reports(d, (QQ, GF2), budget)
+    gor = gorenstein_reports(d, (QQ, GF2))
     checks = {
         "cm_symbolic_square_Q": sym_sq[QQ].is_cm,
         "cm_symbolic_square_F2": sym_sq[GF2].is_cm,
         "not_cm_square_Q": not sq[QQ].is_cm,
         "not_cm_square_F2": not sq[GF2].is_cm,
-        "not_gorenstein_Q": not is_gorenstein(d, QQ),
-        "not_gorenstein_F2": not is_gorenstein(d, GF2),
+        "not_gorenstein_Q": not gor[QQ],
+        "not_gorenstein_F2": not gor[GF2],
     }
     return checks, {}
 
@@ -231,11 +234,13 @@ def criterion_4_phantom_pentagon(budget: int):
 def criterion_5_four_path(budget: int):
     d = four_path()
     sq = square_depth_reports(d, (QQ, GF2), budget)
+    cm = cohen_macaulay_reports(d, (QQ, GF2))
+    gor = gorenstein_reports(d, (QQ, GF2))
     checks = {
-        "cm_Q": bool(is_cohen_macaulay(d, QQ)),
-        "cm_F2": bool(is_cohen_macaulay(d, GF2)),
-        "not_gorenstein_Q": not is_gorenstein(d, QQ),
-        "not_gorenstein_F2": not is_gorenstein(d, GF2),
+        "cm_Q": bool(cm[QQ]),
+        "cm_F2": bool(cm[GF2]),
+        "not_gorenstein_Q": not gor[QQ],
+        "not_gorenstein_F2": not gor[GF2],
         "not_cm_square_Q": not sq[QQ].is_cm,
         "not_cm_square_F2": not sq[GF2].is_cm,
         "dim_ring_2": d.dim + 1 == 2,
@@ -386,8 +391,8 @@ def criterion_9_implication_audits(budget: int):
 
 
 @criterion(
-    "criterion-10", "conjectured graph family (n = 1 asserted, n = 2 and 3 recorded)",
-    notes=("the n = 2 and 3 verdicts are recorded, not asserted (conjectured cases)",),
+    "criterion-10", "conjectured graph family (n = 1 asserted, n = 2, 3 and 4 recorded)",
+    notes=("the n = 2, 3 and 4 verdicts are recorded, not asserted (conjectured cases)",),
 )
 def criterion_10_conjecture(budget: int):
     recorded = {
@@ -395,7 +400,7 @@ def criterion_10_conjecture(budget: int):
             f.name: {"cm": r.is_cm, "depth": r.depth, "dim": r.dim}
             for f, r in square_depth_reports(conjecture_complex(n), (QQ, GF2), budget).items()
         }
-        for n in (2, 3)
+        for n in (2, 3, 4)
     }
     pentagon_case = square_depth_reports(conjecture_complex(1), (QQ, GF2), budget)
     checks = {

@@ -26,7 +26,7 @@ Each Delta_a is named by a bitset over the positions of
 Delta(I).sorted_faces(): bit p is set iff face p lies in Delta_a, and 0 is
 the void complex.  That int keys the homology cache, so each Delta_a is
 evaluated once per scan and its faces are listed only on a cache miss.  In
-the generator form a point selects Delta_a by masks alone: the sets
+the generator form each point selects Delta_a by masks alone: the sets
 mb = {i outside G_a : b_i > a_i}, one per generator x^b, come from words
 packed once per ideal, and Delta_a is the faces avoiding G_a that lack
 every mb, from per-scan tables of the faces containing each vertex.  No
@@ -37,9 +37,21 @@ For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
 Delta that contain G_a and satisfy sum_{i not in F} a_i <= l - 1, and
 rho_j = l off the cone vertices (those in every facet) and 0 on them.  As
 a bitset, Delta_a is the OR of the faces inside each such F, less the
-faces meeting G_a.  The symbolic-square scan runs in this facet form over the same points in the
-same order as the generator form, through the same loop; the generator
-form applied to symbolic_power(Delta, 2) is kept as the test suite's oracle.
+faces meeting G_a.  The symbolic-square scan runs in this facet form as a
+star walk: per face G holding every cone vertex, the facets of G's star
+are listed once, and the free coordinates are walked depth first in the
+scan's product order, carrying the live facets.  Two lemmas prune it.
+Monotonicity: raising a_j only shrinks the live set, hence Delta_a, so
+once Delta_a is void every larger value of a_j, subtree included, is void.
+Cones: the sets F - G_a are pairwise incomparable (the facets are), so
+they are the facets of Delta_a, and when they share a vertex Delta_a is a
+cone, acyclic over every field; a cone stays a cone or turns void as
+facets drop out, so its larger values and subtree go too.  Every point
+the walk leaves out has no homology, and the points it yields come in the
+generator form's order, through the same loop, so reports are unchanged;
+scan_size remains the upfront count of the whole space.  The generator
+form applied to symbolic_power(Delta, 2), and the per-point facet
+selection, are kept as the test suite's oracles.
 
 The square I_Delta^2 is scanned in facet form as well whenever it equals
 I_Delta^(2), which the special-triangle criterion decides without building
@@ -76,7 +88,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from itertools import compress, product
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import bits, pack, unpack
 from .complexes import SimplicialComplex
@@ -119,10 +131,13 @@ class DepthReport:
 
 # -- the degree-selected subcomplex --------------------------------------------
 #
-# Both kernels return Delta_a as its bitset over the faces (module docstring)
-# and build their tables from the vertex table, once per scan.
+# Both forms name Delta_a by its bitset over the faces (module docstring) and
+# build their tables from the vertex table, once per scan.  A form's walk
+# yields (g_mask, a, Delta_a) for its scan points in scan order, leaving out
+# points whose Delta_a is void or (facet form) a cone.
 
 Select = Callable[[int, Sequence[int]], int]
+Walk = Iterator[tuple[int, tuple[int, ...], int]]
 
 
 def _vertex_table(faces: Sequence[int], n: int) -> list[int]:
@@ -205,45 +220,94 @@ def _generator_selection(
     return select
 
 
-def _facet_selection(
-    facets: Sequence[int], ell: int, faces: Sequence[int], n: int
-) -> Select:
-    """``select(g_mask, a)`` of the facet-form scan of I_Delta^(ell): Delta_a
-    is generated by F - G_a over the facets F containing G_a with
-    sum_{i not in F} a_i <= ell - 1, so it is the OR of the faces inside
-    those F, less the faces meeting G_a.
+def _generator_walk(
+    gens: Sequence[tuple[int, ...]], faces: Sequence[int], rho: Sequence[int], n: int
+) -> Walk:
+    """The generator-form walk: every scan point, selected one at a time."""
+    select = _generator_selection(gens, faces, n)
+    for g_mask, a in _scan_points(faces, rho, n):
+        key = select(g_mask, a)
+        if key:
+            yield g_mask, a, key
 
-    The outside sum is counted layerwise, |{i not in F : a_i >= k}| summed
-    over k = 1..ell; capping the layers at ell leaves the comparison intact.
-    Plain loops: this runs per scan point.
+
+def _facet_walk(
+    facets: Sequence[int], ell: int, faces: Sequence[int], rho: Sequence[int], n: int
+) -> Walk:
+    """The facet-form walk of I_Delta^(ell): the scan points whose Delta_a is
+    neither void nor a cone, in scan order, each with Delta_a as its bitset.
+
+    Per face G = G_a the star lists the facets F containing G, each with its
+    part, the faces inside F that avoid G, and its generator F - G.  The free
+    coordinates are walked depth first, vertex 1 slowest, carrying the live
+    facets (outside sum <= ell - 1) as bitmasks.  By the two lemmas of the
+    module docstring, the first value of a_j that leaves Delta_a void or a
+    cone ends that coordinate's loop, subtree included.  Delta_a of a live
+    set is the OR of its parts, and a cone when its generators share a
+    vertex; both are worked out once per live set, and only yielded points
+    get their degree tuple.
     """
     table = _vertex_table(faces, n)
     everything = (1 << len(faces)) - 1
-    avoiding = _avoiding(table, everything)
     inside = [everything & ~_meeting(table, ~f) for f in facets]
+    for g in faces:
+        free = [j for j in range(n) if not g >> j & 1]
+        if not all(rho[j] for j in free):
+            continue  # G misses a cone vertex: no point
+        avoiding = everything & ~_meeting(table, g)
+        star = [(f, below & avoiding) for f, below in zip(facets, inside) if not g & ~f]
+        parts = [part for _, part in star]
+        rests = [f & ~g for f, _ in star]
+        outs = [sum(1 << s for s, (f, _) in enumerate(star) if not f >> j & 1) for j in free]
+        keys: dict[int, int] = {}
 
-    def select(g_mask: int, a: Sequence[int]) -> int:
-        layers = []
-        for k in range(1, ell + 1):
-            layer = 0
-            for i, e in enumerate(a):
-                if e >= k:
-                    layer |= 1 << i
-            if not layer:
-                break
-            layers.append(layer)
-        selected = 0
-        for f, below in zip(facets, inside):
-            if g_mask & ~f:
-                continue
-            outside = 0
-            for layer in layers:
-                outside += (layer & ~f).bit_count()
-            if outside < ell:
-                selected |= below
-        return selected & avoiding(g_mask)
+        def key_of(live: int) -> int:
+            """Delta_a of a live set, 0 when it is void or a cone."""
+            key, apex, rest = 0, -1, live
+            while rest:
+                low = rest & -rest
+                s = low.bit_length() - 1
+                key |= parts[s]
+                apex &= rests[s]
+                rest ^= low
+            keys[live] = key = 0 if apex else key
+            return key
 
-    return select
+        root = (1 << len(star)) - 1  # G is a face, so some facet contains it
+        key = key_of(root)
+        if not key:
+            continue
+        # the odometer over the free coordinates, last one fastest: a holds
+        # the point, and within[d][t] the live facets of outside sum <= t
+        # once the coordinates before free[d] are set
+        a = [-1 if g >> j & 1 else 0 for j in range(n)]
+        yield g, tuple(a), key
+        last = len(free) - 1
+        within = [(root,) * ell] * len(free)
+        d = last
+        while d >= 0:
+            j = free[d]
+            v = a[j] + 1
+            if v < rho[j]:
+                # a_j = v adds v to the outside sum of every facet off j
+                out, base = outs[d], within[d]
+                live = base[-1] & ~out | base[-1 - v] & out
+                key = keys.get(live)
+                if key is None:
+                    key = key_of(live)
+                if key:
+                    a[j] = v
+                    if d < last:
+                        stay = ~out
+                        sums = tuple(base[t] & stay | (base[t - v] & out if t >= v else 0)
+                                     for t in range(ell))
+                        for e in range(d + 1, len(free)):
+                            a[free[e]] = 0
+                            within[e] = sums
+                        d = last
+                    yield g, tuple(a), key
+                    continue
+            d -= 1  # void or a cone from here on: every larger value of a_j too
 
 
 def _faces_of(faces: Sequence[int], selected: int) -> list[int]:
@@ -289,28 +353,25 @@ def _scan_reports(
     rho: Sequence[int],
     fields: Sequence[FieldSpec],
     budget: int,
-    kernel: Callable[[Sequence[int], int], Select],
+    walk: Callable[[Sequence[int], Sequence[int], int], Walk],
 ) -> dict[FieldSpec, DepthReport]:
     """The depth scan shared by the generator and facet forms, per field.
 
-    ``kernel(faces, n)`` builds the form's ``select(g_mask, a)``, which names
-    Delta_a by its bitset over ``faces`` (0 for the void complex); equal
-    bitsets are equal complexes, so each Delta_a is listed and evaluated
-    once per scan.  The search space (see module docstring) is sized upfront,
-    before the kernel builds its tables; exceeding the budget raises
-    BudgetExceeded rather than truncating.  Each field's witness is its first
+    ``walk(faces, rho, n)`` is the form's walk, which names each Delta_a by
+    its bitset over ``faces``; equal bitsets are equal complexes, so each
+    Delta_a is listed and evaluated once per scan.  The points a walk leaves
+    out, void or cones, have no homology.  The search space (see module
+    docstring) is sized upfront, before the walk builds its tables;
+    exceeding the budget raises BudgetExceeded rather than truncating, and
+    scan_size is that upfront count.  Each field's witness is its first
     nonvanishing piece in the fixed (i, a) order, so reports are
     deterministic regardless of evaluation strategy.
     """
     size = _checked_size(faces, rho, budget)
-    select = kernel(faces, delta.n)
     dim_ring = delta.dim + 1
     cache: dict[int, tuple[HomologyProfile, ...]] = {}
     first_hits: list[dict[int, CohomologyWitness]] = [{} for _ in fields]
-    for g_mask, a in _scan_points(faces, rho, delta.n):
-        key = select(g_mask, a)
-        if not key:
-            continue
+    for g_mask, a, key in walk(faces, rho, delta.n):
         profiles = cache.get(key)
         if profiles is None:
             profiles = cache[key] = profile_from_faces(_faces_of(faces, key), fields)
@@ -332,8 +393,8 @@ def depth_reports(
     if ideal.is_unit():
         raise ValueError("depth of the zero ring is rejected")
     delta = complex_of_ideal(ideal)
-    kernel = partial(_generator_selection, [g.exps for g in ideal.gens])
-    return _scan_reports(delta, delta.sorted_faces(), ideal.rho(), fields, budget, kernel)
+    walk = partial(_generator_walk, [g.exps for g in ideal.gens])
+    return _scan_reports(delta, delta.sorted_faces(), ideal.rho(), fields, budget, walk)
 
 
 def depth_via_takayama(
@@ -357,7 +418,7 @@ def _symbolic_depth_reports(
     if delta.n < 1 or delta.is_void():
         raise ValueError("symbolic powers need a nonvoid complex on at least one vertex")
     return _scan_reports(delta, delta.sorted_faces(), _symbolic_rho(delta, ell), fields,
-                         budget, partial(_facet_selection, delta.facets, ell))
+                         budget, partial(_facet_walk, delta.facets, ell))
 
 
 # -- squares and symbolic squares ----------------------------------------------

@@ -10,13 +10,14 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 @pytest.fixture
 def scans(monkeypatch):
-    """One entry per Takayama scan started (a call of takayama._scan_points)."""
+    """The complex of each Takayama scan started, in either form: one entry
+    per call of takayama._scan_reports, the loop both forms share."""
     calls = []
-    scan_points = takayama._scan_points
+    scan_reports = takayama._scan_reports
 
-    def counted(*args):
-        calls.append(args)
-        return scan_points(*args)
+    def counted(delta, *args):
+        calls.append(delta)
+        return scan_reports(delta, *args)
 
-    monkeypatch.setattr(takayama, "_scan_points", counted)
+    monkeypatch.setattr(takayama, "_scan_reports", counted)
     return calls

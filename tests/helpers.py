@@ -448,6 +448,50 @@ def delta_a_symbolic(delta: SimplicialComplex, a, ell: int) -> SimplicialComplex
     ))
 
 
+def facet_selection(facets, ell: int, faces, n: int):
+    """``select(g_mask, a)`` of the facet form of I_Delta^(ell), one point at
+    a time: Delta_a as its bitset over ``faces``, the OR of the faces inside
+    the facets F containing G_a with sum_{i not in F} a_i <= ell - 1, less
+    the faces meeting G_a.  The per-point oracle of the star walk."""
+    inside = [sum(1 << p for p, face in enumerate(faces) if not face & ~f) for f in facets]
+    avoiding = {}
+
+    def select(g_mask: int, a) -> int:
+        selected = 0
+        for f, below in zip(facets, inside):
+            if not g_mask & ~f and sum(e for i, e in enumerate(a) if not f >> i & 1) < ell:
+                selected |= below
+        if g_mask not in avoiding:
+            avoiding[g_mask] = sum(1 << p for p, face in enumerate(faces) if not face & g_mask)
+        return selected & avoiding[g_mask]
+
+    return select
+
+
+def facet_form_points(delta: SimplicialComplex, ell: int):
+    """Every point of the facet-form scan of I_Delta^(ell), in scan order,
+    with its Delta_a bitset over delta.sorted_faces() by ``facet_selection``,
+    void points included: a = -1 on a face G and 0 <= a_j <= rho_j - 1
+    elsewhere, rho_j = ell off the cone vertices and 0 on them."""
+    n, faces = delta.n, delta.sorted_faces()
+    select = facet_selection(delta.facets, ell, faces, n)
+    rho = [0 if all(f >> j & 1 for f in delta.facets) else ell for j in range(n)]
+    for g in faces:
+        for a in product(*((-1,) if g >> j & 1 else range(rho[j]) for j in range(n))):
+            yield g, a, select(g, a)
+
+
+def is_cone_bitset(delta: SimplicialComplex, key: int) -> bool:
+    """Whether the subcomplex of ``delta`` at the set bits of ``key`` over
+    delta.sorted_faces() is a cone: nonvoid with a vertex in every facet."""
+    faces = [f for p, f in enumerate(delta.sorted_faces()) if key >> p & 1]
+    facets = SimplicialComplex(delta.n, tuple(faces)).facets
+    common = -1
+    for f in facets:
+        common &= f
+    return bool(facets) and common != 0
+
+
 def local_cohomology_dim(ideal: MonomialIdeal, i: int, a, field: FieldSpec = QQ) -> int:
     """dim_K H_m^i(S/I)_a: ~H_{i - |G_a| - 1}(Delta_a(I); K) when G_a is a
     face of Delta(I) and a_j <= rho_j - 1 for all j, and 0 otherwise."""

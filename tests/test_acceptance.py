@@ -122,8 +122,12 @@ def test_criterion_09_implication_audits_clean():
 def test_criterion_10_conjecture_recorded():
     r = report(criterion_10_conjecture())
     assert r.passed
-    for n in (2, 3):
+    assert "n = 2, 3 and 4 recorded" in r.title
+    for n in (2, 3, 4):
         recorded = r.details[f"n{n}_recorded_verdicts"]
         assert set(recorded) == {"Q", "F2"}
         for verdict in recorded.values():
             assert {"cm", "depth", "dim"} <= set(verdict)
+    # the square of conjecture_complex(4) is CM over both fields, depth 5 = dim 5
+    assert r.details["n4_recorded_verdicts"] == {
+        f: {"cm": True, "depth": 5, "dim": 5} for f in ("Q", "F2")}

@@ -148,10 +148,18 @@ def test_packed_kernels_match_tuple_oracle(case):
 
 
 def test_symbolic_power_matches_tuple_fold():
+    # the lift of each generator into P_F^ell against the pairwise lcms of
+    # the tuple fold; vertex 6 of the second ideal and vertices 7, 8 of the
+    # third lie in no generator, so their complexes have cone vertices
     rng = random.Random(23)
     battery = [rp2(), cycle_complex(5), simplex_complex(3)]
     battery += [complex_of_ideal(random_squarefree_ideal(rng, rng.randint(3, 7)))
                 for _ in range(15)]
+    battery += [complex_of_ideal(random_squarefree_ideal(rng, 8)) for _ in range(3)]
+    battery += [complex_of_ideal(MonomialIdeal.squarefree_from_supports(n, supports))
+                for n, supports in ((6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]),
+                                    (8, [(1, 2, 3), (3, 4), (4, 5, 6), (1, 6)]))]
+    assert {d.n for d in battery} >= {8} and sum(bool(d.cone_vertices()) for d in battery) >= 3
     for d in battery:
         for ell in (1, 2, 3):
             facets = d.facet_tuples()

@@ -41,10 +41,12 @@ from srsq import takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import random_pure_complex
 from srsq.reproduce import iter_pure_complexes
+from srsq.reproduce import named_battery as paper_examples
 from srsq.takayama import (
     _faces_of,
-    _facet_selection,
+    _facet_walk,
     _generator_selection,
+    _scan_size,
     _symbolic_depth_reports,
     _symbolic_rho,
     check_square_budget,
@@ -56,8 +58,11 @@ from helpers import (
     brute_force_depth,
     delta_a,
     delta_a_symbolic,
+    facet_form_points,
+    facet_selection,
     generator_form_square_reports,
     generator_form_symbolic_square_reports,
+    is_cone_bitset,
     local_cohomology_dim,
 )
 
@@ -147,7 +152,7 @@ def test_delta_a_mixed_sign_matches_facet_formula():
                 a[j] = -1
         lhs = delta_a(symbolic_power(d, ell), tuple(a))
         all_faces = d.sorted_faces()
-        key = _facet_selection(d.facets, ell, all_faces, d.n)(g, a)
+        key = facet_selection(d.facets, ell, all_faces, d.n)(g, a)
         assert SimplicialComplex(d.n, tuple(_faces_of(all_faces, key))) == lhs
         good = [
             f & ~g
@@ -187,7 +192,7 @@ def kernel_keys(ideal, d, ell, g_mask, a):
     faces = complex_of_ideal(ideal).sorted_faces()
     gen_key = _generator_selection([m.exps for m in ideal.gens], faces, ideal.n)(g_mask, a)
     sym_faces = d.sorted_faces()
-    sym_key = _facet_selection(d.facets, ell, sym_faces, d.n)(g_mask, a)
+    sym_key = facet_selection(d.facets, ell, sym_faces, d.n)(g_mask, a)
     return (gen_key, faces), (sym_key, sym_faces)
 
 
@@ -456,6 +461,59 @@ def test_facet_form_scan_matches_generator_form_for_other_powers():
             assert _symbolic_depth_reports(d, ell, (GF2,), DEFAULT_BUDGET)[GF2] == expected
 
 
+def star_walk(d, ell):
+    """The facet-form walk of d's ell-th symbolic power, as a list."""
+    return list(_facet_walk(d.facets, ell, d.sorted_faces(), _symbolic_rho(d, ell), d.n))
+
+
+def star_walk_cases():
+    """One complex per relabeling class of criterion 8's exhaustive pool, the
+    paper's named complexes, a simplex and {empty set} on 3 vertices."""
+    return (one_per_relabeling(iter_pure_complexes()) + [d for _, d in paper_examples()]
+            + [simplex_complex(3), SimplicialComplex(3, (0,))])
+
+
+def test_star_walk_yields_the_oracle_points_that_are_neither_void_nor_a_cone():
+    # the per-point oracle selects every point of the scan space, void ones
+    # included; the walk must yield exactly its non-void non-cone points, in
+    # scan order with equal keys.  The per-point oracle is cut at 50,000
+    # points for time, which leaves out only disjoint_pentagons(2) at
+    # ell = 3 (613,089 points)
+    skipped = void = cones = 0
+    for d in star_walk_cases():
+        for ell in (1, 2, 3):
+            if _scan_size(d.face_masks, _symbolic_rho(d, ell)) > 50_000:
+                skipped += 1
+                continue
+            expected, cone = [], {}
+            for g, a, key in facet_form_points(d, ell):
+                if not key:
+                    void += 1
+                    continue
+                if key not in cone:
+                    cone[key] = is_cone_bitset(d, key)
+                if cone[key]:
+                    cones += 1
+                else:
+                    expected.append((g, a, key))
+            assert star_walk(d, ell) == expected
+    assert skipped == 1 and void > 0 and cones > 0
+
+
+def test_star_walk_skips_a_cone_point_but_not_its_neighbour():
+    # two disjoint edges, ell = 2, G empty: at a = e1 both edges are live and
+    # Delta_a is the whole complex, disconnected; at a = e1 + e2 the edge
+    # {3, 4} has outside sum 2 and drops out, leaving the cone {1, 2}
+    d = SimplicialComplex(4, (pack((1, 2)), pack((3, 4))))
+    points = {a: key for g, a, key in star_walk(d, 2) if g == 0}
+    assert points[(1, 0, 0, 0)] == bitset_of(d.sorted_faces(), d)
+    assert (1, 1, 0, 0) not in points
+    select = facet_selection(d.facets, 2, d.sorted_faces(), d.n)
+    cone = select(0, (1, 1, 0, 0))
+    assert is_cone_bitset(d, cone)
+    assert cone == bitset_of(d.sorted_faces(), SimplicialComplex(4, (pack((1, 2)),)))
+
+
 def test_symbolic_rho_closed_form():
     for d in oracle_battery():
         for ell in (1, 2, 3) if d.n <= 6 else (1, 2):
@@ -689,17 +747,17 @@ def test_budget_guard_refuses_a_join_by_its_whole_ring(monkeypatch):
 def test_join_route_scans_each_factor_twice_and_never_the_whole_join(scans):
     # S/I and the power of each pentagon, on 5 vertices; never the 10-vertex join
     assert cm_square(disjoint_pentagons(2)) == {QQ: True, GF2: True}
-    assert sorted(n for *_, n in scans) == [5, 5, 5, 5]
+    assert sorted(d.n for d in scans) == [5, 5, 5, 5]
     scans.clear()
     assert {f: r.is_cm for f, r in symbolic_square_depth_reports(
         disjoint_pentagons(2), (QQ, GF2)).items()} == {QQ: True, GF2: True}
-    assert sorted(n for *_, n in scans) == [5, 5, 5, 5]
+    assert sorted(d.n for d in scans) == [5, 5, 5, 5]
     # the cone block is never scanned; an unused vertex is a factor of its own
     scans.clear()
     j = SimplicialComplex(11, four_path().join(cycle_complex(5)).cone().facets)  # apex 10
     reports = square_depth_reports(j, (QQ, GF2))
     assert [v for v, _, _ in reports[QQ].factors] == [(1, 2, 3, 4), (5, 6, 7, 8, 9), (11,)]
-    assert sorted(n for *_, n in scans) == [1, 1, 4, 4, 5, 5]
+    assert sorted(d.n for d in scans) == [1, 1, 4, 4, 5, 5]
     assert cm_square(j) == {QQ: False, GF2: False}
 
 
