@@ -220,9 +220,11 @@ def paper_audit(
     together with I^2 = I^(2) is then a tautology, and the test suite's
     generator-form oracle covers that case.  Otherwise a join's
     ``cm_square`` is folded from its factors by square_depth_reports, as
-    ``check depth --of square`` reports it, and any other I^2 is built once
-    and scanned in generator form.  The verdicts that need no scan come first,
-    so an input they reject fails before any scan starts.
+    ``check depth --of square`` reports it, from the factor reports of
+    ``cm_symbolic_square``: only a factor square that differs from the
+    factor's symbolic square is scanned again.  Any other I^2 is built once
+    and scanned in generator form.  The verdicts that need no scan come
+    first, so an input they reject fails before any scan starts.
     """
     fields = tuple(fields)
     if delta.n:  # on no vertex, stanley_reisner below refuses the complex
@@ -244,7 +246,7 @@ def paper_audit(
     if report.sym2.equal:
         report.cm_square = dict(report.cm_symbolic_square)
     elif any(r.factors for r in report.cm_symbolic_square.values()):
-        report.cm_square = square_depth_reports(delta, fields, budget)
+        report.cm_square = square_depth_reports(delta, fields, budget, report.cm_symbolic_square)
     else:
         # One scan per field: the benchmark's tracer counts scans only on depth_via_takayama.
         square = ideal.power(2)

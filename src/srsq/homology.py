@@ -234,7 +234,9 @@ def _unit_reduce(columns: Iterable[tuple[int, int]]) -> tuple[int, list[list[int
 
 @dataclass(frozen=True)
 class HomologyProfile:
-    """dim_K ~H_i for i = -1 .. top; degrees outside the stored range are 0."""
+    """dim_K ~H_i for i = -1 .. top; degrees outside the stored range are 0,
+    except in a profile cut by profile_from_faces(..., below=h), whose
+    degrees from h on are unknown."""
 
     field: FieldSpec
     betti: tuple[int, ...]  # entry t is degree t - 1
@@ -287,7 +289,7 @@ def _graph_betti(groups: list[list[int]]) -> tuple[int, ...]:
 
 
 def profile_from_faces(
-    faces: Iterable[int], fields: Sequence[FieldSpec]
+    faces: Iterable[int], fields: Sequence[FieldSpec], *, below: int | None = None
 ) -> tuple[HomologyProfile, ...]:
     """Reduced homology over each field, in battery order, of a full face list.
 
@@ -301,17 +303,25 @@ def profile_from_faces(
     rank d_1 = V - c for the c components of the 1-skeleton, and each map
     d_i with i >= 2 is reduced once (_unit_reduce); only the rank of its
     remainder depends on the field.
+
+    With ``below = h``, only the degrees -1 .. h - 1 are evaluated: dim ~H_k
+    needs the ranks of d_k and d_{k+1} alone, so no map d_i with i > h is
+    built, reduced or ranked, and ``betti`` is the full tuple cut to its
+    first h + 1 entries (shorter when the complex has no degree that high).
+    The degrees past the cut are unknown, not zero, so such a profile must
+    not be read as the complex's homology beyond ``h - 1``.
     """
     groups = _faces_by_dim(faces)
+    top = len(groups) if below is None else min(len(groups), below + 1)
     if len(groups) <= 3:
-        betti = _graph_betti(groups)
+        betti = _graph_betti(groups)[:top]
         return tuple(HomologyProfile(field, betti) for field in fields)
     rank_d1 = len(groups[1]) - 1 - _graph_betti(groups[:3])[1]
-    reduced = [_unit_reduce(_signed_columns(groups, i)) for i in range(2, len(groups) - 1)]
+    reduced = [_unit_reduce(_signed_columns(groups, i)) for i in range(2, min(top, len(groups) - 1))]
 
     def betti(field: FieldSpec) -> tuple[int, ...]:
         r = [0, 1, rank_d1, *(u + matrix_rank(rest, field) for u, rest in reduced), 0]
-        return tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups))
+        return tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups[:top]))
 
     return tuple(HomologyProfile(field, betti(field)) for field in fields)
 

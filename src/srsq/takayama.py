@@ -22,6 +22,20 @@ with depth = dim S/I when nothing fires below the dimension (the top
 cohomology never vanishes identically and is not scanned).  Only the ranks
 depend on the field, so one scan per ideal serves a whole field battery.
 
+A point's pieces sit at i = |G_a| + 1 + k for the homology degrees k >= -1
+of Delta_a, so at i >= |G_a|.  Along the scan, a field's running depth is
+the lowest degree of a piece found so far (dim S/I before any), and bound
+is the largest running depth over the battery: a piece at i >= bound lowers
+no field's depth and replaces no witness.  Two lemmas follow.  The stop:
+faces come sorted by size, so from the first point with |G_a| >= bound on
+no point can reach a degree below bound, and the scan ends there.  The
+cut: at a point with |G_a| < bound only the homology degrees
+k < bound - |G_a| - 1 of Delta_a can matter, and those need the boundary
+maps d_i with i <= bound - |G_a| - 1 alone, so no higher map is reduced.
+The bound starts at dim S/I and only falls, and |G_a| only rises, so a
+Delta_a evaluated under one cut serves every later point that shares it.
+Depths, witnesses and scan_size are those of the scan without either.
+
 Each Delta_a is named by a bitset over the positions of
 Delta(I).sorted_faces(): bit p is set iff face p lies in Delta_a, and 0 is
 the void complex.  That int keys the homology cache, so each Delta_a is
@@ -75,7 +89,9 @@ for I^(2)),
 the dimensions add, and each cone vertex adds one to depth and dim.  So when
 Delta has two or more join factors besides the cone simplex (an unused vertex
 is one: the complex {emptyset} on one vertex), each of them gets two scans,
-S/I in facet form at l = 1 and the power, and the factors fold pairwise;
+S/I in facet form at l = 1 and the power, and the factors fold pairwise
+(a caller that holds the symbolic-square reports passes them to
+square_depth_reports, which then scans only the unequal factor squares);
 their scan sizes add where a scan of the whole join would multiply them.
 The budget still counts the whole ring's scan size, from the faces, before
 any other work; no factor scan is larger.  A join's report has no witness:
@@ -366,23 +382,38 @@ def _scan_reports(
     scan_size is that upfront count.  Each field's witness is its first
     nonvanishing piece in the fixed (i, a) order, so reports are
     deterministic regardless of evaluation strategy.
+
+    Each field keeps its running depth, and ``bound`` is their maximum,
+    updated only when a field's depth falls.  By the stop and cut lemmas
+    (module docstring) the walk ends at the first point with
+    |G_a| >= bound, and a new Delta_a is evaluated only in homology degrees
+    below bound - |G_a| - 1.  Since |G_a| never falls and ``bound`` never
+    rises along the walk, a profile cached under a cut covers every later
+    use of its key; its higher degrees are unknown, not zero, so it never
+    leaves ``cache``.
     """
     size = _checked_size(faces, rho, budget)
-    dim_ring = delta.dim + 1
+    dim_ring = bound = delta.dim + 1
     cache: dict[int, tuple[HomologyProfile, ...]] = {}
-    first_hits: list[dict[int, CohomologyWitness]] = [{} for _ in fields]
+    depths = [dim_ring] * len(fields)
+    witnesses: list[CohomologyWitness | None] = [None] * len(fields)
     for g_mask, a, key in walk(faces, rho, delta.n):
+        g = g_mask.bit_count()
+        if g >= bound:
+            break
         profiles = cache.get(key)
         if profiles is None:
-            profiles = cache[key] = profile_from_faces(_faces_of(faces, key), fields)
-        shift = g_mask.bit_count() + 1
-        for profile, first_hit in zip(profiles, first_hits):
-            for i, betti in enumerate(profile.betti, shift - 1):
-                if betti and i < dim_ring and i not in first_hit:
-                    first_hit[i] = CohomologyWitness(i, a, i - shift, betti)
-    depths = [min(first_hit, default=dim_ring) for first_hit in first_hits]
-    return {f: DepthReport(f, d, dim_ring, d == dim_ring, first_hit.get(d), size)
-            for f, d, first_hit in zip(fields, depths, first_hits)}
+            profiles = cache[key] = profile_from_faces(_faces_of(faces, key), fields,
+                                                       below=bound - g - 1)
+        for k, profile in enumerate(profiles):
+            # the piece at i is entry i - g; only a degree below this field's depth counts
+            for i, betti in enumerate(profile.betti[:max(depths[k] - g, 0)], g):
+                if betti:
+                    depths[k], witnesses[k] = i, CohomologyWitness(i, a, i - g - 1, betti)
+                    bound = max(depths)
+                    break
+    return {f: DepthReport(f, d, dim_ring, d == dim_ring, w, size)
+            for f, d, w in zip(fields, depths, witnesses)}
 
 
 def depth_reports(
@@ -434,21 +465,30 @@ def _join_reports(
     size: int,
     fields: Sequence[FieldSpec],
     budget: int,
-    power: Callable[[SimplicialComplex, Sequence[FieldSpec], int], dict[FieldSpec, DepthReport]],
+    power: Callable[..., dict[FieldSpec, DepthReport]],
+    symbolic: dict[FieldSpec, DepthReport] | None = None,
 ) -> dict[FieldSpec, DepthReport] | None:
     """The reports of S/I_Delta^2 or S/I_Delta^(2), whichever ``power`` scans
     on each factor, folded over the join factors of Delta (module
     docstring); None when Delta has fewer than two join factors besides the
-    cone simplex."""
+    cone simplex.  ``symbolic``, Delta's symbolic-square reports when the
+    caller holds them, gives each factor's S/I report, and ``power`` gets
+    the factor's symbolic-square reports as well, so no factor is scanned
+    twice."""
     cone = pack(delta.cone_vertices())
     blocks = [b for b in delta.join_blocks() if b != cone]
     if len(blocks) < 2:
         return None
     factors = []
-    for block in blocks:
+    for k, block in enumerate(blocks):
         factor = delta.restrict(unpack(block))
-        factors.append((unpack(block), _symbolic_depth_reports(factor, 1, fields, budget),
-                        power(factor, fields, budget)))
+        if symbolic is None:
+            radical, powered = (_symbolic_depth_reports(factor, 1, fields, budget),
+                                power(factor, fields, budget))
+        else:
+            radical = {f: symbolic[f].factors[k][1] for f in fields}
+            powered = power(factor, fields, budget, {f: symbolic[f].factors[k][2] for f in fields})
+        factors.append((unpack(block), radical, powered))
     c = cone.bit_count()
     out = {}
     for f in fields:
@@ -460,18 +500,28 @@ def _join_reports(
 
 
 def square_depth_reports(
-    delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
+    delta: SimplicialComplex,
+    fields: Sequence[FieldSpec],
+    budget: int = DEFAULT_BUDGET,
+    symbolic: dict[FieldSpec, DepthReport] | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^2: a join from its factors; else in facet form when
     I^2 = I^(2), which the special-triangle criterion decides without
     building either power, else by the generators of I^2 (module
-    docstring).  The budget is checked before any other work."""
+    docstring).  The budget is checked before any other work.
+
+    ``symbolic`` may hold symbolic_square_depth_reports(delta, fields,
+    budget), which are then not scanned again: a square equal to the
+    symbolic square is those reports, and a join's factors take their S/I
+    reports and equal squares from its factors."""
     size = check_square_budget(delta, budget) if delta.n else 0
-    joined = _join_reports(delta, size, fields, budget, square_depth_reports)
+    joined = _join_reports(delta, size, fields, budget, square_depth_reports, symbolic)
     if joined is not None:
         return joined
     ideal = stanley_reisner(delta)
     if not delta.is_void() and symbolic2_equals_square(ideal).equal:
+        if symbolic is not None:
+            return dict(symbolic)
         return _symbolic_depth_reports(delta, 2, fields, budget)
     return depth_reports(ideal.power(2), fields, budget)
 

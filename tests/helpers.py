@@ -6,7 +6,8 @@ the re-indexed links that the link walk replaces, the generator-form depth
 scan that the facet-form square scan and the join route replace, and the
 vertex cap of the non-face triple condition.  The Delta_a oracles follow
 the formulas in the docstring of ``srsq.takayama`` and call nothing in that
-module."""
+module; the unbounded scan loop takes its budget check and face decoding
+from there, and its walks from the caller."""
 
 from __future__ import annotations
 
@@ -36,7 +37,9 @@ from srsq import (
 )
 from srsq.bits import pack, unpack
 from srsq.criteria import CONDITION3_MAX_VERTICES, Condition3Result
+from srsq.homology import profile_from_faces
 from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
+from srsq.takayama import CohomologyWitness, _checked_size, _faces_of
 
 
 def brute_minimal_transversals(sets: list[int], n: int) -> list[int]:
@@ -528,6 +531,32 @@ def brute_force_depth(ideal: MonomialIdeal, field: FieldSpec = QQ):
             if betti:
                 return i, (a, betti), len(points)
     return dim_ring, None, len(points)
+
+
+# -- the depth scan without its stop and degree cut -----------------------------
+
+
+def unbounded_scan_reports(delta, faces, rho, fields, budget, walk) -> dict[FieldSpec, DepthReport]:
+    """takayama._scan_reports as it was before the stop and the degree cut:
+    every point the walk yields is visited, each new Delta_a gets its full
+    profile, and each field keeps the first piece at every degree below
+    dim S/I; its depth is the lowest of those, its witness the piece there."""
+    size = _checked_size(faces, rho, budget)
+    dim_ring = delta.dim + 1
+    cache = {}
+    first_hits = [{} for _ in fields]
+    for g_mask, a, key in walk(faces, rho, delta.n):
+        profiles = cache.get(key)
+        if profiles is None:
+            profiles = cache[key] = profile_from_faces(_faces_of(faces, key), fields)
+        shift = g_mask.bit_count() + 1
+        for profile, first_hit in zip(profiles, first_hits):
+            for i, betti in enumerate(profile.betti, shift - 1):
+                if betti and i < dim_ring and i not in first_hit:
+                    first_hit[i] = CohomologyWitness(i, a, i - shift, betti)
+    depths = [min(first_hit, default=dim_ring) for first_hit in first_hits]
+    return {f: DepthReport(f, d, dim_ring, d == dim_ring, first_hit.get(d), size)
+            for f, d, first_hit in zip(fields, depths, first_hits)}
 
 
 # -- pools for the link-walk cross-checks -------------------------------------

@@ -388,12 +388,15 @@ def test_audit_square_reports_match_generator_form_oracle():
     (cycle_complex(5), 1, 0),
     (cross_polytope(2), 4, 0),
     (rp2(), 3, 1),
-], ids=["pentagon", "square", "rp2"])
+    # S/I and the symbolic square of each factor, and rp2's unequal square:
+    # the square's fold reuses the rest
+    (rp2().join(SimplicialComplex(2, (1, 2))), 5, 1),
+], ids=["pentagon", "square", "rp2", "rp2-join-two-points"])
 def test_audit_scans_the_symbolic_square_once_and_builds_the_square_once(
         delta, started, powers, scans, monkeypatch):
     # one facet-form scan serves the battery, or for a join (the square, of
     # two pairs of points) two per join factor; an unequal square is built
-    # once and scanned per field
+    # once and scanned per field, or once per battery as a join factor
     power = MonomialIdeal.power
     built = []
 

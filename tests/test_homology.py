@@ -236,6 +236,50 @@ def test_each_map_is_reduced_once_whatever_the_battery(monkeypatch):
         assert packed == [2] and reduced == [10]
 
 
+@st.composite
+def cut_face_sets(draw):
+    """A closed face list on at most 7 vertices and a cut from -1 to two
+    past its dimension, so some cuts lie above every degree it has."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    facets = draw(st.lists(st.sets(st.integers(min_value=1, max_value=n), min_size=1),
+                           min_size=1, max_size=6))
+    faces = list(generated_faces([pack(f) for f in facets]))
+    top = max(f.bit_count() for f in faces) - 1
+    return faces, draw(st.integers(min_value=-1, max_value=top + 2))
+
+
+@given(cut_face_sets())
+@example(([], 0))  # the void complex
+@example(([0], 2))  # {empty face}, cut above its only degree
+@example((rp2().sorted_faces(), 1))  # ~H_1 over F2 lies just past the cut
+@example((rp2().sorted_faces(), 2))  # and just below it
+@example((cross_polytope(3).sorted_faces(), 1))
+@settings(max_examples=150, deadline=None)
+def test_a_cut_profile_is_the_head_of_the_full_profile_and_reduces_no_higher_map(case):
+    faces, below = case
+    battery = (QQ, GF2, F3)
+    built, reduced = [], []
+    columns, reduce = homology._signed_columns, homology._unit_reduce
+
+    def counted_columns(groups, i):
+        built.append(i)
+        return columns(groups, i)
+
+    def counted_reduce(cols):
+        reduced.append(cols)
+        return reduce(cols)
+
+    full = profile_from_faces(faces, battery)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(homology, "_signed_columns", counted_columns)
+        m.setattr(homology, "_unit_reduce", counted_reduce)
+        cut = profile_from_faces(faces, battery, below=below)
+    assert [p.field for p in cut] == list(battery)
+    assert [p.betti for p in cut] == [p.betti[:below + 1] for p in full]
+    # ~H_k needs d_k and d_{k+1} alone: no map d_i with i > below is built or reduced
+    assert len(reduced) == len(built) and all(i <= below for i in built)
+
+
 def torsion_complexes():
     """rp2 and joins of it, whose 2-torsion shows in the homology: the maps
     where ranks differ between Q and F2."""

@@ -23,6 +23,7 @@ from srsq import (
     four_path,
     irrelevant_complex,
     is_cohen_macaulay,
+    new_complex,
     path_complex,
     phantom_pentagon,
     reduced_homology,
@@ -39,7 +40,7 @@ from srsq import (
 )
 from srsq import takayama
 from srsq.bits import pack, unpack
-from srsq.criteria import random_pure_complex
+from srsq.criteria import explore_complexes, random_pure_complex
 from srsq.reproduce import iter_pure_complexes
 from srsq.reproduce import named_battery as paper_examples
 from srsq.takayama import (
@@ -64,6 +65,7 @@ from helpers import (
     generator_form_symbolic_square_reports,
     is_cone_bitset,
     local_cohomology_dim,
+    unbounded_scan_reports,
 )
 
 
@@ -295,26 +297,30 @@ def test_unequal_square_scans_match_the_brute_force_depth():
             assert witness == (report.witness and (report.witness.a, report.witness.betti))
 
 
-@pytest.mark.parametrize("ideal", [
-    stanley_reisner(rp2()).power(2),
-    stanley_reisner(four_path()).power(2),
-    symbolic_power(cycle_complex(5), 2),
-    stanley_reisner(cross_polytope(2)).power(3),
+@pytest.mark.parametrize("ideal, empty_witness", [
+    (stanley_reisner(rp2()).power(2), True),  # depth 0, at G_a = {}
+    (stanley_reisner(four_path()).power(2), False),
+    (symbolic_power(cycle_complex(5), 2), False),  # CM
+    (stanley_reisner(cross_polytope(2)).power(3), False),  # CM
 ], ids=["rp2-square", "four-path-square", "pentagon-symbolic", "square-cube"])
-def test_generator_form_evaluates_each_delta_a_once(ideal, monkeypatch):
-    # points whose Delta_a has the same faces share one evaluation: every
-    # facet G_a with no empty mb selects {empty face}, for one
+def test_generator_form_evaluates_each_delta_a_once(ideal, empty_witness, monkeypatch):
+    # points whose Delta_a has the same faces share one evaluation
     evaluated = []
     profile = takayama.profile_from_faces
 
-    def recorded(faces, fields):
+    def recorded(faces, fields, **cut):
         evaluated.append(frozenset(faces))
-        return profile(faces, fields)
+        return profile(faces, fields, **cut)
 
     monkeypatch.setattr(takayama, "profile_from_faces", recorded)
-    depth_reports(ideal, (QQ, GF2))
+    reports = depth_reports(ideal, (QQ, GF2))
     assert len(evaluated) == len(set(evaluated)) > 0
-    assert frozenset({0}) in evaluated
+    # the scan stops before the facets of a CM ring (|G_a| = dim), so {empty
+    # face} is evaluated just where it gives a piece: ~H_{-1} is nonzero only
+    # on {empty face}, and such a piece at i = |G_a| < bound is a witness
+    witnessed = any(r.witness.homology_degree == -1 for r in reports.values() if r.witness)
+    assert (frozenset({0}) in evaluated) == witnessed
+    assert witnessed == empty_witness
 
 
 # -- graded pieces -------------------------------------------------------------------
@@ -834,6 +840,96 @@ def test_join_rule_matches_direct_scan_on_random_joins():
     # the fold reads each field's own factor depths: S/I of rp2 is CM over Q only
     rp2_join = symbolic_square_depth_reports(rp2().join(SimplicialComplex(2, (1, 2))), BATTERY)
     assert [rp2_join[f].factors[0][1].is_cm for f in BATTERY] == [True, False, True]
+
+
+# -- the stop and the degree cut against the unbounded scan ------------------------
+
+# rp2 joined with an edge and a point: its S/I has depth 3 over F2 (at
+# G_a = {}) and 4 over Q, whose witness sits at |G_a| = 1 in homology degree
+# 2; a bound taken at the smallest depth of the battery would cut it away
+UNEQUAL_DEPTHS = rp2().join(new_complex(3, [(1, 2), (3,)]))
+
+
+def bounded_scan_cases():
+    """The named battery, one complex per criterion-8 relabeling class, the
+    first 40 explore complexes, and a battery whose fields differ in depth."""
+    return ([d for _, d in paper_examples()] + one_per_relabeling(iter_pure_complexes())
+            + explore_complexes(0, 40, 6) + [UNEQUAL_DEPTHS])
+
+
+def bounded_scans(d):
+    """Each report the bound serves on d, as a function of the battery:
+    S/I and S/I^(2) in facet form, the square by its dispatch, and I^2 and
+    (for n <= 5, for time) I^3 in generator form."""
+    ideal = stanley_reisner(d)
+    scans = [lambda fields, l=l: _symbolic_depth_reports(d, l, fields, DEFAULT_BUDGET)
+             for l in (1, 2)]
+    scans += [functools.partial(square_depth_reports, d),
+              functools.partial(depth_reports, ideal.power(2))]
+    if d.n <= 5:
+        scans.append(functools.partial(depth_reports, ideal.power(3)))
+    return scans
+
+
+def check_each_bounded_scan(monkeypatch):
+    """Replace takayama._scan_reports by the bounded scan with its walk and
+    its evaluations logged, and check each scan against its own reports,
+    with B the largest depth over its battery: no Delta_a with |G_a| > B is
+    evaluated, and one with |G_a| = B only while the bound is still above B;
+    every cut keeps the degrees below B, and the bound never rises; and once
+    the last Delta_a is evaluated, the walk stops at the first point with
+    |G_a| >= B."""
+    scan_reports, profile = takayama._scan_reports, takayama.profile_from_faces
+    events = []
+
+    def evaluated(faces, fields, *, below):
+        events.append(("eval", below))
+        return profile(faces, fields, below=below)
+
+    def checked(delta, faces, rho, fields, budget, walk):
+        def drawn(*args):
+            for point in walk(*args):
+                events.append(("point", point[0].bit_count()))
+                yield point
+
+        events.clear()
+        reports = scan_reports(delta, faces, rho, fields, budget, drawn)
+        top = max(r.depth for r in reports.values())
+        bounds, g = [], None
+        for kind, value in events:
+            if kind == "point":
+                g = value
+            else:
+                assert 0 <= value and g <= top <= g + value + 1
+                bounds.append(g + value + 1)
+        assert bounds == sorted(bounds, reverse=True)
+        last = max((t for t, (kind, _) in enumerate(events) if kind == "eval"), default=-1)
+        stops = [t for t, (kind, g) in enumerate(events)
+                 if kind == "point" and (g > top or g == top and t > last)]
+        assert stops in ([], [len(events) - 1])
+        return reports
+
+    monkeypatch.setattr(takayama, "profile_from_faces", evaluated)
+    monkeypatch.setattr(takayama, "_scan_reports", checked)
+
+
+def test_bounded_scans_match_the_unbounded_scan(monkeypatch):
+    cases = bounded_scan_cases()
+    unbounded = []
+    with monkeypatch.context() as m:
+        m.setattr(takayama, "_scan_reports", unbounded_scan_reports)
+        for d in cases:
+            unbounded.append([scan(BATTERY) for scan in bounded_scans(d)])
+    depths = unbounded[-1][0]
+    assert (depths[QQ].depth, depths[GF2].depth) == (4, 3)
+    assert depths[QQ].witness.homology_degree == 2
+    check_each_bounded_scan(monkeypatch)
+    for d, expected in zip(cases, unbounded):
+        for scan, full in zip(bounded_scans(d), expected):
+            for battery in (BATTERY, (GF2, QQ), (QQ,), (GF2,), (F3,)):
+                reports = scan(battery)
+                assert list(reports) == list(battery)
+                assert reports == {f: full[f] for f in battery}
 
 
 def test_hypersurface_with_unused_variable():
