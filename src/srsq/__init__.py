@@ -46,6 +46,7 @@ from .homology import (
     GF2,
     QQ,
     FieldSpec,
+    HomologyMemo,
     HomologyProfile,
     cohen_macaulay_reports,
     gorenstein_reports,

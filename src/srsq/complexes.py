@@ -84,10 +84,15 @@ class SimplicialComplex:
         """All faces as masks (the empty face included unless void)."""
         return frozenset(generated_faces(self.facets))
 
-    def sorted_faces(self) -> list[int]:
+    def sorted_faces(self) -> tuple[int, ...]:
         """All face masks in the canonical face order: by size, then by
-        vertex tuple.  Scans, link loops and witnesses all follow it."""
-        return sorted(self.face_masks, key=lambda m: (m.bit_count(), unpack(m)))
+        vertex tuple.  Scans, link loops and witnesses all follow it;
+        sorted once per complex."""
+        return self._sorted_faces
+
+    @cached_property
+    def _sorted_faces(self) -> tuple[int, ...]:
+        return tuple(sorted(self.face_masks, key=lambda m: (m.bit_count(), unpack(m))))
 
     def contains_mask(self, mask: int) -> bool:
         return any(is_subset(mask, f) for f in self.facets)

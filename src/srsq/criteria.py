@@ -27,6 +27,7 @@ from .homology import (
     QQ,
     FieldSpec,
     GorensteinReport,
+    HomologyMemo,
     LocallyGorensteinReport,
     gorenstein_reports,
     locally_gorenstein_reports,
@@ -225,23 +226,32 @@ def paper_audit(
     factor's symbolic square is scanned again.  Any other I^2 is built once
     and scanned in generator form.  The verdicts that need no scan come
     first, so an input they reject fails before any scan starts.
+
+    One HomologyMemo over Delta's faces lives for this call: the Gorenstein
+    and local Gorenstein walks, the S/I^(2) scan and the per-field scans of
+    an unequal I^2 (whose Delta(I^2) has Delta's faces) evaluate each
+    distinct complex once between them, since lk G is Delta_a at a = 0 off
+    G.  A join's factor scans have other faces and keep their own memos.
+    The memo is dropped on return, so an audit's work does not depend on
+    earlier calls.
     """
     fields = tuple(fields)
     if delta.n:  # on no vertex, stanley_reisner below refuses the complex
         check_square_budget(delta, budget)
+    memo = HomologyMemo(delta.sorted_faces(), fields)
     report = AuditReport(
         delta=delta,
         fields=fields,
         dim_ring=delta.dim + 1,
         pure=delta.is_pure(),
-        gorenstein=gorenstein_reports(delta, fields),
-        locally_gorenstein=locally_gorenstein_reports(delta, fields),
+        gorenstein=gorenstein_reports(delta, fields, memo),
+        locally_gorenstein=locally_gorenstein_reports(delta, fields, memo),
         depth2=depth2_criterion(delta) if delta.dim >= 1 else None,
         s2=s2_criterion(delta) if delta.is_pure() else None,
         sym2=symbolic2_equals_square(ideal := stanley_reisner(delta)),
         condition3=condition3_check(delta) if delta.n <= CONDITION3_MAX_VERTICES else None,
         cm_square={},
-        cm_symbolic_square=symbolic_square_depth_reports(delta, fields, budget),
+        cm_symbolic_square=symbolic_square_depth_reports(delta, fields, budget, memo),
     )
     if report.sym2.equal:
         report.cm_square = dict(report.cm_symbolic_square)
@@ -250,7 +260,7 @@ def paper_audit(
     else:
         # One scan per field: the benchmark's tracer counts scans only on depth_via_takayama.
         square = ideal.power(2)
-        report.cm_square = {f: depth_via_takayama(square, f, budget) for f in fields}
+        report.cm_square = {f: depth_via_takayama(square, f, budget, memo) for f in fields}
     report.violations = _audit_violations(report)
     return report
 

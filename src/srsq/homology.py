@@ -24,8 +24,13 @@ Conventions for the reduced chain complex of a complex Delta:
 
 Reisner, Stanley and local Gorenstein take the field battery and read their
 links from SimplicialComplex.link_walk, the one walk over Delta's own faces,
-which the (S2) criterion shares; each link is reduced once for the fields
-that have not failed yet, and the is_* functions are one-field views.  No
+which the (S2) criterion shares; the walk reads each link for the fields
+that have not failed yet, and the is_* functions are one-field views.  A
+HomologyMemo evaluates each distinct complex once per call, over the whole
+battery: a link lk G is keyed by its bitset over Delta.sorted_faces(), as
+the depth scans key Delta_a, and paper_audit hands one memo to both
+Gorenstein walks and to its scans, since lk G is Delta_a at a = 0 off G
+(criterion 8 likewise, per complex, to its Reisner walk and scans).  No
 core or link complex is built: lk_core(G) = lk_Delta(G | cone), and lk v's
 core has the links lk_Delta(G | the meet of the facets through v).
 Adding a fixed set to faces keeps their sorted_faces() order, so witnesses
@@ -330,28 +335,90 @@ def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProf
     return profile_from_faces(delta.face_masks, (field,))[0]
 
 
+class HomologyMemo:
+    """The profiles of subcomplexes of one complex over one field battery,
+    for the span of one call: the link walks and depth scans that one
+    paper_audit, or criterion 8 on one complex, runs on Delta share it.
+
+    A subcomplex is keyed by its bitset over ``faces``, Delta.sorted_faces():
+    bit p is set iff face p lies in it, as the scans name Delta_a.  An entry
+    is (cut, profiles) over the whole battery, in its order, since one
+    reduction serves every field; cut is the ``below`` of
+    profile_from_faces, None for a full profile.  A cut profile's degrees
+    from its cut on are unknown, so it answers only a request at or below
+    its cut, and never a full one.  Callers evaluate a miss with
+    profile_from_faces themselves and put it.
+    """
+
+    def __init__(self, faces: Sequence[int], fields: Sequence[FieldSpec]):
+        self.faces = tuple(faces)
+        self.fields = tuple(fields)
+        self._entries: dict[int, tuple[int | None, tuple[HomologyProfile, ...]]] = {}
+        self._bit: dict[int, int] | None = None
+
+    @classmethod
+    def serving(cls, memo: "HomologyMemo | None", faces: Sequence[int],
+                fields: Sequence[FieldSpec]) -> "HomologyMemo":
+        """``memo`` when it keys over ``faces`` and holds every field of
+        ``fields``, else a fresh memo for them."""
+        if memo is not None and memo.faces == tuple(faces) and set(fields) <= set(memo.fields):
+            return memo
+        return cls(faces, fields)
+
+    def key(self, faces: Iterable[int]) -> int:
+        """The bitset of a subcomplex given by its faces, all of them faces of
+        ``self.faces``; the face -> bit table is built on first use."""
+        if self._bit is None:
+            self._bit = {f: 1 << p for p, f in enumerate(self.faces)}
+        return sum(map(self._bit.__getitem__, faces))
+
+    def get(self, key: int, below: int | None = None) -> tuple[HomologyProfile, ...] | None:
+        """The battery's profiles stored under ``key`` if they answer a
+        request cut at ``below`` (None: full), else None."""
+        entry = self._entries.get(key)
+        if entry is not None and (entry[0] is None or below is not None and below <= entry[0]):
+            return entry[1]
+        return None
+
+    def put(self, key: int, below: int | None,
+            profiles: tuple[HomologyProfile, ...]) -> tuple[HomologyProfile, ...]:
+        """Store the battery's profiles under ``key``, cut at ``below``."""
+        self._entries[key] = (below, profiles)
+        return profiles
+
+
 # -- Reisner and Stanley criteria ----------------------------------------------
 
 
 def _first_failures(delta: SimplicialComplex, fields: Sequence[FieldSpec], sphere: bool,
-                    insides: Sequence[int] = (0,)) -> dict[FieldSpec, tuple]:
+                    insides: Sequence[int] = (0,),
+                    memo: HomologyMemo | None = None) -> dict[FieldSpec, tuple]:
     """Each failing field's first (k, face, degree) in delta.link_walk(insides)
     whose link has reduced homology below its dimension or, with ``sphere``,
-    a top homology other than K.  Each link is evaluated once, over the
-    fields that have not failed yet; the walk stops once every field has."""
+    a top homology other than K.  Each link is read for the fields that have
+    not failed yet, and the walk stops once every field has.  A link is
+    evaluated once per memo, over the memo's battery: lk G is a subcomplex
+    of Delta, keyed by its bitset like the scans' Delta_a."""
+    memo = HomologyMemo.serving(memo, delta.sorted_faces(), fields)
     failures: dict[FieldSpec, tuple] = {}
-    live = list(fields)
+    live = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
     for k, face, link in delta.link_walk(insides):
         if not live:
             break
         link_dim = max(m.bit_count() for m in link) - 1
-        for profile in profile_from_faces(generated_faces(link), live):
+        faces = generated_faces(link)
+        key = memo.key(faces)
+        profiles = memo.get(key)
+        if profiles is None:
+            profiles = memo.put(key, None, profile_from_faces(faces, memo.fields))
+        for t in tuple(live):
+            profile = profiles[t]
             bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
             if bad is None and sphere and profile.betti_number(link_dim) != 1:
                 bad = link_dim
             if bad is not None:
                 failures[profile.field] = (k, unpack(face), bad)
-                live.remove(profile.field)
+                live.remove(t)
     return failures
 
 
@@ -368,13 +435,14 @@ class ReisnerReport:
         return self.is_cm
 
 
-def cohen_macaulay_reports(delta: SimplicialComplex,
-                           fields: Sequence[FieldSpec]) -> dict[FieldSpec, ReisnerReport]:
+def cohen_macaulay_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec],
+                           memo: HomologyMemo | None = None) -> dict[FieldSpec, ReisnerReport]:
     """Reisner's criterion over each field: every link (the empty face
-    included) has vanishing reduced homology below its dimension."""
+    included) has vanishing reduced homology below its dimension; ``memo``
+    as in gorenstein_reports."""
     if delta.is_void():
         raise ValueError("Cohen-Macaulayness of the void complex is undefined")
-    bad = _first_failures(delta, fields, False)
+    bad = _first_failures(delta, fields, False, (0,), memo)
     return {f: ReisnerReport(f not in bad, f, *bad.get(f, ())[1:]) for f in fields}
 
 
@@ -402,17 +470,19 @@ class GorensteinReport:
         return self.is_gorenstein
 
 
-def gorenstein_reports(delta: SimplicialComplex,
-                       fields: Sequence[FieldSpec]) -> dict[FieldSpec, GorensteinReport]:
+def gorenstein_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec],
+                       memo: HomologyMemo | None = None) -> dict[FieldSpec, GorensteinReport]:
     """Stanley's criterion on the core over each field, read off the faces of
-    Delta that contain the cone vertices, so the witness names input vertices."""
+    Delta that contain the cone vertices, so the witness names input vertices.
+    ``memo``, a HomologyMemo over Delta's faces, is shared with the caller's
+    other walks and scans."""
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
     cone = pack(delta.cone_vertices())
     c = cone.bit_count()
     chi = sum(1 if (m.bit_count() - c) % 2 else -1 for m in delta.face_masks if m & cone == cone)
     expected = 1 if (delta.dim - c) % 2 == 0 else -1
-    bad = _first_failures(delta, fields, True, (cone,))
+    bad = _first_failures(delta, fields, True, (cone,), memo)
     return {f: GorensteinReport(f not in bad, f, chi, expected, *bad.get(f, ())[1:]) for f in fields}
 
 
@@ -431,14 +501,16 @@ class LocallyGorensteinReport:
         return self.holds
 
 
-def locally_gorenstein_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec]
+def locally_gorenstein_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec],
+                               memo: HomologyMemo | None = None
                                ) -> dict[FieldSpec, LocallyGorensteinReport]:
-    """Every vertex link is Gorenstein, over each field (module docstring)."""
+    """Every vertex link is Gorenstein, over each field (module docstring);
+    ``memo`` as in gorenstein_reports."""
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
     vertices = unpack(delta.support)
     insides = [reduce(int.__and__, (g for g in delta.facets if g >> (v - 1) & 1)) for v in vertices]
-    bad = _first_failures(delta, fields, True, insides)
+    bad = _first_failures(delta, fields, True, insides, memo)
     return {f: LocallyGorensteinReport(f not in bad, f, vertices[bad[f][0]] if f in bad else None)
             for f in fields}
 

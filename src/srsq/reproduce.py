@@ -37,7 +37,14 @@ from .criteria import (
     random_pure_complex,
     s2_criterion,
 )
-from .homology import DEFAULT_FIELDS, GF2, QQ, cohen_macaulay_reports, gorenstein_reports
+from .homology import (
+    DEFAULT_FIELDS,
+    GF2,
+    QQ,
+    HomologyMemo,
+    cohen_macaulay_reports,
+    gorenstein_reports,
+)
 from .ideals import (
     Monomial,
     MonomialIdeal,
@@ -320,14 +327,18 @@ def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool
         "triangle_criterion": symbolic2_equals_square(I).equal == eq_direct,
         "condition3": condition3_check(delta).holds == eq_direct,
     }
-    takayama = None if I.is_zero() else depth_reports(I, DEFAULT_FIELDS, budget)
-    for f, reisner in cohen_macaulay_reports(delta, DEFAULT_FIELDS).items():
-        out[f"reisner_vs_takayama_{f.name}"] = reisner.is_cm == (
-            takayama is None or takayama[f].is_cm)
+    # One memo per complex, as in paper_audit: lk G is Delta_a at a = 0 off G
+    # for I and I^(2) alike.  The Reisner walk goes first, so that its full
+    # profiles answer the scans' cut requests.
+    memo = HomologyMemo(delta.sorted_faces(), DEFAULT_FIELDS)
+    reisner = cohen_macaulay_reports(delta, DEFAULT_FIELDS, memo)
+    takayama = None if I.is_zero() else depth_reports(I, DEFAULT_FIELDS, budget, memo)
+    for f, cm in reisner.items():
+        out[f"reisner_vs_takayama_{f.name}"] = cm.is_cm == (takayama is None or takayama[f].is_cm)
     if delta.dim >= 1:
         # depth >= 2 of the symbolic square only involves connectivity data,
         # which is characteristic-free, so one field decides it.
-        deep = symbolic_square_depth_reports(delta, (GF2,), budget)[GF2].depth >= 2
+        deep = symbolic_square_depth_reports(delta, (GF2,), budget, memo)[GF2].depth >= 2
         out["diameter_vs_depth"] = depth2_criterion(delta).holds == deep
     return out
 

@@ -38,8 +38,12 @@ Depths, witnesses and scan_size are those of the scan without either.
 
 Each Delta_a is named by a bitset over the positions of
 Delta(I).sorted_faces(): bit p is set iff face p lies in Delta_a, and 0 is
-the void complex.  That int keys the homology cache, so each Delta_a is
-evaluated once per scan and its faces are listed only on a cache miss.  In
+the void complex.  That int keys the homology memo (homology.HomologyMemo),
+so each Delta_a is evaluated once per call and its faces are listed only on
+a miss.  A scan makes its own memo, or shares its caller's when that one
+keys over the same faces: paper_audit passes one memo to its link walks,
+its symbolic-square scan and the per-field scans of an unequal square,
+whose Delta(I^2) has Delta's faces, and lk G is Delta_a at a = 0 off G.  In
 the generator form each point selects Delta_a by masks alone: the sets
 mb = {i outside G_a : b_i > a_i}, one per generator x^b, come from words
 packed once per ideal, and Delta_a is the faces avoiding G_a that lack
@@ -108,7 +112,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import bits, pack, unpack
 from .complexes import SimplicialComplex
-from .homology import QQ, FieldSpec, HomologyProfile, profile_from_faces
+from .homology import QQ, FieldSpec, HomologyMemo, profile_from_faces
 from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner, symbolic2_equals_square
 
 DEFAULT_BUDGET = 10**6
@@ -370,12 +374,16 @@ def _scan_reports(
     fields: Sequence[FieldSpec],
     budget: int,
     walk: Callable[[Sequence[int], Sequence[int], int], Walk],
+    memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """The depth scan shared by the generator and facet forms, per field.
 
     ``walk(faces, rho, n)`` is the form's walk, which names each Delta_a by
     its bitset over ``faces``; equal bitsets are equal complexes, so each
-    Delta_a is listed and evaluated once per scan.  The points a walk leaves
+    Delta_a is listed and evaluated once per ``memo``, which keys by the
+    same bitsets.  The caller's memo serves when its faces are ``faces``
+    and its battery holds ``fields``; else the scan makes its own.  A miss
+    is evaluated over the memo's battery.  The points a walk leaves
     out, void or cones, have no homology.  The search space (see module
     docstring) is sized upfront, before the walk builds its tables;
     exceeding the budget raises BudgetExceeded rather than truncating, and
@@ -388,26 +396,28 @@ def _scan_reports(
     (module docstring) the walk ends at the first point with
     |G_a| >= bound, and a new Delta_a is evaluated only in homology degrees
     below bound - |G_a| - 1.  Since |G_a| never falls and ``bound`` never
-    rises along the walk, a profile cached under a cut covers every later
-    use of its key; its higher degrees are unknown, not zero, so it never
-    leaves ``cache``.
+    rises along the walk, a profile stored under a cut covers every later
+    use of its key in this scan; its higher degrees are unknown, not zero,
+    and the memo hands it to no request above its cut.
     """
     size = _checked_size(faces, rho, budget)
     dim_ring = bound = delta.dim + 1
-    cache: dict[int, tuple[HomologyProfile, ...]] = {}
+    memo = HomologyMemo.serving(memo, faces, fields)
+    at = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
     depths = [dim_ring] * len(fields)
     witnesses: list[CohomologyWitness | None] = [None] * len(fields)
     for g_mask, a, key in walk(faces, rho, delta.n):
         g = g_mask.bit_count()
         if g >= bound:
             break
-        profiles = cache.get(key)
+        below = bound - g - 1
+        profiles = memo.get(key, below)
         if profiles is None:
-            profiles = cache[key] = profile_from_faces(_faces_of(faces, key), fields,
-                                                       below=bound - g - 1)
-        for k, profile in enumerate(profiles):
+            profiles = memo.put(key, below, profile_from_faces(_faces_of(faces, key), memo.fields,
+                                                               below=below))
+        for k, t in enumerate(at):
             # the piece at i is entry i - g; only a degree below this field's depth counts
-            for i, betti in enumerate(profile.betti[:max(depths[k] - g, 0)], g):
+            for i, betti in enumerate(profiles[t].betti[:max(depths[k] - g, 0)], g):
                 if betti:
                     depths[k], witnesses[k] = i, CohomologyWitness(i, a, i - g - 1, betti)
                     bound = max(depths)
@@ -417,22 +427,29 @@ def _scan_reports(
 
 
 def depth_reports(
-    ideal: MonomialIdeal, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
+    ideal: MonomialIdeal,
+    fields: Sequence[FieldSpec],
+    budget: int = DEFAULT_BUDGET,
+    memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I over each field of the battery by one scan of graded
-    pieces of local cohomology, Delta_a selected by the generators of I."""
+    pieces of local cohomology, Delta_a selected by the generators of I;
+    ``memo`` as in _scan_reports."""
     if ideal.is_unit():
         raise ValueError("depth of the zero ring is rejected")
     delta = complex_of_ideal(ideal)
     walk = partial(_generator_walk, [g.exps for g in ideal.gens])
-    return _scan_reports(delta, delta.sorted_faces(), ideal.rho(), fields, budget, walk)
+    return _scan_reports(delta, delta.sorted_faces(), ideal.rho(), fields, budget, walk, memo)
 
 
 def depth_via_takayama(
-    ideal: MonomialIdeal, field: FieldSpec = QQ, budget: int = DEFAULT_BUDGET
+    ideal: MonomialIdeal,
+    field: FieldSpec = QQ,
+    budget: int = DEFAULT_BUDGET,
+    memo: HomologyMemo | None = None,
 ) -> DepthReport:
     """One field's report of depth_reports."""
-    return depth_reports(ideal, (field,), budget)[field]
+    return depth_reports(ideal, (field,), budget, memo)[field]
 
 
 def _symbolic_rho(delta: SimplicialComplex, ell: int) -> tuple[int, ...]:
@@ -443,13 +460,17 @@ def _symbolic_rho(delta: SimplicialComplex, ell: int) -> tuple[int, ...]:
 
 
 def _symbolic_depth_reports(
-    delta: SimplicialComplex, ell: int, fields: Sequence[FieldSpec], budget: int
+    delta: SimplicialComplex,
+    ell: int,
+    fields: Sequence[FieldSpec],
+    budget: int,
+    memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^(ell) by the facet-form scan (module docstring)."""
     if delta.n < 1 or delta.is_void():
         raise ValueError("symbolic powers need a nonvoid complex on at least one vertex")
     return _scan_reports(delta, delta.sorted_faces(), _symbolic_rho(delta, ell), fields,
-                         budget, partial(_facet_walk, delta.facets, ell))
+                         budget, partial(_facet_walk, delta.facets, ell), memo)
 
 
 # -- squares and symbolic squares ----------------------------------------------
@@ -527,13 +548,20 @@ def square_depth_reports(
 
 
 def symbolic_square_depth_reports(
-    delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int = DEFAULT_BUDGET
+    delta: SimplicialComplex,
+    fields: Sequence[FieldSpec],
+    budget: int = DEFAULT_BUDGET,
+    memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^(2): a join from its factors, else scanned in facet
-    form; no generator of the symbolic square is built."""
+    form; no generator of the symbolic square is built.  ``memo``, a
+    HomologyMemo over Delta's faces, serves the scan of Delta itself; a
+    join's factors have other faces and scan on their own."""
     size = check_square_budget(delta, budget) if delta.n else 0
     joined = _join_reports(delta, size, fields, budget, symbolic_square_depth_reports)
-    return joined if joined is not None else _symbolic_depth_reports(delta, 2, fields, budget)
+    if joined is not None:
+        return joined
+    return _symbolic_depth_reports(delta, 2, fields, budget, memo)
 
 
 def square_depth_report(

@@ -3,18 +3,20 @@ cross-check the package's optimized kernels.  Nothing here imports the code
 paths under test beyond plain data types, the special-triangle enumeration
 for the second-power oracle, reduced homology for the graded pieces and for
 the re-indexed links that the link walk replaces, the generator-form depth
-scan that the facet-form square scan and the join route replace, and the
-vertex cap of the non-face triple condition.  The Delta_a oracles follow
-the formulas in the docstring of ``srsq.takayama`` and call nothing in that
-module; the unbounded scan loop takes its budget check and face decoding
-from there, and its walks from the caller."""
+scan that the facet-form square scan and the join route replace, the
+vertex cap of the non-face triple condition, and criterion 8's pool of
+complexes.  The Delta_a oracles follow the formulas in the docstring of
+``srsq.takayama`` and call nothing in that module; the unbounded scan loop
+takes its budget check and face decoding from there, and its walks from
+the caller."""
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from srsq import (
     DEFAULT_BUDGET,
@@ -39,6 +41,7 @@ from srsq.bits import pack, unpack
 from srsq.criteria import CONDITION3_MAX_VERTICES, Condition3Result
 from srsq.homology import profile_from_faces
 from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
+from srsq.reproduce import iter_pure_complexes
 from srsq.takayama import CohomologyWitness, _checked_size, _faces_of
 
 
@@ -536,11 +539,14 @@ def brute_force_depth(ideal: MonomialIdeal, field: FieldSpec = QQ):
 # -- the depth scan without its stop and degree cut -----------------------------
 
 
-def unbounded_scan_reports(delta, faces, rho, fields, budget, walk) -> dict[FieldSpec, DepthReport]:
+def unbounded_scan_reports(delta, faces, rho, fields, budget, walk,
+                           memo=None) -> dict[FieldSpec, DepthReport]:
     """takayama._scan_reports as it was before the stop and the degree cut:
     every point the walk yields is visited, each new Delta_a gets its full
     profile, and each field keeps the first piece at every degree below
-    dim S/I; its depth is the lowest of those, its witness the piece there."""
+    dim S/I; its depth is the lowest of those, its witness the piece there.
+    It takes the scan's ``memo`` argument and ignores it: the oracle keeps
+    its own cache, one per scan."""
     size = _checked_size(faces, rho, budget)
     dim_ring = delta.dim + 1
     cache = {}
@@ -560,6 +566,21 @@ def unbounded_scan_reports(delta, faces, rho, fields, budget, walk) -> dict[Fiel
 
 
 # -- pools for the link-walk cross-checks -------------------------------------
+
+
+@functools.cache
+def relabeling_classes() -> tuple[SimplicialComplex, ...]:
+    """One complex per class of criterion 8's exhaustive pool
+    (iter_pure_complexes) whose complexes differ by a vertex relabeling;
+    worked out once per test session."""
+    seen, out = set(), []
+    for d in iter_pure_complexes():
+        key = (d.n, min(tuple(sorted(pack([p[v - 1] for v in unpack(f)]) for f in d.facets))
+                        for p in permutations(range(1, d.n + 1))))
+        if key not in seen:
+            seen.add(key)
+            out.append(d)
+    return tuple(out)
 
 
 def random_complex_with_unused_vertices(rng, pure):

@@ -151,7 +151,7 @@ def test_link_walk_yields_each_face_once_for_its_first_inside(delta):
         assert k == next(j for j, i in enumerate(insides) if f & i == i)
         assert link == [g & ~f for g in delta.facets if f & ~g == 0]
     # the default walk is every face once, with the empty face first
-    assert [face for _, face, _ in delta.link_walk()] == delta.sorted_faces()
+    assert [face for _, face, _ in delta.link_walk()] == list(delta.sorted_faces())
 
 
 # -- join --------------------------------------------------------------------------

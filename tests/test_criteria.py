@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -42,10 +43,10 @@ from srsq import (
     symbolic_square_depth_reports,
     void_complex,
 )
-from srsq import criteria, homology, jsonio
+from srsq import criteria, homology, jsonio, takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import _audit_violations, explore_complexes
-from srsq.homology import GorensteinReport
+from srsq.homology import GorensteinReport, HomologyMemo
 from srsq.reproduce import iter_pure_complexes, named_battery
 
 from helpers import (
@@ -56,6 +57,7 @@ from helpers import (
     floyd_warshall_diameter,
     generator_form_square_reports,
     random_complex_with_unused_vertices,
+    relabeling_classes,
 )
 
 
@@ -439,8 +441,10 @@ def test_audit_refuses_an_over_budget_scan_before_any_link_walk(monkeypatch):
 
 def test_audit_walks_each_link_once_for_the_whole_battery(monkeypatch):
     # one walk per field would evaluate 1026 links on the named battery and
-    # 1594 on the explore pool over {Q, F2}; F2 fails no later than Q on any
-    # link, so the battery walks as far as Q alone does
+    # 1594 on the explore pool over {Q, F2}, and one walk per battery 513 and
+    # 797; F2 fails no later than Q on any link, so the battery walks as far
+    # as Q alone does.  The audit's memo evaluates a link once for both walks,
+    # Gorenstein and local Gorenstein, and equal links of different faces once
     evaluated = []
     profile = homology.profile_from_faces
 
@@ -449,12 +453,46 @@ def test_audit_walks_each_link_once_for_the_whole_battery(monkeypatch):
         return profile(faces, fields)
 
     monkeypatch.setattr(homology, "profile_from_faces", counted)
-    for pool, links in (([d for _, d in named_battery()], 513), (explore_complexes(0, 100, 6), 797)):
+    for pool, links in (([d for _, d in named_battery()], 145), (explore_complexes(0, 100, 6), 362)):
         for battery in ((QQ, GF2), (QQ,)):
             evaluated.clear()
             for delta in pool:
                 paper_audit(delta, battery)
             assert len(evaluated) == links, battery
+
+
+def test_the_audit_memo_leaves_every_report_byte_identical(monkeypatch):
+    # without the memo each link walk and each scan keeps a memo of its own
+    pool = ([d for _, d in named_battery()] + explore_complexes(0, 100, 6)
+            + list(relabeling_classes()))
+
+    def audits():
+        return [[json.dumps(jsonio.audit_to_dict(paper_audit(d, battery))) for d in pool]
+                for battery in ((QQ, GF2), (GF2, QQ), (QQ,), (QQ, GF2, FieldSpec(3)))]
+
+    shared = audits()
+    monkeypatch.setattr(HomologyMemo, "serving",
+                        classmethod(lambda cls, memo, faces, fields: cls(faces, fields)))
+    assert audits() == shared
+
+
+def test_no_memo_outlives_its_audit(monkeypatch):
+    # a second audit of the same complex evaluates as much as the first;
+    # the explore complexes include unequal squares, scanned once per field
+    evaluated = []
+    for module in (homology, takayama):
+        def counted(*args, profile=module.profile_from_faces, **cut):
+            evaluated.append(args[0])
+            return profile(*args, **cut)
+
+        monkeypatch.setattr(module, "profile_from_faces", counted)
+    for delta in [rp2(), four_path(), cycle_complex(5)] + explore_complexes(0, 6, 6):
+        counts = []
+        for _ in range(2):
+            evaluated.clear()
+            paper_audit(delta)
+            counts.append(len(evaluated))
+        assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("budget", [0, 10**6])

@@ -186,7 +186,7 @@ def test_profile_does_not_depend_on_face_order():
         for field in (QQ, GF2, F3):
             (expected,) = profile_from_faces(faces, (field,))
             for _ in range(3):
-                shuffled = faces[:]
+                shuffled = list(faces)
                 rng.shuffle(shuffled)
                 assert profile_from_faces(shuffled, (field,)) == (expected,)
 
@@ -194,7 +194,7 @@ def test_profile_does_not_depend_on_face_order():
 def random_face_sets(rng, count):
     """Full face lists in random order: the void and irrelevant complexes,
     rp2 (whose homology differs over Q and F2), then random complexes."""
-    sets = [[], [0], rp2().sorted_faces()]
+    sets = [[], [0], list(rp2().sorted_faces())]
     for _ in range(count):
         n = rng.randint(1, 7)
         facets = [pack(rng.sample(range(1, n + 1), rng.randint(1, n)))
@@ -278,6 +278,74 @@ def test_a_cut_profile_is_the_head_of_the_full_profile_and_reduces_no_higher_map
     assert [p.betti for p in cut] == [p.betti[:below + 1] for p in full]
     # ~H_k needs d_k and d_{k+1} alone: no map d_i with i > below is built or reduced
     assert len(reduced) == len(built) and all(i <= below for i in built)
+
+
+@st.composite
+def memo_requests(draw):
+    """A complex on at most 7 vertices, up to three of its subcomplexes, and
+    a run of requests (subcomplex, cut from -1 to two past its dimension or
+    None for a full profile) among them."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    facets = draw(st.lists(st.sets(st.integers(min_value=1, max_value=n), min_size=1),
+                           min_size=1, max_size=6))
+    delta = SimplicialComplex(n, tuple(pack(f) for f in facets))
+    faces = st.lists(st.sampled_from(delta.sorted_faces()), max_size=4)
+    subs = [generated_faces(g) for g in draw(st.lists(faces, min_size=1, max_size=3))]
+    cuts = st.one_of(st.none(), st.integers(min_value=-1, max_value=delta.dim + 2))
+    requests = draw(st.lists(st.tuples(st.integers(0, len(subs) - 1), cuts), min_size=1,
+                             max_size=12))
+    return delta, subs, requests
+
+
+def _rp2_memo_case():
+    """rp2 whole (~H_1 over F2 only) and a vertex link, asked at rising,
+    falling and full cuts."""
+    d = rp2()
+    link = generated_faces(g & ~1 for g in d.facets if g & 1)
+    return d, [set(d.sorted_faces()), link], [(0, 1), (0, 2), (0, None), (0, 0), (1, 0),
+                                              (1, None), (1, 1), (0, 2), (1, -1)]
+
+
+@given(memo_requests())
+@example(_rp2_memo_case())
+@settings(max_examples=150, deadline=None)
+def test_a_memo_entry_answers_no_request_above_its_cut(case):
+    # the callers' protocol: get, and on a miss evaluate over the memo's
+    # battery at the request's cut and put it; a cut entry may answer only
+    # a request at or below its cut, and a full request only a full entry
+    delta, subs, requests = case
+    battery = (QQ, GF2, F3)
+    memo = homology.HomologyMemo(delta.sorted_faces(), battery)
+    stored = {}
+    for s, below in requests:
+        faces = subs[s]
+        key = memo.key(faces)
+        assert key == sum(1 << p for p, f in enumerate(delta.sorted_faces()) if f in faces)
+        answers = key in stored and (stored[key] is None
+                                     or below is not None and below <= stored[key])
+        profiles = memo.get(key, below)
+        assert (profiles is not None) == answers
+        if profiles is None:
+            profiles = memo.put(key, below, profile_from_faces(faces, battery, below=below))
+            stored[key] = below
+        assert [p.field for p in profiles] == list(battery)
+        for got, full in zip(profiles, profile_from_faces(faces, battery)):
+            head = full.betti if below is None else full.betti[:below + 1]
+            assert got.betti[:len(head)] == head
+
+
+def test_a_memo_serves_only_its_own_faces_and_fields():
+    # a join's factor, or any other complex, keys its subcomplexes over other
+    # faces, and a field outside the battery has no profiles in the memo
+    faces = rp2().sorted_faces()
+    memo = homology.HomologyMemo(faces, (QQ, GF2))
+    assert homology.HomologyMemo.serving(memo, faces, (GF2,)) is memo
+    assert homology.HomologyMemo.serving(memo, list(faces), (GF2, QQ)) is memo
+    for other, fields in ((faces, (QQ, F3)), (cycle_complex(5).sorted_faces(), (QQ,)),
+                          (faces[:-1], (QQ,))):
+        fresh = homology.HomologyMemo.serving(memo, other, fields)
+        assert fresh is not memo and (fresh.faces, fresh.fields) == (tuple(other), fields)
+    assert homology.HomologyMemo.serving(None, faces, (QQ,)).fields == (QQ,)
 
 
 def torsion_complexes():

@@ -1,6 +1,5 @@
 import functools
 import random
-from itertools import permutations
 
 import pytest
 
@@ -41,7 +40,6 @@ from srsq import (
 from srsq import takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import explore_complexes, random_pure_complex
-from srsq.reproduce import iter_pure_complexes
 from srsq.reproduce import named_battery as paper_examples
 from srsq.takayama import (
     _faces_of,
@@ -65,6 +63,7 @@ from helpers import (
     generator_form_symbolic_square_reports,
     is_cone_bitset,
     local_cohomology_dim,
+    relabeling_classes,
     unbounded_scan_reports,
 )
 
@@ -475,7 +474,7 @@ def star_walk(d, ell):
 def star_walk_cases():
     """One complex per relabeling class of criterion 8's exhaustive pool, the
     paper's named complexes, a simplex and {empty set} on 3 vertices."""
-    return (one_per_relabeling(iter_pure_complexes()) + [d for _, d in paper_examples()]
+    return (list(relabeling_classes()) + [d for _, d in paper_examples()]
             + [simplex_complex(3), SimplicialComplex(3, (0,))])
 
 
@@ -630,18 +629,6 @@ def test_battery_over_budget_raises_once_before_any_rank(form, monkeypatch):
 
 # -- the square in facet form when I^2 = I^(2), against the generator form -------------
 
-def one_per_relabeling(complexes):
-    """One complex per class of complexes that differ by a vertex relabeling."""
-    seen, out = set(), []
-    for d in complexes:
-        key = (d.n, min(tuple(sorted(pack([p[v - 1] for v in unpack(f)]) for f in d.facets))
-                        for p in permutations(range(1, d.n + 1))))
-        if key not in seen:
-            seen.add(key)
-            out.append(d)
-    return out
-
-
 @functools.cache
 def square_oracle_cases():
     """Criterion 8's pool and the edge cases of the facet-form dispatch.
@@ -655,7 +642,7 @@ def square_oracle_cases():
     rng = random.Random(0)
     randoms = [random_pure_complex(rng, 6 + i % 2) for i in range(200)]
     pentagon = cycle_complex(5)
-    cases = one_per_relabeling(iter_pure_complexes())
+    cases = list(relabeling_classes())
     cases += [d for d in randoms if symbolic2_equals_square(stanley_reisner(d)).equal]
     cases += randoms[:4]
     cases += [
@@ -853,7 +840,7 @@ UNEQUAL_DEPTHS = rp2().join(new_complex(3, [(1, 2), (3,)]))
 def bounded_scan_cases():
     """The named battery, one complex per criterion-8 relabeling class, the
     first 40 explore complexes, and a battery whose fields differ in depth."""
-    return ([d for _, d in paper_examples()] + one_per_relabeling(iter_pure_complexes())
+    return ([d for _, d in paper_examples()] + list(relabeling_classes())
             + explore_complexes(0, 40, 6) + [UNEQUAL_DEPTHS])
 
 
@@ -886,14 +873,14 @@ def check_each_bounded_scan(monkeypatch):
         events.append(("eval", below))
         return profile(faces, fields, below=below)
 
-    def checked(delta, faces, rho, fields, budget, walk):
+    def checked(delta, faces, rho, fields, budget, walk, memo=None):
         def drawn(*args):
             for point in walk(*args):
                 events.append(("point", point[0].bit_count()))
                 yield point
 
         events.clear()
-        reports = scan_reports(delta, faces, rho, fields, budget, drawn)
+        reports = scan_reports(delta, faces, rho, fields, budget, drawn, memo)
         top = max(r.depth for r in reports.values())
         bounds, g = [], None
         for kind, value in events:
