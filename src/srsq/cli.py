@@ -50,7 +50,7 @@ from .ideals import (
 from .takayama import (
     BudgetExceeded,
     DEFAULT_BUDGET,
-    depth_reports,
+    _symbolic_depth_reports,
     square_depth_reports,
     symbolic_square_depth_reports,
 )
@@ -177,9 +177,10 @@ def _audit_doc(delta: SimplicialComplex, fields: tuple[FieldSpec, ...], budget: 
     return jsonio.audit_to_dict(paper_audit(delta, fields, budget))
 
 
-# check depth --of target -> the battery scan of that ideal of the complex
+# check depth --of target -> the battery scan of that ideal of the complex; I_Delta is
+# I_Delta^(1), scanned in facet form, so its minimal non-faces are never listed
 DEPTH_OF = {
-    "radical": lambda d, fields, budget: depth_reports(stanley_reisner(d), fields, budget),
+    "radical": lambda d, fields, budget: _symbolic_depth_reports(d, 1, fields, budget),
     "square": lambda d, fields, budget: square_depth_reports(d, fields, budget),
     "symbolic-square": lambda d, fields, budget: symbolic_square_depth_reports(d, fields, budget),
 }

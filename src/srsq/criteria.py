@@ -227,18 +227,18 @@ def paper_audit(
     and scanned in generator form.  The verdicts that need no scan come
     first, so an input they reject fails before any scan starts.
 
-    One HomologyMemo over Delta's faces lives for this call: the Gorenstein
-    and local Gorenstein walks, the S/I^(2) scan and the per-field scans of
-    an unequal I^2 (whose Delta(I^2) has Delta's faces) evaluate each
-    distinct complex once between them, since lk G is Delta_a at a = 0 off
-    G.  A join's factor scans have other faces and keep their own memos.
-    The memo is dropped on return, so an audit's work does not depend on
-    earlier calls.
+    One HomologyMemo over Delta lives for this call: the Gorenstein and
+    local Gorenstein walks, the S/I^(2) scan and the per-field scans of an
+    unequal I^2 (whose Delta(I^2) is Delta) read its one face index and
+    evaluate each distinct complex once between them, since lk G is Delta_a
+    at a = 0 off G.  A join's factor scans have other faces and keep their
+    own memos.  The memo is dropped on return, so an audit's work does not
+    depend on earlier calls.
     """
     fields = tuple(fields)
     if delta.n:  # on no vertex, stanley_reisner below refuses the complex
         check_square_budget(delta, budget)
-    memo = HomologyMemo(delta.sorted_faces(), fields)
+    memo = HomologyMemo(delta, fields)
     report = AuditReport(
         delta=delta,
         fields=fields,

@@ -27,10 +27,11 @@ links from SimplicialComplex.link_walk, the one walk over Delta's own faces,
 which the (S2) criterion shares; the walk reads each link for the fields
 that have not failed yet, and the is_* functions are one-field views.  A
 HomologyMemo evaluates each distinct complex once per call, over the whole
-battery: a link lk G is keyed by its bitset over Delta.sorted_faces(), as
-the depth scans key Delta_a, and paper_audit hands one memo to both
-Gorenstein walks and to its scans, since lk G is Delta_a at a = 0 off G
-(criterion 8 likewise, per complex, to its Reisner walk and scans).  No
+battery, and owns the one face index of Delta: lk G is Delta_a at a = 0
+off G, so a link is keyed by its bitset over Delta.sorted_faces() from
+the facets of G's star, as the star walk keys Delta_a, and paper_audit
+hands one memo to both Gorenstein walks and to its scans (criterion 8
+likewise, per complex, to its Reisner walk and scans).  No
 core or link complex is built: lk_core(G) = lk_Delta(G | cone), and lk v's
 core has the links lk_Delta(G | the meet of the facets through v).
 Adding a fixed set to faces keeps their sorted_faces() order, so witnesses
@@ -40,10 +41,11 @@ are those of a walk over the core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
-from .bits import bits, generated_faces, pack, unpack
+from .bits import bits, pack, unpack
 from .complexes import SimplicialComplex
 
 
@@ -335,42 +337,73 @@ def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProf
     return profile_from_faces(delta.face_masks, (field,))[0]
 
 
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
 class HomologyMemo:
-    """The profiles of subcomplexes of one complex over one field battery,
-    for the span of one call: the link walks and depth scans that one
-    paper_audit, or criterion 8 on one complex, runs on Delta share it.
+    """The profiles of subcomplexes of one complex Delta over one field
+    battery, for the span of one call: the link walks and depth scans that
+    one paper_audit, or criterion 8 on one complex, runs on Delta share it.
 
     A subcomplex is keyed by its bitset over ``faces``, Delta.sorted_faces():
-    bit p is set iff face p lies in it, as the scans name Delta_a.  An entry
-    is (cut, profiles) over the whole battery, in its order, since one
-    reduction serves every field; cut is the ``below`` of
+    bit p is set iff face p lies in it.  The memo owns that format: its
+    tables, built on first use, once per memo, are the vertex table
+    (``containing``), the faces inside each facet (``inside``) and the
+    faces avoiding a vertex set, so the scans select Delta_a and the link
+    walks key lk G by masks alone; ``faces_of`` lists a key's faces for a
+    miss.  An entry is (cut, profiles) over the whole battery, in its
+    order, since one reduction serves every field; cut is the ``below`` of
     profile_from_faces, None for a full profile.  A cut profile's degrees
     from its cut on are unknown, so it answers only a request at or below
     its cut, and never a full one.  Callers evaluate a miss with
     profile_from_faces themselves and put it.
     """
 
-    def __init__(self, faces: Sequence[int], fields: Sequence[FieldSpec]):
-        self.faces = tuple(faces)
+    def __init__(self, delta: SimplicialComplex, fields: Sequence[FieldSpec]):
+        self.delta = delta
+        self.faces = delta.sorted_faces()
         self.fields = tuple(fields)
+        self.everything = (1 << len(self.faces)) - 1
         self._entries: dict[int, tuple[int | None, tuple[HomologyProfile, ...]]] = {}
-        self._bit: dict[int, int] | None = None
 
     @classmethod
-    def serving(cls, memo: "HomologyMemo | None", faces: Sequence[int],
+    def serving(cls, memo: "HomologyMemo | None", delta: SimplicialComplex,
                 fields: Sequence[FieldSpec]) -> "HomologyMemo":
-        """``memo`` when it keys over ``faces`` and holds every field of
-        ``fields``, else a fresh memo for them."""
-        if memo is not None and memo.faces == tuple(faces) and set(fields) <= set(memo.fields):
+        """``memo`` when its complex is ``delta``, the same faces on the same
+        vertex count (the vertex table has a row per vertex), and its
+        battery holds every field of ``fields``, else a fresh memo for them."""
+        if memo is not None and memo.delta == delta and set(fields) <= set(memo.fields):
             return memo
-        return cls(faces, fields)
+        return cls(delta, fields)
 
-    def key(self, faces: Iterable[int]) -> int:
-        """The bitset of a subcomplex given by its faces, all of them faces of
-        ``self.faces``; the face -> bit table is built on first use."""
-        if self._bit is None:
-            self._bit = {f: 1 << p for p, f in enumerate(self.faces)}
-        return sum(map(self._bit.__getitem__, faces))
+    @cached_property
+    def containing(self) -> list[int]:
+        """Entry j is the bitset of the faces that contain vertex j + 1, for
+        every vertex 1..n: a vertex in no face gets 0."""
+        table = [0] * self.delta.n
+        for p, f in enumerate(self.faces):
+            bit = 1 << p
+            for low in bits(f):
+                table[low.bit_length() - 1] |= bit
+        return table
+
+    def avoiding(self, mask: int) -> int:
+        """The bitset of the faces that avoid ``mask``."""
+        meeting = 0
+        for j, row in enumerate(self.containing):
+            if mask >> j & 1:
+                meeting |= row
+        return self.everything & ~meeting
+
+    @cached_property
+    def inside(self) -> dict[int, int]:
+        """Each facet's bitset of the faces inside it."""
+        return {f: self.avoiding(~f) for f in self.delta.facets}
+
+    def faces_of(self, key: int) -> list[int]:
+        """The faces at the set bits of ``key``, in face order: its binary
+        digits, lowest first, made 0 and 1 bytes, select them."""
+        return list(compress(self.faces, f"{key:b}"[::-1].encode().translate(_BINARY_DIGITS)))
 
     def get(self, key: int, below: int | None = None) -> tuple[HomologyProfile, ...] | None:
         """The battery's profiles stored under ``key`` if they answer a
@@ -397,20 +430,22 @@ def _first_failures(delta: SimplicialComplex, fields: Sequence[FieldSpec], spher
     whose link has reduced homology below its dimension or, with ``sphere``,
     a top homology other than K.  Each link is read for the fields that have
     not failed yet, and the walk stops once every field has.  A link is
-    evaluated once per memo, over the memo's battery: lk G is a subcomplex
-    of Delta, keyed by its bitset like the scans' Delta_a."""
-    memo = HomologyMemo.serving(memo, delta.sorted_faces(), fields)
+    evaluated once per memo, over the memo's battery, and its faces are
+    listed only then: lk G is keyed as the star walk keys Delta_a at a = 0
+    off G, by the OR over the facets F of G's star of the faces inside F
+    that avoid G."""
+    memo = HomologyMemo.serving(memo, delta, fields)
     failures: dict[FieldSpec, tuple] = {}
     live = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
     for k, face, link in delta.link_walk(insides):
         if not live:
             break
         link_dim = max(m.bit_count() for m in link) - 1
-        faces = generated_faces(link)
-        key = memo.key(faces)
+        g = face | insides[k]  # the walk's G; the link's facets are its F - G
+        key = memo.avoiding(g) & reduce(int.__or__, (memo.inside[g | f] for f in link))
         profiles = memo.get(key)
         if profiles is None:
-            profiles = memo.put(key, None, profile_from_faces(faces, memo.fields))
+            profiles = memo.put(key, None, profile_from_faces(memo.faces_of(key), memo.fields))
         for t in tuple(live):
             profile = profiles[t]
             bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
@@ -474,8 +509,8 @@ def gorenstein_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec],
                        memo: HomologyMemo | None = None) -> dict[FieldSpec, GorensteinReport]:
     """Stanley's criterion on the core over each field, read off the faces of
     Delta that contain the cone vertices, so the witness names input vertices.
-    ``memo``, a HomologyMemo over Delta's faces, is shared with the caller's
-    other walks and scans."""
+    ``memo``, a HomologyMemo over Delta, is shared with the caller's other
+    walks and scans."""
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
     cone = pack(delta.cone_vertices())

@@ -330,7 +330,7 @@ def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool
     # One memo per complex, as in paper_audit: lk G is Delta_a at a = 0 off G
     # for I and I^(2) alike.  The Reisner walk goes first, so that its full
     # profiles answer the scans' cut requests.
-    memo = HomologyMemo(delta.sorted_faces(), DEFAULT_FIELDS)
+    memo = HomologyMemo(delta, DEFAULT_FIELDS)
     reisner = cohen_macaulay_reports(delta, DEFAULT_FIELDS, memo)
     takayama = None if I.is_zero() else depth_reports(I, DEFAULT_FIELDS, budget, memo)
     for f, cm in reisner.items():

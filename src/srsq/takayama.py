@@ -38,17 +38,18 @@ Depths, witnesses and scan_size are those of the scan without either.
 
 Each Delta_a is named by a bitset over the positions of
 Delta(I).sorted_faces(): bit p is set iff face p lies in Delta_a, and 0 is
-the void complex.  That int keys the homology memo (homology.HomologyMemo),
-so each Delta_a is evaluated once per call and its faces are listed only on
-a miss.  A scan makes its own memo, or shares its caller's when that one
-keys over the same faces: paper_audit passes one memo to its link walks,
-its symbolic-square scan and the per-field scans of an unequal square,
-whose Delta(I^2) has Delta's faces, and lk G is Delta_a at a = 0 off G.  In
-the generator form each point selects Delta_a by masks alone: the sets
-mb = {i outside G_a : b_i > a_i}, one per generator x^b, come from words
-packed once per ideal, and Delta_a is the faces avoiding G_a that lack
-every mb, from per-scan tables of the faces containing each vertex.  No
-face is visited per point.
+the void complex.  The homology memo (homology.HomologyMemo) owns that
+format: the int keys it, so each Delta_a is evaluated once per call and
+its faces are listed only on a miss, and the memo builds the face index
+both forms select by, once per memo.  A scan makes its own memo, or shares
+its caller's when that one is over the same complex: paper_audit passes
+one memo to its link walks, its symbolic-square scan and the per-field
+scans of an unequal square, whose Delta(I^2) is Delta, and lk G is Delta_a
+at a = 0 off G.  In the generator form each point selects Delta_a by
+masks alone: the sets mb = {i outside G_a : b_i > a_i}, one per generator
+x^b, come from words packed once per ideal, and Delta_a is the faces
+avoiding G_a that lack every mb, from the memo's table of the faces
+containing each vertex.  No face is visited per point.
 
 For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
 2011): Delta_a(I) is generated by the sets F - G_a over the facets F of
@@ -107,7 +108,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
-from itertools import compress, product
+from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import bits, pack, unpack
@@ -152,49 +153,19 @@ class DepthReport:
 # -- the degree-selected subcomplex --------------------------------------------
 #
 # Both forms name Delta_a by its bitset over the faces (module docstring) and
-# build their tables from the vertex table, once per scan.  A form's walk
-# yields (g_mask, a, Delta_a) for its scan points in scan order, leaving out
-# points whose Delta_a is void or (facet form) a cone.
+# read their tables from the scan's homology memo, which builds them once
+# per memo.  A form's walk yields (g_mask, a, Delta_a) for its scan points
+# in scan order, leaving out points whose Delta_a is void or (facet form) a
+# cone.
 
 Select = Callable[[int, Sequence[int]], int]
 Walk = Iterator[tuple[int, tuple[int, ...], int]]
 
 
-def _vertex_table(faces: Sequence[int], n: int) -> list[int]:
-    """Entry j is the bitset of the faces that contain vertex j + 1, for every
-    vertex 1..n: a vertex that lies only in generators gets 0."""
-    table = [0] * n
-    for p, f in enumerate(faces):
-        bit = 1 << p
-        while f:
-            low = f & -f
-            table[low.bit_length() - 1] |= bit
-            f ^= low
-    return table
-
-
-def _meeting(table: list[int], mask: int) -> int:
-    """The OR of the vertex table's rows at the set bits of ``mask``: the
-    bitset of the faces that meet ``mask``."""
-    out = 0
-    for j, row in enumerate(table):
-        if mask >> j & 1:
-            out |= row
-    return out
-
-
-def _avoiding(table: list[int], everything: int) -> Callable[[int], int]:
-    """The bitset of the faces that avoid G, remembered for one G: scan
-    points come grouped by G."""
-    return lru_cache(maxsize=1)(lambda g_mask: everything & ~_meeting(table, g_mask))
-
-
-def _generator_selection(
-    gens: Sequence[tuple[int, ...]], faces: Sequence[int], n: int
-) -> Select:
-    """``select(g_mask, a)`` of the generator-form scan; ``faces`` are the
-    faces of Delta(I) on n vertices, ``gens`` the exponent vectors of its
-    generators.
+def _generator_selection(gens: Sequence[tuple[int, ...]], memo: HomologyMemo) -> Select:
+    """``select(g_mask, a)`` of the generator-form scan; ``memo`` indexes the
+    faces of Delta(I) on n vertices, ``gens`` are the exponent vectors of
+    its generators.
 
     For each generator b, mb = {j outside G_a : b_j > a_j}; a face F of
     Delta_a avoids G_a and misses a vertex of every mb, and an empty mb
@@ -207,12 +178,11 @@ def _generator_selection(
     the faces lacking mb; the latter is remembered per scan, keyed by the
     AND, from the vertex table.  No face is visited per point.
     """
+    n, table, everything = memo.delta.n, memo.containing, memo.everything
     top = max((e for b in gens for e in b), default=0)
     words = [sum(1 << (k * n + j) for k in range(top) for j, e in enumerate(b) if e > k)
              for b in gens]
-    table = _vertex_table(faces, n)
-    everything = (1 << len(faces)) - 1
-    avoiding = _avoiding(table, everything)
+    avoiding = lru_cache(maxsize=1)(memo.avoiding)  # scan points come grouped by G
 
     class Lacking(dict):
         def __missing__(self, lanes: int) -> int:
@@ -240,22 +210,20 @@ def _generator_selection(
     return select
 
 
-def _generator_walk(
-    gens: Sequence[tuple[int, ...]], faces: Sequence[int], rho: Sequence[int], n: int
-) -> Walk:
+def _generator_walk(gens: Sequence[tuple[int, ...]], memo: HomologyMemo,
+                    rho: Sequence[int]) -> Walk:
     """The generator-form walk: every scan point, selected one at a time."""
-    select = _generator_selection(gens, faces, n)
-    for g_mask, a in _scan_points(faces, rho, n):
+    select = _generator_selection(gens, memo)
+    for g_mask, a in _scan_points(memo.faces, rho, memo.delta.n):
         key = select(g_mask, a)
         if key:
             yield g_mask, a, key
 
 
-def _facet_walk(
-    facets: Sequence[int], ell: int, faces: Sequence[int], rho: Sequence[int], n: int
-) -> Walk:
-    """The facet-form walk of I_Delta^(ell): the scan points whose Delta_a is
-    neither void nor a cone, in scan order, each with Delta_a as its bitset.
+def _facet_walk(ell: int, memo: HomologyMemo, rho: Sequence[int]) -> Walk:
+    """The facet-form walk of I_Delta^(ell), Delta the memo's complex: the
+    scan points whose Delta_a is neither void nor a cone, in scan order,
+    each with Delta_a as its bitset.
 
     Per face G = G_a the star lists the facets F containing G, each with its
     part, the faces inside F that avoid G, and its generator F - G.  The free
@@ -267,15 +235,13 @@ def _facet_walk(
     vertex; both are worked out once per live set, and only yielded points
     get their degree tuple.
     """
-    table = _vertex_table(faces, n)
-    everything = (1 << len(faces)) - 1
-    inside = [everything & ~_meeting(table, ~f) for f in facets]
-    for g in faces:
+    n, facets, inside = memo.delta.n, memo.delta.facets, memo.inside
+    for g in memo.faces:
         free = [j for j in range(n) if not g >> j & 1]
         if not all(rho[j] for j in free):
             continue  # G misses a cone vertex: no point
-        avoiding = everything & ~_meeting(table, g)
-        star = [(f, below & avoiding) for f, below in zip(facets, inside) if not g & ~f]
+        avoiding = memo.avoiding(g)
+        star = [(f, inside[f] & avoiding) for f in facets if not g & ~f]
         parts = [part for _, part in star]
         rests = [f & ~g for f, _ in star]
         outs = [sum(1 << s for s, (f, _) in enumerate(star) if not f >> j & 1) for j in free]
@@ -330,11 +296,6 @@ def _facet_walk(
             d -= 1  # void or a cone from here on: every larger value of a_j too
 
 
-def _faces_of(faces: Sequence[int], selected: int) -> list[int]:
-    """The faces at the set bits of a Delta_a bitset, in face order."""
-    return list(compress(faces, map(int, reversed(f"{selected:b}"))))
-
-
 # -- the depth scan ------------------------------------------------------------
 
 
@@ -369,23 +330,23 @@ def _scan_points(faces: Sequence[int], rho: Sequence[int], n: int):
 
 def _scan_reports(
     delta: SimplicialComplex,
-    faces: Sequence[int],
     rho: Sequence[int],
     fields: Sequence[FieldSpec],
     budget: int,
-    walk: Callable[[Sequence[int], Sequence[int], int], Walk],
+    walk: Callable[[HomologyMemo, Sequence[int]], Walk],
     memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """The depth scan shared by the generator and facet forms, per field.
 
-    ``walk(faces, rho, n)`` is the form's walk, which names each Delta_a by
-    its bitset over ``faces``; equal bitsets are equal complexes, so each
-    Delta_a is listed and evaluated once per ``memo``, which keys by the
-    same bitsets.  The caller's memo serves when its faces are ``faces``
-    and its battery holds ``fields``; else the scan makes its own.  A miss
-    is evaluated over the memo's battery.  The points a walk leaves
-    out, void or cones, have no homology.  The search space (see module
-    docstring) is sized upfront, before the walk builds its tables;
+    ``walk(memo, rho)`` is the form's walk, which reads its tables from
+    ``memo`` and names each Delta_a by its bitset over the memo's faces,
+    delta.sorted_faces(); equal bitsets are equal complexes, so each
+    Delta_a is listed and evaluated once per memo.  The caller's memo
+    serves when its complex is ``delta`` and its battery holds ``fields``;
+    else the scan makes its own.  A miss is evaluated over the memo's
+    battery.  The points a walk leaves out, void or cones, have no
+    homology.  The search space (see module docstring) is sized upfront,
+    from the faces, before the memo builds a table;
     exceeding the budget raises BudgetExceeded rather than truncating, and
     scan_size is that upfront count.  Each field's witness is its first
     nonvanishing piece in the fixed (i, a) order, so reports are
@@ -400,20 +361,20 @@ def _scan_reports(
     use of its key in this scan; its higher degrees are unknown, not zero,
     and the memo hands it to no request above its cut.
     """
-    size = _checked_size(faces, rho, budget)
+    size = _checked_size(delta.face_masks, rho, budget)
     dim_ring = bound = delta.dim + 1
-    memo = HomologyMemo.serving(memo, faces, fields)
+    memo = HomologyMemo.serving(memo, delta, fields)
     at = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
     depths = [dim_ring] * len(fields)
     witnesses: list[CohomologyWitness | None] = [None] * len(fields)
-    for g_mask, a, key in walk(faces, rho, delta.n):
+    for g_mask, a, key in walk(memo, rho):
         g = g_mask.bit_count()
         if g >= bound:
             break
         below = bound - g - 1
         profiles = memo.get(key, below)
         if profiles is None:
-            profiles = memo.put(key, below, profile_from_faces(_faces_of(faces, key), memo.fields,
+            profiles = memo.put(key, below, profile_from_faces(memo.faces_of(key), memo.fields,
                                                                below=below))
         for k, t in enumerate(at):
             # the piece at i is entry i - g; only a degree below this field's depth counts
@@ -439,7 +400,7 @@ def depth_reports(
         raise ValueError("depth of the zero ring is rejected")
     delta = complex_of_ideal(ideal)
     walk = partial(_generator_walk, [g.exps for g in ideal.gens])
-    return _scan_reports(delta, delta.sorted_faces(), ideal.rho(), fields, budget, walk, memo)
+    return _scan_reports(delta, ideal.rho(), fields, budget, walk, memo)
 
 
 def depth_via_takayama(
@@ -468,9 +429,9 @@ def _symbolic_depth_reports(
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^(ell) by the facet-form scan (module docstring)."""
     if delta.n < 1 or delta.is_void():
-        raise ValueError("symbolic powers need a nonvoid complex on at least one vertex")
-    return _scan_reports(delta, delta.sorted_faces(), _symbolic_rho(delta, ell), fields,
-                         budget, partial(_facet_walk, delta.facets, ell), memo)
+        raise ValueError("a depth scan needs a nonvoid complex on at least one vertex")
+    return _scan_reports(delta, _symbolic_rho(delta, ell), fields, budget,
+                         partial(_facet_walk, ell), memo)
 
 
 # -- squares and symbolic squares ----------------------------------------------
@@ -555,8 +516,8 @@ def symbolic_square_depth_reports(
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^(2): a join from its factors, else scanned in facet
     form; no generator of the symbolic square is built.  ``memo``, a
-    HomologyMemo over Delta's faces, serves the scan of Delta itself; a
-    join's factors have other faces and scan on their own."""
+    HomologyMemo over Delta, serves the scan of Delta itself; a join's
+    factors have other faces and scan on their own."""
     size = check_square_budget(delta, budget) if delta.n else 0
     joined = _join_reports(delta, size, fields, budget, symbolic_square_depth_reports)
     if joined is not None:

@@ -7,8 +7,10 @@ scan that the facet-form square scan and the join route replace, the
 vertex cap of the non-face triple condition, and criterion 8's pool of
 complexes.  The Delta_a oracles follow the formulas in the docstring of
 ``srsq.takayama`` and call nothing in that module; the unbounded scan loop
-takes its budget check and face decoding from there, and its walks from
-the caller."""
+takes its budget check from there, its face index from
+``homology.HomologyMemo``, and its walks from the caller.  A link's bitset
+is also found here by listing the link's faces, the route the memo's keys
+replace."""
 
 from __future__ import annotations
 
@@ -37,12 +39,12 @@ from srsq import (
     stanley_reisner,
     symbolic_power,
 )
-from srsq.bits import pack, unpack
+from srsq.bits import generated_faces, pack, unpack
 from srsq.criteria import CONDITION3_MAX_VERTICES, Condition3Result
-from srsq.homology import profile_from_faces
+from srsq.homology import HomologyMemo, profile_from_faces
 from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
 from srsq.reproduce import iter_pure_complexes
-from srsq.takayama import CohomologyWitness, _checked_size, _faces_of
+from srsq.takayama import CohomologyWitness, _checked_size
 
 
 def brute_minimal_transversals(sets: list[int], n: int) -> list[int]:
@@ -487,11 +489,15 @@ def facet_form_points(delta: SimplicialComplex, ell: int):
             yield g, a, select(g, a)
 
 
+def faces_at(faces, key: int) -> list[int]:
+    """The faces at the set bits of a bitset over ``faces``, in their order."""
+    return [f for p, f in enumerate(faces) if key >> p & 1]
+
+
 def is_cone_bitset(delta: SimplicialComplex, key: int) -> bool:
     """Whether the subcomplex of ``delta`` at the set bits of ``key`` over
     delta.sorted_faces() is a cone: nonvoid with a vertex in every facet."""
-    faces = [f for p, f in enumerate(delta.sorted_faces()) if key >> p & 1]
-    facets = SimplicialComplex(delta.n, tuple(faces)).facets
+    facets = SimplicialComplex(delta.n, tuple(faces_at(delta.sorted_faces(), key))).facets
     common = -1
     for f in facets:
         common &= f
@@ -539,22 +545,24 @@ def brute_force_depth(ideal: MonomialIdeal, field: FieldSpec = QQ):
 # -- the depth scan without its stop and degree cut -----------------------------
 
 
-def unbounded_scan_reports(delta, faces, rho, fields, budget, walk,
+def unbounded_scan_reports(delta, rho, fields, budget, walk,
                            memo=None) -> dict[FieldSpec, DepthReport]:
     """takayama._scan_reports as it was before the stop and the degree cut:
     every point the walk yields is visited, each new Delta_a gets its full
     profile, and each field keeps the first piece at every degree below
     dim S/I; its depth is the lowest of those, its witness the piece there.
-    It takes the scan's ``memo`` argument and ignores it: the oracle keeps
-    its own cache, one per scan."""
-    size = _checked_size(faces, rho, budget)
+    It takes the scan's ``memo`` argument and ignores it: the walk reads
+    the face index of a fresh memo, and the oracle keeps its own cache of
+    profiles, one per scan."""
+    size = _checked_size(delta.face_masks, rho, budget)
     dim_ring = delta.dim + 1
+    index = HomologyMemo(delta, fields)
     cache = {}
     first_hits = [{} for _ in fields]
-    for g_mask, a, key in walk(faces, rho, delta.n):
+    for g_mask, a, key in walk(index, rho):
         profiles = cache.get(key)
         if profiles is None:
-            profiles = cache[key] = profile_from_faces(_faces_of(faces, key), fields)
+            profiles = cache[key] = profile_from_faces(faces_at(index.faces, key), fields)
         shift = g_mask.bit_count() + 1
         for profile, first_hit in zip(profiles, first_hits):
             for i, betti in enumerate(profile.betti, shift - 1):
@@ -602,6 +610,14 @@ def cone_bases():
 
 
 # -- the per-field link route the link walk replaces ----------------------------
+
+
+def link_key_by_faces(delta: SimplicialComplex, face: int) -> int:
+    """lk ``face`` as its bitset over delta.sorted_faces(), from the link's
+    faces listed by generated_faces: the OR of their bits."""
+    bit = {f: 1 << p for p, f in enumerate(delta.sorted_faces())}
+    link = generated_faces(g & ~face for g in delta.facets if face & ~g == 0)
+    return functools.reduce(int.__or__, map(bit.__getitem__, link), 0)
 
 
 def first_failing_link(delta: SimplicialComplex, field: FieldSpec, sphere: bool):

@@ -291,6 +291,23 @@ def test_depth_checks_start_one_scan_per_battery(monkeypatch, capsys, scans):
             assert list(json.loads(out)) == ["F2", "F3", "Q"]
 
 
+def test_check_depth_of_the_radical_scans_the_facets(monkeypatch, capsys):
+    # I_Delta = I_Delta^(1) is scanned in facet form, so the 52-vertex
+    # explore complex, whose minimal non-faces take a transversal search,
+    # answers at once; void and vertexless input are usage errors
+    big = json.dumps(jsonio.complex_to_dict(explore_complexes(0, 1, 70)[0]))
+    code, out, _ = run(["check", "depth", "--fields", "Q,F2"], stdin_text=big,
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_OK
+    assert {f: (r["depth"], r["scan_size"]) for f, r in json.loads(out).items()} == {
+        "Q": (2, 2655), "F2": (2, 2655)}
+    for doc in ('{"n":3,"facets":[]}', '{"n":0,"facets":[[]]}'):
+        code, out, err = run(["check", "depth", "--of", "radical"], stdin_text=doc,
+                             monkeypatch=monkeypatch, capsys=capsys)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert "needs a nonvoid complex on at least one vertex" in err
+
+
 def test_ideal_power_and_intersect(monkeypatch, capsys, tmp_path):
     triangle = {"n": 3, "gens": [[1, 1, 0], [0, 1, 1], [1, 0, 1]]}
     code, out, _ = run(

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -472,8 +473,32 @@ def test_the_audit_memo_leaves_every_report_byte_identical(monkeypatch):
 
     shared = audits()
     monkeypatch.setattr(HomologyMemo, "serving",
-                        classmethod(lambda cls, memo, faces, fields: cls(faces, fields)))
+                        classmethod(lambda cls, memo, delta, fields: cls(delta, fields)))
     assert audits() == shared
+
+
+def test_one_face_index_serves_the_whole_audit(monkeypatch):
+    # the audit's one memo builds its vertex table once, and the link walks,
+    # the S/I^(2) scan and each per-field scan of an unequal square read it
+    built = []
+    table = HomologyMemo.__dict__["containing"]
+
+    def build(memo):
+        built.append(memo.delta)
+        return table.func(memo)
+
+    counted = functools.cached_property(build)
+    counted.__set_name__(HomologyMemo, "containing")
+    monkeypatch.setattr(HomologyMemo, "containing", counted)
+    unequal = 0
+    for delta in [d for _, d in named_battery()] + explore_complexes(0, 100, 6):
+        built.clear()
+        report = paper_audit(delta, (QQ, GF2))
+        if any(r.factors for r in report.cm_symbolic_square.values()):
+            continue  # a join's factor scans index their own faces
+        assert built == [delta]
+        unequal += not report.sym2.equal
+    assert unequal >= 40
 
 
 def test_no_memo_outlives_its_audit(monkeypatch):

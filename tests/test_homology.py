@@ -32,9 +32,10 @@ from srsq.bits import generated_faces, pack
 from srsq.criteria import explore_complexes, random_pure_complex
 from srsq.homology import parse_field_battery, profile_from_faces
 from srsq.reproduce import named_battery as reproduce_named_battery
-from helpers import (boundary_matrix, cone_bases, fraction_rank, modp_rank_naive,
-                     random_complex_with_unused_vertices, reindexed_cm_verdict,
-                     reindexed_gorenstein_verdict, reindexed_local_gorenstein_verdict)
+from helpers import (boundary_matrix, cone_bases, fraction_rank, link_key_by_faces,
+                     modp_rank_naive, random_complex_with_unused_vertices,
+                     reindexed_cm_verdict, reindexed_gorenstein_verdict,
+                     reindexed_local_gorenstein_verdict, relabeling_classes)
 
 F3 = FieldSpec(3)
 
@@ -315,12 +316,12 @@ def test_a_memo_entry_answers_no_request_above_its_cut(case):
     # a request at or below its cut, and a full request only a full entry
     delta, subs, requests = case
     battery = (QQ, GF2, F3)
-    memo = homology.HomologyMemo(delta.sorted_faces(), battery)
+    memo = homology.HomologyMemo(delta, battery)
     stored = {}
     for s, below in requests:
         faces = subs[s]
-        key = memo.key(faces)
-        assert key == sum(1 << p for p, f in enumerate(delta.sorted_faces()) if f in faces)
+        key = sum(1 << p for p, f in enumerate(delta.sorted_faces()) if f in faces)
+        assert sorted(memo.faces_of(key)) == sorted(faces)
         answers = key in stored and (stored[key] is None
                                      or below is not None and below <= stored[key])
         profiles = memo.get(key, below)
@@ -336,16 +337,20 @@ def test_a_memo_entry_answers_no_request_above_its_cut(case):
 
 def test_a_memo_serves_only_its_own_faces_and_fields():
     # a join's factor, or any other complex, keys its subcomplexes over other
-    # faces, and a field outside the battery has no profiles in the memo
-    faces = rp2().sorted_faces()
-    memo = homology.HomologyMemo(faces, (QQ, GF2))
-    assert homology.HomologyMemo.serving(memo, faces, (GF2,)) is memo
-    assert homology.HomologyMemo.serving(memo, list(faces), (GF2, QQ)) is memo
-    for other, fields in ((faces, (QQ, F3)), (cycle_complex(5).sorted_faces(), (QQ,)),
-                          (faces[:-1], (QQ,))):
+    # faces; the same faces on more vertices need a vertex table with more
+    # rows; a field outside the battery has no profiles in the memo
+    d = rp2()
+    memo = homology.HomologyMemo(d, (QQ, GF2))
+    assert homology.HomologyMemo.serving(memo, d, (GF2,)) is memo
+    assert homology.HomologyMemo.serving(memo, SimplicialComplex(6, d.facets), (GF2, QQ)) is memo
+    wider = SimplicialComplex(8, d.facets)
+    for other, fields in ((d, (QQ, F3)), (cycle_complex(5), (QQ,)),
+                          (SimplicialComplex(6, d.facets[:-1]), (QQ,)), (wider, (QQ,))):
         fresh = homology.HomologyMemo.serving(memo, other, fields)
-        assert fresh is not memo and (fresh.faces, fresh.fields) == (tuple(other), fields)
-    assert homology.HomologyMemo.serving(None, faces, (QQ,)).fields == (QQ,)
+        assert fresh is not memo and (fresh.delta, fresh.fields) == (other, fields)
+    assert wider.sorted_faces() == d.sorted_faces()
+    assert len(homology.HomologyMemo(wider, ()).containing) == 8 > len(memo.containing) == 6
+    assert homology.HomologyMemo.serving(None, d, (QQ,)).fields == (QQ,)
 
 
 def torsion_complexes():
@@ -659,6 +664,71 @@ def test_link_criteria_evaluate_each_link_of_delta_once_and_build_no_complex(mon
     assert len(evaluated) <= len(delta.face_masks) - 1 == 728
     assert is_cohen_macaulay(delta, GF2) and is_gorenstein(delta, GF2)
     assert not is_gorenstein(cone, QQ) and not is_locally_gorenstein(cone, QQ)
+
+
+def walked_link_keys(delta):
+    """(G, key) for each face G that the link walks of Reisner, Stanley and
+    local Gorenstein yield on ``delta``, in walk order, with the key the
+    memo was asked under.  Under the stubbed profile every link is a sphere
+    of its dimension, so no walk stops early."""
+    yielded, keys = [], []
+    walk, get = SimplicialComplex.link_walk, homology.HomologyMemo.get
+
+    def logged(self, insides=(0,)):
+        for k, face, link in walk(self, insides):
+            yielded.append(face | insides[k])
+            yield k, face, link
+
+    def sphere(faces, fields):
+        top = max(f.bit_count() for f in faces)
+        return tuple(homology.HomologyProfile(f, (0,) * top + (1,)) for f in fields)
+
+    def asked(memo, key, below=None):
+        keys.append(key)
+        return get(memo, key, below)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(SimplicialComplex, "link_walk", logged)
+        m.setattr(homology, "profile_from_faces", sphere)
+        m.setattr(homology.HomologyMemo, "get", asked)
+        for criterion in (cohen_macaulay_reports, gorenstein_reports, locally_gorenstein_reports):
+            assert criterion(delta, (QQ,))[QQ]
+    assert len(keys) == len(yielded) > 0
+    return list(zip(yielded, keys))
+
+
+def assert_links_keyed_by_their_faces(delta):
+    for g, key in walked_link_keys(delta):
+        assert key == link_key_by_faces(delta, g), (delta, g)
+
+
+def test_link_keys_match_the_keys_of_their_listed_faces():
+    # the walks key lk G as the star walk keys Delta_a at a = 0 off G, from
+    # the facets of G's star; the oracle lists the link's faces instead
+    pool = ([d for _, d in reproduce_named_battery()] + explore_complexes(0, 100, 6)
+            + list(relabeling_classes()))
+    for delta in pool:
+        assert_links_keyed_by_their_faces(delta)
+
+
+@st.composite
+def coned_complexes_with_unused_vertices(draw):
+    """Facets on base vertices 1..m, each joined with up to two cone
+    vertices after them, and up to two unused vertices after those."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    facets = draw(st.lists(st.sets(st.integers(min_value=1, max_value=m), min_size=1),
+                           min_size=1, max_size=5))
+    cone, unused = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    apex = pack(range(m + 1, m + cone + 1))
+    return SimplicialComplex(m + cone + unused, tuple(pack(f) | apex for f in facets))
+
+
+@given(coned_complexes_with_unused_vertices())
+@example(SimplicialComplex(3, (0,)))
+@example(SimplicialComplex(7, simplex_complex(1).join(four_path()).facets))
+@settings(max_examples=150, deadline=None)
+def test_link_keys_match_on_cones_and_unused_vertices(delta):
+    assert_links_keyed_by_their_faces(delta)
 
 
 # -- Gorenstein criteria -----------------------------------------------------------------------

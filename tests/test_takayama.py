@@ -40,9 +40,9 @@ from srsq import (
 from srsq import takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import explore_complexes, random_pure_complex
+from srsq.homology import HomologyMemo
 from srsq.reproduce import named_battery as paper_examples
 from srsq.takayama import (
-    _faces_of,
     _facet_walk,
     _generator_selection,
     _scan_size,
@@ -57,6 +57,7 @@ from helpers import (
     brute_force_depth,
     delta_a,
     delta_a_symbolic,
+    faces_at,
     facet_form_points,
     facet_selection,
     generator_form_square_reports,
@@ -154,7 +155,7 @@ def test_delta_a_mixed_sign_matches_facet_formula():
         lhs = delta_a(symbolic_power(d, ell), tuple(a))
         all_faces = d.sorted_faces()
         key = facet_selection(d.facets, ell, all_faces, d.n)(g, a)
-        assert SimplicialComplex(d.n, tuple(_faces_of(all_faces, key))) == lhs
+        assert SimplicialComplex(d.n, tuple(faces_at(all_faces, key))) == lhs
         good = [
             f & ~g
             for f in d.facets
@@ -189,9 +190,11 @@ def bitset_of(faces, delta):
 
 def kernel_keys(ideal, d, ell, g_mask, a):
     """(generator-form key of ``ideal``, facet-form key of d's ell-th
-    symbolic power) at the point a, with the face lists they index."""
-    faces = complex_of_ideal(ideal).sorted_faces()
-    gen_key = _generator_selection([m.exps for m in ideal.gens], faces, ideal.n)(g_mask, a)
+    symbolic power) at the point a, with the face lists they index; the
+    generator form selects by the face index of a memo over Delta(I)."""
+    index = HomologyMemo(complex_of_ideal(ideal), ())
+    faces = index.faces
+    gen_key = _generator_selection([m.exps for m in ideal.gens], index)(g_mask, a)
     sym_faces = d.sorted_faces()
     sym_key = facet_selection(d.facets, ell, sym_faces, d.n)(g_mask, a)
     return (gen_key, faces), (sym_key, sym_faces)
@@ -215,7 +218,7 @@ def test_selection_kernels_match_the_definition_on_random_points():
         expected = delta_a(ideal, a)
         (key, faces), (sym_key, sym_faces) = kernel_keys(ideal, d, ell, g_mask, a)
         assert key == bitset_of(faces, expected)
-        assert SimplicialComplex(n, tuple(_faces_of(faces, key))) == expected
+        assert SimplicialComplex(n, tuple(faces_at(faces, key))) == expected
         assert sym_key == bitset_of(sym_faces, delta_a(symbolic_power(d, ell), a))
         mixed += bool(g_mask) and any(e > 0 for e in a)
         void += expected.is_void()
@@ -252,7 +255,8 @@ def test_over_budget_scans_refuse_before_building_a_face_index(form, monkeypatch
     def refuse(*args):
         raise AssertionError("the face index is built only once the budget allows the scan")
 
-    monkeypatch.setattr(takayama, "_vertex_table", refuse)
+    for table in ("containing", "inside"):
+        monkeypatch.setattr(HomologyMemo, table, property(refuse))
     d = cross_polytope(9)
     with pytest.raises(BudgetExceeded) as err:
         if form == "facet":
@@ -468,7 +472,7 @@ def test_facet_form_scan_matches_generator_form_for_other_powers():
 
 def star_walk(d, ell):
     """The facet-form walk of d's ell-th symbolic power, as a list."""
-    return list(_facet_walk(d.facets, ell, d.sorted_faces(), _symbolic_rho(d, ell), d.n))
+    return list(_facet_walk(ell, HomologyMemo(d, ()), _symbolic_rho(d, ell)))
 
 
 def star_walk_cases():
@@ -873,14 +877,14 @@ def check_each_bounded_scan(monkeypatch):
         events.append(("eval", below))
         return profile(faces, fields, below=below)
 
-    def checked(delta, faces, rho, fields, budget, walk, memo=None):
+    def checked(delta, rho, fields, budget, walk, memo=None):
         def drawn(*args):
             for point in walk(*args):
                 events.append(("point", point[0].bit_count()))
                 yield point
 
         events.clear()
-        reports = scan_reports(delta, faces, rho, fields, budget, drawn, memo)
+        reports = scan_reports(delta, rho, fields, budget, drawn, memo)
         top = max(r.depth for r in reports.values())
         bounds, g = [], None
         for kind, value in events:
