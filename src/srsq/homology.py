@@ -15,6 +15,15 @@ rank d_i = u + matrix_rank(remainder), for u unit pivots.  matrix_rank is
 fraction-free Bareiss elimination over Q and plain modular elimination over
 F_p, and sees only remainders, which is where torsion lives (rp2's d_2).
 
+The maps are reduced top-down, and the rows of d_{i+1}'s unit pivots name
+faces whose columns d_i never builds: the clearing ("twist") lemma of
+persistent homology (Chen and Kerber, 2011; Bauer, Kerber and Reininghaus,
+2014).  It is exact over every field.  A pivot of d_{i+1} is an integer
+cycle of d_i with +1 at its pivot row j and other entries only on rows
+above j, so column j of d_i is a Z-combination of the columns above it;
+going down over the pivot rows, each cleared column lies in the Z-span of
+the kept ones, and rank d_i is the rank of the kept columns.
+
 Conventions for the reduced chain complex of a complex Delta:
   * C_{-1} is spanned by the empty face, and the boundary of a vertex is the
     empty face (the augmentation row of the i = 0 matrix);
@@ -179,14 +188,28 @@ def _faces_by_dim(faces: Iterable[int]) -> list[list[int]]:
     return [grouped.get(k, []) for k in range(max(grouped) + 1)]
 
 
-def _signed_columns(groups: list[list[int]], i: int) -> list[tuple[int, int]]:
+_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def _select(items: Sequence[int], key: int) -> list[int]:
+    """The items at the set bits of ``key``, in order: its binary digits,
+    lowest first, made 0 and 1 bytes, select them."""
+    return list(compress(items, f"{key:b}"[::-1].encode().translate(_BINARY_DIGITS)))
+
+
+def _kept(items: Sequence[int], cleared: int) -> list[int]:
+    """The items at the positions not set in ``cleared``, in order."""
+    return _select(items, ~cleared & ((1 << len(items)) - 1))
+
+
+def _signed_columns(groups: list[list[int]], i: int, cleared: int) -> list[tuple[int, int]]:
     """Columns of d_i, i >= 1 the simplex dimension, as (rows holding +1,
     rows holding -1) bitmasks over the positions of groups[i]; the columns
-    keep the order of groups[i + 1], and the j-th lowest vertex of a face
-    has sign (-1)^j."""
+    keep the order of groups[i + 1], less the positions set in ``cleared``,
+    and the j-th lowest vertex of a face has sign (-1)^j."""
     index = {m: 1 << r for r, m in enumerate(groups[i])}
     columns = []
-    for m in groups[i + 1]:
+    for m in _kept(groups[i + 1], cleared):
         signed = [0, 0]
         for j, b in enumerate(bits(m)):
             signed[j % 2] |= index[m ^ b]
@@ -195,16 +218,22 @@ def _signed_columns(groups: list[list[int]], i: int) -> list[tuple[int, int]]:
 
 
 def _unit_reduce(columns: Iterable[tuple[int, int]]) -> tuple[int, list[list[int]]]:
-    """(u, remainder) with rank = u + rank(remainder) over every field, for
-    the matrix whose columns are (+1 rows, -1 rows) bitmasks.
+    """(pivot rows, remainder) with rank = u + rank(remainder) over every
+    field, for u = the pivot rows' bit count, of the matrix whose columns
+    are (+1 rows, -1 rows) bitmasks.
 
     Each column is reduced by its lowest entry while that row holds a kept
-    pivot, whose lowest entry is +1 (negating a column keeps every rank); u
-    counts the pivots.  A column that would gain a +-2 entry is set aside,
-    then cleared on every pivot row, lowest first, by integer multiples of
-    the pivots.  The remainder holds those columns on the rows they still
-    reach.  Every step is unimodular, and the pivots are unit triangular on
-    their rows, so the ranks hold over Q and every F_p.
+    pivot, whose lowest entry is +1 (negating a column keeps every rank); the
+    pivot rows are those lowest entries.  A column that would gain a +-2
+    entry is set aside, then cleared on every pivot row, lowest first, by
+    integer multiples of the pivots.  The remainder holds those columns on
+    the rows they still reach.  Every step is unimodular, and the pivots are
+    unit triangular on their rows, so the ranks hold over Q and every F_p.
+
+    A pivot is an integer combination of the columns, so for a boundary map
+    d_{i+1} it is an integer cycle of d_i with +1 at its pivot row j and
+    other entries only on rows above j: the clearing lemma of
+    profile_from_faces.
     """
     pivots: dict[int, tuple[int, int]] = {}
     stuck = []
@@ -236,7 +265,7 @@ def _unit_reduce(columns: Iterable[tuple[int, int]]) -> tuple[int, list[list[int
                     column[b] = column.get(b, 0) + v
         cleared.append(column)
     rows = sorted({b for column in cleared for b, v in column.items() if v})
-    return len(pivots), [[column.get(b, 0) for column in cleared] for b in rows]
+    return sum(order), [[column.get(b, 0) for column in cleared] for b in rows]
 
 
 @dataclass(frozen=True)
@@ -307,13 +336,18 @@ def profile_from_faces(
     A complex of dimension <= 1 is a graph: its Betti numbers come from a
     union-find over the edges (_graph_betti), with no matrix, and are the
     same over every field.  Otherwise rank d_0 is 1, since a vertex exists,
-    rank d_1 = V - c for the c components of the 1-skeleton, and each map
-    d_i with i >= 2 is reduced once (_unit_reduce); only the rank of its
-    remainder depends on the field.
+    and each map d_i with i >= 2 is reduced once (_unit_reduce), top map
+    first; only the rank of its remainder depends on the field.  The unit
+    pivot rows of d_{i+1} clear their columns from d_i before it is built:
+    each such column lies in the Z-span of the kept ones (module
+    docstring), so rank d_i, over every field, is the kept columns' rank.
+    rank d_1 = V - c for the c components of the edges that d_2 left
+    uncleared, since they span the cleared ones.
 
     With ``below = h``, only the degrees -1 .. h - 1 are evaluated: dim ~H_k
     needs the ranks of d_k and d_{k+1} alone, so no map d_i with i > h is
-    built, reduced or ranked, and ``betti`` is the full tuple cut to its
+    built, reduced or ranked (d_h, the top map reduced, is cleared by
+    nothing), and ``betti`` is the full tuple cut to its
     first h + 1 entries (shorter when the complex has no degree that high).
     The degrees past the cut are unknown, not zero, so such a profile must
     not be read as the complex's homology beyond ``h - 1``.
@@ -323,11 +357,14 @@ def profile_from_faces(
     if len(groups) <= 3:
         betti = _graph_betti(groups)[:top]
         return tuple(HomologyProfile(field, betti) for field in fields)
-    rank_d1 = len(groups[1]) - 1 - _graph_betti(groups[:3])[1]
-    reduced = [_unit_reduce(_signed_columns(groups, i)) for i in range(2, min(top, len(groups) - 1))]
+    reduced, cleared = [], 0
+    for i in range(min(top, len(groups) - 1) - 1, 1, -1):
+        cleared, rest = _unit_reduce(_signed_columns(groups, i, cleared))
+        reduced.append((cleared.bit_count(), rest))
+    rank_d1 = len(groups[1]) - 1 - _graph_betti([*groups[:2], _kept(groups[2], cleared)])[1]
 
     def betti(field: FieldSpec) -> tuple[int, ...]:
-        r = [0, 1, rank_d1, *(u + matrix_rank(rest, field) for u, rest in reduced), 0]
+        r = [0, 1, rank_d1, *(u + matrix_rank(rest, field) for u, rest in reversed(reduced)), 0]
         return tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups[:top]))
 
     return tuple(HomologyProfile(field, betti(field)) for field in fields)
@@ -335,9 +372,6 @@ def profile_from_faces(
 
 def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
     return profile_from_faces(delta.face_masks, (field,))[0]
-
-
-_BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class HomologyMemo:
@@ -388,22 +422,22 @@ class HomologyMemo:
         return table
 
     def avoiding(self, mask: int) -> int:
-        """The bitset of the faces that avoid ``mask``."""
+        """The bitset of the faces that avoid ``mask``, a set of vertices
+        1..n: the OR of the vertex table's rows at its set bits, inverted."""
         meeting = 0
-        for j, row in enumerate(self.containing):
-            if mask >> j & 1:
-                meeting |= row
+        for low in bits(mask):
+            meeting |= self.containing[low.bit_length() - 1]
         return self.everything & ~meeting
 
     @cached_property
     def inside(self) -> dict[int, int]:
         """Each facet's bitset of the faces inside it."""
-        return {f: self.avoiding(~f) for f in self.delta.facets}
+        vertices = (1 << self.delta.n) - 1
+        return {f: self.avoiding(vertices & ~f) for f in self.delta.facets}
 
     def faces_of(self, key: int) -> list[int]:
-        """The faces at the set bits of ``key``, in face order: its binary
-        digits, lowest first, made 0 and 1 bytes, select them."""
-        return list(compress(self.faces, f"{key:b}"[::-1].encode().translate(_BINARY_DIGITS)))
+        """The faces at the set bits of ``key``, in face order."""
+        return _select(self.faces, key)
 
     def get(self, key: int, below: int | None = None) -> tuple[HomologyProfile, ...] | None:
         """The battery's profiles stored under ``key`` if they answer a

@@ -218,9 +218,9 @@ def test_each_map_is_reduced_once_whatever_the_battery(monkeypatch):
     packed, reduced = [], []
     columns, reduce = homology._signed_columns, homology._unit_reduce
 
-    def counted_columns(groups, i):
+    def counted_columns(groups, i, cleared):
         packed.append(i)
-        return columns(groups, i)
+        return columns(groups, i, cleared)
 
     def counted_reduce(cols):
         reduced.append(len(cols))
@@ -262,9 +262,9 @@ def test_a_cut_profile_is_the_head_of_the_full_profile_and_reduces_no_higher_map
     built, reduced = [], []
     columns, reduce = homology._signed_columns, homology._unit_reduce
 
-    def counted_columns(groups, i):
+    def counted_columns(groups, i, cleared):
         built.append(i)
-        return columns(groups, i)
+        return columns(groups, i, cleared)
 
     def counted_reduce(cols):
         reduced.append(cols)
@@ -479,7 +479,8 @@ def dense(columns, height):
 
 
 def assert_reduction_ranks(columns, height):
-    u, rest = homology._unit_reduce(columns)
+    pivot_rows, rest = homology._unit_reduce(columns)
+    u = pivot_rows.bit_count()
     m = dense(columns, height)
     assert u + matrix_rank(rest, QQ) == fraction_rank(m)
     for p in (2, 3):
@@ -499,7 +500,7 @@ def signed_column_sets(draw):
 
 def test_a_column_that_would_gain_two_is_set_aside():
     # e0 + e1, then e0 - e1: subtracting the pivot would leave -2 on row 1
-    assert homology._unit_reduce([(0b11, 0), (0b01, 0b10)]) == (1, [[-2]])
+    assert homology._unit_reduce([(0b11, 0), (0b01, 0b10)]) == (0b01, [[-2]])
 
 
 @given(signed_column_sets())
@@ -515,7 +516,7 @@ def test_unit_reduction_of_torsion_complexes_matches_the_oracles():
     for delta in torsion_complexes():
         groups = homology._faces_by_dim(delta.sorted_faces())
         for i in range(1, delta.dim + 1):
-            columns = homology._signed_columns(groups, i)
+            columns = homology._signed_columns(groups, i, 0)
             assert_reduction_ranks(columns, len(groups[i]))
             set_aside += bool(homology._unit_reduce(columns)[1])
     assert set_aside >= len(torsion_complexes())
@@ -528,8 +529,87 @@ def test_signed_columns_match_the_dense_boundary_matrix():
     for delta in pool:
         groups = homology._faces_by_dim(delta.sorted_faces())
         for i in range(1, delta.dim + 1):
-            columns = homology._signed_columns(groups, i)
+            columns = homology._signed_columns(groups, i, 0)
             assert dense(columns, len(groups[i])) == boundary_matrix(delta, i)
+            # a cleared position drops its column and keeps the others' order
+            cleared = rng.getrandbits(len(groups[i + 1]))
+            kept = [c for c in range(len(groups[i + 1])) if not cleared >> c & 1]
+            assert dense(homology._signed_columns(groups, i, cleared), len(groups[i])) == [
+                [row[c] for c in kept] for row in boundary_matrix(delta, i)]
+
+
+def field_oracles(faces):
+    """The Q, F2 and F3 Betti tuples of a face list from its dense boundary
+    matrices: fraction_rank over Q, dense elimination mod p."""
+    return [q_betti_oracle(faces)] + [
+        q_betti_oracle(faces, lambda rows, p=p: modp_rank_naive(rows, p)) for p in (2, 3)]
+
+
+def assert_cleared_profiles_match(faces, cuts, expected):
+    for below in cuts:
+        profiles = profile_from_faces(faces, (QQ, GF2, F3), below=below)
+        assert [p.betti for p in profiles] == [
+            betti if below is None else betti[:below + 1] for betti in expected], below
+
+
+@st.composite
+def deep_cut_face_sets(draw):
+    """A closed face list of dimension 3 to 5 on at most 8 vertices, in any
+    order, so that its full profile reduces at least two maps d_i with
+    i >= 2, and a cut from -1 to its top degree or None."""
+    dim = draw(st.integers(min_value=3, max_value=5))
+    n = draw(st.integers(min_value=dim + 1, max_value=8))
+    vertex = st.integers(min_value=1, max_value=n)
+    top = draw(st.sets(vertex, min_size=dim + 1, max_size=dim + 1))
+    others = draw(st.lists(st.sets(vertex, min_size=1, max_size=dim + 1), max_size=6))
+    faces = draw(st.permutations(sorted(generated_faces([pack(f) for f in [top, *others]]))))
+    return faces, draw(st.one_of(st.none(), st.integers(min_value=-1, max_value=dim)))
+
+
+@given(deep_cut_face_sets())
+@settings(max_examples=150, deadline=None)
+def test_cleared_profiles_match_the_dense_oracles(case):
+    # the unit pivot rows of d_{i+1} name columns of d_i spanned over Z by
+    # the kept ones, so clearing them keeps every rank over every field
+    faces, below = case
+    assert_cleared_profiles_match(faces, [below], field_oracles(faces))
+
+
+@pytest.mark.parametrize("delta", [cross_polytope(5)] + torsion_complexes(),
+                         ids=["cross_polytope_5", "rp2", "rp2_two_points", "rp2_rp2", "rp2_pentagon"])
+def test_cleared_profiles_of_spheres_and_torsion_match_the_dense_oracles_at_every_cut(delta):
+    # rp2 * rp2 keeps 2-torsion in ~H_3 as well as ~H_4, so d_4, a map that
+    # d_5 clears, carries torsion; each cut reduces a different top map
+    faces = delta.sorted_faces()
+    expected = field_oracles(faces)
+    assert (expected[0] != expected[1]) == (delta != cross_polytope(5))  # torsion shows over F2
+    assert_cleared_profiles_match(faces, [None, *range(-1, delta.dim + 1)], expected)
+
+
+@pytest.mark.parametrize("delta, below, columns, edges", [
+    (cross_polytope(6), None, [64, 129, 111, 49], 11),  # 353 of 656 columns
+    (cross_polytope(6), 3, [240, 49], 11),  # the map at the cut is cleared by nothing
+    (rp2().join(rp2()), None, [100, 210, 151, 56], 11),  # 517 of 945 columns
+], ids=["cross_polytope_6", "cross_polytope_6_below_3", "rp2_rp2"])
+def test_clearing_hands_each_map_only_its_kept_columns(monkeypatch, delta, below, columns, edges):
+    # maps are reduced top map first; d_{i+1}'s pivot rows drop their
+    # columns from d_i, and the union-find of rank d_1 sees only the edges
+    # d_2 left uncleared: a spanning tree of the 12 vertices here
+    reduced, united = [], []
+    reduce, graph_betti = homology._unit_reduce, homology._graph_betti
+
+    def counted_reduce(cols):
+        reduced.append(len(cols))
+        return reduce(cols)
+
+    def counted_graph_betti(groups):
+        united.append(len(groups[2]))
+        return graph_betti(groups)
+
+    monkeypatch.setattr(homology, "_unit_reduce", counted_reduce)
+    monkeypatch.setattr(homology, "_graph_betti", counted_graph_betti)
+    profile_from_faces(delta.sorted_faces(), (QQ, GF2, F3), below=below)
+    assert reduced == columns and united == [edges]
 
 
 def test_euler_identity():
