@@ -227,7 +227,7 @@ OPS: dict[str, dict[str, tuple[str | None, Any, Callable[[Any, Any], dict]]]] = 
             locally_gorenstein_reports(d, a.fields), jsonio.locally_gorenstein_to_dict)),
         "homology": (None, _read_complex, lambda d, a: {
             p.field.name: jsonio.profile_to_dict(p)
-            for p in profile_from_faces(d.face_masks, a.fields)}),
+            for p in profile_from_faces(d, d.face_index.everything, a.fields)}),
         "s2": (None, _read_complex, lambda d, a: jsonio.s2_to_dict(s2_criterion(d))),
         "depth2": (None, _read_complex, lambda d, a: jsonio.depth2_to_dict(depth2_criterion(d))),
         "condition3": (None, _read_complex,

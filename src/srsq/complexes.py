@@ -16,6 +16,7 @@ the one BFS, which ``Graph.diameter`` runs too.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
@@ -93,6 +94,12 @@ class SimplicialComplex:
     @cached_property
     def _sorted_faces(self) -> tuple[int, ...]:
         return tuple(sorted(self.face_masks, key=lambda m: (m.bit_count(), unpack(m))))
+
+    @cached_property
+    def face_index(self) -> "FaceIndex":
+        """The index of sorted_faces() that names every subcomplex by a
+        bitset; built once per complex, on first use."""
+        return FaceIndex(self.n, self.facets, self.sorted_faces())
 
     def contains_mask(self, mask: int) -> bool:
         return any(is_subset(mask, f) for f in self.facets)
@@ -294,6 +301,78 @@ class SimplicialComplex:
         if len(blocks) <= 1:
             return [self]
         return [self.restrict(unpack(p)) for p in blocks]
+
+
+class FaceIndex:
+    """The faces of a complex on n vertices, in sorted_faces() order, indexed
+    so that a subcomplex is named by its bitset over them: bit p is set iff
+    face p lies in it, and 0 is the void complex.
+
+    Faces come sorted by size, so the k-vertex faces are one run of
+    positions, ``classes[k]``, starting at ``starts[k]``; a subcomplex's
+    k-vertex faces are its key's slice there (``size_class``), in the
+    complex's face order.  Every table is built on first use and depends on
+    the complex alone: the faces containing each vertex (``containing``),
+    the faces inside each facet (``inside``), and each class's signed
+    boundary columns (``columns``).  It holds no homology.
+    """
+
+    def __init__(self, n: int, facets: tuple[int, ...], faces: tuple[int, ...]):
+        self.n, self.facets, self.faces = n, facets, faces
+        self.everything = (1 << len(faces)) - 1
+        top = faces[-1].bit_count() if faces else -1
+        self.starts = [bisect_left(faces, k, key=int.bit_count) for k in range(top + 2)]
+        self.classes = [faces[s:e] for s, e in zip(self.starts, self.starts[1:])]
+        self._columns: dict[int, list[tuple[int, int]]] = {}
+
+    def size_class(self, key: int, k: int) -> int:
+        """The k-vertex faces of ``key``, as a bitset over classes[k]."""
+        return key >> self.starts[k] & (1 << len(self.classes[k])) - 1
+
+    def classes_of(self, key: int) -> int:
+        """The number of size classes a subcomplex reaches: one more than the
+        size of its largest face, 0 for the void complex."""
+        return self.faces[key.bit_length() - 1].bit_count() + 1 if key else 0
+
+    @cached_property
+    def containing(self) -> list[int]:
+        """Entry j is the bitset of the faces that contain vertex j + 1, for
+        every vertex 1..n: a vertex in no face gets 0."""
+        table = [0] * self.n
+        for p, f in enumerate(self.faces):
+            bit = 1 << p
+            for low in bits(f):
+                table[low.bit_length() - 1] |= bit
+        return table
+
+    def avoiding(self, mask: int) -> int:
+        """The bitset of the faces that avoid ``mask``, a set of vertices
+        1..n: the OR of the vertex table's rows at its set bits, inverted."""
+        meeting = 0
+        for low in bits(mask):
+            meeting |= self.containing[low.bit_length() - 1]
+        return self.everything & ~meeting
+
+    @cached_property
+    def inside(self) -> dict[int, int]:
+        """Each facet's bitset of the faces inside it."""
+        vertices = (1 << self.n) - 1
+        return {f: self.avoiding(vertices & ~f) for f in self.facets}
+
+    def columns(self, k: int) -> list[tuple[int, int]]:
+        """The boundary of each face in classes[k], k >= 2, in order, as (rows
+        holding +1, rows holding -1) bitmasks over the positions of
+        classes[k - 1]: the j-th lowest vertex of a face has sign (-1)^j."""
+        built = self._columns.get(k)
+        if built is None:
+            row = {m: 1 << r for r, m in enumerate(self.classes[k - 1])}
+            built = self._columns[k] = []
+            for m in self.classes[k]:
+                signed = [0, 0]
+                for j, b in enumerate(bits(m)):
+                    signed[j & 1] |= row[m ^ b]
+                built.append((signed[0], signed[1]))
+        return built
 
 
 @dataclass(frozen=True)

@@ -229,11 +229,13 @@ def paper_audit(
 
     One HomologyMemo over Delta lives for this call: the Gorenstein and
     local Gorenstein walks, the S/I^(2) scan and the per-field scans of an
-    unequal I^2 (whose Delta(I^2) is Delta) read its one face index and
+    unequal I^2 (whose Delta(I^2) is Delta) read Delta's one face index and
     evaluate each distinct complex once between them, since lk G is Delta_a
-    at a = 0 off G.  A join's factor scans have other faces and keep their
-    own memos.  The memo is dropped on return, so an audit's work does not
-    depend on earlier calls.
+    at a = 0 off G.  A join's factor scans have other faces: the memo keeps
+    one memo per distinct factor, which the S/I, S/I^(2) and S/I^2 scans of
+    that factor share.  The memos are dropped on return, so an audit's work
+    does not depend on earlier calls; what outlives it is the face index
+    that each complex keeps, which holds no homology.
     """
     fields = tuple(fields)
     if delta.n:  # on no vertex, stanley_reisner below refuses the complex
@@ -256,7 +258,8 @@ def paper_audit(
     if report.sym2.equal:
         report.cm_square = dict(report.cm_symbolic_square)
     elif any(r.factors for r in report.cm_symbolic_square.values()):
-        report.cm_square = square_depth_reports(delta, fields, budget, report.cm_symbolic_square)
+        report.cm_square = square_depth_reports(delta, fields, budget, report.cm_symbolic_square,
+                                                memo)
     else:
         # One scan per field: the benchmark's tracer counts scans only on depth_via_takayama.
         square = ideal.power(2)

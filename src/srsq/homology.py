@@ -4,6 +4,13 @@ Reisner (Cohen-Macaulay) and Stanley (Gorenstein) criteria.
 Ranks are computed exactly.  Exactness is non-negotiable here; a single
 wrong rank flips a Cohen-Macaulay verdict.
 
+profile_from_faces evaluates a subcomplex of a complex Delta named by its
+key, a bitset over Delta.sorted_faces(), off Delta's face index
+(SimplicialComplex.face_index), which is built once per complex and holds
+no homology: the subcomplex's k-vertex faces are its key's slice of the
+k-th size class, and the signed boundary columns of each class are built
+once, on first need.  No face list is built per evaluation.
+
 Every boundary entry is 0 or +-1, and eliminating a +-1 pivot is
 unimodular, so one elimination serves every field (the elimination phase of
 Dumas, Heckenbach, Saunders and Welker, 2003).  profile_from_faces reduces
@@ -16,7 +23,7 @@ fraction-free Bareiss elimination over Q and plain modular elimination over
 F_p, and sees only remainders, which is where torsion lives (rp2's d_2).
 
 The maps are reduced top-down, and the rows of d_{i+1}'s unit pivots name
-faces whose columns d_i never builds: the clearing ("twist") lemma of
+faces whose columns d_i leaves out: the clearing ("twist") lemma of
 persistent homology (Chen and Kerber, 2011; Bauer, Kerber and Reininghaus,
 2014).  It is exact over every field.  A pivot of d_{i+1} is an integer
 cycle of d_i with +1 at its pivot row j and other entries only on rows
@@ -35,12 +42,13 @@ Reisner, Stanley and local Gorenstein take the field battery and read their
 links from SimplicialComplex.link_walk, the one walk over Delta's own faces,
 which the (S2) criterion shares; the walk reads each link for the fields
 that have not failed yet, and the is_* functions are one-field views.  A
-HomologyMemo evaluates each distinct complex once per call, over the whole
-battery, and owns the one face index of Delta: lk G is Delta_a at a = 0
-off G, so a link is keyed by its bitset over Delta.sorted_faces() from
-the facets of G's star, as the star walk keys Delta_a, and paper_audit
-hands one memo to both Gorenstein walks and to its scans (criterion 8
-likewise, per complex, to its Reisner walk and scans).  No
+link whose facets share a vertex is a cone, acyclic over every field, and
+is decided from its facets alone.  A HomologyMemo evaluates each other
+distinct complex once per call, over the whole battery: lk G is Delta_a at
+a = 0 off G, so a link is keyed by its bitset over Delta.sorted_faces()
+from the facets of G's star, as the star walk keys Delta_a, and
+paper_audit hands one memo to both Gorenstein walks and to its scans
+(criterion 8 likewise, per complex, to its Reisner walk and scans).  No
 core or link complex is built: lk_core(G) = lk_Delta(G | cone), and lk v's
 core has the links lk_Delta(G | the meet of the facets through v).
 Adding a fixed set to faces keeps their sorted_faces() order, so witnesses
@@ -50,7 +58,7 @@ are those of a walk over the core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -176,45 +184,13 @@ def matrix_rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
 # -- signed boundary columns and homology profiles -----------------------------
 
 
-def _faces_by_dim(faces: Iterable[int]) -> list[list[int]]:
-    """Group face masks by cardinality, keeping their order; index k holds
-    the k-vertex faces.  Index 0 is [0] when the empty face exists.  Exact
-    ranks do not depend on row or column order, so no group is sorted."""
-    grouped: dict[int, list[int]] = {}
-    for m in faces:
-        grouped.setdefault(m.bit_count(), []).append(m)
-    if not grouped:
-        return []
-    return [grouped.get(k, []) for k in range(max(grouped) + 1)]
-
-
 _BINARY_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 
-def _select(items: Sequence[int], key: int) -> list[int]:
+def _select(items: Sequence, key: int) -> list:
     """The items at the set bits of ``key``, in order: its binary digits,
     lowest first, made 0 and 1 bytes, select them."""
     return list(compress(items, f"{key:b}"[::-1].encode().translate(_BINARY_DIGITS)))
-
-
-def _kept(items: Sequence[int], cleared: int) -> list[int]:
-    """The items at the positions not set in ``cleared``, in order."""
-    return _select(items, ~cleared & ((1 << len(items)) - 1))
-
-
-def _signed_columns(groups: list[list[int]], i: int, cleared: int) -> list[tuple[int, int]]:
-    """Columns of d_i, i >= 1 the simplex dimension, as (rows holding +1,
-    rows holding -1) bitmasks over the positions of groups[i]; the columns
-    keep the order of groups[i + 1], less the positions set in ``cleared``,
-    and the j-th lowest vertex of a face has sign (-1)^j."""
-    index = {m: 1 << r for r, m in enumerate(groups[i])}
-    columns = []
-    for m in _kept(groups[i + 1], cleared):
-        signed = [0, 0]
-        for j, b in enumerate(bits(m)):
-            signed[j % 2] |= index[m ^ b]
-        columns.append((signed[0], signed[1]))
-    return columns
 
 
 def _unit_reduce(columns: Iterable[tuple[int, int]]) -> tuple[int, list[list[int]]]:
@@ -299,79 +275,89 @@ class HomologyProfile:
         return {i: self.betti_number(i) for i in self.degrees()}
 
 
-def _graph_betti(groups: list[list[int]]) -> tuple[int, ...]:
-    """Reduced Betti numbers of a complex of dimension <= 1 from a union-find
-    over its edges: ~H_{-1} = [no vertex], ~H_0 = c - 1 and ~H_1 = E - V + c
-    for c components.  Graph homology is free, so this holds over every
-    field."""
-    if len(groups) < 2:
-        return (1,) * len(groups)
-    vertices, edges = groups[1], groups[2] if len(groups) == 3 else []
-    root = {v: v for v in vertices}
+def _forest(edges: Iterable[int]) -> int:
+    """The size of a spanning forest of the graph with these edges, by
+    union-find: rank d_1 over every field, d_1 being the graph's signed
+    incidence matrix."""
+    root: dict[int, int] = {}
 
     def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = v = root[root[v]]
+        while (parent := root.get(v, v)) != v:
+            root[v] = v = root.get(parent, parent)
         return v
 
-    components = len(vertices)
+    rank = 0
     for edge in edges:
         low = edge & -edge
         u, w = find(low), find(edge ^ low)
         if u != w:
             root[u] = w
-            components -= 1
-    return (0, components - 1, len(edges) - len(vertices) + components)[:len(groups)]
+            rank += 1
+    return rank
 
 
 def profile_from_faces(
-    faces: Iterable[int], fields: Sequence[FieldSpec], *, below: int | None = None
+    delta: SimplicialComplex, key: int, fields: Sequence[FieldSpec], *, below: int | None = None
 ) -> tuple[HomologyProfile, ...]:
-    """Reduced homology over each field, in battery order, of a full face list.
+    """Reduced homology over each field, in battery order, of the subcomplex
+    of ``delta`` named by ``key``, its bitset over delta.sorted_faces().
 
-    The face list must be closed under taking subsets and include 0 unless it
-    is empty (void complex).  This is the scan-friendly entry point: callers
-    that already hold a filtered face list skip complex construction.
+    The key must name a subcomplex: its faces closed under taking subsets,
+    with the empty face unless it is 0 (void complex).  It is evaluated off
+    delta.face_index, built once per complex: the k-vertex faces of the
+    subcomplex are its key's slice of the k-th size class, in Delta's face
+    order, and the columns of d_i are the kept ones of that slice in the
+    class's boundary table.  Their rows are positions in Delta's class below,
+    which keep the subcomplex's own face order, so the reduction is the one
+    of the subcomplex's own face list.
 
-    A complex of dimension <= 1 is a graph: its Betti numbers come from a
-    union-find over the edges (_graph_betti), with no matrix, and are the
-    same over every field.  Otherwise rank d_0 is 1, since a vertex exists,
-    and each map d_i with i >= 2 is reduced once (_unit_reduce), top map
-    first; only the rank of its remainder depends on the field.  The unit
-    pivot rows of d_{i+1} clear their columns from d_i before it is built:
-    each such column lies in the Z-span of the kept ones (module
-    docstring), so rank d_i, over every field, is the kept columns' rank.
-    rank d_1 = V - c for the c components of the edges that d_2 left
-    uncleared, since they span the cleared ones.
+    rank d_0 is 1 when a vertex exists, and rank d_1 is the size of a
+    spanning forest of the edges (_forest), the same over every field, so a
+    complex of dimension <= 1 needs no matrix.  Each map d_i with i >= 2 is
+    reduced once (_unit_reduce), top map first; only the rank of its
+    remainder depends on the field.  The unit pivot rows of d_{i+1} clear
+    their columns from d_i before it is selected: each such column lies in
+    the Z-span of the kept ones (module docstring), so rank d_i, over every
+    field, is the kept columns' rank.  rank d_1 = V - c for the c
+    components of the edges that d_2 left uncleared, since they span the
+    cleared ones.
 
     With ``below = h``, only the degrees -1 .. h - 1 are evaluated: dim ~H_k
     needs the ranks of d_k and d_{k+1} alone, so no map d_i with i > h is
     built, reduced or ranked (d_h, the top map reduced, is cleared by
-    nothing), and ``betti`` is the full tuple cut to its
-    first h + 1 entries (shorter when the complex has no degree that high).
-    The degrees past the cut are unknown, not zero, so such a profile must
-    not be read as the complex's homology beyond ``h - 1``.
+    nothing), no size class above h + 1 is touched, and ``betti`` is the
+    full tuple cut to its first h + 1 entries (shorter when the complex has
+    no degree that high).  The degrees past the cut are unknown, not zero,
+    so such a profile must not be read as the complex's homology beyond
+    ``h - 1``.
     """
-    groups = _faces_by_dim(faces)
-    top = len(groups) if below is None else min(len(groups), below + 1)
-    if len(groups) <= 3:
-        betti = _graph_betti(groups)[:top]
-        return tuple(HomologyProfile(field, betti) for field in fields)
-    reduced, cleared = [], 0
-    for i in range(min(top, len(groups) - 1) - 1, 1, -1):
-        cleared, rest = _unit_reduce(_signed_columns(groups, i, cleared))
+    index = delta.face_index
+    length = index.classes_of(key)
+    top = length if below is None else min(length, below + 1)
+    last = min(top, length - 1)  # the highest class whose map is ranked
+    reduced, cleared, rank_d1 = [], 0, 0
+    for i in range(last - 1, 1, -1):
+        kept = index.size_class(key, i + 1) & ~cleared
+        cleared, rest = _unit_reduce(_select(index.columns(i + 1), kept))
         reduced.append((cleared.bit_count(), rest))
-    rank_d1 = len(groups[1]) - 1 - _graph_betti([*groups[:2], _kept(groups[2], cleared)])[1]
+    if last >= 2:
+        rank_d1 = _forest(_select(index.classes[2], index.size_class(key, 2) & ~cleared))
+    sizes = [index.size_class(key, t).bit_count() for t in range(max(top, 0))]
 
-    def betti(field: FieldSpec) -> tuple[int, ...]:
-        r = [0, 1, rank_d1, *(u + matrix_rank(rest, field) for u, rest in reversed(reduced)), 0]
-        return tuple(len(g) - r[t] - r[t + 1] for t, g in enumerate(groups[:top]))
+    def betti(ranks: Iterable[int]) -> tuple[int, ...]:
+        r = [0, int(length > 1), rank_d1, *ranks, 0]
+        return tuple(size - r[t] - r[t + 1] for t, size in enumerate(sizes))
 
-    return tuple(HomologyProfile(field, betti(field)) for field in fields)
+    if not reduced:  # every rank is known: the same Betti numbers over every field
+        same = betti(())
+        return tuple(HomologyProfile(field, same) for field in fields)
+    return tuple(HomologyProfile(field, betti([u + matrix_rank(rest, field)
+                                               for u, rest in reversed(reduced)]))
+                 for field in fields)
 
 
 def reduced_homology(delta: SimplicialComplex, field: FieldSpec) -> HomologyProfile:
-    return profile_from_faces(delta.face_masks, (field,))[0]
+    return profile_from_faces(delta, delta.face_index.everything, (field,))[0]
 
 
 class HomologyMemo:
@@ -379,65 +365,41 @@ class HomologyMemo:
     battery, for the span of one call: the link walks and depth scans that
     one paper_audit, or criterion 8 on one complex, runs on Delta share it.
 
-    A subcomplex is keyed by its bitset over ``faces``, Delta.sorted_faces():
-    bit p is set iff face p lies in it.  The memo owns that format: its
-    tables, built on first use, once per memo, are the vertex table
-    (``containing``), the faces inside each facet (``inside``) and the
-    faces avoiding a vertex set, so the scans select Delta_a and the link
-    walks key lk G by masks alone; ``faces_of`` lists a key's faces for a
-    miss.  An entry is (cut, profiles) over the whole battery, in its
-    order, since one reduction serves every field; cut is the ``below`` of
+    A subcomplex is keyed by its bitset over Delta.sorted_faces(), the
+    format of Delta's face index (SimplicialComplex.face_index), which the
+    scans select Delta_a by and the link walks key lk G by.  An entry is
+    (cut, profiles) over the whole battery, in its order, since one
+    reduction serves every field; cut is the ``below`` of
     profile_from_faces, None for a full profile.  A cut profile's degrees
     from its cut on are unknown, so it answers only a request at or below
     its cut, and never a full one.  Callers evaluate a miss with
-    profile_from_faces themselves and put it.
+    profile_from_faces themselves, over ``delta``, and put it.  The scans
+    of a join factor of Delta key over the factor's faces, so they share
+    the factor's memo, which this one keeps for the same span (``factor``).
     """
 
     def __init__(self, delta: SimplicialComplex, fields: Sequence[FieldSpec]):
         self.delta = delta
-        self.faces = delta.sorted_faces()
         self.fields = tuple(fields)
-        self.everything = (1 << len(self.faces)) - 1
         self._entries: dict[int, tuple[int | None, tuple[HomologyProfile, ...]]] = {}
+        self._factors: dict[SimplicialComplex, HomologyMemo] = {}
+
+    def factor(self, factor: SimplicialComplex) -> "HomologyMemo":
+        """The memo over ``factor``, a join factor of Delta, over this memo's
+        battery: one per distinct factor complex."""
+        if factor not in self._factors:
+            self._factors[factor] = HomologyMemo(factor, self.fields)
+        return self._factors[factor]
 
     @classmethod
     def serving(cls, memo: "HomologyMemo | None", delta: SimplicialComplex,
                 fields: Sequence[FieldSpec]) -> "HomologyMemo":
         """``memo`` when its complex is ``delta``, the same faces on the same
-        vertex count (the vertex table has a row per vertex), and its
-        battery holds every field of ``fields``, else a fresh memo for them."""
+        vertex count, and its battery holds every field of ``fields``, else
+        a fresh memo for them."""
         if memo is not None and memo.delta == delta and set(fields) <= set(memo.fields):
             return memo
         return cls(delta, fields)
-
-    @cached_property
-    def containing(self) -> list[int]:
-        """Entry j is the bitset of the faces that contain vertex j + 1, for
-        every vertex 1..n: a vertex in no face gets 0."""
-        table = [0] * self.delta.n
-        for p, f in enumerate(self.faces):
-            bit = 1 << p
-            for low in bits(f):
-                table[low.bit_length() - 1] |= bit
-        return table
-
-    def avoiding(self, mask: int) -> int:
-        """The bitset of the faces that avoid ``mask``, a set of vertices
-        1..n: the OR of the vertex table's rows at its set bits, inverted."""
-        meeting = 0
-        for low in bits(mask):
-            meeting |= self.containing[low.bit_length() - 1]
-        return self.everything & ~meeting
-
-    @cached_property
-    def inside(self) -> dict[int, int]:
-        """Each facet's bitset of the faces inside it."""
-        vertices = (1 << self.delta.n) - 1
-        return {f: self.avoiding(vertices & ~f) for f in self.delta.facets}
-
-    def faces_of(self, key: int) -> list[int]:
-        """The faces at the set bits of ``key``, in face order."""
-        return _select(self.faces, key)
 
     def get(self, key: int, below: int | None = None) -> tuple[HomologyProfile, ...] | None:
         """The battery's profiles stored under ``key`` if they answer a
@@ -463,23 +425,29 @@ def _first_failures(delta: SimplicialComplex, fields: Sequence[FieldSpec], spher
     """Each failing field's first (k, face, degree) in delta.link_walk(insides)
     whose link has reduced homology below its dimension or, with ``sphere``,
     a top homology other than K.  Each link is read for the fields that have
-    not failed yet, and the walk stops once every field has.  A link is
-    evaluated once per memo, over the memo's battery, and its faces are
-    listed only then: lk G is keyed as the star walk keys Delta_a at a = 0
-    off G, by the OR over the facets F of G's star of the faces inside F
-    that avoid G."""
+    not failed yet, and the walk stops once every field has.  A link whose
+    facets share a vertex is a cone, acyclic over every field: it passes
+    Reisner's test and fails the sphere test at its dimension, with no
+    evaluation.  Any other link is evaluated once per memo, over the memo's
+    battery: lk G is keyed as the star walk keys Delta_a at a = 0 off G, by
+    the OR over the facets F of G's star of the faces inside F that avoid
+    G."""
     memo = HomologyMemo.serving(memo, delta, fields)
+    index = memo.delta.face_index
     failures: dict[FieldSpec, tuple] = {}
     live = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
     for k, face, link in delta.link_walk(insides):
-        if not live:
-            break
         link_dim = max(m.bit_count() for m in link) - 1
+        if reduce(int.__and__, link):
+            if sphere:
+                failures.update((memo.fields[t], (k, unpack(face), link_dim)) for t in live)
+                break
+            continue
         g = face | insides[k]  # the walk's G; the link's facets are its F - G
-        key = memo.avoiding(g) & reduce(int.__or__, (memo.inside[g | f] for f in link))
+        key = index.avoiding(g) & reduce(int.__or__, (index.inside[g | f] for f in link))
         profiles = memo.get(key)
         if profiles is None:
-            profiles = memo.put(key, None, profile_from_faces(memo.faces_of(key), memo.fields))
+            profiles = memo.put(key, None, profile_from_faces(memo.delta, key, memo.fields))
         for t in tuple(live):
             profile = profiles[t]
             bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
@@ -488,6 +456,8 @@ def _first_failures(delta: SimplicialComplex, fields: Sequence[FieldSpec], spher
             if bad is not None:
                 failures[profile.field] = (k, unpack(face), bad)
                 live.remove(t)
+        if not live:
+            break
     return failures
 
 

@@ -38,18 +38,20 @@ Depths, witnesses and scan_size are those of the scan without either.
 
 Each Delta_a is named by a bitset over the positions of
 Delta(I).sorted_faces(): bit p is set iff face p lies in Delta_a, and 0 is
-the void complex.  The homology memo (homology.HomologyMemo) owns that
-format: the int keys it, so each Delta_a is evaluated once per call and
-its faces are listed only on a miss, and the memo builds the face index
-both forms select by, once per memo.  A scan makes its own memo, or shares
-its caller's when that one is over the same complex: paper_audit passes
-one memo to its link walks, its symbolic-square scan and the per-field
-scans of an unequal square, whose Delta(I^2) is Delta, and lk G is Delta_a
-at a = 0 off G.  In the generator form each point selects Delta_a by
-masks alone: the sets mb = {i outside G_a : b_i > a_i}, one per generator
-x^b, come from words packed once per ideal, and Delta_a is the faces
-avoiding G_a that lack every mb, from the memo's table of the faces
-containing each vertex.  No face is visited per point.
+the void complex.  The complex's face index (SimplicialComplex.face_index,
+built once per complex) owns that format: both forms select by its
+tables, and profile_from_faces evaluates a Delta_a off the same index, so
+no face list is built per point or per evaluation.  The homology memo
+(homology.HomologyMemo) keys its profiles by the int, so each Delta_a is
+evaluated once per call.  A scan makes its own memo, or shares its
+caller's when that one is over the same complex: paper_audit passes one
+memo to its link walks, its symbolic-square scan and the per-field scans
+of an unequal square, whose Delta(I^2) is Delta, and lk G is Delta_a at
+a = 0 off G.  In the generator form each point selects Delta_a by masks
+alone: the sets mb = {i outside G_a : b_i > a_i}, one per generator x^b,
+come from words packed once per ideal, and Delta_a is the faces avoiding
+G_a that lack every mb, from the index's table of the faces containing
+each vertex.  No face is visited per point.
 
 For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
 2011): Delta_a(I) is generated by the sets F - G_a over the facets F of
@@ -94,8 +96,9 @@ for I^(2)),
 the dimensions add, and each cone vertex adds one to depth and dim.  So when
 Delta has two or more join factors besides the cone simplex (an unused vertex
 is one: the complex {emptyset} on one vertex), each of them gets two scans,
-S/I in facet form at l = 1 and the power, and the factors fold pairwise
-(a caller that holds the symbolic-square reports passes them to
+S/I in facet form at l = 1 and the power, which share one homology memo
+over the factor, kept by the caller's memo over Delta, and the factors
+fold pairwise (a caller that holds the symbolic-square reports passes them to
 square_depth_reports, which then scans only the unequal factor squares);
 their scan sizes add where a scan of the whole join would multiply them.
 The budget still counts the whole ring's scan size, from the faces, before
@@ -112,7 +115,7 @@ from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import bits, pack, unpack
-from .complexes import SimplicialComplex
+from .complexes import FaceIndex, SimplicialComplex
 from .homology import QQ, FieldSpec, HomologyMemo, profile_from_faces
 from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner, symbolic2_equals_square
 
@@ -153,8 +156,8 @@ class DepthReport:
 # -- the degree-selected subcomplex --------------------------------------------
 #
 # Both forms name Delta_a by its bitset over the faces (module docstring) and
-# read their tables from the scan's homology memo, which builds them once
-# per memo.  A form's walk yields (g_mask, a, Delta_a) for its scan points
+# read their tables from Delta's face index, built once per complex.  A
+# form's walk yields (g_mask, a, Delta_a) for its scan points
 # in scan order, leaving out points whose Delta_a is void or (facet form) a
 # cone.
 
@@ -162,9 +165,9 @@ Select = Callable[[int, Sequence[int]], int]
 Walk = Iterator[tuple[int, tuple[int, ...], int]]
 
 
-def _generator_selection(gens: Sequence[tuple[int, ...]], memo: HomologyMemo) -> Select:
-    """``select(g_mask, a)`` of the generator-form scan; ``memo`` indexes the
-    faces of Delta(I) on n vertices, ``gens`` are the exponent vectors of
+def _generator_selection(gens: Sequence[tuple[int, ...]], index: FaceIndex) -> Select:
+    """``select(g_mask, a)`` of the generator-form scan; ``index`` is the face
+    index of Delta(I) on n vertices, ``gens`` are the exponent vectors of
     its generators.
 
     For each generator b, mb = {j outside G_a : b_j > a_j}; a face F of
@@ -178,11 +181,11 @@ def _generator_selection(gens: Sequence[tuple[int, ...]], memo: HomologyMemo) ->
     the faces lacking mb; the latter is remembered per scan, keyed by the
     AND, from the vertex table.  No face is visited per point.
     """
-    n, table, everything = memo.delta.n, memo.containing, memo.everything
+    n, table, everything = index.n, index.containing, index.everything
     top = max((e for b in gens for e in b), default=0)
     words = [sum(1 << (k * n + j) for k in range(top) for j, e in enumerate(b) if e > k)
              for b in gens]
-    avoiding = lru_cache(maxsize=1)(memo.avoiding)  # scan points come grouped by G
+    avoiding = lru_cache(maxsize=1)(index.avoiding)  # scan points come grouped by G
 
     class Lacking(dict):
         def __missing__(self, lanes: int) -> int:
@@ -210,18 +213,18 @@ def _generator_selection(gens: Sequence[tuple[int, ...]], memo: HomologyMemo) ->
     return select
 
 
-def _generator_walk(gens: Sequence[tuple[int, ...]], memo: HomologyMemo,
+def _generator_walk(gens: Sequence[tuple[int, ...]], index: FaceIndex,
                     rho: Sequence[int]) -> Walk:
     """The generator-form walk: every scan point, selected one at a time."""
-    select = _generator_selection(gens, memo)
-    for g_mask, a in _scan_points(memo.faces, rho, memo.delta.n):
+    select = _generator_selection(gens, index)
+    for g_mask, a in _scan_points(index.faces, rho, index.n):
         key = select(g_mask, a)
         if key:
             yield g_mask, a, key
 
 
-def _facet_walk(ell: int, memo: HomologyMemo, rho: Sequence[int]) -> Walk:
-    """The facet-form walk of I_Delta^(ell), Delta the memo's complex: the
+def _facet_walk(ell: int, index: FaceIndex, rho: Sequence[int]) -> Walk:
+    """The facet-form walk of I_Delta^(ell), ``index`` Delta's face index: the
     scan points whose Delta_a is neither void nor a cone, in scan order,
     each with Delta_a as its bitset.
 
@@ -235,12 +238,12 @@ def _facet_walk(ell: int, memo: HomologyMemo, rho: Sequence[int]) -> Walk:
     vertex; both are worked out once per live set, and only yielded points
     get their degree tuple.
     """
-    n, facets, inside = memo.delta.n, memo.delta.facets, memo.inside
-    for g in memo.faces:
+    n, facets, inside = index.n, index.facets, index.inside
+    for g in index.faces:
         free = [j for j in range(n) if not g >> j & 1]
         if not all(rho[j] for j in free):
             continue  # G misses a cone vertex: no point
-        avoiding = memo.avoiding(g)
+        avoiding = index.avoiding(g)
         star = [(f, inside[f] & avoiding) for f in facets if not g & ~f]
         parts = [part for _, part in star]
         rests = [f & ~g for f, _ in star]
@@ -333,20 +336,20 @@ def _scan_reports(
     rho: Sequence[int],
     fields: Sequence[FieldSpec],
     budget: int,
-    walk: Callable[[HomologyMemo, Sequence[int]], Walk],
+    walk: Callable[[FaceIndex, Sequence[int]], Walk],
     memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """The depth scan shared by the generator and facet forms, per field.
 
-    ``walk(memo, rho)`` is the form's walk, which reads its tables from
-    ``memo`` and names each Delta_a by its bitset over the memo's faces,
-    delta.sorted_faces(); equal bitsets are equal complexes, so each
-    Delta_a is listed and evaluated once per memo.  The caller's memo
-    serves when its complex is ``delta`` and its battery holds ``fields``;
-    else the scan makes its own.  A miss is evaluated over the memo's
-    battery.  The points a walk leaves out, void or cones, have no
-    homology.  The search space (see module docstring) is sized upfront,
-    from the faces, before the memo builds a table;
+    ``walk(index, rho)`` is the form's walk, which reads its tables from
+    ``index``, the face index of the memo's complex, and names each
+    Delta_a by its bitset over delta.sorted_faces(); equal bitsets are
+    equal complexes, so each Delta_a is evaluated once per memo, off that
+    index.  The caller's memo serves when its complex is ``delta`` and its
+    battery holds ``fields``; else the scan makes its own.  A miss is
+    evaluated over the memo's battery.  The points a walk leaves out, void
+    or cones, have no homology.  The search space (see module docstring)
+    is sized upfront, from the faces, before the face index is built;
     exceeding the budget raises BudgetExceeded rather than truncating, and
     scan_size is that upfront count.  Each field's witness is its first
     nonvanishing piece in the fixed (i, a) order, so reports are
@@ -367,14 +370,14 @@ def _scan_reports(
     at = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
     depths = [dim_ring] * len(fields)
     witnesses: list[CohomologyWitness | None] = [None] * len(fields)
-    for g_mask, a, key in walk(memo, rho):
+    for g_mask, a, key in walk(memo.delta.face_index, rho):
         g = g_mask.bit_count()
         if g >= bound:
             break
         below = bound - g - 1
         profiles = memo.get(key, below)
         if profiles is None:
-            profiles = memo.put(key, below, profile_from_faces(memo.faces_of(key), memo.fields,
+            profiles = memo.put(key, below, profile_from_faces(memo.delta, key, memo.fields,
                                                                below=below))
         for k, t in enumerate(at):
             # the piece at i is entry i - g; only a degree below this field's depth counts
@@ -449,6 +452,7 @@ def _join_reports(
     budget: int,
     power: Callable[..., dict[FieldSpec, DepthReport]],
     symbolic: dict[FieldSpec, DepthReport] | None = None,
+    memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport] | None:
     """The reports of S/I_Delta^2 or S/I_Delta^(2), whichever ``power`` scans
     on each factor, folded over the join factors of Delta (module
@@ -456,20 +460,26 @@ def _join_reports(
     cone simplex.  ``symbolic``, Delta's symbolic-square reports when the
     caller holds them, gives each factor's S/I report, and ``power`` gets
     the factor's symbolic-square reports as well, so no factor is scanned
-    twice."""
+    twice.  The scans of a factor take its memo from ``memo``, a
+    HomologyMemo over Delta (HomologyMemo.factor), so they share one, and
+    so do equal factors and the factor scans of every call that shares
+    ``memo``: a Delta_a they meet is evaluated once."""
     cone = pack(delta.cone_vertices())
     blocks = [b for b in delta.join_blocks() if b != cone]
     if len(blocks) < 2:
         return None
+    memo = HomologyMemo.serving(memo, delta, fields)
     factors = []
     for k, block in enumerate(blocks):
         factor = delta.restrict(unpack(block))
+        shared = memo.factor(factor)
         if symbolic is None:
-            radical, powered = (_symbolic_depth_reports(factor, 1, fields, budget),
-                                power(factor, fields, budget))
+            radical, powered = (_symbolic_depth_reports(factor, 1, fields, budget, shared),
+                                power(factor, fields, budget, memo=shared))
         else:
             radical = {f: symbolic[f].factors[k][1] for f in fields}
-            powered = power(factor, fields, budget, {f: symbolic[f].factors[k][2] for f in fields})
+            powered = power(factor, fields, budget, {f: symbolic[f].factors[k][2] for f in fields},
+                            memo=shared)
         factors.append((unpack(block), radical, powered))
     c = cone.bit_count()
     out = {}
@@ -486,6 +496,7 @@ def square_depth_reports(
     fields: Sequence[FieldSpec],
     budget: int = DEFAULT_BUDGET,
     symbolic: dict[FieldSpec, DepthReport] | None = None,
+    memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^2: a join from its factors; else in facet form when
     I^2 = I^(2), which the special-triangle criterion decides without
@@ -495,17 +506,18 @@ def square_depth_reports(
     ``symbolic`` may hold symbolic_square_depth_reports(delta, fields,
     budget), which are then not scanned again: a square equal to the
     symbolic square is those reports, and a join's factors take their S/I
-    reports and equal squares from its factors."""
+    reports and equal squares from its factors.  ``memo``, a HomologyMemo
+    over Delta, serves the scans as in symbolic_square_depth_reports."""
     size = check_square_budget(delta, budget) if delta.n else 0
-    joined = _join_reports(delta, size, fields, budget, square_depth_reports, symbolic)
+    joined = _join_reports(delta, size, fields, budget, square_depth_reports, symbolic, memo)
     if joined is not None:
         return joined
     ideal = stanley_reisner(delta)
     if not delta.is_void() and symbolic2_equals_square(ideal).equal:
         if symbolic is not None:
             return dict(symbolic)
-        return _symbolic_depth_reports(delta, 2, fields, budget)
-    return depth_reports(ideal.power(2), fields, budget)
+        return _symbolic_depth_reports(delta, 2, fields, budget, memo)
+    return depth_reports(ideal.power(2), fields, budget, memo)
 
 
 def symbolic_square_depth_reports(
@@ -516,10 +528,11 @@ def symbolic_square_depth_reports(
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^(2): a join from its factors, else scanned in facet
     form; no generator of the symbolic square is built.  ``memo``, a
-    HomologyMemo over Delta, serves the scan of Delta itself; a join's
-    factors have other faces and scan on their own."""
+    HomologyMemo over Delta, serves the scan of Delta itself, and a join's
+    factor scans, which have other faces, take their memos from it."""
     size = check_square_budget(delta, budget) if delta.n else 0
-    joined = _join_reports(delta, size, fields, budget, symbolic_square_depth_reports)
+    joined = _join_reports(delta, size, fields, budget, symbolic_square_depth_reports,
+                           memo=memo)
     if joined is not None:
         return joined
     return _symbolic_depth_reports(delta, 2, fields, budget, memo)

@@ -7,10 +7,10 @@ scan that the facet-form square scan and the join route replace, the
 vertex cap of the non-face triple condition, and criterion 8's pool of
 complexes.  The Delta_a oracles follow the formulas in the docstring of
 ``srsq.takayama`` and call nothing in that module; the unbounded scan loop
-takes its budget check from there, its face index from
-``homology.HomologyMemo``, and its walks from the caller.  A link's bitset
-is also found here by listing the link's faces, the route the memo's keys
-replace."""
+takes its budget check from there, its face index from the complex
+(``SimplicialComplex.face_index``), and its walks from the caller.  A
+link's bitset is also found here by listing the link's faces, the route
+the memo's keys replace."""
 
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from srsq import (
 )
 from srsq.bits import generated_faces, pack, unpack
 from srsq.criteria import CONDITION3_MAX_VERTICES, Condition3Result
-from srsq.homology import HomologyMemo, profile_from_faces
+from srsq.homology import profile_from_faces
 from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
 from srsq.reproduce import iter_pure_complexes
 from srsq.takayama import CohomologyWitness, _checked_size
@@ -494,6 +494,13 @@ def faces_at(faces, key: int) -> list[int]:
     return [f for p, f in enumerate(faces) if key >> p & 1]
 
 
+def profile_of_faces(faces, fields, below=None):
+    """profile_from_faces of the complex whose faces are ``faces``, a closed
+    face list, on the vertices 1 .. its largest vertex, over its whole key."""
+    delta = SimplicialComplex(max(faces, default=0).bit_length(), tuple(faces))
+    return profile_from_faces(delta, delta.face_index.everything, fields, below=below)
+
+
 def is_cone_bitset(delta: SimplicialComplex, key: int) -> bool:
     """Whether the subcomplex of ``delta`` at the set bits of ``key`` over
     delta.sorted_faces() is a cone: nonvoid with a vertex in every facet."""
@@ -552,17 +559,16 @@ def unbounded_scan_reports(delta, rho, fields, budget, walk,
     profile, and each field keeps the first piece at every degree below
     dim S/I; its depth is the lowest of those, its witness the piece there.
     It takes the scan's ``memo`` argument and ignores it: the walk reads
-    the face index of a fresh memo, and the oracle keeps its own cache of
+    the face index of ``delta``, and the oracle keeps its own cache of
     profiles, one per scan."""
     size = _checked_size(delta.face_masks, rho, budget)
     dim_ring = delta.dim + 1
-    index = HomologyMemo(delta, fields)
     cache = {}
     first_hits = [{} for _ in fields]
-    for g_mask, a, key in walk(index, rho):
+    for g_mask, a, key in walk(delta.face_index, rho):
         profiles = cache.get(key)
         if profiles is None:
-            profiles = cache[key] = profile_from_faces(faces_at(index.faces, key), fields)
+            profiles = cache[key] = profile_from_faces(delta, key, fields)
         shift = g_mask.bit_count() + 1
         for profile, first_hit in zip(profiles, first_hits):
             for i, betti in enumerate(profile.betti, shift - 1):

@@ -22,6 +22,7 @@ from srsq import (
     cross_polytope,
     cycle_complex,
     depth2_criterion,
+    disjoint_pentagons,
     edge_ideal,
     four_path,
     complete_graph,
@@ -47,6 +48,7 @@ from srsq import (
 from srsq import criteria, homology, jsonio, takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import _audit_violations, explore_complexes
+from srsq.complexes import FaceIndex
 from srsq.homology import GorensteinReport, HomologyMemo
 from srsq.reproduce import iter_pure_complexes, named_battery
 
@@ -445,16 +447,17 @@ def test_audit_walks_each_link_once_for_the_whole_battery(monkeypatch):
     # 1594 on the explore pool over {Q, F2}, and one walk per battery 513 and
     # 797; F2 fails no later than Q on any link, so the battery walks as far
     # as Q alone does.  The audit's memo evaluates a link once for both walks,
-    # Gorenstein and local Gorenstein, and equal links of different faces once
+    # Gorenstein and local Gorenstein, and equal links of different faces once;
+    # a cone link is decided from its facets (3 of the explore pool's 362)
     evaluated = []
     profile = homology.profile_from_faces
 
-    def counted(faces, fields):
+    def counted(delta, key, fields):
         evaluated.append(tuple(fields))
-        return profile(faces, fields)
+        return profile(delta, key, fields)
 
     monkeypatch.setattr(homology, "profile_from_faces", counted)
-    for pool, links in (([d for _, d in named_battery()], 145), (explore_complexes(0, 100, 6), 362)):
+    for pool, links in (([d for _, d in named_battery()], 145), (explore_complexes(0, 100, 6), 359)):
         for battery in ((QQ, GF2), (QQ,)):
             evaluated.clear()
             for delta in pool:
@@ -478,18 +481,18 @@ def test_the_audit_memo_leaves_every_report_byte_identical(monkeypatch):
 
 
 def test_one_face_index_serves_the_whole_audit(monkeypatch):
-    # the audit's one memo builds its vertex table once, and the link walks,
+    # the audit's complex builds its vertex table once, and the link walks,
     # the S/I^(2) scan and each per-field scan of an unequal square read it
     built = []
-    table = HomologyMemo.__dict__["containing"]
+    table = FaceIndex.__dict__["containing"]
 
-    def build(memo):
-        built.append(memo.delta)
-        return table.func(memo)
+    def build(index):
+        built.append(SimplicialComplex(index.n, index.facets))
+        return table.func(index)
 
     counted = functools.cached_property(build)
-    counted.__set_name__(HomologyMemo, "containing")
-    monkeypatch.setattr(HomologyMemo, "containing", counted)
+    counted.__set_name__(FaceIndex, "containing")
+    monkeypatch.setattr(FaceIndex, "containing", counted)
     unequal = 0
     for delta in [d for _, d in named_battery()] + explore_complexes(0, 100, 6):
         built.clear()
@@ -499,6 +502,28 @@ def test_one_face_index_serves_the_whole_audit(monkeypatch):
         assert built == [delta]
         unequal += not report.sym2.equal
     assert unequal >= 40
+
+
+def test_a_join_evaluates_each_face_set_of_each_factor_once(monkeypatch):
+    # the S/I, S/I^(2) and unequal S/I^2 scans of a join factor share one
+    # memo, kept by the audit's memo, and so do equal factors: the two
+    # pentagons of disjoint_pentagons(2), and rp2 next to two points, whose
+    # square differs from its symbolic square (93 and 199 evaluations when
+    # each factor scan kept a memo of its own)
+    evaluated = []
+    for module in (homology, takayama):
+        def counted(delta, key, fields, profile=module.profile_from_faces, **cut):
+            evaluated.append((delta, key))
+            return profile(delta, key, fields, **cut)
+
+        monkeypatch.setattr(module, "profile_from_faces", counted)
+    two_points = SimplicialComplex(2, (pack([1]), pack([2])))
+    for delta, calls in ((disjoint_pentagons(2), 65), (rp2().join(two_points), 170)):
+        evaluated.clear()
+        report = paper_audit(delta, (QQ, GF2))
+        assert all(r.factors for r in report.cm_symbolic_square.values())
+        assert len(evaluated) == len(set(evaluated)) == calls
+    assert not report.sym2.equal
 
 
 def test_no_memo_outlives_its_audit(monkeypatch):

@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import combinations
 
@@ -32,8 +33,10 @@ from srsq.bits import generated_faces, pack
 from srsq.criteria import explore_complexes, random_pure_complex
 from srsq.homology import parse_field_battery, profile_from_faces
 from srsq.reproduce import named_battery as reproduce_named_battery
-from helpers import (boundary_matrix, cone_bases, fraction_rank, link_key_by_faces,
-                     modp_rank_naive, random_complex_with_unused_vertices,
+from srsq.complexes import FaceIndex
+from helpers import (boundary_matrix, cone_bases, fraction_rank,
+                     link_key_by_faces, modp_rank_naive, profile_of_faces,
+                     random_complex_with_unused_vertices,
                      reindexed_cm_verdict, reindexed_gorenstein_verdict,
                      reindexed_local_gorenstein_verdict, relabeling_classes)
 
@@ -180,16 +183,18 @@ def test_edge_cases():
 
 
 def test_profile_does_not_depend_on_face_order():
+    # a relabeling reorders the faces within each size class, hence the rows
+    # and columns of every boundary map
     rng = random.Random(17)
     pool = named_battery() + [random_pure_complex(rng, rng.randint(3, 7)) for _ in range(12)]
     for d in pool:
-        faces = d.sorted_faces()
         for field in (QQ, GF2, F3):
-            (expected,) = profile_from_faces(faces, (field,))
+            (expected,) = profile_from_faces(d, d.face_index.everything, (field,))
             for _ in range(3):
-                shuffled = list(faces)
-                rng.shuffle(shuffled)
-                assert profile_from_faces(shuffled, (field,)) == (expected,)
+                perm = list(range(1, d.n + 1))
+                rng.shuffle(perm)
+                moved = d.relabel({v: perm[v - 1] for v in range(1, d.n + 1)})
+                assert profile_from_faces(moved, moved.face_index.everything, (field,)) == (expected,)
 
 
 def random_face_sets(rng, count):
@@ -209,30 +214,31 @@ def random_face_sets(rng, count):
 def test_battery_profile_equals_one_field_profiles():
     battery = (QQ, GF2, F3)
     for faces in random_face_sets(random.Random(5), 40):
-        singles = tuple(profile_from_faces(faces, (field,))[0] for field in battery)
-        assert profile_from_faces(faces, battery) == singles
-        assert profile_from_faces(faces, battery[::-1]) == singles[::-1]
+        singles = tuple(profile_of_faces(faces, (field,))[0] for field in battery)
+        assert profile_of_faces(faces, battery) == singles
+        assert profile_of_faces(faces, battery[::-1]) == singles[::-1]
 
 
 def test_each_map_is_reduced_once_whatever_the_battery(monkeypatch):
+    # ``packed`` logs i for each d_i whose columns are read off the index
     packed, reduced = [], []
-    columns, reduce = homology._signed_columns, homology._unit_reduce
+    columns, reduce = FaceIndex.columns, homology._unit_reduce
 
-    def counted_columns(groups, i, cleared):
-        packed.append(i)
-        return columns(groups, i, cleared)
+    def counted_columns(index, k):
+        packed.append(k - 1)
+        return columns(index, k)
 
     def counted_reduce(cols):
         reduced.append(len(cols))
         return reduce(cols)
 
-    monkeypatch.setattr(homology, "_signed_columns", counted_columns)
+    monkeypatch.setattr(FaceIndex, "columns", counted_columns)
     monkeypatch.setattr(homology, "_unit_reduce", counted_reduce)
-    faces = rp2().sorted_faces()
+    d = rp2()
     for battery in ((QQ,), (QQ, GF2), (QQ, GF2, F3)):
         packed.clear()
         reduced.clear()
-        profile_from_faces(faces, battery)
+        profile_from_faces(d, d.face_index.everything, battery)
         # rank d_0 is 1 by formula and rank d_1 comes from the union-find
         assert packed == [2] and reduced == [10]
 
@@ -259,26 +265,33 @@ def cut_face_sets(draw):
 def test_a_cut_profile_is_the_head_of_the_full_profile_and_reduces_no_higher_map(case):
     faces, below = case
     battery = (QQ, GF2, F3)
-    built, reduced = [], []
-    columns, reduce = homology._signed_columns, homology._unit_reduce
+    built, reduced, touched = [], [], []
+    columns, size_class, reduce = FaceIndex.columns, FaceIndex.size_class, homology._unit_reduce
 
-    def counted_columns(groups, i, cleared):
-        built.append(i)
-        return columns(groups, i, cleared)
+    def counted_columns(index, k):
+        built.append(k - 1)
+        return columns(index, k)
+
+    def counted_size_class(index, key, k):
+        touched.append(k)
+        return size_class(index, key, k)
 
     def counted_reduce(cols):
         reduced.append(cols)
         return reduce(cols)
 
-    full = profile_from_faces(faces, battery)
+    full = profile_of_faces(faces, battery)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(homology, "_signed_columns", counted_columns)
+        m.setattr(FaceIndex, "columns", counted_columns)
+        m.setattr(FaceIndex, "size_class", counted_size_class)
         m.setattr(homology, "_unit_reduce", counted_reduce)
-        cut = profile_from_faces(faces, battery, below=below)
+        cut = profile_of_faces(faces, battery, below=below)
     assert [p.field for p in cut] == list(battery)
     assert [p.betti for p in cut] == [p.betti[:below + 1] for p in full]
-    # ~H_k needs d_k and d_{k+1} alone: no map d_i with i > below is built or reduced
+    # ~H_k needs d_k and d_{k+1} alone: no map d_i with i > below is built or
+    # reduced, and no size class above below + 1 is read
     assert len(reduced) == len(built) and all(i <= below for i in built)
+    assert all(k <= below + 1 for k in touched)
 
 
 @st.composite
@@ -314,6 +327,8 @@ def test_a_memo_entry_answers_no_request_above_its_cut(case):
     # the callers' protocol: get, and on a miss evaluate over the memo's
     # battery at the request's cut and put it; a cut entry may answer only
     # a request at or below its cut, and a full request only a full entry
+    # the subcomplex is evaluated off its key over Delta's face index, and
+    # the oracle evaluates it as a complex of its own
     delta, subs, requests = case
     battery = (QQ, GF2, F3)
     memo = homology.HomologyMemo(delta, battery)
@@ -321,16 +336,15 @@ def test_a_memo_entry_answers_no_request_above_its_cut(case):
     for s, below in requests:
         faces = subs[s]
         key = sum(1 << p for p, f in enumerate(delta.sorted_faces()) if f in faces)
-        assert sorted(memo.faces_of(key)) == sorted(faces)
         answers = key in stored and (stored[key] is None
                                      or below is not None and below <= stored[key])
         profiles = memo.get(key, below)
         assert (profiles is not None) == answers
         if profiles is None:
-            profiles = memo.put(key, below, profile_from_faces(faces, battery, below=below))
+            profiles = memo.put(key, below, profile_from_faces(delta, key, battery, below=below))
             stored[key] = below
         assert [p.field for p in profiles] == list(battery)
-        for got, full in zip(profiles, profile_from_faces(faces, battery)):
+        for got, full in zip(profiles, profile_of_faces(faces, battery)):
             head = full.betti if below is None else full.betti[:below + 1]
             assert got.betti[:len(head)] == head
 
@@ -349,7 +363,7 @@ def test_a_memo_serves_only_its_own_faces_and_fields():
         fresh = homology.HomologyMemo.serving(memo, other, fields)
         assert fresh is not memo and (fresh.delta, fresh.fields) == (other, fields)
     assert wider.sorted_faces() == d.sorted_faces()
-    assert len(homology.HomologyMemo(wider, ()).containing) == 8 > len(memo.containing) == 6
+    assert len(wider.face_index.containing) == 8 > len(d.face_index.containing) == 6
     assert homology.HomologyMemo.serving(None, d, (QQ,)).fields == (QQ,)
 
 
@@ -378,7 +392,7 @@ def test_q_profiles_match_the_fraction_oracle_whatever_the_battery():
     for faces in pool:
         expected = q_betti_oracle(faces)
         for battery in ((QQ,), (QQ, GF2), (F3, QQ, GF2)):
-            profiles = dict(zip(battery, profile_from_faces(faces, battery)))
+            profiles = dict(zip(battery, profile_of_faces(faces, battery)))
             assert profiles[QQ].betti == expected
 
 
@@ -410,8 +424,8 @@ def test_graph_rule_matches_the_rank_route(monkeypatch):
         raise AssertionError("a complex of dimension <= 1 needs no boundary matrix")
 
     with monkeypatch.context() as m:
-        m.setattr(homology, "_signed_columns", refuse)
-        profiles = [profile_from_faces(faces, battery) for faces in pool]
+        m.setattr(FaceIndex, "columns", refuse)
+        profiles = [profile_of_faces(faces, battery) for faces in pool]
     isolated = cycles = 0
     for faces, by_field in zip(pool, profiles):
         expected = q_betti_oracle(faces)
@@ -464,8 +478,9 @@ def test_only_remainders_reach_matrix_rank(monkeypatch):
     assert stellar and all(rows == [] for _, rows in stellar)
     # every field is ranked on every map, even an empty remainder
     battery = (QQ, GF2, F3)
-    assert [f for f, _ in remainders(lambda: profile_from_faces(cross_polytope(3).sorted_faces(),
-                                                                battery))] == list(battery)
+    octahedron = cross_polytope(3)
+    assert [f for f, _ in remainders(lambda: profile_from_faces(
+        octahedron, octahedron.face_index.everything, battery))] == list(battery)
     # rp2's d_2 keeps a remainder, which carries its 2-torsion
     (field, rows), = remainders(lambda: reduced_homology(rp2(), GF2))
     d2 = boundary_matrix(rp2(), 2)
@@ -514,10 +529,10 @@ def test_unit_reduction_ranks_match_the_oracles(case):
 def test_unit_reduction_of_torsion_complexes_matches_the_oracles():
     set_aside = 0
     for delta in torsion_complexes():
-        groups = homology._faces_by_dim(delta.sorted_faces())
+        index = delta.face_index
         for i in range(1, delta.dim + 1):
-            columns = homology._signed_columns(groups, i, 0)
-            assert_reduction_ranks(columns, len(groups[i]))
+            columns = index.columns(i + 1)
+            assert_reduction_ranks(columns, len(index.classes[i]))
             set_aside += bool(homology._unit_reduce(columns)[1])
     assert set_aside >= len(torsion_complexes())
 
@@ -526,15 +541,16 @@ def test_signed_columns_match_the_dense_boundary_matrix():
     rng = random.Random(29)
     pool = named_battery() + torsion_complexes()[:2]
     pool += [random_pure_complex(rng, rng.randint(3, 7)) for _ in range(12)]
+    # each class's table against boundary_matrix, rows and columns in face order
     for delta in pool:
-        groups = homology._faces_by_dim(delta.sorted_faces())
+        index = delta.face_index
         for i in range(1, delta.dim + 1):
-            columns = homology._signed_columns(groups, i, 0)
-            assert dense(columns, len(groups[i])) == boundary_matrix(delta, i)
-            # a cleared position drops its column and keeps the others' order
-            cleared = rng.getrandbits(len(groups[i + 1]))
-            kept = [c for c in range(len(groups[i + 1])) if not cleared >> c & 1]
-            assert dense(homology._signed_columns(groups, i, cleared), len(groups[i])) == [
+            columns = index.columns(i + 1)
+            assert dense(columns, len(index.classes[i])) == boundary_matrix(delta, i)
+            # a selection keeps its columns in order, as a key less the cleared rows does
+            selected = rng.getrandbits(len(index.classes[i + 1]))
+            kept = [c for c in range(len(index.classes[i + 1])) if selected >> c & 1]
+            assert dense(homology._select(columns, selected), len(index.classes[i])) == [
                 [row[c] for c in kept] for row in boundary_matrix(delta, i)]
 
 
@@ -547,7 +563,7 @@ def field_oracles(faces):
 
 def assert_cleared_profiles_match(faces, cuts, expected):
     for below in cuts:
-        profiles = profile_from_faces(faces, (QQ, GF2, F3), below=below)
+        profiles = profile_of_faces(faces, (QQ, GF2, F3), below=below)
         assert [p.betti for p in profiles] == [
             betti if below is None else betti[:below + 1] for betti in expected], below
 
@@ -586,6 +602,54 @@ def test_cleared_profiles_of_spheres_and_torsion_match_the_dense_oracles_at_ever
     assert_cleared_profiles_match(faces, [None, *range(-1, delta.dim + 1)], expected)
 
 
+def index_route_pool():
+    """Complexes whose subcomplexes the index route evaluates: the torsion
+    complexes (rp2 * rp2 among them), {empty face} on 0 and 1 vertices, a
+    sphere, a cone, and complexes with unused vertices."""
+    rng = random.Random(37)
+    return (torsion_complexes()
+            + [SimplicialComplex(0, (0,)), SimplicialComplex(1, (0,)), cross_polytope(3),
+               simplex_complex(1).join(four_path())]
+            + [random_complex_with_unused_vertices(rng, pure) for pure in (True, False) * 4])
+
+
+@functools.cache
+def subcomplex_oracles(delta, key):
+    """field_oracles of the subcomplex of ``delta`` at the set bits of ``key``."""
+    return tuple(field_oracles([f for p, f in enumerate(delta.sorted_faces()) if key >> p & 1]))
+
+
+@st.composite
+def scan_and_walk_keys(draw):
+    """A complex of index_route_pool, a face G of it, a key shaped like the
+    scans' Delta_a and the walks' lk G, the faces avoiding G ANDed with the
+    OR of the faces inside some facets of G's star, and a cut from -1 to
+    the subcomplex's top degree, or None."""
+    delta = draw(st.sampled_from(index_route_pool()))
+    index = delta.face_index
+    g = draw(st.sampled_from(index.faces))
+    star = [f for f in delta.facets if not g & ~f]
+    live = draw(st.lists(st.sampled_from(star), min_size=1, unique=True))
+    key = index.avoiding(g) & functools.reduce(int.__or__, (index.inside[f] for f in live))
+    top = index.classes_of(key) - 2
+    return delta, key, draw(st.one_of(st.none(), st.integers(min_value=-1, max_value=top)))
+
+
+@given(scan_and_walk_keys())
+@example((rp2().join(rp2()), rp2().join(rp2()).face_index.everything, 3))
+@example((SimplicialComplex(0, (0,)), 1, None))  # {empty face}: ~H_{-1} = K
+@example((SimplicialComplex(1, (0,)), 1, -1))
+@settings(max_examples=150, deadline=None)
+def test_key_evaluated_profiles_match_the_dense_oracles(case):
+    # the index route reads a subcomplex's classes, columns and edges off
+    # its key over Delta's face index; the oracles list its faces and build
+    # its dense boundary matrices
+    delta, key, below = case
+    profiles = profile_from_faces(delta, key, (QQ, GF2, F3), below=below)
+    assert [p.betti for p in profiles] == [
+        betti if below is None else betti[:below + 1] for betti in subcomplex_oracles(delta, key)]
+
+
 @pytest.mark.parametrize("delta, below, columns, edges", [
     (cross_polytope(6), None, [64, 129, 111, 49], 11),  # 353 of 656 columns
     (cross_polytope(6), 3, [240, 49], 11),  # the map at the cut is cleared by nothing
@@ -596,19 +660,19 @@ def test_clearing_hands_each_map_only_its_kept_columns(monkeypatch, delta, below
     # columns from d_i, and the union-find of rank d_1 sees only the edges
     # d_2 left uncleared: a spanning tree of the 12 vertices here
     reduced, united = [], []
-    reduce, graph_betti = homology._unit_reduce, homology._graph_betti
+    reduce, forest = homology._unit_reduce, homology._forest
 
     def counted_reduce(cols):
         reduced.append(len(cols))
         return reduce(cols)
 
-    def counted_graph_betti(groups):
-        united.append(len(groups[2]))
-        return graph_betti(groups)
+    def counted_forest(edges):
+        united.append(len(edges))
+        return forest(edges)
 
     monkeypatch.setattr(homology, "_unit_reduce", counted_reduce)
-    monkeypatch.setattr(homology, "_graph_betti", counted_graph_betti)
-    profile_from_faces(delta.sorted_faces(), (QQ, GF2, F3), below=below)
+    monkeypatch.setattr(homology, "_forest", counted_forest)
+    profile_from_faces(delta, delta.face_index.everything, (QQ, GF2, F3), below=below)
     assert reduced == columns and united == [edges]
 
 
@@ -691,14 +755,24 @@ def assert_battery_matches_reindexed_links(delta, battery) -> dict:
     return verdicts
 
 
+def leaf_on_a_cycle():
+    """A four-cycle on 2..5 with the pendant edge {1, 2}.  Its empty face's
+    link has the homology of a circle, and the first face in Stanley's walk
+    to fail is the leaf 1, whose link, the point 2, is a cone."""
+    return new_complex(5, [(1, 2), (2, 3), (3, 4), (4, 5), (2, 5)])
+
+
 @pytest.mark.parametrize("pure", [True, False], ids=["pure", "non-pure"])
 def test_link_criteria_witnesses_match_the_reindexed_link_route(pure):
+    # a cone link is decided from its facets: it passes Reisner's test and
+    # fails the sphere test at its dimension, with no evaluation
     rng = random.Random(23 if pure else 29)
     local_verdicts = set()
-    for delta in witness_pool(rng, pure):
+    for delta in witness_pool(rng, pure) + [leaf_on_a_cycle()]:
         verdicts = assert_battery_matches_reindexed_links(delta, (QQ, GF2, F3))
         local_verdicts.add(verdicts[QQ][2][0])
     assert local_verdicts == {True, False}
+    assert verdicts[QQ][1][3:] == ((1,), 0) and verdicts[QQ][0][0] is True
 
 
 def two_rp2_at_a_vertex():
@@ -730,9 +804,9 @@ def test_link_criteria_evaluate_each_link_of_delta_once_and_build_no_complex(mon
     evaluated = []
     profile = homology.profile_from_faces
 
-    def counted(faces, fields):
-        evaluated.append(faces)
-        return profile(faces, fields)
+    def counted(delta, key, fields):
+        evaluated.append(key)
+        return profile(delta, key, fields)
 
     def refuse(*args):
         raise AssertionError("the link criteria read the links of Delta's own faces")
@@ -748,19 +822,22 @@ def test_link_criteria_evaluate_each_link_of_delta_once_and_build_no_complex(mon
 
 def walked_link_keys(delta):
     """(G, key) for each face G that the link walks of Reisner, Stanley and
-    local Gorenstein yield on ``delta``, in walk order, with the key the
-    memo was asked under.  Under the stubbed profile every link is a sphere
-    of its dimension, so no walk stops early."""
+    local Gorenstein yield on ``delta`` and whose link is not a cone, in
+    walk order, with the key the memo was asked under.  Under the stubbed
+    profile every link that is not a cone is a sphere of its dimension, so
+    a Reisner walk never stops early, and a sphere walk stops only at a cone
+    link, which it decides with no key."""
     yielded, keys = [], []
     walk, get = SimplicialComplex.link_walk, homology.HomologyMemo.get
 
     def logged(self, insides=(0,)):
         for k, face, link in walk(self, insides):
-            yielded.append(face | insides[k])
+            cone = functools.reduce(int.__and__, link)
+            yielded.append((face | insides[k], cone))
             yield k, face, link
 
-    def sphere(faces, fields):
-        top = max(f.bit_count() for f in faces)
+    def sphere(delta, key, fields):
+        top = delta.face_index.faces[key.bit_length() - 1].bit_count()
         return tuple(homology.HomologyProfile(f, (0,) * top + (1,)) for f in fields)
 
     def asked(memo, key, below=None):
@@ -771,10 +848,14 @@ def walked_link_keys(delta):
         m.setattr(SimplicialComplex, "link_walk", logged)
         m.setattr(homology, "profile_from_faces", sphere)
         m.setattr(homology.HomologyMemo, "get", asked)
-        for criterion in (cohen_macaulay_reports, gorenstein_reports, locally_gorenstein_reports):
-            assert criterion(delta, (QQ,))[QQ]
-    assert len(keys) == len(yielded) > 0
-    return list(zip(yielded, keys))
+        assert cohen_macaulay_reports(delta, (QQ,))[QQ]
+        for criterion in (gorenstein_reports, locally_gorenstein_reports):
+            start = len(yielded)
+            if not criterion(delta, (QQ,))[QQ]:
+                assert len(yielded) > start and yielded[-1][1], criterion
+    walked = [g for g, cone in yielded if not cone]
+    assert len(keys) == len(walked) > 0
+    return list(zip(walked, keys))
 
 
 def assert_links_keyed_by_their_faces(delta):

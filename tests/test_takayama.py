@@ -40,7 +40,6 @@ from srsq import (
 from srsq import takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import explore_complexes, random_pure_complex
-from srsq.homology import HomologyMemo
 from srsq.reproduce import named_battery as paper_examples
 from srsq.takayama import (
     _facet_walk,
@@ -191,8 +190,8 @@ def bitset_of(faces, delta):
 def kernel_keys(ideal, d, ell, g_mask, a):
     """(generator-form key of ``ideal``, facet-form key of d's ell-th
     symbolic power) at the point a, with the face lists they index; the
-    generator form selects by the face index of a memo over Delta(I)."""
-    index = HomologyMemo(complex_of_ideal(ideal), ())
+    generator form selects by the face index of Delta(I)."""
+    index = complex_of_ideal(ideal).face_index
     faces = index.faces
     gen_key = _generator_selection([m.exps for m in ideal.gens], index)(g_mask, a)
     sym_faces = d.sorted_faces()
@@ -255,8 +254,7 @@ def test_over_budget_scans_refuse_before_building_a_face_index(form, monkeypatch
     def refuse(*args):
         raise AssertionError("the face index is built only once the budget allows the scan")
 
-    for table in ("containing", "inside"):
-        monkeypatch.setattr(HomologyMemo, table, property(refuse))
+    monkeypatch.setattr(SimplicialComplex, "face_index", property(refuse))
     d = cross_polytope(9)
     with pytest.raises(BudgetExceeded) as err:
         if form == "facet":
@@ -307,22 +305,25 @@ def test_unequal_square_scans_match_the_brute_force_depth():
     (stanley_reisner(cross_polytope(2)).power(3), False),  # CM
 ], ids=["rp2-square", "four-path-square", "pentagon-symbolic", "square-cube"])
 def test_generator_form_evaluates_each_delta_a_once(ideal, empty_witness, monkeypatch):
-    # points whose Delta_a has the same faces share one evaluation
+    # points whose Delta_a has the same faces share one evaluation; a scan
+    # keys every Delta_a over the one complex Delta(I), so equal keys are
+    # equal face sets
     evaluated = []
     profile = takayama.profile_from_faces
 
-    def recorded(faces, fields, **cut):
-        evaluated.append(frozenset(faces))
-        return profile(faces, fields, **cut)
+    def recorded(delta, key, fields, **cut):
+        evaluated.append(key)
+        return profile(delta, key, fields, **cut)
 
     monkeypatch.setattr(takayama, "profile_from_faces", recorded)
     reports = depth_reports(ideal, (QQ, GF2))
     assert len(evaluated) == len(set(evaluated)) > 0
     # the scan stops before the facets of a CM ring (|G_a| = dim), so {empty
     # face} is evaluated just where it gives a piece: ~H_{-1} is nonzero only
-    # on {empty face}, and such a piece at i = |G_a| < bound is a witness
+    # on {empty face}, and such a piece at i = |G_a| < bound is a witness;
+    # {empty face} is bit 0 alone, the empty face coming first
     witnessed = any(r.witness.homology_degree == -1 for r in reports.values() if r.witness)
-    assert (frozenset({0}) in evaluated) == witnessed
+    assert (1 in evaluated) == witnessed
     assert witnessed == empty_witness
 
 
@@ -472,7 +473,7 @@ def test_facet_form_scan_matches_generator_form_for_other_powers():
 
 def star_walk(d, ell):
     """The facet-form walk of d's ell-th symbolic power, as a list."""
-    return list(_facet_walk(ell, HomologyMemo(d, ()), _symbolic_rho(d, ell)))
+    return list(_facet_walk(ell, d.face_index, _symbolic_rho(d, ell)))
 
 
 def star_walk_cases():
@@ -873,9 +874,9 @@ def check_each_bounded_scan(monkeypatch):
     scan_reports, profile = takayama._scan_reports, takayama.profile_from_faces
     events = []
 
-    def evaluated(faces, fields, *, below):
+    def evaluated(delta, key, fields, *, below):
         events.append(("eval", below))
-        return profile(faces, fields, below=below)
+        return profile(delta, key, fields, below=below)
 
     def checked(delta, rho, fields, budget, walk, memo=None):
         def drawn(*args):
