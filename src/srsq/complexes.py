@@ -414,15 +414,6 @@ class Graph:
     def edge_tuples(self) -> list[tuple[int, int]]:
         return [unpack(e) for e in self.edges]  # type: ignore[misc]
 
-    def adjacency(self) -> list[int]:
-        """adj[v] = neighbour mask of vertex v (index 1..n; entry 0 unused)."""
-        adj = [0] * (self.n + 1)
-        for e in self.edges:
-            u, v = unpack(e)
-            adj[u] |= 1 << (v - 1)
-            adj[v] |= 1 << (u - 1)
-        return adj
-
     def diameter(self) -> float:
         """Max BFS eccentricity; math.inf for a disconnected graph; 0 for n <= 1."""
         return skeleton_diameter(self.edges + tuple(1 << v for v in range(self.n)))

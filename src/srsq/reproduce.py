@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Callable, Iterable, Iterator
 
 from .bits import bit_index, bits, pack
@@ -168,22 +168,14 @@ def criterion_2_pentagon(budget: int):
 
 def _pentagon_relabeling(delta: SimplicialComplex) -> dict[int, int] | None:
     """A vertex map turning the complex into cycle_complex(5), or None."""
-    if delta.n != 5 or delta.dim != 1 or len(delta.facets) != 5:
+    if delta.n != 5:
         return None
-    adj = delta.one_skeleton().adjacency()
-    if any(adj[v].bit_count() != 2 for v in range(1, 6)):
-        return None
-    order = [1]
-    prev = 0
-    while len(order) < 5:
-        nbrs = [b.bit_length() for b in bits(adj[order[-1]])]
-        nxt = [v for v in nbrs if v != prev]
-        prev = order[-1]
-        order.append(min(nxt) if len(order) == 1 else nxt[0])
-    if len(set(order)) != 5:
-        return None
-    mapping = {v: i + 1 for i, v in enumerate(order)}
-    return mapping if delta.relabel(mapping) == cycle_complex(5) else None
+    pentagon = cycle_complex(5)
+    for order in permutations(range(1, 6)):
+        mapping = {v: i + 1 for i, v in enumerate(order)}
+        if delta.relabel(mapping) == pentagon:
+            return mapping
+    return None
 
 
 @criterion("criterion-03", "real projective plane (6 vertices)", 120.0)

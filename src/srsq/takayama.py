@@ -101,10 +101,13 @@ over the factor, kept by the caller's memo over Delta, and the factors
 fold pairwise (a caller that holds the symbolic-square reports passes them to
 square_depth_reports, which then scans only the unequal factor squares);
 their scan sizes add where a scan of the whole join would multiply them.
-The budget still counts the whole ring's scan size, from the faces, before
-any other work; no factor scan is larger.  A join's report has no witness:
-its ``factors`` hold each factor's two reports, whose witnesses certify the
-fold.  The whole-join scans in both forms are the test suite's oracle.
+A factor's power is scanned directly, not through the public entry points:
+a block of the finest join decomposition is never itself a join, so it is
+not split again.  The budget is checked once per call, against the whole
+ring's scan size, from the faces, before any other work; no factor scan is
+larger.  A join's report has no witness: its ``factors`` hold each factor's
+two reports, whose witnesses certify the fold.  The whole-join scans in
+both forms are the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -445,42 +448,31 @@ def _fold(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
     return r_a + r_b, min(r_a + r_b + 1, s_a + r_b, r_a + s_b)
 
 
-def _join_reports(
-    delta: SimplicialComplex,
-    size: int,
-    fields: Sequence[FieldSpec],
-    budget: int,
-    power: Callable[..., dict[FieldSpec, DepthReport]],
-    symbolic: dict[FieldSpec, DepthReport] | None = None,
-    memo: HomologyMemo | None = None,
-) -> dict[FieldSpec, DepthReport] | None:
-    """The reports of S/I_Delta^2 or S/I_Delta^(2), whichever ``power`` scans
-    on each factor, folded over the join factors of Delta (module
-    docstring); None when Delta has fewer than two join factors besides the
-    cone simplex.  ``symbolic``, Delta's symbolic-square reports when the
-    caller holds them, gives each factor's S/I report, and ``power`` gets
-    the factor's symbolic-square reports as well, so no factor is scanned
-    twice.  The scans of a factor take its memo from ``memo``, a
-    HomologyMemo over Delta (HomologyMemo.factor), so they share one, and
-    so do equal factors and the factor scans of every call that shares
-    ``memo``: a Delta_a they meet is evaluated once."""
+def _second_power_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int,
+                          square: bool, symbolic: dict[FieldSpec, DepthReport] | None,
+                          memo: HomologyMemo | None) -> dict[FieldSpec, DepthReport]:
+    """S/I_Delta^2 when ``square`` is set, else S/I_Delta^(2), over each field:
+    a join folded from its factors, whose S/I and power are scanned directly
+    under their memos from ``memo`` (module docstring).  ``symbolic``,
+    Delta's symbolic-square reports when the caller holds them, gives each
+    factor's S/I and symbolic-square reports."""
+    size = check_square_budget(delta, budget) if delta.n else 0
     cone = pack(delta.cone_vertices())
     blocks = [b for b in delta.join_blocks() if b != cone]
     if len(blocks) < 2:
-        return None
+        return _unfolded_reports(delta, fields, budget, square, symbolic, memo)
     memo = HomologyMemo.serving(memo, delta, fields)
     factors = []
     for k, block in enumerate(blocks):
         factor = delta.restrict(unpack(block))
         shared = memo.factor(factor)
         if symbolic is None:
-            radical, powered = (_symbolic_depth_reports(factor, 1, fields, budget, shared),
-                                power(factor, fields, budget, memo=shared))
+            radical, held = _symbolic_depth_reports(factor, 1, fields, budget, shared), None
         else:
             radical = {f: symbolic[f].factors[k][1] for f in fields}
-            powered = power(factor, fields, budget, {f: symbolic[f].factors[k][2] for f in fields},
-                            memo=shared)
-        factors.append((unpack(block), radical, powered))
+            held = {f: symbolic[f].factors[k][2] for f in fields}
+        factors.append((unpack(block), radical,
+                        _unfolded_reports(factor, fields, budget, square, held, shared)))
     c = cone.bit_count()
     out = {}
     for f in fields:
@@ -489,6 +481,22 @@ def _join_reports(
         dim = sum(p.dim for _, _, p in reports)
         out[f] = DepthReport(f, depth + c, dim + c, depth == dim, None, size, reports)
     return out
+
+
+def _unfolded_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int,
+                      square: bool, symbolic: dict[FieldSpec, DepthReport] | None,
+                      memo: HomologyMemo | None) -> dict[FieldSpec, DepthReport]:
+    """The power of _second_power_reports on a complex scanned whole.  A
+    square that the special-triangle criterion finds unequal to the symbolic
+    square is built and scanned in generator form; else the symbolic square
+    is ``symbolic`` when given, or scanned in facet form."""
+    if square:
+        ideal = stanley_reisner(delta)
+        if delta.is_void() or not symbolic2_equals_square(ideal).equal:
+            return depth_reports(ideal.power(2), fields, budget, memo)
+    if symbolic is not None:
+        return dict(symbolic)
+    return _symbolic_depth_reports(delta, 2, fields, budget, memo)
 
 
 def square_depth_reports(
@@ -508,16 +516,7 @@ def square_depth_reports(
     symbolic square is those reports, and a join's factors take their S/I
     reports and equal squares from its factors.  ``memo``, a HomologyMemo
     over Delta, serves the scans as in symbolic_square_depth_reports."""
-    size = check_square_budget(delta, budget) if delta.n else 0
-    joined = _join_reports(delta, size, fields, budget, square_depth_reports, symbolic, memo)
-    if joined is not None:
-        return joined
-    ideal = stanley_reisner(delta)
-    if not delta.is_void() and symbolic2_equals_square(ideal).equal:
-        if symbolic is not None:
-            return dict(symbolic)
-        return _symbolic_depth_reports(delta, 2, fields, budget, memo)
-    return depth_reports(ideal.power(2), fields, budget, memo)
+    return _second_power_reports(delta, fields, budget, True, symbolic, memo)
 
 
 def symbolic_square_depth_reports(
@@ -530,12 +529,7 @@ def symbolic_square_depth_reports(
     form; no generator of the symbolic square is built.  ``memo``, a
     HomologyMemo over Delta, serves the scan of Delta itself, and a join's
     factor scans, which have other faces, take their memos from it."""
-    size = check_square_budget(delta, budget) if delta.n else 0
-    joined = _join_reports(delta, size, fields, budget, symbolic_square_depth_reports,
-                           memo=memo)
-    if joined is not None:
-        return joined
-    return _symbolic_depth_reports(delta, 2, fields, budget, memo)
+    return _second_power_reports(delta, fields, budget, False, None, memo)
 
 
 def square_depth_report(

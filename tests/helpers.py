@@ -29,6 +29,8 @@ from srsq import (
     MonomialIdeal,
     SimplicialComplex,
     Sym2Result,
+    cross_polytope,
+    cycle_complex,
     depth_reports,
     four_path,
     new_complex,
@@ -36,6 +38,7 @@ from srsq import (
     phantom_pentagon,
     reduced_homology,
     rp2,
+    simplex_complex,
     stanley_reisner,
     symbolic_power,
 )
@@ -393,6 +396,54 @@ def assert_whole_ring_report(delta: SimplicialComplex, report: DepthReport,
         factor = delta.restrict(vertices)
         assert radical == depth_reports(stanley_reisner(factor), (f,))[f]
         assert power == oracle(factor, (f,))[f]
+
+
+# -- pools for the join route's oracles ---------------------------------------
+
+
+def random_complex(rng, n):
+    """Random facets, so cone vertices, unused vertices and mixed facet sizes occur."""
+    return SimplicialComplex(n, tuple(rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))))
+
+
+def random_joins(count=60, seed=89, factors_per_join=(1, 2, 3)):
+    """Joins of two or three complexes on at most 8 vertices in all: random
+    factors on 2..4 vertices without cone vertices (non-pure, with unused
+    vertices at times), and in about a third of the joins a cone factor."""
+    rng = random.Random(seed)
+    joins = []
+    while len(joins) < count:
+        factors = []
+        for n in [rng.randint(2, 4) for _ in range(rng.choice(factors_per_join))]:
+            factor = random_complex(rng, n)
+            while factor.cone_vertices():
+                factor = random_complex(rng, n)
+            factors.append(factor)
+        if len(factors) == 1 or rng.random() < 1 / 3:
+            factors.insert(rng.randint(0, len(factors)), simplex_complex(1))
+        if len(factors) > 3 or sum(f.n for f in factors) > 8:
+            continue
+        j = factors[0]
+        for factor in factors[1:]:
+            j = j.join(factor)
+        joins.append(j)
+    return joins
+
+
+def join_oracle_cases():
+    """Random joins of two and of three non-cone factors, with and without a
+    cone block and unused vertices, and joins with an rp2 factor."""
+    pentagon = cycle_complex(5)
+    rng = random.Random(101)
+    return random_joins() + random_joins(24, 103, (2, 3)) + [
+        rp2().join(SimplicialComplex(2, (1, 2))),  # rp2 * two points
+        SimplicialComplex(7, rp2().facets),  # rp2 and an unused vertex
+        rp2().join(simplex_complex(1)).join(SimplicialComplex(1, (0,))),  # a cone, an unused
+        SimplicialComplex(3, (0,)),  # three unused vertices and nothing else
+        SimplicialComplex(6, pentagon.facets),  # the pentagon and an unused vertex
+        SimplicialComplex(8, tuple(f | 1 << 5 for f in pentagon.facets)),  # cone 6, unused 7, 8
+        random_complex(rng, 3).join(cross_polytope(2)),
+    ]
 
 
 # -- Delta_a and graded pieces by the displayed formulas ----------------------

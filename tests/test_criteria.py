@@ -59,6 +59,7 @@ from helpers import (
     cone_bases,
     floyd_warshall_diameter,
     generator_form_square_reports,
+    join_oracle_cases,
     random_complex_with_unused_vertices,
     relabeling_classes,
 )
@@ -376,7 +377,7 @@ def test_random_pure_complex_properties():
 def test_audit_square_reports_match_generator_form_oracle():
     # with I^2 = I^(2) the audit copies its facet-form symbolic-square reports
     # into cm_square, and its own CM(I^2) check becomes a tautology there
-    pool = [d for _, d in named_battery()] + explore_complexes(0, 30, 6)
+    pool = [d for _, d in named_battery()] + explore_complexes(0, 30, 6) + join_oracle_cases()
     equal = 0
     for d in pool:
         report = paper_audit(d)
@@ -524,6 +525,34 @@ def test_a_join_evaluates_each_face_set_of_each_factor_once(monkeypatch):
         assert all(r.factors for r in report.cm_symbolic_square.values())
         assert len(evaluated) == len(set(evaluated)) == calls
     assert not report.sym2.equal
+
+
+def test_a_join_scans_its_factors_without_the_public_entry_points(monkeypatch):
+    # the budget is checked once, for the whole ring, and only Delta's
+    # minimal non-faces are listed: a block of the finest join decomposition
+    # is no join, so no factor goes back through square_depth_reports or
+    # symbolic_square_depth_reports to be checked and split again
+    budgets, listed = [], []
+    check, nonfaces = takayama.check_square_budget, SimplicialComplex.minimal_nonfaces
+
+    def checked(delta, budget):
+        budgets.append(delta.n)
+        return check(delta, budget)
+
+    def listing(delta):
+        listed.append(delta.n)
+        return nonfaces(delta)
+
+    monkeypatch.setattr(takayama, "check_square_budget", checked)
+    monkeypatch.setattr(SimplicialComplex, "minimal_nonfaces", listing)
+    reports = symbolic_square_depth_reports(disjoint_pentagons(2), (QQ, GF2))
+    assert all(len(r.factors) == 2 for r in reports.values())
+    assert budgets == [10]
+    assert set(listed) == {10}
+    listed.clear()
+    report = paper_audit(cross_polytope(2))
+    assert all(len(r.factors) == 2 for r in report.cm_symbolic_square.values())
+    assert set(listed) == {4}
 
 
 def test_no_memo_outlives_its_audit(monkeypatch):

@@ -62,7 +62,9 @@ from helpers import (
     generator_form_square_reports,
     generator_form_symbolic_square_reports,
     is_cone_bitset,
+    join_oracle_cases,
     local_cohomology_dim,
+    random_complex,
     relabeling_classes,
     unbounded_scan_reports,
 )
@@ -420,11 +422,6 @@ def test_depth_witness_deterministic():
 
 # -- the facet-form symbolic scan against the generator-form oracle ------------------
 
-def random_complex(rng, n):
-    """Random facets, so cone vertices, unused vertices and mixed facet sizes occur."""
-    return SimplicialComplex(n, tuple(rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 4))))
-
-
 def oracle_battery():
     pentagon = cycle_complex(5)
     rng = random.Random(67)
@@ -757,46 +754,6 @@ def test_join_route_scans_each_factor_twice_and_never_the_whole_join(scans):
     assert [v for v, _, _ in reports[QQ].factors] == [(1, 2, 3, 4), (5, 6, 7, 8, 9), (11,)]
     assert sorted(d.n for d in scans) == [1, 1, 4, 4, 5, 5]
     assert cm_square(j) == {QQ: False, GF2: False}
-
-
-def random_joins(count=60, seed=89, factors_per_join=(1, 2, 3)):
-    """Joins of two or three complexes on at most 8 vertices in all: random
-    factors on 2..4 vertices without cone vertices (non-pure, with unused
-    vertices at times), and in about a third of the joins a cone factor."""
-    rng = random.Random(seed)
-    joins = []
-    while len(joins) < count:
-        factors = []
-        for n in [rng.randint(2, 4) for _ in range(rng.choice(factors_per_join))]:
-            factor = random_complex(rng, n)
-            while factor.cone_vertices():
-                factor = random_complex(rng, n)
-            factors.append(factor)
-        if len(factors) == 1 or rng.random() < 1 / 3:
-            factors.insert(rng.randint(0, len(factors)), simplex_complex(1))
-        if len(factors) > 3 or sum(f.n for f in factors) > 8:
-            continue
-        j = factors[0]
-        for factor in factors[1:]:
-            j = j.join(factor)
-        joins.append(j)
-    return joins
-
-
-def join_oracle_cases():
-    """Random joins of two and of three non-cone factors, with and without a
-    cone block and unused vertices, and joins with an rp2 factor."""
-    pentagon = cycle_complex(5)
-    rng = random.Random(101)
-    return random_joins() + random_joins(24, 103, (2, 3)) + [
-        rp2().join(SimplicialComplex(2, (1, 2))),  # rp2 * two points
-        SimplicialComplex(7, rp2().facets),  # rp2 and an unused vertex
-        rp2().join(simplex_complex(1)).join(SimplicialComplex(1, (0,))),  # a cone, an unused
-        SimplicialComplex(3, (0,)),  # three unused vertices and nothing else
-        SimplicialComplex(6, pentagon.facets),  # the pentagon and an unused vertex
-        SimplicialComplex(8, tuple(f | 1 << 5 for f in pentagon.facets)),  # cone 6, unused 7, 8
-        random_complex(rng, 3).join(cross_polytope(2)),
-    ]
 
 
 def whole_symbolic_square_scan(delta, fields, budget=DEFAULT_BUDGET):
