@@ -7,10 +7,13 @@ complex ``()`` (no faces at all; it shows up as a degree-restricted subcomplex
 in local cohomology scans).  Everything is immutable and every operation is a
 pure function, so values can be shared freely.
 
-The linkwise criteria read links off the facets: ``SimplicialComplex.link_walk``
+The linkwise criteria read links off the face index: ``SimplicialComplex.link_walk``
 is their one walk over the faces, a generator that yields each face with its
-link's facets and leaves the verdict to its caller, and ``skeleton_diameter``
-the one BFS, which ``Graph.diameter`` runs too.
+link's record (``FaceIndex.link``: the link's dimension, the meet of the
+face's star and the link's key) and leaves the verdict to its caller; a
+face's star is the AND of its vertices' rows of a per-vertex table of facet
+bitsets (``FaceIndex.star``), so no facet is tested per face.
+``skeleton_diameter`` is the one BFS, which ``Graph.diameter`` runs too.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .bits import (
     MAX_VERTICES,
@@ -156,18 +159,18 @@ class SimplicialComplex:
     def link(self, face: Face) -> "SimplicialComplex":
         return self.link_with_map(face)[0]
 
-    def link_walk(self, insides: Sequence[int] = (0,)) -> Iterator[tuple[int, int, list[int]]]:
-        """(k, face & ~insides[k] as a mask, the link's facets in this complex's
-        labels) for each face that contains some mask insides[k], once, for
-        its first such k: k by k, and for each k in sorted_faces() order."""
-        faces = self.sorted_faces()
+    def link_walk(self, insides: Sequence[int] = (0,)) -> Iterator[tuple[int, int, "Link"]]:
+        """(k, face & ~insides[k] as a mask, the face's link record off
+        face_index) for each face that contains some mask insides[k], once,
+        for its first such k: k by k, and for each k in sorted_faces() order."""
+        index = self.face_index
         walked: set[int] = set()
         for k, inside in enumerate(insides):
-            for f in faces:
+            for p, f in enumerate(index.faces):
                 if f & inside != inside or f in walked:
                     continue
                 walked.add(f)
-                yield k, f & ~inside, [g & ~f for g in self.facets if f & ~g == 0]
+                yield k, f & ~inside, index.link(p)
 
     def star(self, face: Face) -> "SimplicialComplex":
         """Closed star, kept on the ambient vertex set (labels unchanged)."""
@@ -303,6 +306,14 @@ class SimplicialComplex:
         return [self.restrict(unpack(p)) for p in blocks]
 
 
+class Link(NamedTuple):
+    """The record of lk G for a face G, read off the face index."""
+
+    dim: int  # max |F| - |G| - 1 over the facets F of G's star
+    meet: int  # the AND of the star: lk G is a cone iff meet & ~G (G is not closed)
+    key: int  # lk G as a bitset over the faces, 0 for a cone
+
+
 class FaceIndex:
     """The faces of a complex on n vertices, in sorted_faces() order, indexed
     so that a subcomplex is named by its bitset over them: bit p is set iff
@@ -313,8 +324,10 @@ class FaceIndex:
     k-vertex faces are its key's slice there (``size_class``), in the
     complex's face order.  Every table is built on first use and depends on
     the complex alone: the faces containing each vertex (``containing``),
-    the faces inside each facet (``inside``), and each class's signed
-    boundary columns (``columns``).  It holds no homology.
+    the facets containing each vertex (``holding``), the faces inside each
+    facet (``inside``), each class's signed boundary columns (``columns``),
+    and each face's link record (``link``), whose keys are interned, one
+    int per distinct link.  It holds no homology.
     """
 
     def __init__(self, n: int, facets: tuple[int, ...], faces: tuple[int, ...]):
@@ -324,6 +337,8 @@ class FaceIndex:
         self.starts = [bisect_left(faces, k, key=int.bit_count) for k in range(top + 2)]
         self.classes = [faces[s:e] for s, e in zip(self.starts, self.starts[1:])]
         self._columns: dict[int, list[tuple[int, int]]] = {}
+        self._links: list[Link | None] = [None] * len(faces)
+        self._keys: dict[int, int] = {}
 
     def size_class(self, key: int, k: int) -> int:
         """The k-vertex faces of ``key``, as a bitset over classes[k]."""
@@ -358,6 +373,42 @@ class FaceIndex:
         """Each facet's bitset of the faces inside it."""
         vertices = (1 << self.n) - 1
         return {f: self.avoiding(vertices & ~f) for f in self.facets}
+
+    @cached_property
+    def holding(self) -> list[int]:
+        """Entry j is the bitset over ``facets`` of the facets that contain
+        vertex j + 1."""
+        table = [0] * self.n
+        for s, f in enumerate(self.facets):
+            for low in bits(f):
+                table[low.bit_length() - 1] |= 1 << s
+        return table
+
+    def star(self, g: int) -> list[int]:
+        """The facets containing the vertex set ``g``, in order: those at the
+        set bits of the AND of the rows of ``holding`` at its vertices, every
+        facet for the empty face."""
+        star = (1 << len(self.facets)) - 1
+        for low in bits(g):
+            star &= self.holding[low.bit_length() - 1]
+        return [self.facets[low.bit_length() - 1] for low in bits(star)]
+
+    def link(self, p: int) -> Link:
+        """The record of lk G for G = faces[p], built on first need: lk G's
+        key is the faces avoiding G inside some facet of G's star, as the
+        star walk keys Delta_a at a = 0 off G."""
+        record = self._links[p]
+        if record is None:
+            g = self.faces[p]
+            facets = self.star(g)
+            meet = reduce(int.__and__, facets)
+            key = 0
+            if not meet & ~g:
+                key = self.avoiding(g) & reduce(int.__or__, map(self.inside.__getitem__, facets))
+                key = self._keys.setdefault(key, key)
+            top = max(map(int.bit_count, facets))
+            record = self._links[p] = Link(top - g.bit_count() - 1, meet, key)
+        return record
 
     def columns(self, k: int) -> list[tuple[int, int]]:
         """The boundary of each face in classes[k], k >= 2, in order, as (rows

@@ -80,8 +80,9 @@ def s2_criterion(delta: SimplicialComplex) -> S2Result:
     >= 1, the link's 1-skeleton must have diameter <= 2."""
     if not delta.is_pure():
         raise ValueError("the (S2) criterion is stated for pure complexes")
+    star = delta.face_index.star
     for _, face, link in delta.link_walk():
-        if max(m.bit_count() for m in link) > 1 and (diameter := skeleton_diameter(link)) > 2:
+        if link.dim >= 1 and (diameter := skeleton_diameter(f & ~face for f in star(face))) > 2:
             return S2Result(False, unpack(face), diameter)
     return S2Result(True)
 

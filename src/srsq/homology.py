@@ -41,16 +41,21 @@ Conventions for the reduced chain complex of a complex Delta:
 Reisner, Stanley and local Gorenstein take the field battery and read their
 links from SimplicialComplex.link_walk, the one walk over Delta's own faces,
 which the (S2) criterion shares; the walk reads each link for the fields
-that have not failed yet, and the is_* functions are one-field views.  A
-link whose facets share a vertex is a cone, acyclic over every field, and
-is decided from its facets alone.  A HomologyMemo evaluates each other
-distinct complex once per call, over the whole battery: lk G is Delta_a at
-a = 0 off G, so a link is keyed by its bitset over Delta.sorted_faces()
-from the facets of G's star, as the star walk keys Delta_a, and
-paper_audit hands one memo to both Gorenstein walks and to its scans
-(criterion 8 likewise, per complex, to its Reisner walk and scans).  No
-core or link complex is built: lk_core(G) = lk_Delta(G | cone), and lk v's
-core has the links lk_Delta(G | the meet of the facets through v).
+that have not failed yet, and the is_* functions are one-field views.  The
+walk yields each face's link record off Delta's face index
+(FaceIndex.link), built on first need and kept with the complex from G's
+star, the AND of a per-vertex table of facet bitsets: the link's
+dimension, the meet of the star and the link's key.  A link whose facets
+share a vertex (G is not closed: the meet has a vertex outside G) is a
+cone, acyclic over every field, keyed 0 and decided with no evaluation.  A
+HomologyMemo evaluates each other distinct complex once per call, over the
+whole battery: lk G is Delta_a at a = 0 off G, so a link is keyed by its
+bitset over Delta.sorted_faces() from the facets of G's star, as the star
+walk keys Delta_a, and paper_audit hands one memo to both Gorenstein walks
+and to its scans (criterion 8 likewise, per complex, to its Reisner walk
+and scans).  No core or link complex is built: lk_core(G) =
+lk_Delta(G | cone), and lk v's core has the links lk_Delta(G | the meet of
+the star of v), read off v's record.
 Adding a fixed set to faces keeps their sorted_faces() order, so witnesses
 are those of a walk over the core.
 """
@@ -58,7 +63,6 @@ are those of a walk over the core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
@@ -425,26 +429,23 @@ def _first_failures(delta: SimplicialComplex, fields: Sequence[FieldSpec], spher
     """Each failing field's first (k, face, degree) in delta.link_walk(insides)
     whose link has reduced homology below its dimension or, with ``sphere``,
     a top homology other than K.  Each link is read for the fields that have
-    not failed yet, and the walk stops once every field has.  A link whose
-    facets share a vertex is a cone, acyclic over every field: it passes
-    Reisner's test and fails the sphere test at its dimension, with no
-    evaluation.  Any other link is evaluated once per memo, over the memo's
-    battery: lk G is keyed as the star walk keys Delta_a at a = 0 off G, by
-    the OR over the facets F of G's star of the faces inside F that avoid
-    G."""
+    not failed yet, and the walk stops once every field has.  The walk's
+    link records (FaceIndex.link) give each link's dimension and key.  A
+    link whose facets share a vertex is a cone, keyed 0 and acyclic over
+    every field: it passes Reisner's test and fails the sphere test at its
+    dimension, with no evaluation.  Any other link is evaluated once per
+    memo, over the memo's battery: lk G is keyed as the star walk keys
+    Delta_a at a = 0 off G, by the OR over the facets F of G's star of the
+    faces inside F that avoid G."""
     memo = HomologyMemo.serving(memo, delta, fields)
-    index = memo.delta.face_index
     failures: dict[FieldSpec, tuple] = {}
     live = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
-    for k, face, link in delta.link_walk(insides):
-        link_dim = max(m.bit_count() for m in link) - 1
-        if reduce(int.__and__, link):
+    for k, face, (link_dim, _, key) in delta.link_walk(insides):
+        if not key:  # a cone
             if sphere:
                 failures.update((memo.fields[t], (k, unpack(face), link_dim)) for t in live)
                 break
             continue
-        g = face | insides[k]  # the walk's G; the link's facets are its F - G
-        key = index.avoiding(g) & reduce(int.__or__, (index.inside[g | f] for f in link))
         profiles = memo.get(key)
         if profiles is None:
             profiles = memo.put(key, None, profile_from_faces(memo.delta, key, memo.fields))
@@ -548,7 +549,9 @@ def locally_gorenstein_reports(delta: SimplicialComplex, fields: Sequence[FieldS
     if delta.is_void():
         raise ValueError("Gorensteinness of the void complex is undefined")
     vertices = unpack(delta.support)
-    insides = [reduce(int.__and__, (g for g in delta.facets if g >> (v - 1) & 1)) for v in vertices]
+    # the meet of each vertex's star, off its record: the vertex faces follow
+    # the empty face, in vertex order
+    insides = [delta.face_index.link(p).meet for p in range(1, len(vertices) + 1)]
     bad = _first_failures(delta, fields, True, insides, memo)
     return {f: LocallyGorensteinReport(f not in bad, f, vertices[bad[f][0]] if f in bad else None)
             for f in fields}

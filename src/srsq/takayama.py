@@ -231,23 +231,24 @@ def _facet_walk(ell: int, index: FaceIndex, rho: Sequence[int]) -> Walk:
     scan points whose Delta_a is neither void nor a cone, in scan order,
     each with Delta_a as its bitset.
 
-    Per face G = G_a the star lists the facets F containing G, each with its
-    part, the faces inside F that avoid G, and its generator F - G.  The free
-    coordinates are walked depth first, vertex 1 slowest, carrying the live
-    facets (outside sum <= ell - 1) as bitmasks.  By the two lemmas of the
+    Per face G = G_a the star lists the facets F containing G, read off the
+    index's per-vertex facet table, each with its part, the faces inside F
+    that avoid G, and its generator F - G.  The free coordinates are walked
+    depth first, vertex 1 slowest, carrying the live facets (outside sum
+    <= ell - 1) as bitmasks.  By the two lemmas of the
     module docstring, the first value of a_j that leaves Delta_a void or a
     cone ends that coordinate's loop, subtree included.  Delta_a of a live
     set is the OR of its parts, and a cone when its generators share a
     vertex; both are worked out once per live set, and only yielded points
     get their degree tuple.
     """
-    n, facets, inside = index.n, index.facets, index.inside
+    n, inside = index.n, index.inside
     for g in index.faces:
         free = [j for j in range(n) if not g >> j & 1]
         if not all(rho[j] for j in free):
             continue  # G misses a cone vertex: no point
         avoiding = index.avoiding(g)
-        star = [(f, inside[f] & avoiding) for f in facets if not g & ~f]
+        star = [(f, inside[f] & avoiding) for f in index.star(g)]
         parts = [part for _, part in star]
         rests = [f & ~g for f, _ in star]
         outs = [sum(1 << s for s, (f, _) in enumerate(star) if not f >> j & 1) for j in free]

@@ -820,10 +820,16 @@ def test_link_criteria_evaluate_each_link_of_delta_once_and_build_no_complex(mon
     assert not is_gorenstein(cone, QQ) and not is_locally_gorenstein(cone, QQ)
 
 
+def listed_link(delta, g):
+    """The facets of lk ``g`` listed plainly: F - G for each facet F of
+    ``delta`` that contains G."""
+    return [f & ~g for f in delta.facets if not g & ~f]
+
+
 def walked_link_keys(delta):
     """(G, key) for each face G that the link walks of Reisner, Stanley and
-    local Gorenstein yield on ``delta`` and whose link is not a cone, in
-    walk order, with the key the memo was asked under.  Under the stubbed
+    local Gorenstein yield on ``delta`` and whose listed link is not a cone,
+    in walk order, with the key the memo was asked under.  Under the stubbed
     profile every link that is not a cone is a sphere of its dimension, so
     a Reisner walk never stops early, and a sphere walk stops only at a cone
     link, which it decides with no key."""
@@ -832,8 +838,8 @@ def walked_link_keys(delta):
 
     def logged(self, insides=(0,)):
         for k, face, link in walk(self, insides):
-            cone = functools.reduce(int.__and__, link)
-            yielded.append((face | insides[k], cone))
+            g = face | insides[k]
+            yielded.append((g, functools.reduce(int.__and__, listed_link(self, g))))
             yield k, face, link
 
     def sphere(delta, key, fields):
@@ -859,6 +865,15 @@ def walked_link_keys(delta):
 
 
 def assert_links_keyed_by_their_faces(delta):
+    # the record of every face, walked or not, and then the key each walk
+    # asked the memo under, against the listed faces of the link
+    index = delta.face_index
+    for p, g in enumerate(index.faces):
+        key = index.link(p).key
+        if functools.reduce(int.__and__, listed_link(delta, g)):
+            assert key == 0, (delta, g)
+        else:
+            assert key == link_key_by_faces(delta, g), (delta, g)
     for g, key in walked_link_keys(delta):
         assert key == link_key_by_faces(delta, g), (delta, g)
 
@@ -890,6 +905,30 @@ def coned_complexes_with_unused_vertices(draw):
 @settings(max_examples=150, deadline=None)
 def test_link_keys_match_on_cones_and_unused_vertices(delta):
     assert_links_keyed_by_their_faces(delta)
+
+
+@given(coned_complexes_with_unused_vertices())
+@example(SimplicialComplex(0, (0,)))  # {empty face} on 0 and on 1 vertices
+@example(SimplicialComplex(1, (0,)))
+@example(cross_polytope(7))  # 128 facets: a star is wider than a machine word
+@example(SimplicialComplex(7, simplex_complex(1).join(four_path()).facets))
+@settings(max_examples=100, deadline=None)
+def test_link_records_match_the_listed_links(delta):
+    # each face's star and record against the plain listing of its link's
+    # facets: the star, the dimension, a cone iff the facets share a vertex,
+    # and the key; equal keys are one object
+    index, keys = delta.face_index, {}
+    for p, g in enumerate(index.faces):
+        link, listed = index.link(p), listed_link(delta, g)
+        assert index.link(p) is link
+        assert index.star(g) == [f for f in delta.facets if not g & ~f]
+        assert link.dim == max(m.bit_count() for m in listed) - 1
+        assert link.meet & ~g == functools.reduce(int.__and__, listed)
+        if link.meet & ~g:
+            assert link.key == 0
+        else:
+            assert link.key == link_key_by_faces(delta, g)
+            assert keys.setdefault(link.key, link.key) is link.key
 
 
 # -- Gorenstein criteria -----------------------------------------------------------------------
