@@ -7,12 +7,13 @@ complex ``()`` (no faces at all; it shows up as a degree-restricted subcomplex
 in local cohomology scans).  Everything is immutable and every operation is a
 pure function, so values can be shared freely.
 
-The linkwise criteria read links off the face index: ``SimplicialComplex.link_walk``
-is their one walk over the faces, a generator that yields each face with its
-link's record (``FaceIndex.link``: the link's dimension, the meet of the
-face's star and the link's key) and leaves the verdict to its caller; a
-face's star is the AND of its vertices' rows of a per-vertex table of facet
-bitsets (``FaceIndex.star``), so no facet is tested per face.
+The linkwise criteria read links off the face index.  The Reisner and
+Stanley walks use ``SimplicialComplex.link_walk``, a generator that yields
+each face with its link's record (``FaceIndex.link``: the link's dimension,
+the meet of the face's star and the link's key), and the (S2) criterion
+lists each face's star alone.  A face's star is the AND of its vertices'
+rows of a per-vertex table of facet bitsets (``FaceIndex.star``), so no
+facet is tested per face.
 ``skeleton_diameter`` is the one BFS, which ``Graph.diameter`` runs too.
 """
 

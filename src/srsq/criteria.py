@@ -2,7 +2,7 @@
 linkwise (S2) criterion, the union/intersection condition on non-face
 triples (read off the minimal non-faces), and the per-instance audit.
 
-The (S2) criterion reads each link from SimplicialComplex.link_walk, and the
+The (S2) criterion reads each link's facets off FaceIndex.star, and the
 diameter criterion reads Delta's own facets; both take the diameter with
 complexes.skeleton_diameter, so neither builds a link complex or a graph.
 
@@ -80,9 +80,11 @@ def s2_criterion(delta: SimplicialComplex) -> S2Result:
     >= 1, the link's 1-skeleton must have diameter <= 2."""
     if not delta.is_pure():
         raise ValueError("the (S2) criterion is stated for pure complexes")
-    star = delta.face_index.star
-    for _, face, link in delta.link_walk():
-        if link.dim >= 1 and (diameter := skeleton_diameter(f & ~face for f in star(face))) > 2:
+    star, top = delta.face_index.star, delta.dim
+    for face in delta.sorted_faces():
+        if face.bit_count() >= top:
+            break  # lk G of a pure complex has dimension dim - |G|, and faces come by size
+        if (diameter := skeleton_diameter(f & ~face for f in star(face))) > 2:
             return S2Result(False, unpack(face), diameter)
     return S2Result(True)
 
@@ -221,12 +223,13 @@ def paper_audit(
     reports and no second scan runs; the check of CM(I^2) against CM(I^(2))
     together with I^2 = I^(2) is then a tautology, and the test suite's
     generator-form oracle covers that case.  Otherwise a join's
-    ``cm_square`` is folded from its factors by square_depth_reports, as
-    ``check depth --of square`` reports it, from the factor reports of
-    ``cm_symbolic_square``: only a factor square that differs from the
-    factor's symbolic square is scanned again.  Any other I^2 is built once
-    and scanned in generator form.  The verdicts that need no scan come
-    first, so an input they reject fails before any scan starts.
+    ``cm_square`` is folded from its factors by square_depth_reports under
+    the audit's memo, as ``check depth --of square`` reports it: each
+    factor's S/I and equal square are scanned again, and the factor memos
+    that the S/I^(2) scan filled answer them, so only a factor square that
+    differs from its symbolic square evaluates anything new.  Any other I^2
+    is built once and scanned in generator form.  The verdicts that need no
+    scan come first, so an input they reject fails before any scan starts.
 
     One HomologyMemo over Delta lives for this call: the Gorenstein and
     local Gorenstein walks, the S/I^(2) scan and the per-field scans of an
@@ -259,8 +262,7 @@ def paper_audit(
     if report.sym2.equal:
         report.cm_square = dict(report.cm_symbolic_square)
     elif any(r.factors for r in report.cm_symbolic_square.values()):
-        report.cm_square = square_depth_reports(delta, fields, budget, report.cm_symbolic_square,
-                                                memo)
+        report.cm_square = square_depth_reports(delta, fields, budget, memo)
     else:
         # One scan per field: the benchmark's tracer counts scans only on depth_via_takayama.
         square = ideal.power(2)

@@ -39,15 +39,14 @@ Conventions for the reduced chain complex of a complex Delta:
     the irrelevant complex {0} has ~H_{-1} = K.
 
 Reisner, Stanley and local Gorenstein take the field battery and read their
-links from SimplicialComplex.link_walk, the one walk over Delta's own faces,
-which the (S2) criterion shares; the walk reads each link for the fields
-that have not failed yet, and the is_* functions are one-field views.  The
-walk yields each face's link record off Delta's face index
-(FaceIndex.link), built on first need and kept with the complex from G's
-star, the AND of a per-vertex table of facet bitsets: the link's
-dimension, the meet of the star and the link's key.  A link whose facets
-share a vertex (G is not closed: the meet has a vertex outside G) is a
-cone, acyclic over every field, keyed 0 and decided with no evaluation.  A
+links from SimplicialComplex.link_walk, the one walk over Delta's own faces;
+the walk reads each link for the fields that have not failed yet, and the
+is_* functions are one-field views.  The walk yields each face's link record
+off Delta's face index (FaceIndex.link), built on first need and kept with
+the complex from G's star, the AND of a per-vertex table of facet bitsets:
+the link's dimension, the meet of the star and the link's key.  A link whose
+facets share a vertex (G is not closed: the meet has a vertex outside G) is
+a cone, acyclic over every field, keyed 0 and decided with no evaluation.  A
 HomologyMemo evaluates each other distinct complex once per call, over the
 whole battery: lk G is Delta_a at a = 0 off G, so a link is keyed by its
 bitset over Delta.sorted_faces() from the facets of G's star, as the star
@@ -376,10 +375,10 @@ class HomologyMemo:
     reduction serves every field; cut is the ``below`` of
     profile_from_faces, None for a full profile.  A cut profile's degrees
     from its cut on are unknown, so it answers only a request at or below
-    its cut, and never a full one.  Callers evaluate a miss with
-    profile_from_faces themselves, over ``delta``, and put it.  The scans
-    of a join factor of Delta key over the factor's faces, so they share
-    the factor's memo, which this one keeps for the same span (``factor``).
+    its cut, and never a full one.  ``profiles`` is the one lookup, and
+    evaluates its own misses.  The scans of a join factor of Delta key over
+    the factor's faces, so they share the factor's memo, which this one
+    keeps for the same span (``factor``).
     """
 
     def __init__(self, delta: SimplicialComplex, fields: Sequence[FieldSpec]):
@@ -405,19 +404,19 @@ class HomologyMemo:
             return memo
         return cls(delta, fields)
 
-    def get(self, key: int, below: int | None = None) -> tuple[HomologyProfile, ...] | None:
-        """The battery's profiles stored under ``key`` if they answer a
-        request cut at ``below`` (None: full), else None."""
+    def profiles(self, key: int, fields: Sequence[FieldSpec],
+                 below: int | None = None) -> tuple[HomologyProfile, ...]:
+        """The profiles over ``fields``, in their order, of the subcomplex
+        keyed ``key``, cut at ``below`` (None: full).  The stored entry
+        answers if it does; else the whole battery is evaluated with
+        profile_from_faces and stored under this cut."""
         entry = self._entries.get(key)
-        if entry is not None and (entry[0] is None or below is not None and below <= entry[0]):
+        if entry is None or entry[0] is not None and (below is None or below > entry[0]):
+            entry = self._entries[key] = (below, profile_from_faces(self.delta, key, self.fields,
+                                                                    below=below))
+        if tuple(fields) == self.fields:
             return entry[1]
-        return None
-
-    def put(self, key: int, below: int | None,
-            profiles: tuple[HomologyProfile, ...]) -> tuple[HomologyProfile, ...]:
-        """Store the battery's profiles under ``key``, cut at ``below``."""
-        self._entries[key] = (below, profiles)
-        return profiles
+        return tuple([entry[1][self.fields.index(f)] for f in fields])
 
 
 # -- Reisner and Stanley criteria ----------------------------------------------
@@ -439,24 +438,20 @@ def _first_failures(delta: SimplicialComplex, fields: Sequence[FieldSpec], spher
     faces inside F that avoid G."""
     memo = HomologyMemo.serving(memo, delta, fields)
     failures: dict[FieldSpec, tuple] = {}
-    live = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
+    live = list(fields)
     for k, face, (link_dim, _, key) in delta.link_walk(insides):
         if not key:  # a cone
             if sphere:
-                failures.update((memo.fields[t], (k, unpack(face), link_dim)) for t in live)
+                failures.update((f, (k, unpack(face), link_dim)) for f in live)
                 break
             continue
-        profiles = memo.get(key)
-        if profiles is None:
-            profiles = memo.put(key, None, profile_from_faces(memo.delta, key, memo.fields))
-        for t in tuple(live):
-            profile = profiles[t]
+        for profile in memo.profiles(key, live):
             bad = next((i for i in range(-1, link_dim) if profile.betti_number(i)), None)
             if bad is None and sphere and profile.betti_number(link_dim) != 1:
                 bad = link_dim
             if bad is not None:
                 failures[profile.field] = (k, unpack(face), bad)
-                live.remove(t)
+                live.remove(profile.field)
         if not live:
             break
     return failures

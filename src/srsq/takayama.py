@@ -97,10 +97,11 @@ the dimensions add, and each cone vertex adds one to depth and dim.  So when
 Delta has two or more join factors besides the cone simplex (an unused vertex
 is one: the complex {emptyset} on one vertex), each of them gets two scans,
 S/I in facet form at l = 1 and the power, which share one homology memo
-over the factor, kept by the caller's memo over Delta, and the factors
-fold pairwise (a caller that holds the symbolic-square reports passes them to
-square_depth_reports, which then scans only the unequal factor squares);
-their scan sizes add where a scan of the whole join would multiply them.
+over the factor, kept by the caller's memo over Delta, and the factors fold
+pairwise; their scan sizes add where a scan of the whole join would multiply
+them.  A caller that asks for both powers of a join under one memo, as
+paper_audit does, scans each factor's S/I and equal square twice, and the
+factor's memo answers every Delta_a of the second scan.
 A factor's power is scanned directly, not through the public entry points:
 a block of the finest join decomposition is never itself a join, so it is
 not split again.  The budget is checked once per call, against the whole
@@ -119,7 +120,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .bits import bits, pack, unpack
 from .complexes import FaceIndex, SimplicialComplex
-from .homology import QQ, FieldSpec, HomologyMemo, profile_from_faces
+# profile_from_faces is not called here: perfbench's tracer test reads it off this module
+from .homology import QQ, FieldSpec, HomologyMemo, profile_from_faces  # noqa: F401
 from .ideals import MonomialIdeal, complex_of_ideal, stanley_reisner, symbolic2_equals_square
 
 DEFAULT_BUDGET = 10**6
@@ -350,9 +352,9 @@ def _scan_reports(
     Delta_a by its bitset over delta.sorted_faces(); equal bitsets are
     equal complexes, so each Delta_a is evaluated once per memo, off that
     index.  The caller's memo serves when its complex is ``delta`` and its
-    battery holds ``fields``; else the scan makes its own.  A miss is
-    evaluated over the memo's battery.  The points a walk leaves out, void
-    or cones, have no homology.  The search space (see module docstring)
+    battery holds ``fields``; else the scan makes its own.  The memo
+    evaluates a miss over its whole battery.  The points a walk leaves out,
+    void or cones, have no homology.  The search space (see module docstring)
     is sized upfront, from the faces, before the face index is built;
     exceeding the budget raises BudgetExceeded rather than truncating, and
     scan_size is that upfront count.  Each field's witness is its first
@@ -371,21 +373,15 @@ def _scan_reports(
     size = _checked_size(delta.face_masks, rho, budget)
     dim_ring = bound = delta.dim + 1
     memo = HomologyMemo.serving(memo, delta, fields)
-    at = [memo.fields.index(f) for f in fields]  # positions in the memo's battery
     depths = [dim_ring] * len(fields)
     witnesses: list[CohomologyWitness | None] = [None] * len(fields)
     for g_mask, a, key in walk(memo.delta.face_index, rho):
         g = g_mask.bit_count()
         if g >= bound:
             break
-        below = bound - g - 1
-        profiles = memo.get(key, below)
-        if profiles is None:
-            profiles = memo.put(key, below, profile_from_faces(memo.delta, key, memo.fields,
-                                                               below=below))
-        for k, t in enumerate(at):
+        for k, profile in enumerate(memo.profiles(key, fields, bound - g - 1)):
             # the piece at i is entry i - g; only a degree below this field's depth counts
-            for i, betti in enumerate(profiles[t].betti[:max(depths[k] - g, 0)], g):
+            for i, betti in enumerate(profile.betti[:max(depths[k] - g, 0)], g):
                 if betti:
                     depths[k], witnesses[k] = i, CohomologyWitness(i, a, i - g - 1, betti)
                     bound = max(depths)
@@ -450,30 +446,22 @@ def _fold(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 
 
 def _second_power_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int,
-                          square: bool, symbolic: dict[FieldSpec, DepthReport] | None,
-                          memo: HomologyMemo | None) -> dict[FieldSpec, DepthReport]:
+                          square: bool, memo: HomologyMemo | None) -> dict[FieldSpec, DepthReport]:
     """S/I_Delta^2 when ``square`` is set, else S/I_Delta^(2), over each field:
     a join folded from its factors, whose S/I and power are scanned directly
-    under their memos from ``memo`` (module docstring).  ``symbolic``,
-    Delta's symbolic-square reports when the caller holds them, gives each
-    factor's S/I and symbolic-square reports."""
+    under their memos from ``memo`` (module docstring)."""
     size = check_square_budget(delta, budget) if delta.n else 0
     cone = pack(delta.cone_vertices())
     blocks = [b for b in delta.join_blocks() if b != cone]
     if len(blocks) < 2:
-        return _unfolded_reports(delta, fields, budget, square, symbolic, memo)
+        return _unfolded_reports(delta, fields, budget, square, memo)
     memo = HomologyMemo.serving(memo, delta, fields)
     factors = []
-    for k, block in enumerate(blocks):
+    for block in blocks:
         factor = delta.restrict(unpack(block))
         shared = memo.factor(factor)
-        if symbolic is None:
-            radical, held = _symbolic_depth_reports(factor, 1, fields, budget, shared), None
-        else:
-            radical = {f: symbolic[f].factors[k][1] for f in fields}
-            held = {f: symbolic[f].factors[k][2] for f in fields}
-        factors.append((unpack(block), radical,
-                        _unfolded_reports(factor, fields, budget, square, held, shared)))
+        factors.append((unpack(block), _symbolic_depth_reports(factor, 1, fields, budget, shared),
+                        _unfolded_reports(factor, fields, budget, square, shared)))
     c = cone.bit_count()
     out = {}
     for f in fields:
@@ -485,18 +473,15 @@ def _second_power_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec],
 
 
 def _unfolded_reports(delta: SimplicialComplex, fields: Sequence[FieldSpec], budget: int,
-                      square: bool, symbolic: dict[FieldSpec, DepthReport] | None,
-                      memo: HomologyMemo | None) -> dict[FieldSpec, DepthReport]:
+                      square: bool, memo: HomologyMemo | None) -> dict[FieldSpec, DepthReport]:
     """The power of _second_power_reports on a complex scanned whole.  A
     square that the special-triangle criterion finds unequal to the symbolic
     square is built and scanned in generator form; else the symbolic square
-    is ``symbolic`` when given, or scanned in facet form."""
+    is scanned in facet form."""
     if square:
         ideal = stanley_reisner(delta)
         if delta.is_void() or not symbolic2_equals_square(ideal).equal:
             return depth_reports(ideal.power(2), fields, budget, memo)
-    if symbolic is not None:
-        return dict(symbolic)
     return _symbolic_depth_reports(delta, 2, fields, budget, memo)
 
 
@@ -504,20 +489,15 @@ def square_depth_reports(
     delta: SimplicialComplex,
     fields: Sequence[FieldSpec],
     budget: int = DEFAULT_BUDGET,
-    symbolic: dict[FieldSpec, DepthReport] | None = None,
     memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I_Delta^2: a join from its factors; else in facet form when
     I^2 = I^(2), which the special-triangle criterion decides without
     building either power, else by the generators of I^2 (module
-    docstring).  The budget is checked before any other work.
-
-    ``symbolic`` may hold symbolic_square_depth_reports(delta, fields,
-    budget), which are then not scanned again: a square equal to the
-    symbolic square is those reports, and a join's factors take their S/I
-    reports and equal squares from its factors.  ``memo``, a HomologyMemo
-    over Delta, serves the scans as in symbolic_square_depth_reports."""
-    return _second_power_reports(delta, fields, budget, True, symbolic, memo)
+    docstring).  The budget is checked before any other work.  ``memo``, a
+    HomologyMemo over Delta, serves the scans as in
+    symbolic_square_depth_reports."""
+    return _second_power_reports(delta, fields, budget, True, memo)
 
 
 def symbolic_square_depth_reports(
@@ -530,7 +510,7 @@ def symbolic_square_depth_reports(
     form; no generator of the symbolic square is built.  ``memo``, a
     HomologyMemo over Delta, serves the scan of Delta itself, and a join's
     factor scans, which have other faces, take their memos from it."""
-    return _second_power_reports(delta, fields, budget, False, None, memo)
+    return _second_power_reports(delta, fields, budget, False, memo)
 
 
 def square_depth_report(

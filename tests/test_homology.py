@@ -298,7 +298,8 @@ def test_a_cut_profile_is_the_head_of_the_full_profile_and_reduces_no_higher_map
 def memo_requests(draw):
     """A complex on at most 7 vertices, up to three of its subcomplexes, and
     a run of requests (subcomplex, cut from -1 to two past its dimension or
-    None for a full profile) among them."""
+    None for a full profile, fields of (Q, F2, F3) in some order) among
+    them."""
     n = draw(st.integers(min_value=1, max_value=7))
     facets = draw(st.lists(st.sets(st.integers(min_value=1, max_value=n), min_size=1),
                            min_size=1, max_size=6))
@@ -306,8 +307,9 @@ def memo_requests(draw):
     faces = st.lists(st.sampled_from(delta.sorted_faces()), max_size=4)
     subs = [generated_faces(g) for g in draw(st.lists(faces, min_size=1, max_size=3))]
     cuts = st.one_of(st.none(), st.integers(min_value=-1, max_value=delta.dim + 2))
-    requests = draw(st.lists(st.tuples(st.integers(0, len(subs) - 1), cuts), min_size=1,
-                             max_size=12))
+    asked = st.lists(st.sampled_from((QQ, GF2, F3)), min_size=1, max_size=3, unique=True)
+    requests = draw(st.lists(st.tuples(st.integers(0, len(subs) - 1), cuts, asked.map(tuple)),
+                             min_size=1, max_size=12))
     return delta, subs, requests
 
 
@@ -316,36 +318,54 @@ def _rp2_memo_case():
     falling and full cuts."""
     d = rp2()
     link = generated_faces(g & ~1 for g in d.facets if g & 1)
-    return d, [set(d.sorted_faces()), link], [(0, 1), (0, 2), (0, None), (0, 0), (1, 0),
-                                              (1, None), (1, 1), (0, 2), (1, -1)]
+    requests = [(0, 1), (0, 2), (0, None), (0, 0), (1, 0), (1, None), (1, 1), (0, 2), (1, -1)]
+    return d, [set(d.sorted_faces()), link], [(s, below, (QQ, GF2, F3)) for s, below in requests]
+
+
+_RP2_FACES = [set(rp2().sorted_faces())]
 
 
 @given(memo_requests())
 @example(_rp2_memo_case())
+# part of the battery, in another order: each request comes back as asked
+@example((rp2(), _RP2_FACES, [(0, None, (F3, QQ)), (0, None, (GF2,))]))
+# a full entry answers a cut request with no evaluation
+@example((rp2(), _RP2_FACES, [(0, None, (QQ, GF2, F3)), (0, 1, (GF2,))]))
+# a full request replaces a cut entry, and the full entry answers a higher cut
+@example((rp2(), _RP2_FACES, [(0, 0, (QQ,)), (0, None, (GF2,)), (0, 2, (F3,))]))
 @settings(max_examples=150, deadline=None)
 def test_a_memo_entry_answers_no_request_above_its_cut(case):
-    # the callers' protocol: get, and on a miss evaluate over the memo's
-    # battery at the request's cut and put it; a cut entry may answer only
-    # a request at or below its cut, and a full request only a full entry
-    # the subcomplex is evaluated off its key over Delta's face index, and
-    # the oracle evaluates it as a complex of its own
+    # HomologyMemo.profiles answers from its entry when the entry is full or
+    # cut at or above the request; else it evaluates the whole battery at
+    # the request's cut, once, and stores it in place of the entry.  The
+    # subcomplex is evaluated off its key over Delta's face index, and the
+    # oracle evaluates it as a complex of its own
     delta, subs, requests = case
     battery = (QQ, GF2, F3)
     memo = homology.HomologyMemo(delta, battery)
-    stored = {}
-    for s, below in requests:
+    stored, evaluated = {}, []
+    profile = homology.profile_from_faces
+
+    def counted(delta, key, fields, *, below=None):
+        evaluated.append((key, tuple(fields), below))
+        return profile(delta, key, fields, below=below)
+
+    for s, below, asked in requests:
         faces = subs[s]
         key = sum(1 << p for p, f in enumerate(delta.sorted_faces()) if f in faces)
         answers = key in stored and (stored[key] is None
                                      or below is not None and below <= stored[key])
-        profiles = memo.get(key, below)
-        assert (profiles is not None) == answers
-        if profiles is None:
-            profiles = memo.put(key, below, profile_from_faces(delta, key, battery, below=below))
+        evaluated.clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(homology, "profile_from_faces", counted)
+            profiles = memo.profiles(key, asked, below)
+        assert evaluated == ([] if answers else [(key, battery, below)])
+        if not answers:
             stored[key] = below
-        assert [p.field for p in profiles] == list(battery)
-        for got, full in zip(profiles, profile_of_faces(faces, battery)):
-            head = full.betti if below is None else full.betti[:below + 1]
+        assert [p.field for p in profiles] == list(asked)
+        full = dict(zip(battery, profile_of_faces(faces, battery)))
+        for got in profiles:
+            head = full[got.field].betti if below is None else full[got.field].betti[:below + 1]
             assert got.betti[:len(head)] == head
 
 
@@ -804,9 +824,9 @@ def test_link_criteria_evaluate_each_link_of_delta_once_and_build_no_complex(mon
     evaluated = []
     profile = homology.profile_from_faces
 
-    def counted(delta, key, fields):
+    def counted(delta, key, fields, **cut):
         evaluated.append(key)
-        return profile(delta, key, fields)
+        return profile(delta, key, fields, **cut)
 
     def refuse(*args):
         raise AssertionError("the link criteria read the links of Delta's own faces")
@@ -834,7 +854,7 @@ def walked_link_keys(delta):
     a Reisner walk never stops early, and a sphere walk stops only at a cone
     link, which it decides with no key."""
     yielded, keys = [], []
-    walk, get = SimplicialComplex.link_walk, homology.HomologyMemo.get
+    walk, profiles = SimplicialComplex.link_walk, homology.HomologyMemo.profiles
 
     def logged(self, insides=(0,)):
         for k, face, link in walk(self, insides):
@@ -842,18 +862,18 @@ def walked_link_keys(delta):
             yielded.append((g, functools.reduce(int.__and__, listed_link(self, g))))
             yield k, face, link
 
-    def sphere(delta, key, fields):
+    def sphere(delta, key, fields, **cut):
         top = delta.face_index.faces[key.bit_length() - 1].bit_count()
         return tuple(homology.HomologyProfile(f, (0,) * top + (1,)) for f in fields)
 
-    def asked(memo, key, below=None):
+    def asked(memo, key, fields, below=None):
         keys.append(key)
-        return get(memo, key, below)
+        return profiles(memo, key, fields, below)
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(SimplicialComplex, "link_walk", logged)
         m.setattr(homology, "profile_from_faces", sphere)
-        m.setattr(homology.HomologyMemo, "get", asked)
+        m.setattr(homology.HomologyMemo, "profiles", asked)
         assert cohen_macaulay_reports(delta, (QQ,))[QQ]
         for criterion in (gorenstein_reports, locally_gorenstein_reports):
             start = len(yielded)

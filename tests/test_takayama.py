@@ -37,7 +37,7 @@ from srsq import (
     symbolic_square_depth_reports,
     void_complex,
 )
-from srsq import takayama
+from srsq import homology, takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import explore_complexes, random_pure_complex
 from srsq.reproduce import named_battery as paper_examples
@@ -311,13 +311,13 @@ def test_generator_form_evaluates_each_delta_a_once(ideal, empty_witness, monkey
     # keys every Delta_a over the one complex Delta(I), so equal keys are
     # equal face sets
     evaluated = []
-    profile = takayama.profile_from_faces
+    profile = homology.profile_from_faces
 
     def recorded(delta, key, fields, **cut):
         evaluated.append(key)
         return profile(delta, key, fields, **cut)
 
-    monkeypatch.setattr(takayama, "profile_from_faces", recorded)
+    monkeypatch.setattr(homology, "profile_from_faces", recorded)
     reports = depth_reports(ideal, (QQ, GF2))
     assert len(evaluated) == len(set(evaluated)) > 0
     # the scan stops before the facets of a CM ring (|G_a| = dim), so {empty
@@ -618,10 +618,10 @@ def test_battery_over_budget_raises_once_before_any_rank(form, monkeypatch):
         single(d, QQ, 0)
     budget = single_err.value.required - 1
 
-    def refuse(*args):
+    def refuse(*args, **cut):
         raise AssertionError("an over-budget scan must not compute homology")
 
-    monkeypatch.setattr(takayama, "profile_from_faces", refuse)
+    monkeypatch.setattr(homology, "profile_from_faces", refuse)
     with pytest.raises(BudgetExceeded) as battery_err:
         battery_scan(d, BATTERY, budget)
     assert battery_err.value.required == single_err.value.required
@@ -828,7 +828,7 @@ def check_each_bounded_scan(monkeypatch):
     every cut keeps the degrees below B, and the bound never rises; and once
     the last Delta_a is evaluated, the walk stops at the first point with
     |G_a| >= B."""
-    scan_reports, profile = takayama._scan_reports, takayama.profile_from_faces
+    scan_reports, profile = takayama._scan_reports, homology.profile_from_faces
     events = []
 
     def evaluated(delta, key, fields, *, below):
@@ -858,7 +858,7 @@ def check_each_bounded_scan(monkeypatch):
         assert stops in ([], [len(events) - 1])
         return reports
 
-    monkeypatch.setattr(takayama, "profile_from_faces", evaluated)
+    monkeypatch.setattr(homology, "profile_from_faces", evaluated)
     monkeypatch.setattr(takayama, "_scan_reports", checked)
 
 
