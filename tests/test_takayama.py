@@ -40,6 +40,7 @@ from srsq import (
 from srsq import homology, takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import explore_complexes, random_pure_complex
+from srsq.homology import HomologyMemo
 from srsq.reproduce import named_battery as paper_examples
 from srsq.takayama import (
     _facet_walk,
@@ -327,6 +328,85 @@ def test_generator_form_evaluates_each_delta_a_once(ideal, empty_witness, monkey
     witnessed = any(r.witness.homology_degree == -1 for r in reports.values() if r.witness)
     assert (1 in evaluated) == witnessed
     assert witnessed == empty_witness
+
+
+# -- a generator-form scan held by the memo ------------------------------------------
+
+def counted_walks(monkeypatch):
+    """One entry per generator-form walk started from now on."""
+    walks = []
+    walk = takayama._generator_walk
+
+    def walked(*args):
+        walks.append(None)
+        return walk(*args)
+
+    monkeypatch.setattr(takayama, "_generator_walk", walked)
+    return walks
+
+
+@pytest.mark.parametrize("battery", [(QQ, GF2), (GF2, QQ, FieldSpec(3))], ids=["Q,F2", "F2,Q,F3"])
+def test_a_held_scan_answers_each_field_as_a_fresh_scan(battery, monkeypatch):
+    # the audit asks for an unequal square once per field under its memo:
+    # one walk over the battery answers every call, each with the report of
+    # a scan of that field alone and no memo
+    walks = counted_walks(monkeypatch)
+    pool = ([d for _, d in paper_examples()] + explore_complexes(0, 100, 6)
+            + list(relabeling_classes()) + join_oracle_cases())
+    held_scans = 0
+    for delta in pool:
+        if delta.n < 1 or delta.is_void():
+            continue
+        ideal = stanley_reisner(delta)
+        if symbolic2_equals_square(ideal).equal:
+            continue
+        square = ideal.power(2)
+        memo = HomologyMemo(delta, battery)
+        walks.clear()
+        held = {f: depth_via_takayama(square, f, DEFAULT_BUDGET, memo) for f in battery}
+        assert len(walks) == 1 and list(memo.scans) == [square]
+        for f in battery:
+            assert held[f] == depth_reports(square, (f,), DEFAULT_BUDGET)[f]
+        held_scans += 1
+    assert held_scans > 60
+
+
+def test_a_held_scan_over_a_later_budget_raises_as_a_fresh_scan(monkeypatch):
+    delta = rp2()
+    square = stanley_reisner(delta).power(2)
+    memo = HomologyMemo(delta, (QQ, GF2))
+    size = depth_reports(square, (QQ,), DEFAULT_BUDGET, memo)[QQ].scan_size
+    walks = counted_walks(monkeypatch)
+    for budget in (size - 1, 0):
+        with pytest.raises(BudgetExceeded) as held:
+            depth_reports(square, (GF2,), budget, memo)
+        with pytest.raises(BudgetExceeded) as fresh:
+            depth_reports(square, (GF2,), budget)
+        assert (held.value.required, held.value.budget) == (size, budget)
+        assert (fresh.value.required, fresh.value.budget) == (size, budget)
+        assert str(held.value) == str(fresh.value)
+    # at its scan size the held scan answers, still with no walk
+    report = depth_via_takayama(square, GF2, size, memo)
+    assert walks == []
+    assert report == depth_via_takayama(square, GF2, size)
+
+
+def test_a_request_the_memo_does_not_serve_scans_as_before(monkeypatch):
+    delta = rp2()
+    square = stanley_reisner(delta).power(2)
+    memo = HomologyMemo(delta, (QQ, GF2))
+    depth_reports(square, (QQ, GF2), DEFAULT_BUDGET, memo)
+    walks = counted_walks(monkeypatch)
+    # a field outside the memo's battery
+    f3 = FieldSpec(3)
+    assert depth_reports(square, (QQ, f3), DEFAULT_BUDGET, memo) == depth_reports(square, (QQ, f3))
+    assert len(walks) == 2
+    # an ideal whose complex is not the memo's
+    other = stanley_reisner(four_path()).power(2)
+    for _ in range(2):
+        assert depth_reports(other, (QQ,), DEFAULT_BUDGET, memo) == depth_reports(other, (QQ,))
+    assert len(walks) == 6
+    assert list(memo.scans) == [square]
 
 
 # -- graded pieces -------------------------------------------------------------------
