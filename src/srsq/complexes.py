@@ -142,20 +142,14 @@ class SimplicialComplex:
     # -- subcomplex constructions -----------------------------------------
 
     def link_with_map(self, face: Face) -> tuple["SimplicialComplex", dict[int, int]]:
-        """Link of a face, re-indexed over its surviving vertices.
+        """Link of a face, re-indexed over its surviving vertices: the facets
+        of its star less the face, restricted to the vertices they cover.
 
         Returns the complex together with the old->new vertex map (ascending).
         """
         f = pack(face)
-        if not self.contains_mask(f):
-            raise ValueError(f"{unpack(f)} is not a face")
-        raw = [g & ~f for g in self.facets if is_subset(f, g)]
-        survivors = 0
-        for m in raw:
-            survivors |= m
-        vmap = {bit_index(b): i + 1 for i, b in enumerate(bits(survivors))}
-        facets = tuple(compress(m, survivors) for m in raw)
-        return SimplicialComplex(survivors.bit_count(), facets), vmap
+        raw = tuple(g & ~f for g in self.star(unpack(f)).facets)
+        return SimplicialComplex(self.n, raw).restrict_with_map(unpack(reduce(int.__or__, raw)))
 
     def link(self, face: Face) -> "SimplicialComplex":
         return self.link_with_map(face)[0]
@@ -395,9 +389,10 @@ class FaceIndex:
         return [self.facets[low.bit_length() - 1] for low in bits(star)]
 
     def link(self, p: int) -> Link:
-        """The record of lk G for G = faces[p], built on first need: lk G's
-        key is the faces avoiding G inside some facet of G's star, as the
-        star walk keys Delta_a at a = 0 off G."""
+        """The record of lk G for G = faces[p], built on first need.  lk G is
+        Delta_a at a = 0 off G (Hochster's formula), so its key is the root
+        key of the star walk at G: the faces avoiding G inside some facet of
+        G's star.  The link walks and the star walk read lk G from here."""
         record = self._links[p]
         if record is None:
             g = self.faces[p]

@@ -236,10 +236,10 @@ def paper_audit(
     One HomologyMemo over Delta lives for this call: the Gorenstein and
     local Gorenstein walks, the S/I^(2) scan and the scan of an unequal I^2
     (whose Delta(I^2) is Delta) read Delta's one face index and evaluate
-    each distinct complex once between them, since lk G is Delta_a at a = 0
-    off G.  A join's factor scans have other faces: the memo keeps
-    one memo per distinct factor, which the S/I, S/I^(2) and S/I^2 scans of
-    that factor share.  The memos are dropped on return, so an audit's work
+    each distinct complex once between them, since a link is a Delta_a
+    (FaceIndex.link).  A join's factor scans have other faces: the memo
+    keeps one memo per distinct factor, which the S/I, S/I^(2) and S/I^2
+    scans of that factor share.  The memos are dropped on return, so an audit's work
     does not depend on earlier calls; what outlives it is the face index
     that each complex keeps, which holds no homology.
     """

@@ -48,9 +48,8 @@ the link's dimension, the meet of the star and the link's key.  A link whose
 facets share a vertex (G is not closed: the meet has a vertex outside G) is
 a cone, acyclic over every field, keyed 0 and decided with no evaluation.  A
 HomologyMemo evaluates each other distinct complex once per call, over the
-whole battery: lk G is Delta_a at a = 0 off G, so a link is keyed by its
-bitset over Delta.sorted_faces() from the facets of G's star, as the star
-walk keys Delta_a, and paper_audit hands one memo to both Gorenstein walks
+whole battery: a link is a Delta_a, keyed as the scans key it
+(FaceIndex.link), so paper_audit hands one memo to both Gorenstein walks
 and to its scans (criterion 8 likewise, per complex, to its Reisner walk
 and scans).  No core or link complex is built: lk_core(G) =
 lk_Delta(G | cone), and lk v's core has the links lk_Delta(G | the meet of
@@ -439,9 +438,8 @@ def _first_failures(delta: SimplicialComplex, fields: Sequence[FieldSpec], spher
     link whose facets share a vertex is a cone, keyed 0 and acyclic over
     every field: it passes Reisner's test and fails the sphere test at its
     dimension, with no evaluation.  Any other link is evaluated once per
-    memo, over the memo's battery: lk G is keyed as the star walk keys
-    Delta_a at a = 0 off G, by the OR over the facets F of G's star of the
-    faces inside F that avoid G."""
+    memo, over the memo's battery, under its record's key, which the scans
+    share (FaceIndex.link)."""
     memo = HomologyMemo.serving(memo, delta, fields)
     failures: dict[FieldSpec, tuple] = {}
     live = list(fields)

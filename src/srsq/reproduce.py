@@ -319,9 +319,9 @@ def _equivalence_checks(delta: SimplicialComplex, budget: int) -> dict[str, bool
         "triangle_criterion": symbolic2_equals_square(I).equal == eq_direct,
         "condition3": condition3_check(delta).holds == eq_direct,
     }
-    # One memo per complex, as in paper_audit: lk G is Delta_a at a = 0 off G
-    # for I and I^(2) alike.  The Reisner walk goes first, so that its full
-    # profiles answer the scans' cut requests.
+    # One memo per complex, as in paper_audit: a link is a Delta_a of I and of
+    # I^(2) alike (FaceIndex.link).  The Reisner walk goes first, so that its
+    # full profiles answer the scans' cut requests.
     memo = HomologyMemo(delta, DEFAULT_FIELDS)
     reisner = cohen_macaulay_reports(delta, DEFAULT_FIELDS, memo)
     takayama = None if I.is_zero() else depth_reports(I, DEFAULT_FIELDS, budget, memo)

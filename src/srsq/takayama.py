@@ -46,9 +46,9 @@ no face list is built per point or per evaluation.  The homology memo
 evaluated once per call.  A scan makes its own memo, or shares its
 caller's when that one is over the same complex: paper_audit passes one
 memo to its link walks, its symbolic-square scan and the per-field calls
-for an unequal square, whose Delta(I^2) is Delta, and lk G is Delta_a at
-a = 0 off G.  The generator form scans a serving memo's whole battery at
-once, and the memo holds those reports for the ideal, so the audit's
+for an unequal square, whose Delta(I^2) is Delta; a link is a Delta_a
+(FaceIndex.link).  The generator form scans a serving memo's whole battery
+at once, and the memo holds those reports for the ideal, so the audit's
 per-field calls walk the square once.  In the generator form each point
 selects Delta_a by masks alone: the sets mb = {i outside G_a : b_i > a_i},
 one per generator x^b, come from words packed once per ideal, and
@@ -61,9 +61,10 @@ Delta that contain G_a and satisfy sum_{i not in F} a_i <= l - 1, and
 rho_j = l off the cone vertices (those in every facet) and 0 on them.  As
 a bitset, Delta_a is the OR of the faces inside each such F, less the
 faces meeting G_a.  The symbolic-square scan runs in this facet form as a
-star walk: per face G holding every cone vertex, the facets of G's star
-are listed once, and the free coordinates are walked depth first in the
-scan's product order, carrying the live facets.  Two lemmas prune it.
+star walk: each face G is rooted at its link record (FaceIndex.link) and
+skipped when its link is a cone; at any other G the facets of its star are
+listed once, and the free coordinates are walked depth first in the scan's
+product order, carrying the live facets.  Two lemmas prune it.
 Monotonicity: raising a_j only shrinks the live set, hence Delta_a, so
 once Delta_a is void every larger value of a_j, subtree included, is void.
 Cones: the sets F - G_a are pairwise incomparable (the facets are), so
@@ -235,28 +236,34 @@ def _facet_walk(ell: int, index: FaceIndex, rho: Sequence[int]) -> Walk:
     scan points whose Delta_a is neither void nor a cone, in scan order,
     each with Delta_a as its bitset.
 
-    Per face G = G_a the star lists the facets F containing G, read off the
-    index's per-vertex facet table, each with its part, the faces inside F
-    that avoid G, and its generator F - G.  The free coordinates are walked
-    depth first, vertex 1 slowest, carrying the live facets (outside sum
-    <= ell - 1) as bitmasks.  By the two lemmas of the
-    module docstring, the first value of a_j that leaves Delta_a void or a
-    cone ends that coordinate's loop, subtree included.  Delta_a of a live
-    set is the OR of its parts, and a cone when its generators share a
-    vertex; both are worked out once per live set, and only yielded points
-    get their degree tuple.
+    Each face G = G_a starts from its link record (FaceIndex.link): the
+    record's key is the root's Delta_a.  A face whose key is 0 yields
+    nothing: lk G is a cone, its apex lies in every facet of G's star and so
+    in every generator F - G, and every Delta_a at G is a cone or void (a
+    face missing a cone vertex is one such).  At every other face the star
+    lists the facets F containing G, read off the index's per-vertex facet
+    table, each with its part, the faces inside F that avoid G, and its
+    generator F - G.  The free coordinates are walked depth first, vertex 1
+    slowest, carrying the live facets (outside sum <= ell - 1) as bitmasks.
+    By the two lemmas of the module docstring, the first value of a_j that
+    leaves Delta_a void or a cone ends that coordinate's loop, subtree
+    included.  Delta_a of a live set is the OR of its parts, and a cone when
+    its generators share a vertex; both are worked out once per live set,
+    and only yielded points get their degree tuple.
     """
     n, inside = index.n, index.inside
-    for g in index.faces:
+    for p, g in enumerate(index.faces):
+        key = index.link(p).key
+        if not key:
+            continue  # lk G is a cone: so is, or void, every Delta_a at G
         free = [j for j in range(n) if not g >> j & 1]
-        if not all(rho[j] for j in free):
-            continue  # G misses a cone vertex: no point
         avoiding = index.avoiding(g)
         star = [(f, inside[f] & avoiding) for f in index.star(g)]
         parts = [part for _, part in star]
         rests = [f & ~g for f, _ in star]
         outs = [sum(1 << s for s, (f, _) in enumerate(star) if not f >> j & 1) for j in free]
-        keys: dict[int, int] = {}
+        root = (1 << len(star)) - 1  # every facet of the star is live at a = 0
+        keys = {root: key}
 
         def key_of(live: int) -> int:
             """Delta_a of a live set, 0 when it is void or a cone."""
@@ -270,10 +277,6 @@ def _facet_walk(ell: int, index: FaceIndex, rho: Sequence[int]) -> Walk:
             keys[live] = key = 0 if apex else key
             return key
 
-        root = (1 << len(star)) - 1  # G is a face, so some facet contains it
-        key = key_of(root)
-        if not key:
-            continue
         # the odometer over the free coordinates, last one fastest: a holds
         # the point, and within[d][t] the live facets of outside sum <= t
         # once the coordinates before free[d] are set

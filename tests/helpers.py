@@ -42,7 +42,7 @@ from srsq import (
     stanley_reisner,
     symbolic_power,
 )
-from srsq.bits import generated_faces, pack, unpack
+from srsq.bits import bit_index, bits, compress, generated_faces, is_subset, pack, unpack
 from srsq.criteria import CONDITION3_MAX_VERTICES, Condition3Result
 from srsq.homology import profile_from_faces
 from srsq.ideals import _iter_special_triangles, triangle_obstruction_monomial
@@ -667,6 +667,20 @@ def cone_bases():
 
 
 # -- the per-field link route the link walk replaces ----------------------------
+
+
+def filtered_link_with_map(delta: SimplicialComplex, face):
+    """SimplicialComplex.link_with_map by its own re-indexing: the facets
+    containing ``face``, less it, compressed onto the vertices they cover,
+    with the old->new vertex map (ascending)."""
+    f = pack(face)
+    if not delta.contains_mask(f):
+        raise ValueError(f"{unpack(f)} is not a face")
+    raw = [g & ~f for g in delta.facets if is_subset(f, g)]
+    survivors = functools.reduce(int.__or__, raw, 0)
+    vmap = {bit_index(b): i + 1 for i, b in enumerate(bits(survivors))}
+    facets = tuple(compress(m, survivors) for m in raw)
+    return SimplicialComplex(survivors.bit_count(), facets), vmap
 
 
 def link_key_by_faces(delta: SimplicialComplex, face: int) -> int:

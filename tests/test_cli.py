@@ -393,6 +393,37 @@ def test_missing_or_empty_options_are_usage_errors(argv, message, monkeypatch, c
     assert message in err
 
 
+X1_SQUARED = json.dumps({"n": 1, "gens": [[2]]})
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["ideal", "power", "--k", "-1"], "pentagon ideal", "negative powers are undefined"),
+    (["ideal", "intersect", "--with", "four-cycle ideal"], "pentagon ideal",
+     "ideals live in different variable counts"),
+    (["ideal", "triangles"], X1_SQUARED, "special triangles are defined for squarefree ideals"),
+    (["ideal", "equals-sym2"], X1_SQUARED, "the criterion applies to squarefree ideals"),
+    (["ideal", "symbolic", "--ell", "0"], "pentagon ideal", "symbolic powers need ell >= 1"),
+    (["generate", "path", "--n", "1"], "", "a path needs at least 2 vertices"),
+    (["generate", "conjecture-graph", "--n", "0"], "", "n must be >= 1"),
+    (["generate", "disjoint-pentagons", "--r", "0"], "", "r must be >= 1"),
+    (["generate", "phantom-pentagon", "--k", "0"], "", "k must be >= 1"),
+    (["complex", "restrict", "--face-arg", "1,7"], "pentagon", "restriction set out of range"),
+])
+def test_malformed_input_exits_2_with_its_message(argv, stdin, message, monkeypatch, capsys,
+                                                  tmp_path):
+    docs = {}
+    for name, n in (("pentagon", 5), ("four-cycle", 4)):
+        _, docs[name], _ = run(["generate", "cycle", "--n", str(n)],
+                               monkeypatch=monkeypatch, capsys=capsys)
+        _, docs[f"{name} ideal"], _ = run(["ideal", "sr"], stdin_text=docs[name],
+                                          monkeypatch=monkeypatch, capsys=capsys)
+    (tmp_path / "four-cycle ideal").write_text(docs["four-cycle ideal"])
+    argv = [str(tmp_path / a) if a in docs else a for a in argv]
+    code, out, err = run(argv, stdin_text=docs.get(stdin, stdin),
+                         monkeypatch=monkeypatch, capsys=capsys)
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_ideal_symbolic_accepts_complex_or_ideal(monkeypatch, capsys):
     _, doc, _ = run(["generate", "cycle", "--n", "5"], monkeypatch=monkeypatch, capsys=capsys)
     code, from_complex, _ = run(

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from functools import reduce
 from itertools import combinations
 
@@ -31,8 +32,10 @@ from srsq import (
 from srsq.bits import pack, unpack
 from srsq.complexes import NAMED_COMPLEXES
 from helpers import (
+    filtered_link_with_map,
     floyd_warshall_diameter,
     maximal_independent_sets,
+    random_complex_with_unused_vertices,
     random_graph,
     stellar_by_definition,
 )
@@ -71,6 +74,8 @@ def test_is_face():
     assert p.is_face((1, 2))
     assert not p.is_face((1, 3))
     assert p.is_face(())
+    with pytest.raises(ValueError, match=r"^face \(1, 6\) not inside 1\.\.5$"):
+        p.is_face((1, 6))
     assert p.faces_of_dim(0) == [(1,), (2,), (3,), (4,), (5,)]
     assert len(p.faces_of_dim(1)) == 5
 
@@ -108,6 +113,25 @@ def test_link_star_composition():
         for f in sorted(d.face_masks, key=lambda m: (m.bit_count(), m)):
             face = unpack(f)
             assert d.star(face).link(face) == d.link(face)
+
+
+def test_link_is_the_restricted_star_of_the_filtered_facets():
+    # every face, the empty face and the facets included, on complexes with
+    # unused vertices: the same complex and vertex map as filtering the
+    # facets and compressing them, and the same error for a non-face
+    rng = random.Random(34)
+    pool = [random_complex_with_unused_vertices(rng, pure) for pure in (True, False) * 20]
+    pool += [irrelevant_complex(), SimplicialComplex(3, (0,)), SimplicialComplex(3, ())]
+    for d in pool:
+        for f in range(1 << (d.n + 1)):
+            face = unpack(f)
+            try:
+                expected = filtered_link_with_map(d, face)
+            except ValueError as refused:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+                    d.link_with_map(face)
+            else:
+                assert d.link_with_map(face) == expected, (d, face)
 
 
 def test_star_keeps_labels():
@@ -282,6 +306,8 @@ def test_graph_basics():
         Graph.from_edges(3, [(1, 1)])
     g = Graph.from_edges(3, [(1, 2), (2, 1)])
     assert len(g.edges) == 1
+    with pytest.raises(ValueError, match=r"^edge \(1, 4\) out of range for n=3$"):
+        Graph.from_edges(3, [(1, 4)])
     for n in (-1, 65):  # as for complexes: a vertex is one bit of a mask
         with pytest.raises(ValueError, match=f"vertex count must be in 0..64, got {n}"):
             Graph(n, ())

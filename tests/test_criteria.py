@@ -2,6 +2,7 @@ import functools
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -45,7 +46,7 @@ from srsq import (
     symbolic_square_depth_reports,
     void_complex,
 )
-from srsq import criteria, homology, jsonio, takayama
+from srsq import cli, criteria, homology, jsonio, reproduce, takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import _audit_violations, explore_complexes
 from srsq.complexes import FaceIndex
@@ -356,6 +357,97 @@ def test_field_comparisons_need_q_in_the_battery():
     assert _audit_violations(no_q) == ()
 
 
+# the audit's implications on the pentagon, whose square is CM over Q and F2:
+# the srsq.criteria verdict source -> (a change to the verdict it returns,
+# the violations the audit then lists)
+FORCED_VIOLATIONS = {
+    "gorenstein_reports": (
+        lambda out: {f: replace(r, is_gorenstein=False) for f, r in out.items()},
+        ("CM square over the battery but not Gorenstein",)),
+    "s2_criterion": (
+        lambda out: replace(out, holds=False),
+        ("CM square over the battery but the linkwise diameter criterion fails",)),
+    "symbolic2_equals_square": (
+        lambda out: replace(out, equal=False),
+        ("CM square over the battery but I^2 != I^(2)",
+         "over Q: CM(I^2) = True but CM(I^(2)) and I^2 = I^(2) give False",
+         "over F2: CM(I^2) = True but CM(I^(2)) and I^2 = I^(2) give False",
+         "non-face triple condition disagrees with the special-triangle criterion")),
+    "locally_gorenstein_reports": (
+        lambda out: {f: replace(r, holds=False) for f, r in out.items()},
+        ("CM square over the battery but not locally Gorenstein",)),
+    "depth2_criterion": (
+        lambda out: replace(out, holds=not out.holds),
+        ("over Q: diameter criterion = False but depth S/I^(2) >= 2 is True",
+         "over F2: diameter criterion = False but depth S/I^(2) >= 2 is True")),
+    "condition3_check": (
+        lambda out: replace(out, holds=not out.holds),
+        ("non-face triple condition disagrees with the special-triangle criterion",)),
+}
+
+
+def force(monkeypatch, source):
+    """Make paper_audit read the verdict of ``source`` changed as
+    FORCED_VIOLATIONS says."""
+    real, change = getattr(criteria, source), FORCED_VIOLATIONS[source][0]
+    monkeypatch.setattr(criteria, source, lambda *args: change(real(*args)))
+
+
+@pytest.mark.parametrize("source", list(FORCED_VIOLATIONS))
+def test_each_implication_of_the_audit_names_its_violation(source, monkeypatch):
+    assert paper_audit(cycle_complex(5)).violations == ()
+    force(monkeypatch, source)
+    assert paper_audit(cycle_complex(5)).violations == FORCED_VIOLATIONS[source][1]
+
+
+def test_a_violation_exits_4_from_check_audit_and_criterion_9(monkeypatch, capsys, tmp_path):
+    force(monkeypatch, "s2_criterion")
+    expected = list(FORCED_VIOLATIONS["s2_criterion"][1])
+    pentagon = tmp_path / "pentagon.json"
+    pentagon.write_text(json.dumps(jsonio.complex_to_dict(cycle_complex(5))))
+    assert cli.main(["check", "audit", "--in", str(pentagon)]) == cli.EXIT_VIOLATION
+    assert json.loads(capsys.readouterr().out)["violations"] == expected
+    monkeypatch.setattr(reproduce, "named_battery", lambda: [("pentagon", cycle_complex(5))])
+    monkeypatch.setattr(reproduce, "explore_complexes", lambda seed, count, n_max: [])
+    code = cli.main(["reproduce-paper", "--only", "criterion-09", "--format", "json"])
+    assert code == cli.EXIT_VIOLATION
+    (result,) = json.loads(capsys.readouterr().out)["criteria"]
+    assert result["details"]["violations"] == [{"complex": "pentagon", "violations": expected}]
+
+
+def test_criterion_9_reports_each_complex_with_a_violation(monkeypatch):
+    # four_path's square is not CM, so a failing (S2) verdict breaks nothing there
+    force(monkeypatch, "s2_criterion")
+    monkeypatch.setattr(reproduce, "named_battery",
+                        lambda: [("pentagon", cycle_complex(5)), ("four_path", four_path())])
+    monkeypatch.setattr(reproduce, "explore_complexes", lambda seed, count, n_max: [])
+    result = reproduce.criterion_9_implication_audits()
+    assert not result.passed
+    assert result.details == {
+        "audited": 2,
+        "violations": [{"complex": "pentagon",
+                        "violations": list(FORCED_VIOLATIONS["s2_criterion"][1])}],
+        "checks": {"no_implication_violations": False},
+    }
+
+
+def test_criterion_8_reports_each_complex_that_fails_a_check(monkeypatch):
+    # the pentagon's non-face triple verdict, flipped, disagrees with I^2 = I^(2)
+    pentagon, real = cycle_complex(5), reproduce.condition3_check
+    monkeypatch.setattr(reproduce, "iter_pure_complexes", lambda: iter([pentagon, four_path()]))
+    monkeypatch.setattr(reproduce, "random_pure_complex", lambda rng, n: path_complex(3))
+    monkeypatch.setattr(reproduce, "condition3_check", lambda delta: replace(
+        real(delta), holds=not real(delta).holds) if delta == pentagon else real(delta))
+    result = reproduce.criterion_8_oracle_equivalences()
+    assert not result.passed
+    assert result.details == {
+        "exhaustive_complexes": 2,
+        "random_complexes": 200,
+        "failures": [{"facets": pentagon.facet_tuples(), "failed": ["condition3"]}],
+        "checks": {"zero_discrepancies": False},
+    }
+
+
 def test_explore_deterministic_and_clean():
     a = [paper_audit(d) for d in explore_complexes(5, 12, 5)]
     b = [paper_audit(d) for d in explore_complexes(5, 12, 5)]
@@ -372,6 +464,8 @@ def test_random_pure_complex_properties():
         d = random_pure_complex(rng, n)
         assert d.is_pure() and d.n == n and d.dim >= 1
         assert d.support == (1 << n) - 1
+    with pytest.raises(ValueError, match="^need n >= 3 for interesting pure complexes$"):
+        random_pure_complex(rng, 2)
 
 
 def test_audit_square_reports_match_generator_form_oracle():

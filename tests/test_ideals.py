@@ -22,6 +22,7 @@ from srsq import (
     stanley_reisner,
     symbolic2_equals_square,
     symbolic_power,
+    void_complex,
 )
 from srsq.bits import pack, unpack
 from srsq.ideals import _iter_special_triangles
@@ -344,6 +345,13 @@ def test_symbolic_power_validation():
         symbolic_power(cycle_complex(5), 0)
     with pytest.raises(ValueError):
         symbolic_power(triangle_ideal().power(2), 2)  # not squarefree
+    with pytest.raises(ValueError, match="^the void complex has no facet primes$"):
+        symbolic_power(void_complex(3), 2)
+
+
+def test_a_generator_in_the_wrong_variable_count_is_refused():
+    with pytest.raises(ValueError, match=r"^generator x1\*x2 has 2 variables, expected 3$"):
+        MonomialIdeal.from_exponents(3, [(1, 1)])
 
 
 # -- special triangles --------------------------------------------------------------------

@@ -40,6 +40,7 @@ from srsq import (
 from srsq import homology, takayama
 from srsq.bits import pack, unpack
 from srsq.criteria import explore_complexes, random_pure_complex
+from srsq.complexes import FaceIndex
 from srsq.homology import HomologyMemo
 from srsq.reproduce import named_battery as paper_examples
 from srsq.takayama import (
@@ -55,6 +56,7 @@ from helpers import (
     DegreeVector,
     assert_whole_ring_report,
     brute_force_depth,
+    cone_bases,
     delta_a,
     delta_a_symbolic,
     faces_at,
@@ -66,6 +68,7 @@ from helpers import (
     join_oracle_cases,
     local_cohomology_dim,
     random_complex,
+    random_complex_with_unused_vertices,
     relabeling_classes,
     unbounded_scan_reports,
 )
@@ -599,6 +602,52 @@ def test_star_walk_skips_a_cone_point_but_not_its_neighbour():
     cone = select(0, (1, 1, 0, 0))
     assert is_cone_bitset(d, cone)
     assert cone == bitset_of(d.sorted_faces(), SimplicialComplex(4, (pack((1, 2)),)))
+
+
+def link_record_cases():
+    """The paper's named complexes, the cone bases and, seeded, random
+    complexes with unused vertices."""
+    rng = random.Random(34)
+    return ([d for _, d in paper_examples()] + cone_bases()
+            + [random_complex_with_unused_vertices(rng, pure) for pure in (True, False) * 15])
+
+
+def test_star_walk_roots_each_face_at_its_link_records_key():
+    # lk G is Delta_a at a = 0 off G: the walk yields that root exactly at the
+    # faces whose link is not a cone, keyed by the record's interned int
+    for d in link_record_cases():
+        index = d.face_index
+        position = {g: p for p, g in enumerate(index.faces)}
+        for ell in (1, 2, 3):
+            roots = [(g, key) for g, a, key in star_walk(d, ell)
+                     if all(e == (-1 if g >> j & 1 else 0) for j, e in enumerate(a))]
+            assert [g for g, _ in roots] == [g for p, g in enumerate(index.faces)
+                                             if index.link(p).key], (d, ell)
+            for g, key in roots:
+                assert key is index.link(position[g]).key, (d, ell, g)
+
+
+def test_star_walk_lists_the_star_of_no_face_whose_link_is_a_cone(monkeypatch):
+    # with every record built, the walk reads a face's star only past a
+    # nonzero link key
+    starred = []
+    star = FaceIndex.star
+
+    def listed(index, g):
+        starred.append(g)
+        return star(index, g)
+
+    for d in link_record_cases():
+        index = d.face_index
+        for p in range(len(index.faces)):
+            index.link(p)
+        with monkeypatch.context() as m:
+            m.setattr(FaceIndex, "star", listed)
+            for ell in (1, 2):
+                starred.clear()
+                star_walk(d, ell)
+                assert starred == [g for p, g in enumerate(index.faces)
+                                   if index.link(p).key], (d, ell)
 
 
 def test_symbolic_rho_closed_form():
