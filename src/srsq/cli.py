@@ -133,7 +133,10 @@ def _budget(args) -> int:
         budget = args.budget
     else:
         env = os.environ.get("SRSQ_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
+        try:
+            budget = int(env) if env else DEFAULT_BUDGET
+        except ValueError:
+            raise ValueError(f"SRSQ_BUDGET must be an integer, got {env!r}") from None
     if budget < 0:
         raise ValueError(f"the budget must be >= 0, got {budget}")
     return budget

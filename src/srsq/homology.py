@@ -13,14 +13,16 @@ once, on first need.  No face list is built per evaluation.
 
 Every boundary entry is 0 or +-1, and eliminating a +-1 pivot is
 unimodular, so one elimination serves every field (the elimination phase of
-Dumas, Heckenbach, Saunders and Welker, 2003).  profile_from_faces reduces
-each map d_i with i >= 2 once: its columns are (rows holding +1, rows
+Dumas, Heckenbach, Saunders and Welker, 2003).  Every map above d_0 goes
+through one reduction, once: the columns of d_i are (rows holding +1, rows
 holding -1) bitmasks, and each column is reduced by its lowest entry while
 that row holds a kept unit pivot.  A column that would gain a +-2 entry is
 set aside and then cleared on every pivot row; over each field,
 rank d_i = u + matrix_rank(remainder), for u unit pivots.  matrix_rank is
 fraction-free Bareiss elimination over Q and plain modular elimination over
-F_p, and sees only remainders, which is where torsion lives (rp2's d_2).
+F_p, and sees only non-empty remainders, which is where torsion lives (rp2's
+d_2).  A graph's d_1 never sets a column aside: each of its columns, and
+each column reduced by one, has one +1 and one -1.
 
 The maps are reduced top-down, and the rows of d_{i+1}'s unit pivots name
 faces whose columns d_i leaves out: the clearing ("twist") lemma of
@@ -230,6 +232,8 @@ def _unit_reduce(columns: Iterable[tuple[int, int]]) -> tuple[int, list[list[int
                 break
             up, down = plus | p_minus, minus | p_plus
             plus, minus = up & ~down, down & ~up
+    if not stuck:
+        return sum(pivots), []
     cleared, order = [], sorted(pivots)
     for plus, minus in stuck:
         column = dict.fromkeys(bits(plus), 1) | dict.fromkeys(bits(minus), -1)
@@ -277,27 +281,6 @@ class HomologyProfile:
         return {i: self.betti_number(i) for i in self.degrees()}
 
 
-def _forest(edges: Iterable[int]) -> int:
-    """The size of a spanning forest of the graph with these edges, by
-    union-find: rank d_1 over every field, d_1 being the graph's signed
-    incidence matrix."""
-    root: dict[int, int] = {}
-
-    def find(v: int) -> int:
-        while (parent := root.get(v, v)) != v:
-            root[v] = v = root.get(parent, parent)
-        return v
-
-    rank = 0
-    for edge in edges:
-        low = edge & -edge
-        u, w = find(low), find(edge ^ low)
-        if u != w:
-            root[u] = w
-            rank += 1
-    return rank
-
-
 def profile_from_faces(
     delta: SimplicialComplex, key: int, fields: Sequence[FieldSpec], *, below: int | None = None
 ) -> tuple[HomologyProfile, ...]:
@@ -313,16 +296,13 @@ def profile_from_faces(
     which keep the subcomplex's own face order, so the reduction is the one
     of the subcomplex's own face list.
 
-    rank d_0 is 1 when a vertex exists, and rank d_1 is the size of a
-    spanning forest of the edges (_forest), the same over every field, so a
-    complex of dimension <= 1 needs no matrix.  Each map d_i with i >= 2 is
-    reduced once (_unit_reduce), top map first; only the rank of its
-    remainder depends on the field.  The unit pivot rows of d_{i+1} clear
+    rank d_0 is 1 when a vertex exists.  Every map above d_0 goes through
+    one reduction (_unit_reduce), once, top map first; only the rank of its
+    remainder depends on the field, and when no map leaves a remainder one
+    Betti tuple serves every field.  The unit pivot rows of d_{i+1} clear
     their columns from d_i before it is selected: each such column lies in
     the Z-span of the kept ones (module docstring), so rank d_i, over every
-    field, is the kept columns' rank.  rank d_1 = V - c for the c
-    components of the edges that d_2 left uncleared, since they span the
-    cleared ones.
+    field, is the kept columns' rank.
 
     With ``below = h``, only the degrees -1 .. h - 1 are evaluated: dim ~H_k
     needs the ranks of d_k and d_{k+1} alone, so no map d_i with i > h is
@@ -337,23 +317,21 @@ def profile_from_faces(
     length = index.classes_of(key)
     top = length if below is None else min(length, below + 1)
     last = min(top, length - 1)  # the highest class whose map is ranked
-    reduced, cleared, rank_d1 = [], 0, 0
-    for i in range(last - 1, 1, -1):
+    reduced, cleared = [], 0
+    for i in range(last - 1, 0, -1):
         kept = index.size_class(key, i + 1) & ~cleared
         cleared, rest = _unit_reduce(_select(index.columns(i + 1), kept))
         reduced.append((cleared.bit_count(), rest))
-    if last >= 2:
-        rank_d1 = _forest(_select(index.classes[2], index.size_class(key, 2) & ~cleared))
     sizes = [index.size_class(key, t).bit_count() for t in range(max(top, 0))]
 
     def betti(ranks: Iterable[int]) -> tuple[int, ...]:
-        r = [0, int(length > 1), rank_d1, *ranks, 0]
+        r = [0, int(length > 1), *ranks, 0]
         return tuple(size - r[t] - r[t + 1] for t, size in enumerate(sizes))
 
-    if not reduced:  # every rank is known: the same Betti numbers over every field
-        same = betti(())
+    if not any(rest for _, rest in reduced):  # the same Betti numbers over every field
+        same = betti(u for u, _ in reversed(reduced))
         return tuple(HomologyProfile(field, same) for field in fields)
-    return tuple(HomologyProfile(field, betti([u + matrix_rank(rest, field)
+    return tuple(HomologyProfile(field, betti([u + (matrix_rank(rest, field) if rest else 0)
                                                for u, rest in reversed(reduced)]))
                  for field in fields)
 

@@ -23,7 +23,9 @@ from srsq.reproduce import (
     criterion_9_implication_audits,
     criterion_10_conjecture,
     iter_pure_complexes,
+    _pentagon_relabeling,
 )
+from srsq import cycle_complex, path_complex
 
 
 def report(result):
@@ -131,3 +133,10 @@ def test_criterion_10_conjecture_recorded():
     # the square of conjecture_complex(4) is CM over both fields, depth 5 = dim 5
     assert r.details["n4_recorded_verdicts"] == {
         f: {"cm": True, "depth": 5, "dim": 5} for f in ("Q", "F2")}
+
+
+def test_the_pentagon_relabeling_refuses_a_hexagon_and_a_path():
+    # criterion 3's link check: a wrong vertex count, then five vertices
+    # that no relabeling turns into the pentagon
+    assert _pentagon_relabeling(cycle_complex(6)) is None
+    assert _pentagon_relabeling(path_complex(5)) is None

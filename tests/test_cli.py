@@ -180,6 +180,21 @@ def test_negative_budget_is_a_usage_error(budget, code, source, monkeypatch, cap
     assert got == code and "budget" in err
 
 
+@pytest.mark.parametrize("budget", ["abc", "1e3"])
+def test_a_malformed_env_budget_names_itself(budget, monkeypatch, capsys):
+    _, doc, _ = run(["generate", "rp2"], monkeypatch=monkeypatch, capsys=capsys)
+    monkeypatch.setenv("SRSQ_BUDGET", budget)
+    got = run(["check", "audit"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    assert got == (EXIT_USAGE, "", f"error: SRSQ_BUDGET must be an integer, got '{budget}'\n")
+
+
+def test_a_field_that_is_neither_0_nor_prime_is_a_usage_error(monkeypatch, capsys):
+    _, doc, _ = run(["generate", "rp2"], monkeypatch=monkeypatch, capsys=capsys)
+    got = run(["check", "cm", "--fields", "F1"], stdin_text=doc,
+              monkeypatch=monkeypatch, capsys=capsys)
+    assert got == (EXIT_USAGE, "", "error: field characteristic must be 0 or prime, got 1\n")
+
+
 @pytest.mark.parametrize("doc", [
     '{"n":3,"facets":[[1,2]]}',
     '{"n":4,"facets":[[1,2],[2,3],[1,3]]}',
@@ -600,6 +615,54 @@ def test_markdown_format(monkeypatch, capsys):
     )
     assert code == EXIT_OK
     assert "- holds: true" in out
+
+
+def test_markdown_of_nested_reports_and_lists(monkeypatch, capsys):
+    # a dict of dicts, a list of dicts and non-bool scalars
+    _, doc, _ = run(["generate", "disjoint-pentagons", "--r", "2"],
+                    monkeypatch=monkeypatch, capsys=capsys)
+    code, out, _ = run(["check", "depth", "--of", "square", "--format", "md"], stdin_text=doc,
+                       monkeypatch=monkeypatch, capsys=capsys)
+
+    def report(field, pad, depth, size):
+        return [f"{pad}- field: {field}", f"{pad}- depth: {depth}", f"{pad}- dim: {depth}",
+                f"{pad}- cohen_macaulay: true", f"{pad}- scan_size: {size}"]
+
+    expected = []
+    for field in ("Q", "F2"):
+        expected += [f"- {field}:", *report(field, "  ", 4, 23104), "  - join_factors:"]
+        for vertices in ("1, 2, 3, 4, 5", "6, 7, 8, 9, 10"):
+            expected += ["    - vertices:", f"      {vertices}",
+                         "    - radical:", *report(field, "      ", 2, 11),
+                         "    - power:", *report(field, "      ", 2, 152)]
+    assert code == EXIT_OK and out == "\n".join(expected) + "\n"
+
+
+def test_special_triangles_of_rp2_in_json_and_markdown(monkeypatch, capsys):
+    # a list of lists: each triangle's witnesses
+    _, doc, _ = run(["generate", "rp2"], monkeypatch=monkeypatch, capsys=capsys)
+    _, ideal, _ = run(["ideal", "sr"], stdin_text=doc, monkeypatch=monkeypatch, capsys=capsys)
+    code, out, _ = run(["ideal", "triangles"], stdin_text=ideal,
+                       monkeypatch=monkeypatch, capsys=capsys)
+    triangles = json.loads(out)
+    assert code == EXIT_OK and triangles["count"] == 90 == len(triangles["triangles"])
+    assert triangles["triangles"][0] == {"vertices": [1, 2, 3],
+                                         "witnesses": [[2, 3, 4], [1, 3, 6], [1, 2, 5]]}
+    code, out, _ = run(["ideal", "triangles", "--format", "md"], stdin_text=ideal,
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_OK and out.splitlines()[:8] == [
+        "- count: 90", "- triangles:", "  - vertices:", "    1, 2, 3", "  - witnesses:",
+        "    [2, 3, 4]", "    [1, 3, 6]", "    [1, 2, 5]"]
+    assert len(out.splitlines()) == 2 + 90 * 6
+
+
+def test_reproduce_single_criterion_in_markdown(monkeypatch, capsys):
+    code, out, _ = run(["reproduce-paper", "--only", "criterion-01", "--format", "md"],
+                       monkeypatch=monkeypatch, capsys=capsys)
+    assert code == EXIT_OK
+    assert re.fullmatch(r"# Worked-example reproduction report\n\n"
+                        r"- PASS criterion-01: triangle ideal second powers \[\d+\.\d\ds\]\n\n"
+                        r"overall: PASS\n", out)
 
 
 def test_reproduce_single_criterion(monkeypatch, capsys, tmp_path):

@@ -239,8 +239,9 @@ def test_each_map_is_reduced_once_whatever_the_battery(monkeypatch):
         packed.clear()
         reduced.clear()
         profile_from_faces(d, d.face_index.everything, battery)
-        # rank d_0 is 1 by formula and rank d_1 comes from the union-find
-        assert packed == [2] and reduced == [10]
+        # rank d_0 is 1 by formula; d_2 and d_1 go through one reduction
+        # each, and d_1 is handed only the 6 edges d_2 left uncleared
+        assert packed == [2, 1] and reduced == [10, 6]
 
 
 @st.composite
@@ -435,16 +436,17 @@ def graph_face_sets(rng, count):
 
 
 def test_graph_rule_matches_the_rank_route(monkeypatch):
-    # graph homology is free, so one union-find answers every field; the
+    # a signed incidence matrix reduces on unit pivots alone, so one
+    # reduction answers every field and no graph reaches matrix_rank; the
     # rank route (fraction_rank over Q, dense elimination mod p) is the oracle
     pool = graph_face_sets(random.Random(83), 60)
     battery = (QQ, GF2, F3)
 
     def refuse(*args):
-        raise AssertionError("a complex of dimension <= 1 needs no boundary matrix")
+        raise AssertionError("a graph leaves no remainder to rank")
 
     with monkeypatch.context() as m:
-        m.setattr(FaceIndex, "columns", refuse)
+        m.setattr(homology, "matrix_rank", refuse)
         profiles = [profile_of_faces(faces, battery) for faces in pool]
     isolated = cycles = 0
     for faces, by_field in zip(pool, profiles):
@@ -458,6 +460,52 @@ def test_graph_rule_matches_the_rank_route(monkeypatch):
             for f in faces)
         cycles += len(expected) == 3 and expected[2] > 0
     assert isolated >= 5 and cycles >= 5
+
+
+@st.composite
+def oriented_graphs(draw):
+    """(V, edges as (tail, head) vertex pairs) on at most 12 vertices, each
+    edge oriented at random, in random order; vertices no edge meets are
+    isolated."""
+    v = draw(st.integers(min_value=1, max_value=12))
+    pairs = [] if v == 1 else draw(st.lists(st.sampled_from(list(combinations(range(v), 2))),
+                                            unique=True, max_size=20))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return v, [(w, u) if flip else (u, w) for (u, w), flip in zip(pairs, flips)]
+
+
+def bfs_components(v, edges):
+    neighbours = {u: set() for u in range(v)}
+    for u, w in edges:
+        neighbours[u].add(w)
+        neighbours[w].add(u)
+    seen, components = set(), 0
+    for start in range(v):
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        queue = [start]
+        while queue:
+            for w in neighbours[queue.pop()] - seen:
+                seen.add(w)
+                queue.append(w)
+    return components
+
+
+@given(oriented_graphs())
+@example((12, []))  # twelve isolated vertices
+@example((7, [(0, 1), (1, 2), (2, 0), (3, 4), (5, 4)]))  # a triangle, a path and a point
+@example((6, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (4, 5)]))
+@settings(max_examples=200, deadline=None)
+def test_a_graph_reduces_to_a_spanning_forest_with_nothing_set_aside(graph):
+    # a signed incidence column has one +1 and one -1, and so does every
+    # column reduced by such a pivot: no +-2 entry can arise, and rank d_1 is
+    # V - c with no remainder, over every field
+    v, edges = graph
+    pivot_rows, rest = homology._unit_reduce([(1 << head, 1 << tail) for tail, head in edges])
+    assert rest == []
+    assert pivot_rows.bit_count() == v - bfs_components(v, edges)
 
 
 @st.composite
@@ -491,20 +539,23 @@ def test_only_remainders_reach_matrix_rank(monkeypatch):
         run()
         return calls
 
-    # spheres and links of a Gorenstein complex reduce on unit pivots alone
-    assert remainders(lambda: reduced_homology(cross_polytope(3), QQ)) == [(QQ, [])]
+    # spheres and links of a Gorenstein complex reduce on unit pivots alone,
+    # so they hand matrix_rank nothing
+    assert remainders(lambda: reduced_homology(cross_polytope(3), QQ)) == []
     assert remainders(lambda: reduced_homology(cycle_complex(5), QQ)) == []  # a graph
-    stellar = remainders(lambda: is_cohen_macaulay(cross_polytope_stellar(3), QQ))
-    assert stellar and all(rows == [] for _, rows in stellar)
-    # every field is ranked on every map, even an empty remainder
+    assert remainders(lambda: is_cohen_macaulay(cross_polytope_stellar(3), QQ)) == []
+    # no field ranks an empty remainder
     battery = (QQ, GF2, F3)
     octahedron = cross_polytope(3)
+    assert remainders(lambda: profile_from_faces(
+        octahedron, octahedron.face_index.everything, battery)) == []
+    # rp2's d_2 keeps a remainder, which carries its 2-torsion; it reaches
+    # matrix_rank once per field, with 3 rows
     assert [f for f, _ in remainders(lambda: profile_from_faces(
-        octahedron, octahedron.face_index.everything, battery))] == list(battery)
-    # rp2's d_2 keeps a remainder, which carries its 2-torsion
+        rp2(), rp2().face_index.everything, battery))] == list(battery)
     (field, rows), = remainders(lambda: reduced_homology(rp2(), GF2))
     d2 = boundary_matrix(rp2(), 2)
-    assert field == GF2 and rows and len(rows[0]) < len(d2[0])
+    assert field == GF2 and len(rows) == 3 and len(rows[0]) < len(d2[0])
 
 
 def dense(columns, height):
@@ -670,30 +721,25 @@ def test_key_evaluated_profiles_match_the_dense_oracles(case):
         betti if below is None else betti[:below + 1] for betti in subcomplex_oracles(delta, key)]
 
 
-@pytest.mark.parametrize("delta, below, columns, edges", [
-    (cross_polytope(6), None, [64, 129, 111, 49], 11),  # 353 of 656 columns
-    (cross_polytope(6), 3, [240, 49], 11),  # the map at the cut is cleared by nothing
-    (rp2().join(rp2()), None, [100, 210, 151, 56], 11),  # 517 of 945 columns
+@pytest.mark.parametrize("delta, below, columns", [
+    (cross_polytope(6), None, [64, 129, 111, 49, 11]),  # 364 of 716 columns
+    (cross_polytope(6), 3, [240, 49, 11]),  # the map at the cut is cleared by nothing
+    (rp2().join(rp2()), None, [100, 210, 151, 56, 11]),  # 528 of 1011 columns
 ], ids=["cross_polytope_6", "cross_polytope_6_below_3", "rp2_rp2"])
-def test_clearing_hands_each_map_only_its_kept_columns(monkeypatch, delta, below, columns, edges):
+def test_clearing_hands_each_map_only_its_kept_columns(monkeypatch, delta, below, columns):
     # maps are reduced top map first; d_{i+1}'s pivot rows drop their
-    # columns from d_i, and the union-find of rank d_1 sees only the edges
-    # d_2 left uncleared: a spanning tree of the 12 vertices here
-    reduced, united = [], []
-    reduce, forest = homology._unit_reduce, homology._forest
+    # columns from d_i, so d_1 is handed only the edges d_2 left uncleared:
+    # a spanning tree of the 12 vertices here
+    reduced = []
+    reduce = homology._unit_reduce
 
     def counted_reduce(cols):
         reduced.append(len(cols))
         return reduce(cols)
 
-    def counted_forest(edges):
-        united.append(len(edges))
-        return forest(edges)
-
     monkeypatch.setattr(homology, "_unit_reduce", counted_reduce)
-    monkeypatch.setattr(homology, "_forest", counted_forest)
     profile_from_faces(delta, delta.face_index.everything, (QQ, GF2, F3), below=below)
-    assert reduced == columns and united == [edges]
+    assert reduced == columns
 
 
 def test_euler_identity():

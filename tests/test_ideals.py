@@ -317,6 +317,17 @@ def test_symbolic_membership_rejects_wrong_variable_count():
             in_symbolic_power(source, Monomial((1, 1, 1, 1, 1)), 2)
 
 
+def test_symbolic_membership_needs_a_positive_power():
+    with pytest.raises(ValueError, match="symbolic powers need ell >= 1"):
+        in_symbolic_power(rp2(), Monomial((1,) * 6), 0)
+
+
+def test_monomial_degree_and_ideal_sums_across_variable_counts():
+    assert Monomial((2, 0, 1)).degree() == 3
+    with pytest.raises(ValueError, match="ideals live in different variable counts"):
+        stanley_reisner(cycle_complex(5)) + stanley_reisner(cycle_complex(4))
+
+
 def test_symbolic_membership_agrees_with_generators():
     rng = random.Random(9)
     for _ in range(25):
