@@ -90,7 +90,9 @@ def _markdown(doc: Any, indent: int = 0) -> str:
         if all(isinstance(x, list) and all(not isinstance(y, (dict, list)) for y in x)
                for x in doc):
             return "\n".join(pad + "[" + ", ".join(_scalar(y) for y in x) + "]" for x in doc)
-        return "\n".join(_markdown(x, indent) for x in doc)
+        # each dict item under its own numbered marker, so that the items do not run together
+        return "\n".join(_markdown({k: x} if isinstance(x, dict) else x, indent)
+                         for k, x in enumerate(doc, 1))
     return f"{pad}{_scalar(doc)}"
 
 

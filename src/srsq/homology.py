@@ -19,10 +19,11 @@ holding -1) bitmasks, and each column is reduced by its lowest entry while
 that row holds a kept unit pivot.  A column that would gain a +-2 entry is
 set aside and then cleared on every pivot row; over each field,
 rank d_i = u + matrix_rank(remainder), for u unit pivots.  matrix_rank is
-fraction-free Bareiss elimination over Q and plain modular elimination over
-F_p, and sees only non-empty remainders, which is where torsion lives (rp2's
-d_2).  A graph's d_1 never sets a column aside: each of its columns, and
-each column reduced by one, has one +1 and one -1.
+one fraction-free elimination (Bareiss, 1968) for every field: over Q it
+divides exactly by the previous pivot, and over F_p, where each pivot is a
+unit, no step divides.  It sees only non-empty remainders, which is where
+torsion lives (rp2's d_2).  A graph's d_1 never sets a column aside: each
+of its columns, and each column reduced by one, has one +1 and one -1.
 
 The maps are reduced top-down, and the rows of d_{i+1}'s unit pivots name
 faces whose columns d_i leaves out: the clearing ("twist") lemma of
@@ -125,64 +126,43 @@ def parse_field_battery(text: str) -> tuple[FieldSpec, ...]:
 # -- exact ranks ---------------------------------------------------------------
 
 
-def _rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
-    if not rows or not rows[0]:
-        return 0
-    m = [list(r) for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        p = m[row][col]
-        for r in range(row + 1, nrows):
-            factor = m[r][col]
-            mr, mrow = m[r], m[row]
-            for c in range(col + 1, ncols):
-                mr[c] = (p * mr[c] - factor * mrow[c]) // prev
-            mr[col] = 0
-        prev = p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
-def _rank_modp(rows: Sequence[Sequence[int]], p: int) -> int:
-    m = [[e % p for e in r] for r in rows]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = pow(m[row][col], p - 2, p)
-        m[row] = [(e * inv) % p for e in m[row]]
-        for r in range(row + 1, nrows):
-            f = m[r][col]
-            if f:
-                m[r] = [(a - f * b) % p for a, b in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
-
-
 def matrix_rank(rows: Sequence[Sequence[int]], field: FieldSpec) -> int:
-    """Exact rank of an integer matrix over the given field."""
-    if field.char == 0:
-        return _rank_bareiss(rows)
-    return _rank_modp(rows, field.char)
+    """Exact rank of an integer matrix over the given field, by one
+    fraction-free elimination for every field (Bareiss, 1968).
+
+    Each column's pivot is the first row at or below the current one with a
+    nonzero entry ``lead`` there; it is swapped up, and each row below it,
+    with entry f in the column, becomes lead * row - f * pivot row, from the
+    pivot column on (the rows below are zero left of it).  Over Q the result
+    is divided exactly by the previous pivot, which keeps each entry a minor
+    of the matrix; a row with f = 0 is left alone when lead equals the
+    previous pivot, as the update would not change it.  Over F_p the entries
+    are residues and lead is a unit, so no step divides, and a row with
+    f = 0 is left alone.  Rows of unequal length raise ValueError.
+    """
+    p = field.char
+    m = [[e % p for e in row] if p else list(row) for row in rows]
+    if len(set(map(len, m))) > 1:
+        raise ValueError("matrix_rank needs rows of one length")
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        top = m[rank][col:]
+        lead = top[0]
+        for row in m[rank + 1:]:
+            f = row[col]
+            if p and f:
+                row[col:] = [(lead * x - f * y) % p for x, y in zip(row[col:], top)]
+            elif not p and (f or lead != prev):
+                row[col:] = [(lead * x - f * y) // prev for x, y in zip(row[col:], top)]
+        prev = lead
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 # -- signed boundary columns and homology profiles -----------------------------

@@ -631,10 +631,10 @@ def test_markdown_of_nested_reports_and_lists(monkeypatch, capsys):
     expected = []
     for field in ("Q", "F2"):
         expected += [f"- {field}:", *report(field, "  ", 4, 23104), "  - join_factors:"]
-        for vertices in ("1, 2, 3, 4, 5", "6, 7, 8, 9, 10"):
-            expected += ["    - vertices:", f"      {vertices}",
-                         "    - radical:", *report(field, "      ", 2, 11),
-                         "    - power:", *report(field, "      ", 2, 152)]
+        for k, vertices in enumerate(("1, 2, 3, 4, 5", "6, 7, 8, 9, 10"), 1):
+            expected += [f"    - {k}:", "      - vertices:", f"        {vertices}",
+                         "      - radical:", *report(field, "        ", 2, 11),
+                         "      - power:", *report(field, "        ", 2, 152)]
     assert code == EXIT_OK and out == "\n".join(expected) + "\n"
 
 
@@ -651,9 +651,10 @@ def test_special_triangles_of_rp2_in_json_and_markdown(monkeypatch, capsys):
     code, out, _ = run(["ideal", "triangles", "--format", "md"], stdin_text=ideal,
                        monkeypatch=monkeypatch, capsys=capsys)
     assert code == EXIT_OK and out.splitlines()[:8] == [
-        "- count: 90", "- triangles:", "  - vertices:", "    1, 2, 3", "  - witnesses:",
-        "    [2, 3, 4]", "    [1, 3, 6]", "    [1, 2, 5]"]
-    assert len(out.splitlines()) == 2 + 90 * 6
+        "- count: 90", "- triangles:", "  - 1:", "    - vertices:", "      1, 2, 3",
+        "    - witnesses:", "      [2, 3, 4]", "      [1, 3, 6]"]
+    assert len(out.splitlines()) == 2 + 90 * 7
+    assert out.splitlines()[8:10] == ["      [1, 2, 5]", "  - 2:"]
 
 
 def test_reproduce_single_criterion_in_markdown(monkeypatch, capsys):

@@ -113,6 +113,51 @@ def test_modp_ranks_against_naive():
             assert matrix_rank(m, field) == modp_rank_naive(m, p)
 
 
+def low_rank_matrices(rng, count):
+    """Matrices of rank below min(rows, cols), with zero rows and zero
+    columns mixed in: products A * B of random integer factors of inner
+    dimension k < min(rows, cols), and sparse {0, +-1, +-2} matrices shaped
+    like the remainders of _unit_reduce, whose rows are zero or one of k
+    such rows up to sign."""
+    out = []
+    for t in range(count):
+        rows, cols = rng.randint(2, 8), rng.randint(2, 8)
+        k = rng.randint(0, min(rows, cols) - 1)
+        if t % 2:
+            a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+            b = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(k)]
+            m = [[sum(a[r][s] * b[s][c] for s in range(k)) for c in range(cols)]
+                 for r in range(rows)]
+        else:
+            basis = [[rng.choice((0, 0, 0, 1, -1, 2, -2)) for _ in range(cols)] for _ in range(k)]
+            m = [[sign * x for x in rng.choice(basis)] if basis and rng.random() < 0.8
+                 else [0] * cols for sign in rng.choices((1, -1), k=rows)]
+        for c in rng.sample(range(cols), rng.randint(0, cols // 3)):
+            for row in m:
+                row[c] = 0
+        out.append(m)
+    return out
+
+
+def test_low_rank_matrices_against_the_oracles():
+    # the random matrices above are almost always of full rank; these are
+    # not, so the elimination must skip the columns that hold no pivot
+    for m in low_rank_matrices(random.Random(53), 400):
+        q = fraction_rank(m)
+        assert q < min(len(m), len(m[0]))
+        assert matrix_rank(m, QQ) == q
+        for p in (2, 3, 5, 7):
+            assert matrix_rank(m, FieldSpec(p)) == modp_rank_naive(m, p)
+
+
+@pytest.mark.parametrize("rows", [[[1], [3, 4]], [[0, 1], [1]], [[1, 2], [3]]],
+                         ids=["short_first", "short_second_after_a_zero", "short_second"])
+def test_ragged_rows_are_refused_over_every_field(rows):
+    for field in (QQ, GF2, F3, FieldSpec(5)):
+        with pytest.raises(ValueError, match="one length"):
+            matrix_rank(rows, field)
+
+
 # -- boundary matrices ------------------------------------------------------------------
 
 def test_pentagon_boundary():
@@ -388,11 +433,26 @@ def test_a_memo_serves_only_its_own_faces_and_fields():
     assert homology.HomologyMemo.serving(None, d, (QQ,)).fields == (QQ,)
 
 
+def mod3_moore_space():
+    """A 13-vertex mod-3 Moore space: a band from the 9-cycle 4, ..., 12 to
+    the boundary of the triangle 1, 2, 3, which it wraps three times, capped
+    by the cone from 13 over the 9-cycle.  ~H_1 over Z is Z/3, so ~H_1 and
+    ~H_2 are K over F3 and vanish over Q and every other F_p."""
+    wrap = [1, 2, 3] * 3
+    facets = []
+    for i in range(9):
+        j = (i + 1) % 9
+        facets += [(wrap[i], wrap[j], 4 + i), (wrap[j], 4 + i, 4 + j), (13, 4 + i, 4 + j)]
+    return new_complex(13, facets)
+
+
 def torsion_complexes():
-    """rp2 and joins of it, whose 2-torsion shows in the homology: the maps
-    where ranks differ between Q and F2."""
+    """rp2 and joins of it, whose 2-torsion shows in the homology (the maps
+    where ranks differ between Q and F2), and a mod-3 Moore space, whose
+    3-torsion shows over F3 alone."""
     d = rp2()
-    return [d, d.join(new_complex(2, [(1,), (2,)])), d.join(d), d.join(cycle_complex(5))]
+    return [d, d.join(new_complex(2, [(1,), (2,)])), d.join(d), d.join(cycle_complex(5)),
+            mod3_moore_space()]
 
 
 def q_betti_oracle(faces, rank=fraction_rank):
@@ -558,6 +618,25 @@ def test_only_remainders_reach_matrix_rank(monkeypatch):
     assert field == GF2 and len(rows) == 3 and len(rows[0]) < len(d2[0])
 
 
+def test_the_mod3_moore_space_has_homology_over_f3_alone(monkeypatch):
+    # its d_2 sets one column aside, which reaches matrix_rank as a 4 x 1
+    # remainder of entries +-3 once per field: a rank of 1 over Q, F2 and F5
+    # and of 0 over F3, where ~H_1 and ~H_2 are K
+    calls = []
+    rank = homology.matrix_rank
+
+    def recorded(rows, field):
+        calls.append((field, len(rows), len(rows[0]), {abs(e) for row in rows for e in row}))
+        return rank(rows, field)
+
+    monkeypatch.setattr(homology, "matrix_rank", recorded)
+    moore = mod3_moore_space()
+    battery = (QQ, GF2, F3, FieldSpec(5))
+    profiles = profile_from_faces(moore, moore.face_index.everything, battery)
+    assert [p.betti for p in profiles] == [(0, 0, 0, 0), (0, 0, 0, 0), (0, 0, 1, 1), (0, 0, 0, 0)]
+    assert calls == [(field, 4, 1, {3}) for field in battery]
+
+
 def dense(columns, height):
     """The integer matrix of (+1 rows, -1 rows) bitmask columns."""
     return [[(plus >> r & 1) - (minus >> r & 1) for plus, minus in columns]
@@ -663,13 +742,17 @@ def test_cleared_profiles_match_the_dense_oracles(case):
 
 
 @pytest.mark.parametrize("delta", [cross_polytope(5)] + torsion_complexes(),
-                         ids=["cross_polytope_5", "rp2", "rp2_two_points", "rp2_rp2", "rp2_pentagon"])
+                         ids=["cross_polytope_5", "rp2", "rp2_two_points", "rp2_rp2", "rp2_pentagon",
+                              "mod3_moore_space"])
 def test_cleared_profiles_of_spheres_and_torsion_match_the_dense_oracles_at_every_cut(delta):
     # rp2 * rp2 keeps 2-torsion in ~H_3 as well as ~H_4, so d_4, a map that
     # d_5 clears, carries torsion; each cut reduces a different top map
     faces = delta.sorted_faces()
     expected = field_oracles(faces)
-    assert (expected[0] != expected[1]) == (delta != cross_polytope(5))  # torsion shows over F2
+    moore = delta == mod3_moore_space()
+    # 2-torsion shows over F2, and the Moore space's 3-torsion over F3 alone
+    assert (expected[0] != expected[1]) == (delta != cross_polytope(5) and not moore)
+    assert (expected[0] != expected[2]) == moore
     assert_cleared_profiles_match(faces, [None, *range(-1, delta.dim + 1)], expected)
 
 
