@@ -26,15 +26,18 @@ A point's pieces sit at i = |G_a| + 1 + k for the homology degrees k >= -1
 of Delta_a, so at i >= |G_a|.  Along the scan, a field's running depth is
 the lowest degree of a piece found so far (dim S/I before any), and bound
 is the largest running depth over the battery: a piece at i >= bound lowers
-no field's depth and replaces no witness.  Two lemmas follow.  The stop:
+no field's depth and replaces no witness.  Three lemmas follow.  The stop:
 faces come sorted by size, so from the first point with |G_a| >= bound on
 no point can reach a degree below bound, and the scan ends there.  The
 cut: at a point with |G_a| < bound only the homology degrees
 k < bound - |G_a| - 1 of Delta_a can matter, and those need the boundary
 maps d_i with i <= bound - |G_a| - 1 alone, so no higher map is reduced.
-The bound starts at dim S/I and only falls, and |G_a| only rises, so a
-Delta_a evaluated under one cut serves every later point that shares it.
-Depths, witnesses and scan_size are those of the scan without either.
+The last layer: at |G_a| = bound - 1 the cut leaves ~H_{-1} alone, which
+is nonzero (of dimension 1) iff Delta_a = {emptyset}, the key 1, so no
+Delta_a there is evaluated: its piece is read off the key.  The bound
+starts at dim S/I and only falls, and |G_a| only rises, so a Delta_a
+evaluated under one cut serves every later point that shares it.  Depths,
+witnesses and scan_size are those of the scan without any of the three.
 
 Each Delta_a is named by a bitset over the positions of
 Delta(I).sorted_faces(): bit p is set iff face p lies in Delta_a, and 0 is
@@ -73,9 +76,12 @@ cone, acyclic over every field; a cone stays a cone or turns void as
 facets drop out, so its larger values and subtree go too.  Every point
 the walk leaves out has no homology, and the points it yields come in the
 generator form's order, through the same loop, so reports are unchanged;
-scan_size remains the upfront count of the whole space.  The generator
-form applied to symbolic_power(Delta, 2), and the per-point facet
-selection, are kept as the test suite's oracles.
+scan_size remains the upfront count of the whole space.  The walk reads
+the scan's running bound: it ends where the scan stops, and in the last
+layer it leaves out every face that is no facet, since a generator F - G_a
+is empty only for F = G_a, so Delta_a is {emptyset} only at a facet, and
+no point at another face of that layer has a piece below the bound.  The generator form applied to symbolic_power(Delta, 2),
+and the per-point facet selection, are kept as the test suite's oracles.
 
 The square I_Delta^2 is scanned in facet form as well whenever it equals
 I_Delta^(2), which the special-triangle criterion decides without building
@@ -171,6 +177,7 @@ class DepthReport:
 
 Select = Callable[[int, Sequence[int]], int]
 Walk = Iterator[tuple[int, tuple[int, ...], int]]
+Bound = Callable[[], int]  # the scan's running bound, read as the walk goes
 
 
 def _generator_selection(gens: Sequence[tuple[int, ...]], index: FaceIndex) -> Select:
@@ -222,8 +229,15 @@ def _generator_selection(gens: Sequence[tuple[int, ...]], index: FaceIndex) -> S
 
 
 def _generator_walk(gens: Sequence[tuple[int, ...]], index: FaceIndex,
-                    rho: Sequence[int]) -> Walk:
-    """The generator-form walk: every scan point, selected one at a time."""
+                    rho: Sequence[int], bound: Bound) -> Walk:
+    """The generator-form walk: every scan point, selected one at a time.
+
+    ``bound`` is not read: in this form Delta_a = {emptyset} occurs at faces
+    that are no facet, so the last layer is walked in full.  The claw,
+    facets {1,3}, {2,3}, {3,4}, has I^2 != I^(2), and its square has depth 1
+    with witness a = (1, 1, -1, 1), at G = {3} in homology degree -1, found
+    at |G_a| = 1 = bound - 1.
+    """
     select = _generator_selection(gens, index)
     for g_mask, a in _scan_points(index.faces, rho, index.n):
         key = select(g_mask, a)
@@ -231,7 +245,7 @@ def _generator_walk(gens: Sequence[tuple[int, ...]], index: FaceIndex,
             yield g_mask, a, key
 
 
-def _facet_walk(ell: int, index: FaceIndex, rho: Sequence[int]) -> Walk:
+def _facet_walk(ell: int, index: FaceIndex, rho: Sequence[int], bound: Bound) -> Walk:
     """The facet-form walk of I_Delta^(ell), ``index`` Delta's face index: the
     scan points whose Delta_a is neither void nor a cone, in scan order,
     each with Delta_a as its bitset.
@@ -250,9 +264,21 @@ def _facet_walk(ell: int, index: FaceIndex, rho: Sequence[int]) -> Walk:
     included.  Delta_a of a live set is the OR of its parts, and a cone when
     its generators share a vertex; both are worked out once per live set,
     and only yielded points get their degree tuple.
+
+    ``bound()`` is the scan's running bound, read as each face starts.  The
+    walk ends at the first face G with |G| >= bound(), where the scan would
+    stop (the stop lemma), and by the last-layer lemma (module docstring) a
+    face with |G| = bound() - 1 is walked only when it is a facet, whose
+    link is {emptyset}, key 1.  A bound above every face size, such as
+    n + 2, walks every face.
     """
     n, inside = index.n, index.inside
     for p, g in enumerate(index.faces):
+        size, top = g.bit_count(), bound()
+        if size >= top:
+            return  # the stop: the scan ends at the first point this large
+        if size == top - 1 and g not in inside:
+            continue  # the last layer, off the facets: no Delta_a at G is {emptyset}
         key = index.link(p).key
         if not key:
             continue  # lk G is a cone: so is, or void, every Delta_a at G
@@ -347,30 +373,35 @@ def _scan_reports(
     rho: Sequence[int],
     fields: Sequence[FieldSpec],
     budget: int,
-    walk: Callable[[FaceIndex, Sequence[int]], Walk],
+    walk: Callable[[FaceIndex, Sequence[int], Bound], Walk],
     memo: HomologyMemo | None = None,
 ) -> dict[FieldSpec, DepthReport]:
     """The depth scan shared by the generator and facet forms, per field.
 
-    ``walk(index, rho)`` is the form's walk, which reads its tables from
-    ``index``, the face index of the memo's complex, and names each
-    Delta_a by its bitset over delta.sorted_faces(); equal bitsets are
-    equal complexes, so each Delta_a is evaluated once per memo, off that
-    index.  The caller's memo serves when its complex is ``delta`` and its
-    battery holds ``fields``; else the scan makes its own.  The memo
-    evaluates a miss over its whole battery.  The points a walk leaves out,
-    void or cones, have no homology.  The search space (see module docstring)
-    is sized upfront, from the faces, before the face index is built;
-    exceeding the budget raises BudgetExceeded rather than truncating, and
-    scan_size is that upfront count.  Each field's witness is its first
-    nonvanishing piece in the fixed (i, a) order, so reports are
-    deterministic regardless of evaluation strategy.
+    ``walk(index, rho, bound)`` is the form's walk, which reads its tables
+    from ``index``, the face index of the memo's complex, and names each
+    Delta_a by its bitset over delta.sorted_faces(); ``bound()`` is the
+    scan's running bound (below), by which a walk may leave out points that
+    have no piece below it.  Equal bitsets are equal complexes, so each
+    Delta_a is evaluated once per memo, off that index.  The caller's memo
+    serves when its complex is ``delta`` and its battery holds ``fields``;
+    else the scan makes its own.  The memo evaluates a miss over its whole
+    battery.  The points a walk leaves out, void or cones, or off the
+    facets in the last layer, have no piece below the bound.  The search
+    space (see module docstring) is sized upfront, from the faces, before
+    the face index is built; exceeding the budget raises BudgetExceeded
+    rather than truncating, and scan_size is that upfront count.  Each
+    field's witness is its first nonvanishing piece in the fixed (i, a)
+    order, so reports are deterministic regardless of evaluation strategy.
 
     Each field keeps its running depth, and ``bound`` is their maximum,
     updated only when a field's depth falls.  By the stop and cut lemmas
     (module docstring) the walk ends at the first point with
     |G_a| >= bound, and a new Delta_a is evaluated only in homology degrees
-    below bound - |G_a| - 1.  Since |G_a| never falls and ``bound`` never
+    below bound - |G_a| - 1.  By the last-layer lemma a point with
+    |G_a| = bound - 1 is not evaluated at all: its one piece, ~H_{-1}, is 1
+    at the key 1 and 0 at every other key, and it sets depth and witness as
+    a profile would.  Since |G_a| never falls and ``bound`` never
     rises along the walk, a profile stored under a cut covers every later
     use of its key in this scan; its higher degrees are unknown, not zero,
     and the memo hands it to no request above its cut.
@@ -380,13 +411,18 @@ def _scan_reports(
     memo = HomologyMemo.serving(memo, delta, fields)
     depths = [dim_ring] * len(fields)
     witnesses: list[CohomologyWitness | None] = [None] * len(fields)
-    for g_mask, a, key in walk(memo.delta.face_index, rho):
+    for g_mask, a, key in walk(memo.delta.face_index, rho, lambda: bound):
         g = g_mask.bit_count()
         if g >= bound:
             break
-        for k, profile in enumerate(memo.profiles(key, fields, bound - g - 1)):
+        cut = bound - g - 1
+        if cut:
+            rows = [profile.betti for profile in memo.profiles(key, fields, cut)]
+        else:  # the last layer: ~H_{-1} alone, nonzero iff Delta_a = {emptyset} (key 1)
+            rows = [(int(key == 1),)] * len(fields)
+        for k, row in enumerate(rows):
             # the piece at i is entry i - g; only a degree below this field's depth counts
-            for i, betti in enumerate(profile.betti[:max(depths[k] - g, 0)], g):
+            for i, betti in enumerate(row[:max(depths[k] - g, 0)], g):
                 if betti:
                     depths[k], witnesses[k] = i, CohomologyWitness(i, a, i - g - 1, betti)
                     bound = max(depths)

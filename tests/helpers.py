@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
+from hypothesis import strategies as st
+
 from srsq import (
     DEFAULT_BUDGET,
     QQ,
@@ -606,7 +608,8 @@ def brute_force_depth(ideal: MonomialIdeal, field: FieldSpec = QQ):
 def unbounded_scan_reports(delta, rho, fields, budget, walk,
                            memo=None) -> dict[FieldSpec, DepthReport]:
     """takayama._scan_reports as it was before the stop and the degree cut:
-    every point the walk yields is visited, each new Delta_a gets its full
+    every point the walk yields under a bound above every face size is
+    visited, each new Delta_a gets its full
     profile, and each field keeps the first piece at every degree below
     dim S/I; its depth is the lowest of those, its witness the piece there.
     It takes the scan's ``memo`` argument and ignores it: the walk reads
@@ -616,7 +619,7 @@ def unbounded_scan_reports(delta, rho, fields, budget, walk,
     dim_ring = delta.dim + 1
     cache = {}
     first_hits = [{} for _ in fields]
-    for g_mask, a, key in walk(delta.face_index, rho):
+    for g_mask, a, key in walk(delta.face_index, rho, lambda: delta.n + 2):
         profiles = cache.get(key)
         if profiles is None:
             profiles = cache[key] = profile_from_faces(delta, key, fields)
@@ -656,6 +659,18 @@ def random_complex_with_unused_vertices(rng, pure):
     facets = [pack(rng.sample(range(1, n), size if pure else rng.randint(1, n - 2)))
               for _ in range(rng.randint(2, 8))]
     return SimplicialComplex(n, tuple(facets))
+
+
+@st.composite
+def coned_complexes_with_unused_vertices(draw):
+    """Facets on base vertices 1..m, each joined with up to two cone
+    vertices after them, and up to two unused vertices after those."""
+    m = draw(st.integers(min_value=1, max_value=5))
+    facets = draw(st.lists(st.sets(st.integers(min_value=1, max_value=m), min_size=1),
+                           min_size=1, max_size=5))
+    cone, unused = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    apex = pack(range(m + 1, m + cone + 1))
+    return SimplicialComplex(m + cone + unused, tuple(pack(f) | apex for f in facets))
 
 
 def cone_bases():

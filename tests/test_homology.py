@@ -34,8 +34,8 @@ from srsq.criteria import explore_complexes, random_pure_complex
 from srsq.homology import parse_field_battery, profile_from_faces
 from srsq.reproduce import named_battery as reproduce_named_battery
 from srsq.complexes import FaceIndex
-from helpers import (boundary_matrix, cone_bases, fraction_rank,
-                     link_key_by_faces, modp_rank_naive, profile_of_faces,
+from helpers import (boundary_matrix, cone_bases, coned_complexes_with_unused_vertices,
+                     fraction_rank, link_key_by_faces, modp_rank_naive, profile_of_faces,
                      random_complex_with_unused_vertices,
                      reindexed_cm_verdict, reindexed_gorenstein_verdict,
                      reindexed_local_gorenstein_verdict, relabeling_classes)
@@ -338,6 +338,33 @@ def test_a_cut_profile_is_the_head_of_the_full_profile_and_reduces_no_higher_map
     # reduced, and no size class above below + 1 is read
     assert len(reduced) == len(built) and all(i <= below for i in built)
     assert all(k <= below + 1 for k in touched)
+
+
+@st.composite
+def subcomplex_keys(draw):
+    """A complex of coned_complexes_with_unused_vertices and the key of the
+    subcomplex generated by some of its faces, so {empty face} (key 1)
+    occurs whenever the empty face alone is drawn."""
+    delta = draw(coned_complexes_with_unused_vertices())
+    faces = delta.sorted_faces()
+    chosen = draw(st.lists(st.sampled_from(faces), min_size=1, max_size=4))
+    return delta, sum(1 << p for p, f in enumerate(faces) if any(not f & ~c for c in chosen))
+
+
+@given(subcomplex_keys())
+@example((rp2(), 1))
+@example((rp2(), 3))  # a single vertex
+@example((SimplicialComplex(3, (0,)), 1))
+@settings(max_examples=150, deadline=None)
+def test_a_profile_cut_at_zero_is_one_exactly_at_the_empty_face(case):
+    # the last layer of a depth scan reads ~H_{-1} off the key instead of
+    # evaluating it: it is K for {empty face} and 0 for every other
+    # nonvoid subcomplex, over every field
+    delta, key = case
+    battery = (QQ, GF2, F3)
+    profiles = profile_from_faces(delta, key, battery, below=0)
+    assert [p.field for p in profiles] == list(battery)
+    assert {p.betti for p in profiles} == {(int(key == 1),)}
 
 
 @st.composite
@@ -1034,18 +1061,6 @@ def test_link_keys_match_the_keys_of_their_listed_faces():
             + list(relabeling_classes()))
     for delta in pool:
         assert_links_keyed_by_their_faces(delta)
-
-
-@st.composite
-def coned_complexes_with_unused_vertices(draw):
-    """Facets on base vertices 1..m, each joined with up to two cone
-    vertices after them, and up to two unused vertices after those."""
-    m = draw(st.integers(min_value=1, max_value=5))
-    facets = draw(st.lists(st.sets(st.integers(min_value=1, max_value=m), min_size=1),
-                           min_size=1, max_size=5))
-    cone, unused = draw(st.integers(0, 2)), draw(st.integers(0, 2))
-    apex = pack(range(m + 1, m + cone + 1))
-    return SimplicialComplex(m + cone + unused, tuple(pack(f) | apex for f in facets))
 
 
 @given(coned_complexes_with_unused_vertices())

@@ -2,6 +2,7 @@ import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from srsq import (
     GF2,
@@ -57,6 +58,7 @@ from helpers import (
     assert_whole_ring_report,
     brute_force_depth,
     cone_bases,
+    coned_complexes_with_unused_vertices,
     delta_a,
     delta_a_symbolic,
     faces_at,
@@ -553,7 +555,7 @@ def test_facet_form_scan_matches_generator_form_for_other_powers():
 
 def star_walk(d, ell):
     """The facet-form walk of d's ell-th symbolic power, as a list."""
-    return list(_facet_walk(ell, d.face_index, _symbolic_rho(d, ell)))
+    return list(_facet_walk(ell, d.face_index, _symbolic_rho(d, ell), lambda: d.n + 2))
 
 
 def star_walk_cases():
@@ -588,6 +590,40 @@ def test_star_walk_yields_the_oracle_points_that_are_neither_void_nor_a_cone():
                     expected.append((g, a, key))
             assert star_walk(d, ell) == expected
     assert skipped == 1 and void > 0 and cones > 0
+
+
+# the claw, facets {1,3}, {2,3}, {3,4}: its square differs from its symbolic
+# square, and S/I^2 has depth 1 with its witness at the vertex 3, which is no
+# facet, in homology degree -1, so the generator form walks the last layer
+# in full
+CLAW = new_complex(4, [(1, 3), (2, 3), (3, 4)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF2], ids=["Q", "F2"])
+def test_claw_square_has_depth_one_at_the_empty_link_of_a_vertex(field):
+    assert not symbolic2_equals_square(stanley_reisner(CLAW)).equal
+    square = square_depth_report(CLAW, field)
+    assert (square.depth, square.dim, square.is_cm) == (1, 2, False)
+    assert square.witness == takayama.CohomologyWitness(1, (1, 1, -1, 1), -1, 1)
+    symbolic = symbolic_square_depth_report(CLAW, field)
+    assert (symbolic.depth, symbolic.dim, symbolic.is_cm, symbolic.witness) == (2, 2, True, None)
+
+
+@given(coned_complexes_with_unused_vertices(), st.sampled_from((1, 2)))
+@example(CLAW, 2)  # the vertex 3 is no facet and its link is no cone
+@example(SimplicialComplex(3, (0,)), 1)
+@settings(max_examples=150, deadline=None)
+def test_a_bounded_star_walk_stops_and_leaves_out_the_last_layer_off_the_facets(delta, ell):
+    # under every bound b the walk yields the unbounded walk's points, less
+    # those at a face G with |G| >= b - 1 that is no facet (Delta_a is
+    # {empty face} only at a facet) and those with |G| >= b (the stop)
+    index, rho = delta.face_index, _symbolic_rho(delta, ell)
+    walked = list(_facet_walk(ell, index, rho, lambda: delta.n + 2))
+    facets = set(delta.facets)
+    for b in range(delta.dim + 3):
+        kept = [point for point in walked
+                if point[0].bit_count() < b - 1 or point[0] in facets and point[0].bit_count() < b]
+        assert list(_facet_walk(ell, index, rho, lambda: b)) == kept
 
 
 def test_star_walk_skips_a_cone_point_but_not_its_neighbour():
@@ -951,12 +987,14 @@ def bounded_scans(d):
 
 def check_each_bounded_scan(monkeypatch):
     """Replace takayama._scan_reports by the bounded scan with its walk and
-    its evaluations logged, and check each scan against its own reports,
-    with B the largest depth over its battery: no Delta_a with |G_a| > B is
-    evaluated, and one with |G_a| = B only while the bound is still above B;
-    every cut keeps the degrees below B, and the bound never rises; and once
-    the last Delta_a is evaluated, the walk stops at the first point with
-    |G_a| >= B."""
+    its evaluations logged, each point with the running bound it was drawn
+    under, and check each scan against its own reports, with B the largest
+    depth over its battery: the bound never rises, never falls below B, and
+    is B once the scan returns; each evaluation is of the point just drawn,
+    at |G_a| <= B, cut at bound - |G_a| - 1, and that cut is at least 1, so
+    no point with |G_a| >= bound - 1 is evaluated; the walk stops at the
+    first point with |G_a| >= bound; and the facet form starts no face with
+    |G| >= bound - 1 that is no facet."""
     scan_reports, profile = takayama._scan_reports, homology.profile_from_faces
     events = []
 
@@ -965,26 +1003,32 @@ def check_each_bounded_scan(monkeypatch):
         return profile(delta, key, fields, below=below)
 
     def checked(delta, rho, fields, budget, walk, memo=None):
-        def drawn(*args):
-            for point in walk(*args):
-                events.append(("point", point[0].bit_count()))
+        running = []
+
+        def drawn(index, rho, bound):
+            running.append(bound)
+            for point in walk(index, rho, bound):
+                events.append(("point", point[0], bound()))
                 yield point
 
         events.clear()
         reports = scan_reports(delta, rho, fields, budget, drawn, memo)
         top = max(r.depth for r in reports.values())
-        bounds, g = [], None
-        for kind, value in events:
-            if kind == "point":
-                g = value
-            else:
-                assert 0 <= value and g <= top <= g + value + 1
-                bounds.append(g + value + 1)
-        assert bounds == sorted(bounds, reverse=True)
-        last = max((t for t, (kind, _) in enumerate(events) if kind == "eval"), default=-1)
-        stops = [t for t, (kind, g) in enumerate(events)
-                 if kind == "point" and (g > top or g == top and t > last)]
-        assert stops in ([], [len(events) - 1])
+        assert [bound() for bound in running] == [top]
+        facet_form = getattr(walk, "func", None) is takayama._facet_walk
+        bounds, started, facets = [], set(), set(delta.facets)
+        for t, (kind, *logged) in enumerate(events):
+            if kind == "eval":
+                assert g <= top and logged[0] == bound - g - 1 >= 1
+                continue
+            g_mask, bound = logged
+            g = g_mask.bit_count()
+            bounds.append(bound)
+            assert g < bound or t == len(events) - 1
+            if facet_form and g_mask not in started:
+                started.add(g_mask)
+                assert g_mask in facets or g < bound - 1
+        assert bounds == sorted(bounds, reverse=True) and min(bounds, default=top) >= top
         return reports
 
     monkeypatch.setattr(homology, "profile_from_faces", evaluated)
